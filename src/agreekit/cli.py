@@ -150,8 +150,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "ranking": [r.distance_name for r in reports],
             "reports": [r.to_dict() for r in reports],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        aio.write_report(args.out, payload)
     return 0
 
 

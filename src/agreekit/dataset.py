@@ -28,7 +28,7 @@ class Dataset:
 
     meta keys used by the shipped distances: "ranges" (per-dimension [lo, hi]
     for vectors), "universe" (ranking element list), "oks_scale_default",
-    "oks_k_default", "image_extent".
+    "oks_k_default".
     """
 
     records: tuple[AnnotationRecord, ...]

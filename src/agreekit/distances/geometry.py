@@ -20,7 +20,6 @@ from ..payloads import Box, KeypointObject
 class GeometryConfig:
     # l2_scale assumes coordinates in the original dataset's units; override per dataset
     l2_scale: float = 20.0
-    image_extent: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.l2_scale <= 0:

@@ -65,8 +65,7 @@ def perturb(
 ) -> LabelPayload:
     """One noisy copy of a gold label. Level 0 is the identity."""
     kind = payload_kind(label)
-    expected_kind = {"ranking": "ranking", "vector": "vector", "spans": "spans", "boxes": "boxes"}
-    if kind != expected_kind[spec.task]:
+    if kind != spec.task:
         raise DataError(f"task {spec.task!r} cannot perturb payload kind {kind!r}")
     if spec.level == 0.0:
         return label

@@ -186,29 +186,12 @@ LabelPayload = Union[
     NumericVector, TokenSequence, BoxSet, KeypointSet, SpanSet, OrderedTree, Ranking
 ]
 
-_KIND_TO_TYPE = {
-    "vector": NumericVector,
-    "tokens": TokenSequence,
-    "boxes": BoxSet,
-    "keypoints": KeypointSet,
-    "spans": SpanSet,
-    "tree": OrderedTree,
-    "ranking": Ranking,
-}
-
 
 def payload_kind(payload: LabelPayload) -> str:
     kind = getattr(payload, "kind", None)
     if kind not in KINDS:
         raise DataError(f"not a label payload: {type(payload).__name__}")
     return kind
-
-
-def payload_type(kind: str) -> type:
-    try:
-        return _KIND_TO_TYPE[kind]
-    except KeyError:
-        raise DataError(f"unknown payload kind {kind!r}; expected one of {', '.join(KINDS)}") from None
 
 
 def tree_from_nested(node: object) -> OrderedTree:

@@ -14,15 +14,18 @@ estimate the chance level. Measures:
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset import AnnotationRecord, Dataset, validate_dataset
 from .errors import DataError, NumericError
-from .kde import KdeModel, fit_kde, kde_cdf
+from .kde import fit_kde, kde_cdf
 from .registry import DistanceSpec
 
 HISTOGRAM_BINS = 50
@@ -49,33 +52,35 @@ class DistanceSamples:
 
 def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
     """All unordered same-item pairs from distinct annotators, in canonical order."""
-    by_item: dict[str, list[AnnotationRecord]] = {}
-    for rec in dataset.records:
-        by_item.setdefault(rec.item_id, []).append(rec)
-    pairs = []
-    for item_id in sorted(by_item):
-        recs = sorted(by_item[item_id], key=lambda r: r.annotator_id)
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                pairs.append((recs[i], recs[j]))
+    pairs = [
+        pair
+        for _, group in itertools.groupby(dataset.records, key=attrgetter("item_id"))
+        for pair in itertools.combinations(group, 2)
+    ]
     if not pairs:
         raise DataError("no observed pairs: no item has two or more annotations")
     return pairs
 
 
+def _pairs_within(groups: Counter) -> int:
+    return sum(c * (c - 1) // 2 for c in groups.values())
+
+
 def count_expected_pairs(dataset: Dataset, exclude_same_annotator: bool = False) -> int:
-    n = len(dataset.records)
-    total = n * (n - 1) // 2
-    per_item: dict[str, int] = {}
-    per_annotator: dict[str, int] = {}
-    for rec in dataset.records:
-        per_item[rec.item_id] = per_item.get(rec.item_id, 0) + 1
-        per_annotator[rec.annotator_id] = per_annotator.get(rec.annotator_id, 0) + 1
-    total -= sum(c * (c - 1) // 2 for c in per_item.values())
+    records = dataset.records
+    n = len(records)
+    total = n * (n - 1) // 2 - _pairs_within(Counter(r.item_id for r in records))
     if exclude_same_annotator:
-        # (item, annotator) uniqueness means same-annotator pairs are all cross-item
-        total -= sum(c * (c - 1) // 2 for c in per_annotator.values())
+        # same-annotator pairs that also share the item (duplicate records)
+        # were already removed with the same-item pairs
+        total -= _pairs_within(Counter(r.annotator_id for r in records))
+        total += _pairs_within(Counter((r.item_id, r.annotator_id) for r in records))
     return total
+
+
+def _codes(values: list[str]) -> np.ndarray:
+    """Integer codes of strings; object dtype, as numpy str arrays drop trailing NULs."""
+    return np.unique(np.array(values, dtype=object), return_inverse=True)[1]
 
 
 def expected_pairs(
@@ -87,7 +92,10 @@ def expected_pairs(
     """Uniform sample, without replacement, of cross-item annotation pairs.
 
     Returns every available pair when sample_size covers them all. The result
-    is deterministic given the seed and sorted canonically.
+    is deterministic given the seed and sorted canonically. Up to 2,000,000
+    candidate pairs the admissible ones are enumerated and a sample chosen
+    from them; above that, candidates are rejection-sampled, which draws a
+    different sample for the same seed.
     """
     records = dataset.records
     n = len(records)
@@ -96,26 +104,32 @@ def expected_pairs(
     available = count_expected_pairs(dataset, exclude_same_annotator)
     if available <= 0:
         raise DataError("no cross-item pairs available")
+    item = _codes([r.item_id for r in records])
+    annotator = _codes([r.annotator_id for r in records])
 
-    def admissible(i: int, j: int) -> bool:
-        if records[i].item_id == records[j].item_id:
-            return False
-        if exclude_same_annotator and records[i].annotator_id == records[j].annotator_id:
-            return False
-        return True
+    def admissible(item, annotator, i, j):
+        """One rule for lists of codes (a bool) and code arrays (a mask)."""
+        ok = item[i] != item[j]
+        if exclude_same_annotator:
+            ok = ok & (annotator[i] != annotator[j])
+        return ok
 
     rng = np.random.default_rng(seed)
     total_pairs = n * (n - 1) // 2
     want = min(int(sample_size), available)
 
     if want >= available or total_pairs <= 2_000_000:
-        idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if admissible(i, j)]
+        first, second = np.triu_indices(n, 1)
+        keep = admissible(item, annotator, first, second)
+        first, second = first[keep], second[keep]
         if want < available:
-            chosen = rng.choice(len(idx_pairs), size=want, replace=False)
-            idx_pairs = [idx_pairs[t] for t in sorted(chosen)]
+            chosen = np.sort(rng.choice(first.size, size=want, replace=False))
+            first, second = first[chosen], second[chosen]
+        idx_pairs = zip(first.tolist(), second.tolist())
     else:
         # rejection-sample linear indices of the i<j triangle; dataset is too
         # large to enumerate all pairs in memory
+        item, annotator = item.tolist(), annotator.tolist()
         picked: set[int] = set()
         out: list[tuple[int, int]] = []
         while len(out) < want:
@@ -125,7 +139,7 @@ def expected_pairs(
                     continue
                 i = int((1 + math.isqrt(1 + 8 * t)) // 2)
                 j = t - i * (i - 1) // 2
-                if admissible(j, i):
+                if admissible(item, annotator, j, i):
                     picked.add(t)
                     out.append((j, i))
                     if len(out) >= want:
@@ -173,14 +187,6 @@ def krippendorff_alpha(samples: DistanceSamples) -> float:
     return 1.0 - float(samples.observed.mean()) / mean_e
 
 
-def fit_expected_kde(
-    samples: DistanceSamples,
-    bounds: Optional[tuple[float, float]] = (0.0, 1.0),
-    bandwidth: Optional[float] = None,
-) -> KdeModel:
-    return fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
-
-
 def sigma_measure(
     samples: DistanceSamples,
     p: float = 0.05,
@@ -190,7 +196,7 @@ def sigma_measure(
     """Fraction of observed distances below the p-tail of the expected KDE."""
     if samples.observed.size == 0 or samples.expected.size == 0:
         raise DataError("sigma requires nonempty observed and expected samples")
-    model = fit_expected_kde(samples, bounds=bounds, bandwidth=bandwidth)
+    model = fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
     cdf = kde_cdf(model, samples.observed)
     return float(np.mean(cdf < p))
 

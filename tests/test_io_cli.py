@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -296,6 +297,27 @@ class TestCliValidation:
         assert "validation:" in err and "--allow-violations" in err
         assert main(["compute", "--input", path, "--distance", "binary", "--allow-violations"]) == 0
         capsys.readouterr()
+
+    def test_duplicate_records_count_each_cross_item_pair_once(self, tmp_path, capsys):
+        # 3 items x 2 annotators plus a second record for (i1, a)
+        cells = [("i1", "a"), ("i1", "a"), ("i1", "b"), ("i2", "a"), ("i2", "b"), ("i3", "a"), ("i3", "b")]
+        lines = [
+            json.dumps({"item": item, "annotator": ann, "kind": "vector", "label": [0.1 * k]})
+            for k, (item, ann) in enumerate(cells)
+        ]
+        path = write_lines(tmp_path / "dup.jsonl", lines)
+        out = str(tmp_path / "r.json")
+        assert main([
+            "compute", "--input", path, "--distance", "binary", "--allow-violations",
+            "--exclude-same-annotator", "--de-samples", "all", "--out", out,
+        ]) == 0
+        capsys.readouterr()
+        brute = sum(
+            1 for (i1, a1), (i2, a2) in itertools.combinations(cells, 2) if i1 != i2 and a1 != a2
+        )
+        assert brute == 8
+        counts = json.loads(open(out).read())["counts"]
+        assert counts["expected_pairs_used"] == counts["expected_pairs_available"] == brute
 
     def test_meta_override_can_introduce_violations(self, vector_file, capsys):
         # shrink the configured ranges so the simulated values fall outside them

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError, NumericError
@@ -164,6 +167,94 @@ class TestPairs:
         assert n_obs == 12 * 3
         assert s.expected.size == min(10 * n_obs, s.pair_counts[1])
         assert s.distance_name == "euclidean"
+
+
+def index_pairs(ds, pairs):
+    """Record pairs as (i, j) positions in ds.records."""
+    pos = {id(r): k for k, r in enumerate(ds.records)}
+    return [(pos[id(a)], pos[id(b)]) for a, b in pairs]
+
+
+@pytest.fixture(scope="module")
+def large_ds():
+    # 2,002 annotations: 2,003,001 candidate pairs, past the 2,000,000 enumeration limit
+    return uniform_random_vector_dataset(1001, 2, 1, seed=0)
+
+
+class TestRejectionSampling:
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_sample_properties(self, large_ds, exclude):
+        n = len(large_ds.records)
+        assert n * (n - 1) // 2 == 2_003_001
+        want = 5_000
+        pairs = expected_pairs(large_ds, want, seed=3, exclude_same_annotator=exclude)
+        assert len(pairs) == want
+        keys = [(x.item_id, x.annotator_id, y.item_id, y.annotator_id) for x, y in pairs]
+        assert len(set(keys)) == want
+        assert keys == sorted(keys)
+        assert all(x.item_id != y.item_id for x, y in pairs)
+        if exclude:
+            assert all(x.annotator_id != y.annotator_id for x, y in pairs)
+        assert expected_pairs(large_ds, want, seed=3, exclude_same_annotator=exclude) == pairs
+        assert expected_pairs(large_ds, want, seed=4, exclude_same_annotator=exclude) != pairs
+
+
+# Record-index pairs drawn with seed 7 from
+# uniform_random_vector_dataset(items, annotators, 1, seed=0), recorded from
+# the tuple-enumerating planner: (items, annotators, want, exclude, first five, sha256).
+DRAW_PINS = [
+    (30, 3, 500, False, [(0, 15), (0, 16), (0, 21), (0, 29), (0, 44)],
+     "67027c34765c357a7bc096f095743d07207066016152669b9ba7ab0451241b0f"),
+    (30, 3, 500, True, [(0, 14), (0, 16), (0, 20), (0, 22), (0, 29)],
+     "c5fe6aae93886a177509068eba6db1c6ab2505828926639cbfe30455c934bda2"),
+    (1001, 2, 10_010, False, [(0, 594), (0, 813), (0, 816), (0, 844), (0, 989)],
+     "aba8beb6f67e367118fb7046182bd7710f82b64c8a7d8d80c6a0b4d1e2ca7a28"),
+    (1001, 2, 10_010, True, [(0, 813), (0, 989), (0, 1003), (0, 1317), (0, 1611)],
+     "d3ef40349eab3ff21e896b5a5c448782039dcf22210b1fff8e7236cd379a065e"),
+]
+
+
+@pytest.mark.parametrize("items, annotators, want, exclude, head, digest", DRAW_PINS)
+def test_expected_pair_draws_are_pinned(large_ds, items, annotators, want, exclude, head, digest):
+    ds = large_ds if items == 1001 else uniform_random_vector_dataset(items, annotators, 1, seed=0)
+    assert count_expected_pairs(ds, exclude) > want  # a sample, not every pair
+    idx = index_pairs(ds, expected_pairs(ds, want, seed=7, exclude_same_annotator=exclude))
+    assert len(idx) == want
+    assert idx[:5] == head
+    assert hashlib.sha256(repr(idx).encode()).hexdigest() == digest
+
+
+# ids differing only by a trailing NUL must stay distinct
+IDS = st.text(alphabet="ab\x00", max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(IDS, IDS), max_size=12), exclude=st.booleans())
+def test_planner_matches_brute_force(cells, exclude):
+    records = tuple(
+        AnnotationRecord(item_id=i, annotator_id=a, payload=NumericVector((0.5,))) for i, a in cells
+    )
+    ds = Dataset(records=records)
+    pairs = list(itertools.combinations(enumerate(ds.records), 2))
+    same_item = [(i, j) for (i, x), (j, y) in pairs if x.item_id == y.item_id]
+    if same_item:
+        assert index_pairs(ds, observed_pairs(ds)) == same_item
+    else:
+        with pytest.raises(DataError):
+            observed_pairs(ds)
+    brute = [
+        (i, j)
+        for (i, x), (j, y) in pairs
+        if x.item_id != y.item_id and not (exclude and x.annotator_id == y.annotator_id)
+    ]
+    assert count_expected_pairs(ds, exclude) == len(brute)
+    everything = len(records) ** 2 + 1
+    if brute:
+        got = expected_pairs(ds, everything, seed=0, exclude_same_annotator=exclude)
+        assert index_pairs(ds, got) == brute
+    else:
+        with pytest.raises(DataError):
+            expected_pairs(ds, everything, seed=0, exclude_same_annotator=exclude)
 
 
 class TestSigma:
