@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -56,6 +57,15 @@ def _load_validated(args: argparse.Namespace) -> Dataset:
                 "use --allow-violations to proceed anyway"
             )
     return dataset
+
+
+def _check_measure_flags(args: argparse.Namespace) -> None:
+    if not 0.0 < args.p <= 1.0:
+        raise UsageError("--p must lie in (0, 1]")
+    if args.kde_bandwidth is not None and not 0.0 < args.kde_bandwidth < math.inf:
+        raise UsageError("--kde-bandwidth must be positive and finite")
+    if args.exact_ks < 0:
+        raise UsageError("--exact-ks must be >= 0")
 
 
 def _resolve_de_samples(value: Optional[str], dataset: Dataset, exclude: bool) -> Optional[int]:
@@ -115,6 +125,7 @@ def _print_report(report) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    _check_measure_flags(args)
     dataset = _load_validated(args)
     report = _run_report(args, dataset, args.distance, _parse_kv(args.param, "--param"))
     _print_report(report)
@@ -124,6 +135,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_measure_flags(args)
     dataset = _load_validated(args)
     names: list[str] = []
     for chunk in args.distances:
@@ -155,6 +167,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_hist(args: argparse.Namespace) -> int:
+    _check_measure_flags(args)
     dataset = _load_validated(args)
     report = _run_report(args, dataset, args.distance, _parse_kv(args.param, "--param"))
     lines = ["sample,bin_lo,bin_hi,count"]

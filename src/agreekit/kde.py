@@ -46,8 +46,8 @@ class KdeModel:
         arr = np.sort(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "support", arr)
-        if self.bandwidth <= 0:
-            raise DataError("bandwidth must be positive")
+        if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
+            raise DataError("bandwidth must be positive and finite")
         if self.bounds is not None:
             lo, hi = float(self.bounds[0]), float(self.bounds[1])
             if hi <= lo:

@@ -14,6 +14,7 @@ estimate the chance level. Measures:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -29,6 +30,9 @@ from .kde import fit_kde, kde_cdf
 from .registry import DistanceSpec
 
 HISTOGRAM_BINS = 50
+# elements of one (batch, m + n) permutation matrix, about 80 MB peak; the
+# generator fills rows in order, so the batch size never changes the p-value
+_PERMUTATION_BATCH_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,16 @@ def sigma_measure(
     bounds: Optional[tuple[float, float]] = (0.0, 1.0),
     bandwidth: Optional[float] = None,
 ) -> float:
-    """Fraction of observed distances below the p-tail of the expected KDE."""
+    """Fraction of observed distances below the p-tail of the expected KDE.
+
+    The CDF is monotone, so bisection over the sorted observed distances
+    counts them with single-point CDF evaluations, in O(|De|) memory.
+    """
     if samples.observed.size == 0 or samples.expected.size == 0:
         raise DataError("sigma requires nonempty observed and expected samples")
     model = fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
-    cdf = kde_cdf(model, samples.observed)
-    return float(np.mean(cdf < p))
+    obs = np.sort(samples.observed)
+    return bisect.bisect_left(obs, True, key=lambda x: kde_cdf(model, x) >= p) / obs.size
 
 
 def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -249,7 +257,7 @@ def _permutation_pvalue(samples: DistanceSamples, stat: float, n_permutations: i
     exceed = 0
     done = 0
     while done < n_permutations:
-        batch = min(1000, n_permutations - done)
+        batch = min(max(1, _PERMUTATION_BATCH_ELEMENTS // total), n_permutations - done)
         is_obs = np.argsort(rng.random((batch, total)), axis=1) < m
         cum_obs = np.cumsum(is_obs, axis=1)
         positions = np.arange(1, total + 1)

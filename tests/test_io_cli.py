@@ -1,8 +1,12 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import agreekit
 from agreekit import io as aio
 from agreekit.cli import main
 from agreekit.dataset import AnnotationRecord, Dataset
@@ -280,6 +284,55 @@ class TestCliCompute:
         path = write_lines(tmp_path / "flat.jsonl", lines)
         assert main(["compute", "--input", path, "--distance", "binary"]) == 4
         assert "degenerate" in capsys.readouterr().err
+
+
+class TestCliMeasureFlags:
+    @pytest.mark.parametrize("command", ["compute", "compare", "hist"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "1.5"), ("--p", "-1"), ("--p", "0"), ("--p", "nan"),
+        ("--kde-bandwidth", "nan"), ("--kde-bandwidth", "inf"),
+        ("--kde-bandwidth", "0"), ("--kde-bandwidth", "-0.1"),
+        ("--exact-ks", "-3"),
+    ])
+    def test_out_of_range_is_usage_error(self, vector_file, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "r.out"
+        distance = "--distances" if command == "compare" else "--distance"
+        argv = [command, "--input", vector_file, distance, "euclidean", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p_of_one_is_accepted(self, vector_file, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert main(["compute", "--input", vector_file, "--distance", "euclidean", "--p", "1", "--out", out]) == 0
+        assert json.loads(open(out).read())["p_threshold"] == 1.0
+
+
+# runs `agree` argv under a 4 GB address-space limit; prints ru_maxrss (KB)
+LIMITED_AGREE = """
+import resource, sys
+limit = 4096 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from agreekit.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
+    data, out = str(tmp_path / "vec.jsonl"), str(tmp_path / "r.json")
+    assert main(["simulate", "--task", "vector", "--items", "10000", "--annotators", "3", "--out", data]) == 0
+    src = os.path.dirname(os.path.dirname(agreekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_AGREE, "compute", "--input", data, "--distance", "euclidean", "--out", out],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout.splitlines()[-1]) / 1024 < 2048
+    counts = json.loads(open(out).read())["counts"]
+    assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
 
 
 class TestCliValidation:

@@ -105,6 +105,12 @@ def test_model_validation():
         KdeModel(support=np.array([1.5]), bandwidth=0.1, bounds=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
+def test_non_finite_bandwidth_rejected(bandwidth):
+    with pytest.raises(DataError):
+        fit_kde(np.array([0.5]), bounds=(0.0, 1.0), bandwidth=bandwidth)
+
+
 def test_explicit_bandwidth_override():
     values = np.array([0.2, 0.8])
     model = fit_kde(values, bounds=(0.0, 1.0), bandwidth=0.3)

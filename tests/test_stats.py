@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError, NumericError
+from agreekit.kde import fit_kde, kde_cdf
 from agreekit.payloads import NumericVector
 from agreekit.registry import make_spec
 from agreekit.stats import (
@@ -46,6 +48,16 @@ def normal_grid(mean, sd, n):
 
     u = (np.arange(n) + 0.5) / n
     return mean + sd * ndtri(u)
+
+
+def traced_call(fn, *args, **kwargs):
+    """Result of one call and its tracemalloc peak in MB."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def vec_dataset(values_by_cell, ranges=((0.0, 1.0),)):
@@ -292,6 +304,36 @@ class TestSigma:
         assert sigma_measure(s, bounds=None) == 1.0
 
 
+# few distinct values, so samples are heavily tied
+TIED = st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obs=TIED,
+    exp=TIED,
+    bounds=st.sampled_from([None, (0.0, 1.0), (0.0, 2.5)]),
+    bandwidth=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    data=st.data(),
+)
+def test_sigma_equals_cdf_matrix_formula(obs, exp, bounds, bandwidth, data):
+    s = samples(obs, exp)
+    cdf = kde_cdf(fit_kde(s.expected, bounds, bandwidth), s.observed)
+    # any p in (0, 1], or exactly one of the observed CDF values
+    p = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from(cdf[cdf > 0].tolist() + [1.0]),
+    ))
+    assert sigma_measure(s, p, bounds, bandwidth) == float(np.mean(cdf < p))
+
+
+def test_sigma_memory_is_linear_in_expected_sample():
+    rng = np.random.default_rng(3)
+    s = samples(rng.uniform(0.0, 1.0, 1_000), rng.uniform(0.0, 1.0, 10_000))
+    # a |Do| x 3|De| CDF matrix alone would take 240 MB
+    assert traced_call(sigma_measure, s)[1] < 16
+
+
 class TestKs:
     def test_statistic_hand_case(self):
         obs = np.array([1.0, 2.0, 3.0])
@@ -330,6 +372,17 @@ class TestKs:
         assert 0.0 < r1.pvalue <= 1.0
         # same construction as the asymptotic case: the two estimates agree
         assert abs(r1.pvalue - ks_measure(s).pvalue) < 0.02
+
+    def test_permutation_batches_are_memory_bounded_and_pinned(self):
+        rng = np.random.default_rng(5)
+        obs = rng.integers(0, 40, 1_100) / 40
+        exp = rng.integers(0, 40, 11_000) / 40
+        s = samples(obs, exp, seed=9)
+        result, peak_mb = traced_call(ks_measure, s, n_permutations=1000)
+        # 1,000 permutations of 12,100 values in one batch would peak near 400 MB
+        assert peak_mb < 128
+        # recorded with one 1000-row batch; smaller batches draw the same rows
+        assert result.pvalue == 95 / 1001
 
     def test_permutation_handles_ties(self):
         rng = np.random.default_rng(8)
