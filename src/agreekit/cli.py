@@ -42,16 +42,20 @@ def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
     return out
 
 
-def _load_validated(args: argparse.Namespace) -> Dataset:
+def _load(args: argparse.Namespace) -> Dataset:
     dataset = aio.load_dataset(args.input)
     meta = dict(dataset.meta)
-    meta.update(_parse_kv(getattr(args, "meta", None), "--meta"))
-    dataset = Dataset(records=dataset.records, meta=meta)
+    meta.update(_parse_kv(args.meta, "--meta"))
+    return Dataset(records=dataset.records, meta=meta)
+
+
+def _load_validated(args: argparse.Namespace) -> Dataset:
+    dataset = _load(args)
     summary = validate_dataset(dataset.records, dataset.meta)
     if summary.violations:
         for v in summary.violations:
             print(f"validation: {v}", file=sys.stderr)
-        if not getattr(args, "allow_violations", False):
+        if not args.allow_violations:
             raise DataError(
                 f"{len(summary.violations)} validation violation(s); "
                 "use --allow-violations to proceed anyway"
@@ -90,7 +94,7 @@ def _make_spec(name: str, dataset: Dataset, params: dict, embeddings_path: Optio
 
 
 def _run_report(args: argparse.Namespace, dataset: Dataset, name: str, params: dict):
-    spec = _make_spec(name, dataset, params, getattr(args, "embeddings", None))
+    spec = _make_spec(name, dataset, params, args.embeddings)
     return agreement_report(
         dataset,
         spec,
@@ -202,11 +206,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_metric(args: argparse.Namespace) -> int:
-    dataset = aio.load_dataset(args.input)
-    meta = dict(dataset.meta)
-    meta.update(_parse_kv(args.meta, "--meta"))
-    spec = _make_spec(args.distance, Dataset(records=dataset.records, meta=meta),
-                      _parse_kv(args.param, "--param"), getattr(args, "embeddings", None))
+    dataset = _load(args)
+    spec = _make_spec(args.distance, dataset, _parse_kv(args.param, "--param"), args.embeddings)
     seen: list = []
     for payload in dataset.payloads():
         if payload not in seen:

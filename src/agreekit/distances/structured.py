@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
-
-from scipy.stats import kendalltau
 
 from ..errors import DataError
 from ..payloads import OrderedTree, Ranking
@@ -119,54 +119,51 @@ def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) 
     return float(max(0, ted - abs(leaves_a - leaves_b)))
 
 
-def _rank_vectors(a: Ranking, b: Ranking) -> tuple[list[int], list[int]]:
-    if sorted(a.order) != sorted(b.order):
-        raise DataError("rankings are over different element universes")
-    pos_a = {e: i for i, e in enumerate(a.order)}
-    pos_b = {e: i for i, e in enumerate(b.order)}
-    universe = sorted(a.order)
-    return [pos_a[e] for e in universe], [pos_b[e] for e in universe]
-
-
 def _tau_b(va: list[int], vb: list[int]) -> float:
+    """Kendall tau-b by Knight's (1966) counting; 0.0 where it is undefined."""
     if va == vb:
         # bypass the float normalization so identical rankings score exactly 1
         return 1.0
-    tau = kendalltau(va, vb).statistic
-    if math.isnan(tau):
+    tot = len(va) * (len(va) - 1) // 2
+    pairs = sorted(zip(va, vb))
+    tied_a, tied_b, tied_ab = (
+        sum(c * (c - 1) // 2 for c in Counter(v).values()) for v in (va, vb, pairs)
+    )
+    if tied_a == tot or tied_b == tot:
         return 0.0
-    return float(tau)
+    # after the sort by (a, b), a discordant pair is an inversion of b
+    seen: list[int] = []
+    dis = 0
+    for _, y in pairs:
+        dis += len(seen) - bisect.bisect_right(seen, y)
+        bisect.insort(seen, y)
+    con_minus_dis = tot - tied_a - tied_b + tied_ab - 2 * dis
+    tau = con_minus_dis / math.sqrt(tot - tied_a) / math.sqrt(tot - tied_b)
+    return min(1.0, max(-1.0, tau))
 
 
 def ranking_distance(a: Ranking, b: Ranking, cfg: RankingConfig = RankingConfig()) -> float:
     """Rank disagreement in [0, 1]: (1 - correlation) / 2.
 
-    tau uses tau-b (tie handling is moot on true permutations); rho is the
-    Pearson correlation of the rank vectors; tau_at_k restricts to the union
-    of both top-k prefixes with everything outside a list's top k tied at
-    rank k+1.
+    All modes compare rank vectors over the union of both top-k prefixes,
+    with everything outside a list's top k tied at rank k+1; tau and rho take
+    k = n, the whole universe. tau and tau_at_k use tau-b (tie handling is
+    moot on true permutations); rho is the Pearson correlation of the rank
+    vectors.
     """
-    if cfg.mode in ("tau", "rho"):
-        va, vb = _rank_vectors(a, b)
-        if len(va) < 2:
-            return 0.0
-        if cfg.mode == "tau":
-            return (1.0 - _tau_b(va, vb)) / 2.0
-        n = len(va)
-        mean = (n - 1) / 2.0
-        cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
-        var = sum((x - mean) ** 2 for x in va)
-        return (1.0 - cov / var) / 2.0
-    if cfg.mode == "tau_at_k":
-        if sorted(a.order) != sorted(b.order):
-            raise DataError("rankings are over different element universes")
-        k = cfg.k
-        top = sorted(set(a.order[:k]) | set(b.order[:k]))
-        if len(top) < 2:
-            return 0.0
-        pos_a = {e: i for i, e in enumerate(a.order[:k])}
-        pos_b = {e: i for i, e in enumerate(b.order[:k])}
-        va = [pos_a.get(e, k) for e in top]
-        vb = [pos_b.get(e, k) for e in top]
+    if sorted(a.order) != sorted(b.order):
+        raise DataError("rankings are over different element universes")
+    k = cfg.k if cfg.mode == "tau_at_k" else len(a.order)
+    top = sorted(set(a.order[:k]) | set(b.order[:k]))
+    if len(top) < 2:
+        return 0.0
+    pos_a = {e: i for i, e in enumerate(a.order[:k])}
+    pos_b = {e: i for i, e in enumerate(b.order[:k])}
+    va = [pos_a.get(e, k) for e in top]
+    vb = [pos_b.get(e, k) for e in top]
+    if cfg.mode != "rho":
         return (1.0 - _tau_b(va, vb)) / 2.0
-    raise DataError(f"unknown ranking distance mode {cfg.mode!r}")
+    mean = (len(va) - 1) / 2.0
+    cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
+    var = sum((x - mean) ** 2 for x in va)
+    return (1.0 - cov / var) / 2.0

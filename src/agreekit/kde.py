@@ -19,6 +19,8 @@ from .errors import DataError
 
 # floor keeps the bandwidth positive when the sample is constant or a singleton
 _MIN_BANDWIDTH = 1e-9
+# points x centers evaluated at once; bounds kde_cdf/kde_pdf memory on large inputs
+_BLOCK_ELEMENTS = 1_000_000
 
 
 def scott_bandwidth(values: np.ndarray) -> float:
@@ -67,18 +69,22 @@ def fit_kde(
     return KdeModel(support=arr, bandwidth=bw, bounds=bounds)
 
 
-def _centers(model: KdeModel) -> np.ndarray:
-    x = model.support
-    if model.bounds is None:
-        return x
-    lo, hi = model.bounds
-    return np.concatenate([x, 2 * lo - x, 2 * hi - x])
+def _kernel_sums(model: KdeModel, t: np.ndarray, kernel) -> np.ndarray:
+    """Per point of t, kernel(z) summed over the support and its reflections, in row blocks."""
+    centers = model.support
+    if model.bounds is not None:
+        lo, hi = model.bounds
+        centers = np.concatenate([centers, 2 * lo - centers, 2 * hi - centers])
+    rows = max(1, _BLOCK_ELEMENTS // centers.size)
+    out = np.empty(t.size)
+    for start in range(0, t.size, rows):
+        z = (t[start:start + rows, None] - centers[None, :]) / model.bandwidth
+        out[start:start + rows] = kernel(z).sum(axis=1)
+    return out
 
 
 def _mass_below(model: KdeModel, t: np.ndarray) -> np.ndarray:
-    centers = _centers(model)
-    z = (t[:, None] - centers[None, :]) / model.bandwidth
-    return ndtr(z).sum(axis=1) / model.support.size
+    return _kernel_sums(model, t, ndtr) / model.support.size
 
 
 def kde_cdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -90,8 +96,7 @@ def kde_cdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.nda
         lo, hi = model.bounds
         clamped = np.clip(xs, lo, hi)
         ref = _mass_below(model, np.array([lo, hi]))
-        total = ref[1] - ref[0]
-        out = (_mass_below(model, clamped) - ref[0]) / total
+        out = (_mass_below(model, clamped) - ref[0]) / (ref[1] - ref[0])
         out = np.clip(out, 0.0, 1.0)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])
@@ -101,11 +106,8 @@ def kde_cdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.nda
 def kde_pdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Mixture density at x, consistent with kde_cdf (zero outside any bounds)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    centers = _centers(model)
-    h = model.bandwidth
-    z = (xs[:, None] - centers[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (
-        model.support.size * h * np.sqrt(2 * np.pi)
+    dens = _kernel_sums(model, xs, lambda z: np.exp(-0.5 * z * z)) / (
+        model.support.size * model.bandwidth * np.sqrt(2 * np.pi)
     )
     if model.bounds is not None:
         lo, hi = model.bounds

@@ -362,11 +362,10 @@ def make_spec(
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
     fn, upper_bound, dissimilarity = entry.build(params, meta, embeddings)
-    echo = {k: v for k, v in params.items()}
     return DistanceSpec(
         name=name,
         payload_kind=kind,
-        params=echo,
+        params=params,
         fn=fn,
         dissimilarity=dissimilarity,
         upper_bound=upper_bound,

@@ -308,6 +308,15 @@ class TestCliMeasureFlags:
         assert json.loads(open(out).read())["p_threshold"] == 1.0
 
 
+def run_python(code, *argv):
+    """Run code in a fresh interpreter that imports this checkout's agreekit."""
+    src = os.path.dirname(os.path.dirname(agreekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
 # runs `agree` argv under a 4 GB address-space limit; prints ru_maxrss (KB)
 LIMITED_AGREE = """
 import resource, sys
@@ -323,16 +332,17 @@ sys.exit(code)
 def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
     data, out = str(tmp_path / "vec.jsonl"), str(tmp_path / "r.json")
     assert main(["simulate", "--task", "vector", "--items", "10000", "--annotators", "3", "--out", data]) == 0
-    src = os.path.dirname(os.path.dirname(agreekit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_AGREE, "compute", "--input", data, "--distance", "euclidean", "--out", out],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python(LIMITED_AGREE, "compute", "--input", data, "--distance", "euclidean", "--out", out)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert int(proc.stdout.splitlines()[-1]) / 1024 < 2048
     counts = json.loads(open(out).read())["counts"]
     assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = run_python("import sys, agreekit.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 class TestCliValidation:
@@ -371,6 +381,20 @@ class TestCliValidation:
         assert brute == 8
         counts = json.loads(open(out).read())["counts"]
         assert counts["expected_pairs_used"] == counts["expected_pairs_available"] == brute
+
+    def test_exclude_same_annotator_leaving_no_cross_item_pairs(self, tmp_path, capsys):
+        # two items, one annotator, each record duplicated: every cross-item pair shares it
+        cells = [("i1", "a"), ("i1", "a"), ("i2", "a"), ("i2", "a")]
+        lines = [
+            json.dumps({"item": item, "annotator": ann, "kind": "vector", "label": [0.1 * k]})
+            for k, (item, ann) in enumerate(cells)
+        ]
+        path = write_lines(tmp_path / "one_annotator.jsonl", lines)
+        args = ["compute", "--input", path, "--distance", "binary", "--allow-violations"]
+        assert main(args + ["--exclude-same-annotator"]) == 3
+        assert "no cross-item pairs available" in capsys.readouterr().err
+        assert main(args) == 0
+        capsys.readouterr()
 
     def test_meta_override_can_introduce_violations(self, vector_file, capsys):
         # shrink the configured ranges so the simulated values fall outside them

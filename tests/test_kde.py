@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from agreekit import kde
 from agreekit.errors import DataError
 from agreekit.kde import KdeModel, fit_kde, kde_cdf, kde_pdf, scott_bandwidth
 
@@ -118,3 +120,33 @@ def test_explicit_bandwidth_override():
     assert math.isclose(
         kde_cdf(model, 0.5), 0.5, abs_tol=1e-12
     )  # symmetric support, symmetric bounds
+
+
+@pytest.mark.parametrize("bounds", [None, (0.0, 1.0), (0.0, 2.5)])
+@pytest.mark.parametrize("budget", [1, 7, 1000])
+def test_row_blocks_equal_one_matrix(monkeypatch, bounds, budget):
+    rng = np.random.default_rng(3)
+    # rounded values give ties; queries fall inside, outside and on the support
+    model = fit_kde(np.round(rng.uniform(0.0, 1.0, 40), 2), bounds=bounds)
+    xs = np.concatenate([rng.uniform(-0.5, 3.0, 500), model.support])
+    monkeypatch.setattr(kde, "_BLOCK_ELEMENTS", 10**12)
+    whole = kde_cdf(model, xs), kde_pdf(model, xs)
+    monkeypatch.setattr(kde, "_BLOCK_ELEMENTS", budget)
+    assert np.array_equal(kde_cdf(model, xs), whole[0])
+    assert np.array_equal(kde_pdf(model, xs), whole[1])
+
+
+def test_array_evaluation_memory_is_bounded():
+    rng = np.random.default_rng(4)
+    model = fit_kde(rng.uniform(0.0, 1.0, 1_000), bounds=(0.0, 1.0))
+    xs = rng.uniform(0.0, 1.0, 10_000)
+    # one 10,000 x 3,000 matrix would take 229 MB
+    for fn in (kde_cdf, kde_pdf):
+        tracemalloc.start()
+        try:
+            out = fn(model, xs)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert out.shape == xs.shape
+        assert peak_mb < 32

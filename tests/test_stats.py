@@ -210,6 +210,20 @@ class TestRejectionSampling:
         assert expected_pairs(large_ds, want, seed=3, exclude_same_annotator=exclude) == pairs
         assert expected_pairs(large_ds, want, seed=4, exclude_same_annotator=exclude) != pairs
 
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_items_are_drawn_uniformly(self, large_ds, exclude):
+        from scipy.stats import chi2
+
+        want = 40_000
+        pairs = expected_pairs(large_ds, want, seed=5, exclude_same_annotator=exclude)
+        items, counts = np.unique([r.item_id for pair in pairs for r in pair], return_counts=True)
+        # every item has the same number of admissible partners, so under a
+        # uniform draw each is in 2 * want / 1001 pairs on average
+        assert items.size == 1001
+        expected = 2 * want / items.size
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2.sf(statistic, items.size - 1) > 1e-3
+
 
 # Record-index pairs drawn with seed 7 from
 # uniform_random_vector_dataset(items, annotators, 1, seed=0), recorded from

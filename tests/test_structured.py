@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau, spearmanr
 
 from agreekit.distances.structured import (
     RankingConfig,
@@ -170,3 +173,41 @@ def test_ranking_config_validation():
         RankingConfig(mode="borda")
     with pytest.raises(DataError):
         RankingConfig(mode="tau_at_k", k=0)
+
+
+def reference_rank_vectors(a, b, k):
+    """Ranks over the union of both top-k prefixes; k for anything outside a list's top k."""
+    top = sorted(set(a[:k]) | set(b[:k]))
+    return ([a[:k].index(e) if e in a[:k] else k for e in top],
+            [b[:k].index(e) if e in b[:k] else k for e in top])
+
+
+def scipy_tau_distance(va, vb):
+    # identical rankings are exactly 0; scipy's float normalization can miss 1 by an ulp
+    if len(va) < 2 or va == vb:
+        return 0.0
+    tau = kendalltau(va, vb).statistic
+    return (1.0 - (0.0 if math.isnan(tau) else tau)) / 2.0
+
+
+@st.composite
+def ranking_pairs(draw):
+    universe = [f"e{i}" for i in range(draw(st.integers(2, 60)))]
+    return draw(st.permutations(universe)), draw(st.permutations(universe))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders=ranking_pairs())
+def test_ranking_distance_equals_scipy_reference(orders):
+    a, b = orders
+    for x, y in ((a, b), (b, a), (a, a)):
+        n = len(x)
+        va, vb = reference_rank_vectors(x, y, n)
+        assert ranking_distance(rank(*x), rank(*y)) == scipy_tau_distance(va, vb)
+        rho = spearmanr(va, vb).statistic
+        got = ranking_distance(rank(*x), rank(*y), RankingConfig(mode="rho"))
+        assert got == pytest.approx((1.0 - rho) / 2.0, abs=1e-12)
+        # every k < n ties the tails, so tau-b runs on tied rank vectors
+        for k in range(1, n + 1):
+            got = ranking_distance(rank(*x), rank(*y), RankingConfig(mode="tau_at_k", k=k))
+            assert got == scipy_tau_distance(*reference_rank_vectors(x, y, k))
