@@ -16,6 +16,9 @@ Typical use:
     report = agreement_report(ds, spec, seed=0)
     print(report.alpha, report.sigma, report.ks_measure)
 
+agreement_reports(ds, specs, ...) scores several distances as `agree compare`
+does: it validates and plans pairs once, so all share one Do and one De.
+
 The `agree` console script exposes the same pipeline plus a noise simulator
 and a metric-property checker.
 """
@@ -43,6 +46,7 @@ from .stats import (
     DistanceSamples,
     KsResult,
     agreement_report,
+    agreement_reports,
     build_samples,
     expected_pairs,
     krippendorff_alpha,
@@ -80,6 +84,7 @@ __all__ = [
     "UsageError",
     "ValidationSummary",
     "agreement_report",
+    "agreement_reports",
     "build_samples",
     "check_metric_properties",
     "expected_pairs",

@@ -26,7 +26,7 @@ from .dataset import Dataset, validate_dataset
 from .errors import AgreeError, DataError, UsageError
 from .noise import TASKS, NoiseSpec, generate_cst_dataset, random_gold
 from .properties import check_metric_properties
-from .stats import agreement_report, count_expected_pairs
+from .stats import agreement_reports, count_expected_pairs
 
 
 def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -49,29 +49,6 @@ def _load(args: argparse.Namespace) -> Dataset:
     return Dataset(records=dataset.records, meta=meta)
 
 
-def _load_validated(args: argparse.Namespace) -> Dataset:
-    dataset = _load(args)
-    summary = validate_dataset(dataset.records, dataset.meta)
-    if summary.violations:
-        for v in summary.violations:
-            print(f"validation: {v}", file=sys.stderr)
-        if not args.allow_violations:
-            raise DataError(
-                f"{len(summary.violations)} validation violation(s); "
-                "use --allow-violations to proceed anyway"
-            )
-    return dataset
-
-
-def _check_measure_flags(args: argparse.Namespace) -> None:
-    if not 0.0 < args.p <= 1.0:
-        raise UsageError("--p must lie in (0, 1]")
-    if args.kde_bandwidth is not None and not 0.0 < args.kde_bandwidth < math.inf:
-        raise UsageError("--kde-bandwidth must be positive and finite")
-    if args.exact_ks < 0:
-        raise UsageError("--exact-ks must be >= 0")
-
-
 def _resolve_de_samples(value: Optional[str], dataset: Dataset, exclude: bool) -> Optional[int]:
     if value is None:
         return None
@@ -86,26 +63,44 @@ def _resolve_de_samples(value: Optional[str], dataset: Dataset, exclude: bool) -
     return n
 
 
-def _make_spec(name: str, dataset: Dataset, params: dict, embeddings_path: Optional[str]):
-    table = aio.load_embeddings(embeddings_path) if embeddings_path else None
-    return registry.make_spec(
-        name, dataset.kind, params=params, meta=dataset.meta, embeddings=table
-    )
+def _specs(args: argparse.Namespace, dataset: Dataset, names: Sequence[str]) -> list:
+    """One spec per name. Each takes the --param keys it accepts; a key that no
+    named distance accepts goes to all, so make_spec rejects it."""
+    params = _parse_kv(args.param, "--param")
+    table = aio.load_embeddings(args.embeddings) if args.embeddings else None
+    accepted = {name: registry.accepted_params(name) for name in names}
+    unclaimed = set(params).difference(*accepted.values())
+    specs = []
+    for name in names:
+        own = {k: v for k, v in params.items() if k in accepted[name] or k in unclaimed}
+        specs.append(registry.make_spec(name, dataset.kind, own, dataset.meta, table))
+    return specs
 
 
-def _run_report(args: argparse.Namespace, dataset: Dataset, name: str, params: dict):
-    spec = _make_spec(name, dataset, params, args.embeddings)
-    return agreement_report(
-        dataset,
-        spec,
-        p=args.p,
-        de_sample_size=_resolve_de_samples(
-            args.de_samples, dataset, args.exclude_same_annotator
-        ),
-        seed=args.seed,
-        bandwidth=args.kde_bandwidth,
-        n_permutations=args.exact_ks,
-        exclude_same_annotator=args.exclude_same_annotator,
+def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
+    """compute, compare and hist: check the flags, load and validate the
+    dataset, build the specs, and report every distance on one pair plan."""
+    if not 0.0 < args.p <= 1.0:
+        raise UsageError("--p must lie in (0, 1]")
+    if args.kde_bandwidth is not None and not 0.0 < args.kde_bandwidth < math.inf:
+        raise UsageError("--kde-bandwidth must be positive and finite")
+    if args.exact_ks < 0:
+        raise UsageError("--exact-ks must be >= 0")
+    dataset = _load(args)
+    summary = validate_dataset(dataset.records, dataset.meta)
+    if summary.violations:
+        for v in summary.violations:
+            print(f"validation: {v}", file=sys.stderr)
+        if not args.allow_violations:
+            raise DataError(
+                f"{len(summary.violations)} validation violation(s); "
+                "use --allow-violations to proceed anyway"
+            )
+    specs = _specs(args, dataset, names)
+    return agreement_reports(
+        dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
+        de_sample_size=_resolve_de_samples(args.de_samples, dataset, args.exclude_same_annotator),
+        n_permutations=args.exact_ks, exclude_same_annotator=args.exclude_same_annotator,
     )
 
 
@@ -129,9 +124,7 @@ def _print_report(report) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    _check_measure_flags(args)
-    dataset = _load_validated(args)
-    report = _run_report(args, dataset, args.distance, _parse_kv(args.param, "--param"))
+    (report,) = _reports(args, [args.distance])
     _print_report(report)
     if args.out:
         aio.write_report(args.out, report.to_dict())
@@ -139,20 +132,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _check_measure_flags(args)
-    dataset = _load_validated(args)
-    names: list[str] = []
-    for chunk in args.distances:
-        names.extend(n for n in chunk.split(",") if n)
+    names = [n for chunk in args.distances for n in chunk.split(",") if n]
     if not names:
         raise UsageError("--distances expects at least one registry name")
-    params = _parse_kv(args.param, "--param")
-    reports = []
-    for name in names:
-        accepted = registry.accepted_params(name)
-        reports.append(
-            _run_report(args, dataset, name, {k: v for k, v in params.items() if k in accepted})
-        )
+    reports = _reports(args, names)
     reports.sort(key=lambda r: (-r.ks_measure, -r.sigma, r.distance_name))
     header = f"{'rank':<5} {'distance':<18} {'alpha':>9} {'sigma':>8} {'ks_stat':>8} {'ks_measure':>11}"
     print(header)
@@ -171,9 +154,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_hist(args: argparse.Namespace) -> int:
-    _check_measure_flags(args)
-    dataset = _load_validated(args)
-    report = _run_report(args, dataset, args.distance, _parse_kv(args.param, "--param"))
+    (report,) = _reports(args, [args.distance])
     lines = ["sample,bin_lo,bin_hi,count"]
     for sample, bins in (("observed", report.observed_hist), ("expected", report.expected_hist)):
         for lo, hi, count in bins:
@@ -207,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_check_metric(args: argparse.Namespace) -> int:
     dataset = _load(args)
-    spec = _make_spec(args.distance, dataset, _parse_kv(args.param, "--param"), args.embeddings)
+    (spec,) = _specs(args, dataset, [args.distance])
     seen: list = []
     for payload in dataset.payloads():
         if payload not in seen:

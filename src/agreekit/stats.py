@@ -152,6 +152,32 @@ def expected_pairs(
     return [(records[i], records[j]) for i, j in idx_pairs]
 
 
+def _plan_pairs(
+    dataset: Dataset, de_sample_size: Optional[int], seed: int, exclude_same_annotator: bool
+) -> tuple[list, list, int]:
+    """Observed pairs, sampled expected pairs and the number of cross-item pairs."""
+    obs_pairs = observed_pairs(dataset)
+    available = count_expected_pairs(dataset, exclude_same_annotator)
+    if de_sample_size is None:
+        de_sample_size = min(10 * len(obs_pairs), available)
+    exp_pairs = expected_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    return obs_pairs, exp_pairs, available
+
+
+def _evaluate(spec: DistanceSpec, plan: tuple[list, list, int], seed: int) -> DistanceSamples:
+    obs_pairs, exp_pairs, available = plan
+    observed = np.array([spec.fn(a.payload, b.payload) for a, b in obs_pairs])
+    expected = np.array([spec.fn(a.payload, b.payload) for a, b in exp_pairs])
+    return DistanceSamples(
+        observed=observed,
+        expected=expected,
+        distance_name=spec.name,
+        de_sample_size=len(exp_pairs),
+        seed=seed,
+        pair_counts=(len(obs_pairs), available),
+    )
+
+
 def build_samples(
     dataset: Dataset,
     spec: DistanceSpec,
@@ -164,21 +190,7 @@ def build_samples(
     de_sample_size defaults to min(10 * observed pairs, all available) so the
     chance estimate's sampling error stays small relative to the observed side.
     """
-    obs_pairs = observed_pairs(dataset)
-    available = count_expected_pairs(dataset, exclude_same_annotator)
-    if de_sample_size is None:
-        de_sample_size = min(10 * len(obs_pairs), available)
-    exp_pairs = expected_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
-    observed = np.array([spec.fn(a.payload, b.payload) for a, b in obs_pairs])
-    expected = np.array([spec.fn(a.payload, b.payload) for a, b in exp_pairs])
-    return DistanceSamples(
-        observed=observed,
-        expected=expected,
-        distance_name=spec.name,
-        de_sample_size=len(exp_pairs),
-        seed=seed,
-        pair_counts=(len(obs_pairs), available),
-    )
+    return _evaluate(spec, _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator), seed)
 
 
 def krippendorff_alpha(samples: DistanceSamples) -> float:
@@ -366,45 +378,61 @@ def agreement_report(
     n_permutations: int = 0,
     exclude_same_annotator: bool = False,
 ) -> AgreementReport:
-    """Full pipeline: pairs, distances, alpha, sigma, KS, and diagnostics."""
+    """Full pipeline for one distance: pairs, distances, alpha, sigma, KS, and diagnostics."""
+    return agreement_reports(
+        dataset, [spec], p, de_sample_size, seed, bandwidth, n_permutations, exclude_same_annotator
+    )[0]
+
+
+def agreement_reports(
+    dataset: Dataset,
+    specs: Sequence[DistanceSpec],
+    p: float = 0.05,
+    de_sample_size: Optional[int] = None,
+    seed: int = 0,
+    bandwidth: Optional[float] = None,
+    n_permutations: int = 0,
+    exclude_same_annotator: bool = False,
+) -> list[AgreementReport]:
+    """One report per spec, each equal to agreement_report for that spec alone.
+
+    Validates once and plans pairs once, so all are measured on the same pairs."""
     summary = validate_dataset(dataset.records, dataset.meta)
-    samples = build_samples(
-        dataset,
-        spec,
-        de_sample_size=de_sample_size,
-        seed=seed,
-        exclude_same_annotator=exclude_same_annotator,
-    )
-    bounds = (0.0, spec.upper_bound) if spec.upper_bound is not None else None
-    alpha = krippendorff_alpha(samples)
-    sigma = sigma_measure(samples, p=p, bounds=bounds, bandwidth=bandwidth)
-    ks = ks_measure(samples, n_permutations=n_permutations)
+    plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    reports = []
+    for spec in specs:
+        samples = _evaluate(spec, plan, seed)
+        bounds = (0.0, spec.upper_bound) if spec.upper_bound is not None else None
+        alpha = krippendorff_alpha(samples)
+        sigma = sigma_measure(samples, p=p, bounds=bounds, bandwidth=bandwidth)
+        ks = ks_measure(samples, n_permutations=n_permutations)
 
-    pooled_lo = float(min(samples.observed.min(), samples.expected.min()))
-    pooled_hi = float(max(samples.observed.max(), samples.expected.max()))
-    obs_hist = histogram(samples.observed, pooled_lo, pooled_hi)
-    exp_hist = histogram(samples.expected, pooled_lo, pooled_hi)
-    flags = diagnostics_flags(obs_hist, exp_hist)
+        pooled_lo = float(min(samples.observed.min(), samples.expected.min()))
+        pooled_hi = float(max(samples.observed.max(), samples.expected.max()))
+        obs_hist = histogram(samples.observed, pooled_lo, pooled_hi)
+        exp_hist = histogram(samples.expected, pooled_lo, pooled_hi)
+        flags = diagnostics_flags(obs_hist, exp_hist)
 
-    return AgreementReport(
-        alpha=alpha,
-        sigma=sigma,
-        ks_statistic=ks.statistic,
-        ks_pvalue=ks.pvalue,
-        ks_measure=ks.measure,
-        p_threshold=p,
-        diagnostics=tuple(flags),
-        observed_hist=tuple(tuple(row) for row in obs_hist),
-        expected_hist=tuple(tuple(row) for row in exp_hist),
-        distance_name=spec.name,
-        distance_params=dict(spec.params),
-        counts={
-            "items": summary.items,
-            "annotators": summary.annotators,
-            "annotations": summary.annotations,
-            "observed_pairs": samples.pair_counts[0],
-            "expected_pairs_available": samples.pair_counts[1],
-            "expected_pairs_used": int(samples.expected.size),
-        },
-        seed=seed,
-    )
+        reports.append(AgreementReport(
+            alpha=alpha,
+            sigma=sigma,
+            ks_statistic=ks.statistic,
+            ks_pvalue=ks.pvalue,
+            ks_measure=ks.measure,
+            p_threshold=p,
+            diagnostics=tuple(flags),
+            observed_hist=tuple(tuple(row) for row in obs_hist),
+            expected_hist=tuple(tuple(row) for row in exp_hist),
+            distance_name=spec.name,
+            distance_params=dict(spec.params),
+            counts={
+                "items": summary.items,
+                "annotators": summary.annotators,
+                "annotations": summary.annotations,
+                "observed_pairs": samples.pair_counts[0],
+                "expected_pairs_available": samples.pair_counts[1],
+                "expected_pairs_used": int(samples.expected.size),
+            },
+            seed=seed,
+        ))
+    return reports

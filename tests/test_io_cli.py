@@ -1,8 +1,10 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,17 @@ def small_dataset(kind: str, meta=None) -> Dataset:
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    """Replace module.name with a wrapper that counts its calls in calls[name]."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 class TestDatasetIo:
@@ -339,6 +352,23 @@ def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
     assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "simulate", "--task", "ranking", "--items", "30", "--annotators", "3", "--noise", "0.25",
+        "--seed", "7", "--out", "demo.jsonl",
+    ]) == 0
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the same figures as the README's quick-start compute and compare
+    assert f"{float(lines[0].split()[0]):.4f}" == "0.7430"
+    assert [(ln.split()[0], f"{float(ln.split()[1]):.4f}") for ln in lines[1:]] == [
+        ("tau", "0.7430"), ("rho", "0.8798")
+    ]
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     proc = run_python("import sys, agreekit.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -429,6 +459,26 @@ class TestCliCompare:
     def test_empty_distance_list_is_usage_error(self, vector_file):
         assert main(["compare", "--input", vector_file, "--distances", ","]) == 2
 
+    def test_param_no_distance_accepts_is_usage_error(self, ranking_file, capsys):
+        assert main([
+            "compare", "--input", ranking_file, "--distances", "tau,rho", "--param", "kk=3",
+        ]) == 2
+        assert "unknown parameter(s) for 'tau': kk" in capsys.readouterr().err
+
+    def test_validates_and_plans_once_for_all_distances(self, ranking_file, monkeypatch, capsys):
+        from agreekit import cli, stats
+
+        calls = Counter()
+        for module, name in ((cli, "validate_dataset"), (stats, "validate_dataset"),
+                             (stats, "expected_pairs")):
+            count_calls(monkeypatch, calls, module, name)
+        assert main([
+            "compare", "--input", ranking_file, "--distances", "tau,rho,tau_at_k",
+            "--param", "k=3",
+        ]) == 0
+        capsys.readouterr()
+        assert calls == {"validate_dataset": 2, "expected_pairs": 1}
+
 
 class TestCliHist:
     def test_csv_shape(self, vector_file, capsys):
@@ -514,28 +564,45 @@ class TestCliEmbeddings:
         capsys.readouterr()
 
     def test_embedding_f1_end_to_end(self, tmp_path, capsys):
-        rows = {
-            ("i0", "x"): (["cat", "dog"], [[1.0, 0.0], [0.0, 1.0]]),
-            ("i0", "y"): (["cat"], [[1.0, 0.0]]),
-            ("i1", "x"): (["bird"], [[0.5, 0.5]]),
-            ("i1", "y"): (["bird", "fish"], [[0.5, 0.5], [0.0, 1.0]]),
-        }
-        data = write_lines(
-            tmp_path / "tok.jsonl",
-            [
-                json.dumps({"item": i, "annotator": a, "kind": "tokens", "label": toks})
-                for (i, a), (toks, _) in rows.items()
-            ],
-        )
-        emb = write_lines(
-            tmp_path / "emb.jsonl",
-            [
-                json.dumps({"sentence_id": f"{i}::{a}", "vectors": vecs})
-                for (i, a), (_, vecs) in rows.items()
-            ],
-        )
+        data, emb = token_files(tmp_path)
         assert main([
             "compute", "--input", data, "--distance", "embedding_f1", "--embeddings", emb,
             "--de-samples", "all",
         ]) == 0
         capsys.readouterr()
+
+    def test_compare_reads_embeddings_once(self, tmp_path, monkeypatch, capsys):
+        data, emb = token_files(tmp_path)
+        calls = Counter()
+        count_calls(monkeypatch, calls, aio, "load_embeddings")
+        assert main([
+            "compare", "--input", data, "--distances", "embedding_f1,bleu", "--embeddings", emb,
+            "--de-samples", "all",
+        ]) == 0
+        capsys.readouterr()
+        assert calls["load_embeddings"] == 1
+
+
+def token_files(tmp_path):
+    """A two-item tokens dataset and an embedding table for every sentence."""
+    rows = {
+        ("i0", "x"): (["cat", "dog"], [[1.0, 0.0], [0.0, 1.0]]),
+        ("i0", "y"): (["cat"], [[1.0, 0.0]]),
+        ("i1", "x"): (["bird"], [[0.5, 0.5]]),
+        ("i1", "y"): (["bird", "fish"], [[0.5, 0.5], [0.0, 1.0]]),
+    }
+    data = write_lines(
+        tmp_path / "tok.jsonl",
+        [
+            json.dumps({"item": i, "annotator": a, "kind": "tokens", "label": toks})
+            for (i, a), (toks, _) in rows.items()
+        ],
+    )
+    emb = write_lines(
+        tmp_path / "emb.jsonl",
+        [
+            json.dumps({"sentence_id": f"{i}::{a}", "vectors": vecs})
+            for (i, a), (_, vecs) in rows.items()
+        ],
+    )
+    return data, emb

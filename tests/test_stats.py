@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError, NumericError
 from agreekit.kde import fit_kde, kde_cdf
+from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import NumericVector
 from agreekit.registry import make_spec
 from agreekit.stats import (
     DistanceSamples,
     agreement_report,
+    agreement_reports,
     build_samples,
     count_expected_pairs,
     diagnostics_flags,
@@ -491,3 +493,53 @@ class TestReport:
         assert spec.upper_bound is None
         r = agreement_report(ds, spec, seed=0)
         assert 0.0 <= r.sigma <= 1.0
+
+
+PIPELINE_DISTANCES = {
+    "ranking": (("tau", {}), ("rho", {}), ("tau_at_k", {"k": 3})),
+    "vector": (("euclidean", {}), ("binary", {})),
+    "spans": (("ner_both_lenient", {}), ("count_diff", {})),
+    "boxes": (("box_iou", {}), ("count_diff", {})),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    task=st.sampled_from(sorted(PIPELINE_DISTANCES)),
+    items=st.integers(2, 6),
+    annotators=st.integers(2, 3),
+    level=st.sampled_from([0.1, 0.5]),
+    seed=st.integers(0, 2**16),
+    de_sample_size=st.sampled_from([None, 7]),
+    n_permutations=st.sampled_from([0, 40]),
+    exclude=st.booleans(),
+    data=st.data(),
+)
+def test_pipeline_properties(
+    task, items, annotators, level, seed, de_sample_size, n_permutations, exclude, data
+):
+    gold, meta = random_gold(task, items, seed)
+    ds = generate_cst_dataset(gold, NoiseSpec(task, level, annotators, seed), meta=meta)
+    specs = [make_spec(name, task, params, meta) for name, params in PIPELINE_DISTANCES[task]]
+    options = dict(
+        de_sample_size=de_sample_size,
+        seed=seed,
+        n_permutations=n_permutations,
+        exclude_same_annotator=exclude,
+    )
+    try:
+        reports = agreement_reports(ds, specs, **options)
+    except NumericError:  # a degenerate expected sample; each spec alone must agree
+        with pytest.raises(NumericError):
+            for spec in specs:
+                agreement_report(ds, spec, **options)
+        return
+    as_dicts = [r.to_dict() for r in reports]
+    shuffled = Dataset(records=data.draw(st.permutations(ds.records)), meta=ds.meta)
+    assert [r.to_dict() for r in agreement_reports(shuffled, specs, **options)] == as_dicts
+    assert [r.to_dict() for r in agreement_reports(ds, specs, **options)] == as_dicts
+    assert [agreement_report(ds, spec, **options).to_dict() for spec in specs] == as_dicts
+    for r in reports:
+        assert 0.0 <= r.sigma <= 1.0
+        assert 0.0 <= r.ks_measure <= 1.0
+        assert 0.0 <= r.ks_pvalue <= 1.0
