@@ -9,37 +9,23 @@ a metric inner distance, so every lifted registry entry is a dissimilarity.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from ..errors import DataError
 from ..payloads import SpanSet
 
 InnerDistance = Callable[[object, object], float]
 
 
-def multi_object_distance(
-    a_objs: Sequence,
-    b_objs: Sequence,
-    inner: InnerDistance,
-    *,
-    empty_distance: Optional[float] = 1.0,
-) -> float:
+def multi_object_distance(a_objs: Sequence, b_objs: Sequence, inner: InnerDistance) -> float:
     """Symmetrized mean-of-minima lift of `inner` to object sets.
 
-    Empty sets: both empty is perfect agreement (0); exactly one empty is
-    maximal disagreement about existence (empty_distance, which must be the
-    inner distance's upper bound; None means the inner is unbounded and an
-    empty operand is an error).
+    `inner` must be bounded by 1. Empty sets: both empty is perfect agreement
+    (0); exactly one empty is maximal disagreement about existence (1).
     """
     if not a_objs and not b_objs:
         return 0.0
     if not a_objs or not b_objs:
-        if empty_distance is None:
-            raise DataError(
-                "one annotation has no objects and the inner distance has no "
-                "configured maximum"
-            )
-        return float(empty_distance)
+        return 1.0
     d_ab = sum(min(inner(a, b) for b in b_objs) for a in a_objs) / len(a_objs)
     d_ba = sum(min(inner(b, a) for a in a_objs) for b in b_objs) / len(b_objs)
     return (d_ab + d_ba) / 2.0

@@ -70,12 +70,16 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _bleu(hyp: Sequence[str], ref: Sequence[str], smoothing_k: float = 5.0) -> float:
+_BLEU_SMOOTHING_K = 5.0
+
+
+def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
     """Sentence BLEU with brevity penalty and length-decaying smoothing.
 
     Zero-count n-gram precisions of order i are replaced by
-    (ln(hyp_len) / (k * 2^invcnt)) / denominator with invcnt starting at 1 and
-    incrementing for each smoothed order, applied only when hyp_len > 1.
+    (ln(hyp_len) / (k * 2^invcnt)) / denominator with k = _BLEU_SMOOTHING_K,
+    invcnt starting at 1 and incrementing for each smoothed order, applied
+    only when hyp_len > 1.
     Weights are uniform over orders 1..4, or over 1..hyp_len for hypotheses
     shorter than 4 tokens so identical short sentences still score 1.
     """
@@ -99,7 +103,7 @@ def _bleu(hyp: Sequence[str], ref: Sequence[str], smoothing_k: float = 5.0) -> f
     invcnt = 1
     for num, den in zip(numerators, denominators):
         if num == 0 and hyp_len > 1:
-            precisions.append((math.log(hyp_len) / (smoothing_k * 2**invcnt)) / den)
+            precisions.append((math.log(hyp_len) / (_BLEU_SMOOTHING_K * 2**invcnt)) / den)
             invcnt += 1
         else:
             precisions.append(num / den)

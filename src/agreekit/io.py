@@ -1,8 +1,8 @@
 """Dataset and report file formats.
 
 Dataset files are JSONL. An optional first line {"meta": {...}} configures
-the dataset (vector ranges, ranking universe, OKS defaults, image extent).
-Every other line is one annotation:
+the dataset (vector ranges, ranking universe, OKS defaults). Every other
+line is one annotation:
 
     {"item": str, "annotator": str, "kind": K, "label": payload}
 

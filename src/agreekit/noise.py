@@ -211,32 +211,22 @@ def generate_cst_dataset(
 _GOLD_STREAM = 0x601D
 
 
-def random_gold(
-    task: str,
-    n_items: int,
-    seed: int,
-    *,
-    universe_size: int = DEFAULT_UNIVERSE_SIZE,
-    dims: int = DEFAULT_VECTOR_DIMS,
-    sentence_length: int = DEFAULT_SENTENCE_LENGTH,
-    image_extent: tuple[float, float] = DEFAULT_IMAGE_EXTENT,
-    tags: Sequence[str] = DEFAULT_TAGS,
-) -> tuple[list[tuple[str, LabelPayload]], dict]:
+def random_gold(task: str, n_items: int, seed: int) -> tuple[list[tuple[str, LabelPayload]], dict]:
     """Random gold labels plus the dataset meta describing their space."""
     if n_items < 1:
         raise DataError("need at least one item")
     gold: list[tuple[str, LabelPayload]] = []
     meta: dict = {}
     if task == "ranking":
-        universe = tuple(f"e{i}" for i in range(universe_size))
+        universe = tuple(f"e{i}" for i in range(DEFAULT_UNIVERSE_SIZE))
         meta["universe"] = list(universe)
     elif task == "vector":
-        meta["ranges"] = [[0.0, 1.0] for _ in range(dims)]
+        meta["ranges"] = [[0.0, 1.0] for _ in range(DEFAULT_VECTOR_DIMS)]
     elif task == "spans":
-        meta["sentence_length"] = sentence_length
-        meta["tags"] = list(tags)
+        meta["sentence_length"] = DEFAULT_SENTENCE_LENGTH
+        meta["tags"] = list(DEFAULT_TAGS)
     elif task == "boxes":
-        meta["image_extent"] = list(image_extent)
+        meta["image_extent"] = list(DEFAULT_IMAGE_EXTENT)
     else:
         raise DataError(f"unknown task {task!r}; supported: {', '.join(TASKS)}")
 
@@ -244,28 +234,28 @@ def random_gold(
         rng = np.random.default_rng([seed, _GOLD_STREAM, item_idx])
         item_id = f"item{item_idx:04d}"
         if task == "ranking":
-            order = tuple(universe[i] for i in rng.permutation(universe_size))
+            order = tuple(universe[i] for i in rng.permutation(DEFAULT_UNIVERSE_SIZE))
             gold.append((item_id, Ranking(order=order)))
         elif task == "vector":
-            gold.append((item_id, NumericVector(values=tuple(rng.random(dims)))))
+            gold.append((item_id, NumericVector(values=tuple(rng.random(DEFAULT_VECTOR_DIMS)))))
         elif task == "spans":
             spans = []
             for _ in range(int(rng.integers(1, 4))):
-                start = int(rng.integers(0, sentence_length - 3))
+                start = int(rng.integers(0, DEFAULT_SENTENCE_LENGTH - 3))
                 length = int(rng.integers(1, 4))
                 spans.append(
                     Span(
                         start=start,
                         end=start + length,
-                        tag=str(tags[int(rng.integers(0, len(tags)))]),
+                        tag=str(DEFAULT_TAGS[int(rng.integers(0, len(DEFAULT_TAGS)))]),
                     )
                 )
             gold.append((item_id, SpanSet(spans=tuple(spans))))
         else:
             boxes = []
             for _ in range(int(rng.integers(1, 4))):
-                x = np.sort(rng.random(2) * image_extent[0])
-                y = np.sort(rng.random(2) * image_extent[1])
+                x = np.sort(rng.random(2) * DEFAULT_IMAGE_EXTENT[0])
+                y = np.sort(rng.random(2) * DEFAULT_IMAGE_EXTENT[1])
                 boxes.append(Box(float(x[0]), float(y[0]), float(x[1]), float(y[1])))
             gold.append((item_id, BoxSet(boxes=tuple(boxes))))
     return gold, meta

@@ -9,7 +9,7 @@ order, and therefore every downstream float reduction, is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DataError
 

@@ -10,6 +10,8 @@ checks; all measures accept them regardless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Mapping, Optional
 
 from .distances.geometry import GeometryConfig, box_distance, keypoint_distance
@@ -36,16 +38,6 @@ class DistanceSpec:
         object.__setattr__(self, "params", dict(self.params))
 
 
-@dataclass(frozen=True)
-class _Entry:
-    name: str
-    kinds: tuple[str, ...]
-    summary: str
-    param_names: tuple[str, ...]
-    dissimilarity: bool
-    build: Callable  # (params, meta, embeddings) -> (fn, upper_bound, dissimilarity)
-
-
 def _bool_param(params: Mapping, key: str, default: bool) -> bool:
     val = params.get(key, default)
     if not isinstance(val, bool):
@@ -53,33 +45,24 @@ def _bool_param(params: Mapping, key: str, default: bool) -> bool:
     return val
 
 
-def _build_binary(params, meta, embeddings):
-    return (lambda a, b: vector_distance(a, b, "binary")), 1.0, False
+# Builders, one per distance family: build(mode, params, meta, embeddings, objects) -> PairFn.
+# `objects` reads the object tuple of a set-valued payload and is None for other kinds.
 
 
-def _build_euclidean(params, meta, embeddings):
+def _vector(mode, params, meta, embeddings, objects):
+    if mode == "binary":
+        return partial(vector_distance, mode=mode)
     ranges = params.get("ranges", meta.get("ranges"))
     if ranges is not None:
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-    return (lambda a, b: vector_distance(a, b, "euclidean", ranges)), 1.0, False
+    return partial(vector_distance, mode=mode, ranges=ranges)
 
 
-def _build_levenshtein(params, meta, embeddings):
-    raw = _bool_param(params, "raw", False)
-    fn = lambda a, b: translation_distance(a, b, "levenshtein", raw=raw)
-    # normalization by max length breaks the triangle inequality; raw is a metric
-    return fn, (None if raw else 1.0), (not raw)
+def _tokens(mode, params, meta, embeddings, objects):
+    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False))
 
 
-def _build_bleu(params, meta, embeddings):
-    return (lambda a, b: translation_distance(a, b, "bleu")), 1.0, True
-
-
-def _build_gleu(params, meta, embeddings):
-    return (lambda a, b: translation_distance(a, b, "gleu")), 1.0, True
-
-
-def _build_embedding_f1(params, meta, embeddings):
+def _embedding(mode, params, meta, embeddings, objects):
     table = embeddings
     path = params.get("embeddings")
     if table is None and path is not None:
@@ -93,217 +76,127 @@ def _build_embedding_f1(params, meta, embeddings):
         )
     if not isinstance(table, TokenEmbeddingTable):
         table = TokenEmbeddingTable(table)
-    fn = lambda a, b, _t=table: translation_distance(a, b, "embedding_f1", embeddings=_t)
-    return fn, 1.0, True
+    return partial(translation_distance, mode=mode, embeddings=table)
 
 
-def _lift(single: PairFn, objects_of: Callable) -> PairFn:
-    return lambda a, b: multi_object_distance(objects_of(a), objects_of(b), single)
+def _lift(single: PairFn, objects: Callable) -> PairFn:
+    def fn(a, b):
+        return multi_object_distance(objects(a), objects(b), single)
+
+    return fn
 
 
-def _build_box(mode: str):
-    def build(params, meta, embeddings):
-        cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-        single = lambda x, y: box_distance(x, y, mode, cfg)
-        return _lift(single, lambda p: p.boxes), 1.0, True
-
-    return build
+def _box(mode, params, meta, embeddings, objects):
+    cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
+    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects)
 
 
-def _build_keypoints(mode: str):
-    def build(params, meta, embeddings):
-        scale_default = params.get("scale_default", meta.get("oks_scale_default"))
-        k_default = params.get("k_default", meta.get("oks_k_default"))
-        single = lambda x, y: keypoint_distance(
+def _keypoints(mode, params, meta, embeddings, objects):
+    scale_default = params.get("scale_default", meta.get("oks_scale_default"))
+    k_default = params.get("k_default", meta.get("oks_k_default"))
+
+    def single(x, y):
+        return keypoint_distance(
             x,
             y,
             mode,
             scale_default=None if scale_default is None else float(scale_default),
             k_default=None if k_default is None else float(k_default),
         )
-        return _lift(single, lambda p: p.objects), 1.0, True
 
-    return build
-
-
-_OBJECT_FIELDS = {"boxes": "boxes", "keypoints": "objects", "spans": "spans"}
+    return _lift(single, objects)
 
 
-def _build_count_diff(params, meta, embeddings):
+def _count(mode, params, meta, embeddings, objects):
     normalize = _bool_param(params, "normalize", True)
 
     def fn(a, b):
-        attr = _OBJECT_FIELDS[a.kind]
-        return count_diff(getattr(a, attr), getattr(b, attr), normalize)
+        return count_diff(objects(a), objects(b), normalize)
 
-    return fn, (1.0 if normalize else None), False
-
-
-def _build_ner(range_strict: bool, tag_strict: bool):
-    def build(params, meta, embeddings):
-        fn = lambda a, b: ner_distance(a, b, range_strict, tag_strict)
-        return fn, 1.0, True
-
-    return build
+    return fn
 
 
-def _build_ted(variant: str):
-    def build(params, meta, embeddings):
-        cfg = TedConfig(variant=variant)
-        fn = lambda a, b: tree_distance(a, b, cfg)
-        # plain TED is a metric; norm breaks the triangle inequality and can
-        # exceed 1 (leaf counts grow slower than node counts); diff can be
-        # zero for different trees
-        if variant == "plain":
-            return fn, None, False
-        return fn, None, True
-
-    return build
+def _ner(mode, params, meta, embeddings, objects):
+    range_strict, tag_strict = mode
+    return partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict)
 
 
-def _build_ranking(mode: str):
-    def build(params, meta, embeddings):
-        k = int(params.get("k", 5))
-        cfg = RankingConfig(mode=mode, k=k)
-        fn = lambda a, b: ranking_distance(a, b, cfg)
-        # tau on permutations is a metric; rho and the tie-ranked top-k
-        # projection both violate the triangle inequality
-        return fn, 1.0, mode != "tau"
-
-    return build
+def _tree(mode, params, meta, embeddings, objects):
+    return partial(tree_distance, cfg=TedConfig(variant=mode))
 
 
-_ENTRIES: dict[str, _Entry] = {}
+def _ranking(mode, params, meta, embeddings, objects):
+    return partial(ranking_distance, cfg=RankingConfig(mode=mode, k=int(params.get("k", 5))))
 
 
-def _register(name, kinds, summary, param_names, dissimilarity, build):
-    _ENTRIES[name] = _Entry(
-        name=name,
-        kinds=tuple(kinds),
-        summary=summary,
-        param_names=tuple(param_names),
-        dissimilarity=dissimilarity,
-        build=build,
-    )
+@dataclass(frozen=True)
+class _Entry:
+    kinds: tuple[str, ...]
+    param_names: tuple[str, ...]
+    dissimilarity: bool
+    upper_bound: Optional[float]
+    build: Callable
+    mode: object
+    summary: str
 
 
-_register("binary", ["vector"], "fraction of unequal vector elements", [], False, _build_binary)
-_register(
-    "euclidean",
-    ["vector"],
-    "RMSE of range-normalized vector elements",
-    ["ranges"],
-    False,
-    _build_euclidean,
-)
-_register(
-    "levenshtein",
-    ["tokens"],
-    "token edit distance / max length (raw=true to skip normalization)",
-    ["raw"],
-    True,
-    _build_levenshtein,
-)
-_register("bleu", ["tokens"], "1 - symmetrized sentence BLEU", [], True, _build_bleu)
-_register("gleu", ["tokens"], "1 - symmetrized sentence GLEU", [], True, _build_gleu)
-_register(
-    "embedding_f1",
-    ["tokens"],
-    "1 - greedy max-cosine token-matching F1",
-    ["embeddings"],
-    True,
-    _build_embedding_f1,
-)
-_register(
-    "box_l2",
-    ["boxes"],
-    "min-match lift of scaled corner RMSE",
-    ["l2_scale"],
-    True,
-    _build_box("l2"),
-)
-_register("box_iou", ["boxes"], "min-match lift of 1 - IoU", [], True, _build_box("iou"))
-_register(
-    "box_giou", ["boxes"], "min-match lift of (1 - GIoU) / 2", [], True, _build_box("giou")
-)
-_register(
-    "oks",
-    ["keypoints"],
-    "min-match lift of 1 - object keypoint similarity",
-    ["scale_default", "k_default"],
-    True,
-    _build_keypoints("oks"),
-)
-_register(
-    "bbox_iou",
-    ["keypoints"],
-    "min-match lift of 1 - IoU of keypoint hull boxes",
-    [],
-    True,
-    _build_keypoints("bbox_iou"),
-)
-_register(
-    "count_diff",
-    ["boxes", "keypoints", "spans"],
-    "absolute object-count difference (normalize=false for the raw count)",
-    ["normalize"],
-    False,
-    _build_count_diff,
-)
-_register(
-    "ner_both_lenient",
-    ["spans"],
-    "token-overlap span similarity, any tag, harmonic-mean combined",
-    [],
-    True,
-    _build_ner(range_strict=False, tag_strict=False),
-)
-_register(
-    "ner_strict_tag",
-    ["spans"],
-    "token-overlap span similarity requiring tag equality",
-    [],
-    True,
-    _build_ner(range_strict=False, tag_strict=True),
-)
-_register(
-    "ner_strict_range",
-    ["spans"],
-    "exact-range span matching, any tag",
-    [],
-    True,
-    _build_ner(range_strict=True, tag_strict=False),
-)
-_register(
-    "ner_both_strict",
-    ["spans"],
-    "exact-range span matching requiring tag equality",
-    [],
-    True,
-    _build_ner(range_strict=True, tag_strict=True),
-)
-_register("ted", ["tree"], "tree edit distance, unit costs", [], False, _build_ted("plain"))
-_register(
-    "ted_norm", ["tree"], "tree edit distance / total leaf count", [], True, _build_ted("norm")
-)
-_register(
-    "ted_diff",
-    ["tree"],
-    "tree edit distance minus the leaf-count difference",
-    [],
-    True,
-    _build_ted("diff"),
-)
-_register("tau", ["ranking"], "(1 - Kendall tau) / 2", [], False, _build_ranking("tau"))
-_register("rho", ["ranking"], "(1 - Spearman rho) / 2", [], True, _build_ranking("rho"))
-_register(
-    "tau_at_k",
-    ["ranking"],
-    "(1 - tau) / 2 over the union of both top-k prefixes",
-    ["k"],
-    True,
-    _build_ranking("tau_at_k"),
-)
+_OBJECTS = {
+    "boxes": attrgetter("boxes"),
+    "keypoints": attrgetter("objects"),
+    "spans": attrgetter("spans"),
+}
+
+# Normalized edit distances, set lifts, similarity inversions, rho and the tie-ranked
+# top-k projection break the triangle inequality; tau on permutations and plain TED are
+# metrics. ted_norm can exceed 1 (leaf counts grow slower than node counts) and ted_diff
+# can be zero for different trees.
+# name: _Entry(kinds, param_names, dissimilarity, upper_bound, build, mode, summary)
+_ENTRIES = {
+    "binary": _Entry(("vector",), (), False, 1.0, _vector, "binary",
+                     "fraction of unequal vector elements"),
+    "euclidean": _Entry(("vector",), ("ranges",), False, 1.0, _vector, "euclidean",
+                        "RMSE of range-normalized vector elements"),
+    "levenshtein": _Entry(("tokens",), ("raw",), True, 1.0, _tokens, "levenshtein",
+                          "token edit distance / max length (raw=true to skip normalization)"),
+    "bleu": _Entry(("tokens",), (), True, 1.0, _tokens, "bleu",
+                   "1 - symmetrized sentence BLEU"),
+    "gleu": _Entry(("tokens",), (), True, 1.0, _tokens, "gleu",
+                   "1 - symmetrized sentence GLEU"),
+    "embedding_f1": _Entry(("tokens",), ("embeddings",), True, 1.0, _embedding, "embedding_f1",
+                           "1 - greedy max-cosine token-matching F1"),
+    "box_l2": _Entry(("boxes",), ("l2_scale",), True, 1.0, _box, "l2",
+                     "min-match lift of scaled corner RMSE"),
+    "box_iou": _Entry(("boxes",), (), True, 1.0, _box, "iou",
+                      "min-match lift of 1 - IoU"),
+    "box_giou": _Entry(("boxes",), (), True, 1.0, _box, "giou",
+                       "min-match lift of (1 - GIoU) / 2"),
+    "oks": _Entry(("keypoints",), ("scale_default", "k_default"), True, 1.0, _keypoints, "oks",
+                  "min-match lift of 1 - object keypoint similarity"),
+    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _keypoints, "bbox_iou",
+                       "min-match lift of 1 - IoU of keypoint hull boxes"),
+    "count_diff": _Entry(tuple(_OBJECTS), ("normalize",), False, 1.0, _count, None,
+                         "absolute object-count difference (normalize=false for the raw count)"),
+    "ner_both_lenient": _Entry(("spans",), (), True, 1.0, _ner, (False, False),
+                               "token-overlap span similarity, any tag, harmonic-mean combined"),
+    "ner_strict_tag": _Entry(("spans",), (), True, 1.0, _ner, (False, True),
+                             "token-overlap span similarity requiring tag equality"),
+    "ner_strict_range": _Entry(("spans",), (), True, 1.0, _ner, (True, False),
+                               "exact-range span matching, any tag"),
+    "ner_both_strict": _Entry(("spans",), (), True, 1.0, _ner, (True, True),
+                              "exact-range span matching requiring tag equality"),
+    "ted": _Entry(("tree",), (), False, None, _tree, "plain",
+                  "tree edit distance, unit costs"),
+    "ted_norm": _Entry(("tree",), (), True, None, _tree, "norm",
+                       "tree edit distance / total leaf count"),
+    "ted_diff": _Entry(("tree",), (), True, None, _tree, "diff",
+                       "tree edit distance minus the leaf-count difference"),
+    "tau": _Entry(("ranking",), (), False, 1.0, _ranking, "tau",
+                  "(1 - Kendall tau) / 2"),
+    "rho": _Entry(("ranking",), (), True, 1.0, _ranking, "rho",
+                  "(1 - Spearman rho) / 2"),
+    "tau_at_k": _Entry(("ranking",), ("k",), True, 1.0, _ranking, "tau_at_k",
+                       "(1 - tau) / 2 over the union of both top-k prefixes"),
+}
 
 
 def registry_names() -> list[str]:
@@ -312,10 +205,7 @@ def registry_names() -> list[str]:
 
 def registry_summary() -> list[tuple[str, tuple[str, ...], str, bool]]:
     """(name, kinds, summary, dissimilarity) rows for help output and docs."""
-    return [
-        (e.name, e.kinds, e.summary, e.dissimilarity)
-        for e in (_ENTRIES[n] for n in registry_names())
-    ]
+    return [(name, e.kinds, e.summary, e.dissimilarity) for name, e in sorted(_ENTRIES.items())]
 
 
 def is_dissimilarity(name: str) -> bool:
@@ -361,7 +251,11 @@ def make_spec(
             f"unknown parameter(s) for {name!r}: {', '.join(sorted(unknown))}"
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
-    fn, upper_bound, dissimilarity = entry.build(params, meta, embeddings)
+    fn = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+    upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
+    if params.get("raw") is True or params.get("normalize") is False:
+        # the raw edit or object-count difference is unbounded, and a metric
+        upper_bound, dissimilarity = None, False
     return DistanceSpec(
         name=name,
         payload_kind=kind,

@@ -221,14 +221,29 @@ def sigma_measure(
     return bisect.bisect_left(obs, True, key=lambda x: kde_cdf(model, x) >= p) / obs.size
 
 
+def _tie_ends(pooled_sorted: np.ndarray) -> np.ndarray:
+    """Right ends of runs of tied values: the only places an ECDF gap can peak.
+
+    Which tied slots belong to which sample cannot matter there."""
+    ends = np.ones(pooled_sorted.size, dtype=bool)
+    ends[:-1] = pooled_sorted[:-1] != pooled_sorted[1:]
+    return ends
+
+
+def _ecdf_gaps(is_obs: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
+    """Per row of sorted-pooled-sample labels (True = observed), max ECDF_obs - ECDF_exp."""
+    cum_obs = np.cumsum(is_obs, axis=1)
+    positions = np.arange(1, is_obs.shape[1] + 1)
+    diffs = cum_obs / m - (positions - cum_obs) / (is_obs.shape[1] - m)
+    return diffs[:, ends].max(axis=1)
+
+
 def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
     """One-sided statistic: sup_x ECDF_observed(x) - ECDF_expected(x)."""
-    obs = np.sort(np.asarray(observed, dtype=float))
-    exp = np.sort(np.asarray(expected, dtype=float))
-    xs = np.concatenate([obs, exp])
-    f_obs = np.searchsorted(obs, xs, side="right") / obs.size
-    f_exp = np.searchsorted(exp, xs, side="right") / exp.size
-    return float(np.max(f_obs - f_exp))
+    m = np.asarray(observed).size
+    pooled = np.concatenate([observed, expected]).astype(float)
+    order = np.argsort(pooled, kind="stable")
+    return float(_ecdf_gaps((order < m)[None, :], _tie_ends(pooled[order]), m)[0])
 
 
 @dataclass(frozen=True)
@@ -261,20 +276,14 @@ def _permutation_pvalue(samples: DistanceSamples, stat: float, n_permutations: i
     m = samples.observed.size
     pooled = np.sort(np.concatenate([samples.observed, samples.expected]))
     total = pooled.size
-    # right boundaries of runs of tied values; the ECDF difference can only
-    # peak there, and which tied slots belong to which sample cannot matter
-    boundary = np.ones(total, dtype=bool)
-    boundary[:-1] = pooled[:-1] != pooled[1:]
+    ends = _tie_ends(pooled)
     rng = np.random.default_rng([samples.seed, 0x4B53])
     exceed = 0
     done = 0
     while done < n_permutations:
         batch = min(max(1, _PERMUTATION_BATCH_ELEMENTS // total), n_permutations - done)
         is_obs = np.argsort(rng.random((batch, total)), axis=1) < m
-        cum_obs = np.cumsum(is_obs, axis=1)
-        positions = np.arange(1, total + 1)
-        diffs = cum_obs / m - (positions - cum_obs) / (total - m)
-        stats = diffs[:, boundary].max(axis=1)
+        stats = _ecdf_gaps(is_obs, ends, m)
         exceed += int(np.sum(stats >= stat - 1e-12))
         done += batch
     return (1 + exceed) / (n_permutations + 1)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from agreekit import kde
@@ -29,6 +31,35 @@ def test_cdf_endpoints_and_monotonicity():
     # queries beyond the bounds clamp
     assert kde_cdf(model, -5.0) == 0.0
     assert kde_cdf(model, 7.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def kde_models(draw) -> KdeModel:
+    """Tied, skewed or spread samples; bounded by (0, 1) or unbounded; given or Scott bandwidth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["tied", "skewed", "uniform"]))
+    if shape == "tied":
+        values = rng.integers(0, 5, n) / 4
+    elif shape == "skewed":
+        values = rng.uniform(0.0, 1.0, n) ** 6
+    else:
+        values = rng.uniform(0.0, 1.0, n)
+    bandwidth = draw(st.one_of(st.none(), st.floats(1e-4, 2.0)))
+    if draw(st.booleans()):
+        return fit_kde(values, bounds=(0.0, 1.0), bandwidth=bandwidth)
+    return fit_kde(values * draw(st.floats(0.5, 20.0)), bounds=None, bandwidth=bandwidth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=kde_models(), queries=st.lists(st.floats(-1.0, 25.0), max_size=60))
+def test_cdf_is_exactly_monotone_and_exact_at_bounds(model, queries):
+    # sigma bisects the sorted observed distances, so no tolerance is allowed here
+    xs = np.sort(np.concatenate([queries, model.support, [0.0, 1.0]]))
+    assert np.all(np.diff(kde_cdf(model, xs)) >= 0)
+    if model.bounds is not None:
+        assert kde_cdf(model, 0.0) == 0.0
+        assert kde_cdf(model, 1.0) == 1.0
 
 
 def test_cdf_matches_reflected_mixture_formula():

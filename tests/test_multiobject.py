@@ -9,7 +9,6 @@ from agreekit.distances.multiobject import (
     multi_object_distance,
     ner_distance,
 )
-from agreekit.errors import DataError
 from agreekit.payloads import Box, Span, SpanSet
 
 from conftest import make_boxset
@@ -36,8 +35,6 @@ def test_lift_empty_rules():
     assert multi_object_distance([], [], iou) == 0.0
     assert multi_object_distance(a, [], iou) == 1.0
     assert multi_object_distance([], a, iou) == 1.0
-    with pytest.raises(DataError):
-        multi_object_distance(a, [], iou, empty_distance=None)
 
 
 def test_lift_identity_and_symmetry_randomized(rng):

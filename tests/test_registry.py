@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from agreekit.errors import DataError, UsageError
@@ -47,9 +49,32 @@ ALL_NAMES = [
 
 METRIC_NAMES = {"binary", "euclidean", "count_diff", "ted", "tau"}
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_registry_table() -> dict:
+    """name -> (kinds, parameter names), parsed from the README's "Distance registry" table."""
+    section = README.read_text(encoding="utf-8").split("## Distance registry", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = {}
+    # the first two table lines are the header and its separator
+    for line in [ln for ln in section.splitlines() if ln.startswith("|")][2:]:
+        name, kinds, params, _summary = (cell.strip() for cell in line.strip("|").split("|"))
+        param_names = tuple(p.strip("`") for p in params.split(", ") if p)
+        rows[name] = (tuple(kinds.split(", ")), param_names)
+    return rows
+
 
 def test_registry_names_complete_and_sorted():
     assert registry_names() == ALL_NAMES
+
+
+def test_readme_registry_table_matches_registry():
+    rows = readme_registry_table()
+    assert sorted(rows) == registry_names()
+    for name, (kinds, params) in rows.items():
+        assert kinds == supported_kinds(name), name
+        assert params == accepted_params(name), name
 
 
 def test_dissimilarity_flags():

@@ -350,7 +350,30 @@ def test_sigma_memory_is_linear_in_expected_sample():
     assert traced_call(sigma_measure, s)[1] < 16
 
 
+def ks_statistic_reference(observed: np.ndarray, expected: np.ndarray) -> float:
+    """sup_x ECDF_observed(x) - ECDF_expected(x), both ECDFs by searchsorted at every point."""
+    obs = np.sort(observed)
+    exp = np.sort(expected)
+    xs = np.concatenate([obs, exp])
+    f_obs = np.searchsorted(obs, xs, side="right") / obs.size
+    f_exp = np.searchsorted(exp, xs, side="right") / exp.size
+    return float(np.max(f_obs - f_exp))
+
+
+# quarters give heavy ties; plain floats give almost none
+KS_VALUES = st.one_of(st.integers(0, 4).map(lambda q: q / 4), st.floats(0.0, 1.0))
+
+
 class TestKs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observed=st.lists(KS_VALUES, min_size=1, max_size=40),
+        expected=st.lists(KS_VALUES, min_size=1, max_size=40),
+    )
+    def test_statistic_equals_searchsorted_reference(self, observed, expected):
+        obs, exp = np.array(observed), np.array(expected)
+        assert ks_statistic(obs, exp) == ks_statistic_reference(obs, exp)
+
     def test_statistic_hand_case(self):
         obs = np.array([1.0, 2.0, 3.0])
         exp = np.array([2.5, 3.5, 4.5])
