@@ -19,8 +19,6 @@ from .errors import DataError
 
 # floor keeps the bandwidth positive when the sample is constant or a singleton
 _MIN_BANDWIDTH = 1e-9
-# points x centers evaluated at once; bounds kde_cdf/kde_pdf memory on large inputs
-_BLOCK_ELEMENTS = 1_000_000
 
 
 def scott_bandwidth(values: np.ndarray) -> float:
@@ -70,17 +68,12 @@ def fit_kde(
 
 
 def _kernel_sums(model: KdeModel, t: np.ndarray, kernel) -> np.ndarray:
-    """Per point of t, kernel(z) summed over the support and its reflections, in row blocks."""
+    """Per point of t, one at a time, kernel(z) summed over the support and its reflections."""
     centers = model.support
     if model.bounds is not None:
         lo, hi = model.bounds
         centers = np.concatenate([centers, 2 * lo - centers, 2 * hi - centers])
-    rows = max(1, _BLOCK_ELEMENTS // centers.size)
-    out = np.empty(t.size)
-    for start in range(0, t.size, rows):
-        z = (t[start:start + rows, None] - centers[None, :]) / model.bandwidth
-        out[start:start + rows] = kernel(z).sum(axis=1)
-    return out
+    return np.array([kernel((x - centers) / model.bandwidth).sum() for x in t])
 
 
 def _mass_below(model: KdeModel, t: np.ndarray) -> np.ndarray:

@@ -92,19 +92,12 @@ def _box(mode, params, meta, embeddings, objects):
 
 
 def _keypoints(mode, params, meta, embeddings, objects):
-    scale_default = params.get("scale_default", meta.get("oks_scale_default"))
-    k_default = params.get("k_default", meta.get("oks_k_default"))
-
-    def single(x, y):
-        return keypoint_distance(
-            x,
-            y,
-            mode,
-            scale_default=None if scale_default is None else float(scale_default),
-            k_default=None if k_default is None else float(k_default),
-        )
-
-    return _lift(single, objects)
+    defaults = {}
+    if mode == "oks":
+        for key in ("scale_default", "k_default"):
+            value = params.get(key, meta.get("oks_" + key))
+            defaults[key] = None if value is None else float(value)
+    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects)
 
 
 def _count(mode, params, meta, embeddings, objects):
@@ -251,7 +244,10 @@ def make_spec(
             f"unknown parameter(s) for {name!r}: {', '.join(sorted(unknown))}"
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
-    fn = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+    try:
+        fn = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
     if params.get("raw") is True or params.get("normalize") is False:
         # the raw edit or object-count difference is unbounded, and a metric

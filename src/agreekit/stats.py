@@ -30,9 +30,6 @@ from .kde import fit_kde, kde_cdf
 from .registry import DistanceSpec
 
 HISTOGRAM_BINS = 50
-# elements of one (batch, m + n) permutation matrix, about 80 MB peak; the
-# generator fills rows in order, so the batch size never changes the p-value
-_PERMUTATION_BATCH_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,6 @@ class DistanceSamples:
     observed: np.ndarray
     expected: np.ndarray
     distance_name: str
-    de_sample_size: int
     seed: int
     # (number of observed pairs, number of cross-item pairs available)
     pair_counts: tuple[int, int]
@@ -50,7 +46,9 @@ class DistanceSamples:
             arr = np.asarray(getattr(self, name), dtype=float).ravel()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            if arr.size and arr.min() < 0:
+            if arr.size == 0:
+                raise DataError(f"{name} distances are empty")
+            if arr.min() < 0:
                 raise DataError(f"{name} distances contain negative values")
 
 
@@ -172,7 +170,6 @@ def _evaluate(spec: DistanceSpec, plan: tuple[list, list, int], seed: int) -> Di
         observed=observed,
         expected=expected,
         distance_name=spec.name,
-        de_sample_size=len(exp_pairs),
         seed=seed,
         pair_counts=(len(obs_pairs), available),
     )
@@ -195,8 +192,6 @@ def build_samples(
 
 def krippendorff_alpha(samples: DistanceSamples) -> float:
     """1 - mean(observed) / mean(expected); reported even when negative."""
-    if samples.observed.size == 0 or samples.expected.size == 0:
-        raise DataError("alpha requires nonempty observed and expected samples")
     mean_e = float(samples.expected.mean())
     if mean_e <= 0:
         raise NumericError("degenerate expected distances: mean is zero")
@@ -214,8 +209,6 @@ def sigma_measure(
     The CDF is monotone, so bisection over the sorted observed distances
     counts them with single-point CDF evaluations, in O(|De|) memory.
     """
-    if samples.observed.size == 0 or samples.expected.size == 0:
-        raise DataError("sigma requires nonempty observed and expected samples")
     model = fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
     obs = np.sort(samples.observed)
     return bisect.bisect_left(obs, True, key=lambda x: kde_cdf(model, x) >= p) / obs.size
@@ -230,12 +223,12 @@ def _tie_ends(pooled_sorted: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _ecdf_gaps(is_obs: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
-    """Per row of sorted-pooled-sample labels (True = observed), max ECDF_obs - ECDF_exp."""
-    cum_obs = np.cumsum(is_obs, axis=1)
-    positions = np.arange(1, is_obs.shape[1] + 1)
-    diffs = cum_obs / m - (positions - cum_obs) / (is_obs.shape[1] - m)
-    return diffs[:, ends].max(axis=1)
+def _ecdf_gap(is_obs: np.ndarray, ends: np.ndarray, m: int) -> float:
+    """Max ECDF_obs - ECDF_exp over sorted-pooled-sample labels (True = observed)."""
+    cum_obs = np.cumsum(is_obs)
+    positions = np.arange(1, is_obs.size + 1)
+    diffs = cum_obs / m - (positions - cum_obs) / (is_obs.size - m)
+    return float(diffs[ends].max())
 
 
 def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -243,7 +236,7 @@ def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
     m = np.asarray(observed).size
     pooled = np.concatenate([observed, expected]).astype(float)
     order = np.argsort(pooled, kind="stable")
-    return float(_ecdf_gaps((order < m)[None, :], _tie_ends(pooled[order]), m)[0])
+    return _ecdf_gap(order < m, _tie_ends(pooled[order]), m)
 
 
 @dataclass(frozen=True)
@@ -260,8 +253,6 @@ def ks_measure(samples: DistanceSamples, n_permutations: int = 0) -> KsResult:
     n_permutations > 0 it is a pooled permutation estimate instead. The
     measure is exactly 1 - p.
     """
-    if samples.observed.size == 0 or samples.expected.size == 0:
-        raise DataError("ks requires nonempty observed and expected samples")
     m, n = samples.observed.size, samples.expected.size
     stat = ks_statistic(samples.observed, samples.expected)
     if n_permutations > 0:
@@ -275,17 +266,12 @@ def ks_measure(samples: DistanceSamples, n_permutations: int = 0) -> KsResult:
 def _permutation_pvalue(samples: DistanceSamples, stat: float, n_permutations: int) -> float:
     m = samples.observed.size
     pooled = np.sort(np.concatenate([samples.observed, samples.expected]))
-    total = pooled.size
     ends = _tie_ends(pooled)
     rng = np.random.default_rng([samples.seed, 0x4B53])
     exceed = 0
-    done = 0
-    while done < n_permutations:
-        batch = min(max(1, _PERMUTATION_BATCH_ELEMENTS // total), n_permutations - done)
-        is_obs = np.argsort(rng.random((batch, total)), axis=1) < m
-        stats = _ecdf_gaps(is_obs, ends, m)
-        exceed += int(np.sum(stats >= stat - 1e-12))
-        done += batch
+    for _ in range(n_permutations):
+        is_obs = np.argsort(rng.random(pooled.size)) < m
+        exceed += _ecdf_gap(is_obs, ends, m) >= stat - 1e-12
     return (1 + exceed) / (n_permutations + 1)
 
 

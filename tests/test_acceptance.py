@@ -50,7 +50,6 @@ def _samples(observed, expected) -> DistanceSamples:
         observed=o,
         expected=e,
         distance_name="synthetic",
-        de_sample_size=e.size,
         seed=0,
         pair_counts=(o.size, e.size),
     )

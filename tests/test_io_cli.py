@@ -272,6 +272,17 @@ class TestCliCompute:
     def test_malformed_param_is_usage_error(self, vector_file):
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--param", "k"]) == 2
 
+    @pytest.mark.parametrize("task, distance, param", [
+        ("boxes", "box_l2", "l2_scale=x"),
+        ("ranking", "tau_at_k", "k=x"),
+        ("vector", "euclidean", "ranges=[1,2]"),
+    ])
+    def test_malformed_param_value_is_usage_error(self, tmp_path, capsys, task, distance, param):
+        path = str(tmp_path / f"{task}.jsonl")
+        assert main(["simulate", "--task", task, "--items", "6", "--seed", "3", "--out", path]) == 0
+        assert main(["compute", "--input", path, "--distance", distance, "--param", param]) == 2
+        assert repr(distance) in capsys.readouterr().err
+
     def test_bad_de_samples_is_usage_error(self, vector_file):
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "zero"]) == 2
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "0"]) == 2
@@ -297,6 +308,16 @@ class TestCliCompute:
         path = write_lines(tmp_path / "flat.jsonl", lines)
         assert main(["compute", "--input", path, "--distance", "binary"]) == 4
         assert "degenerate" in capsys.readouterr().err
+
+
+    def test_single_item_is_data_error(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"item": "i0", "annotator": f"a{j}", "kind": "vector", "label": [0.1 * j]})
+            for j in range(3)
+        ]
+        path = write_lines(tmp_path / "single.jsonl", lines)
+        assert main(["compute", "--input", path, "--distance", "binary"]) == 3
+        assert "expected pairs require at least two items" in capsys.readouterr().err
 
 
 class TestCliMeasureFlags:

@@ -174,6 +174,16 @@ def test_oks_defaults_from_meta():
     assert spec.fn(a, b) == pytest.approx(1.0 - math.exp(-1.0))
 
 
+def test_oks_defaults_are_read_only_by_oks():
+    meta = {"oks_scale_default": "x"}
+    spec = make_spec("bbox_iou", "keypoints", meta=meta)
+    a = KeypointSet(objects=(KeypointObject(points=((0.0, 0.0), (2.0, 2.0))),))
+    b = KeypointSet(objects=(KeypointObject(points=((1.0, 0.0), (3.0, 2.0))),))
+    assert spec.fn(a, b) == pytest.approx(1.0 - 2.0 / 6.0)
+    with pytest.raises(UsageError, match="'oks'"):
+        make_spec("oks", "keypoints", meta=meta)
+
+
 def test_tau_at_k_param():
     spec = make_spec("tau_at_k", "ranking", params={"k": 3})
     assert spec.params == {"k": 3}

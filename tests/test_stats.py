@@ -38,7 +38,6 @@ def samples(observed, expected, seed=0):
         observed=np.asarray(observed, dtype=float),
         expected=np.asarray(expected, dtype=float),
         distance_name="test",
-        de_sample_size=len(expected),
         seed=seed,
         pair_counts=(len(observed), len(expected)),
     )
@@ -95,6 +94,11 @@ class TestAlpha:
     def test_negative_distances_rejected(self):
         with pytest.raises(DataError):
             samples([-0.1, 0.2], [0.5])
+
+    @pytest.mark.parametrize("observed, expected", [([], [0.5]), ([0.5], [])])
+    def test_empty_side_rejected(self, observed, expected):
+        with pytest.raises(DataError, match="empty"):
+            samples(observed, expected)
 
 
 class TestPairs:
@@ -364,6 +368,26 @@ def ks_statistic_reference(observed: np.ndarray, expected: np.ndarray) -> float:
 KS_VALUES = st.one_of(st.integers(0, 4).map(lambda q: q / 4), st.floats(0.0, 1.0))
 
 
+def permutation_pvalue_batched(
+    s: DistanceSamples, stat: float, n_permutations: int, batch: int
+) -> float:
+    """Permutation p-value with the permutations drawn and scored `batch` rows at a time."""
+    m = s.observed.size
+    pooled = np.sort(np.concatenate([s.observed, s.expected]))
+    ends = np.append(pooled[:-1] != pooled[1:], True)
+    positions = np.arange(1, pooled.size + 1)
+    rng = np.random.default_rng([s.seed, 0x4B53])
+    exceed = done = 0
+    while done < n_permutations:
+        rows = min(batch, n_permutations - done)
+        is_obs = np.argsort(rng.random((rows, pooled.size)), axis=1) < m
+        cum_obs = np.cumsum(is_obs, axis=1)
+        diffs = cum_obs / m - (positions - cum_obs) / (pooled.size - m)
+        exceed += int(np.sum(diffs[:, ends].max(axis=1) >= stat - 1e-12))
+        done += rows
+    return (1 + exceed) / (n_permutations + 1)
+
+
 class TestKs:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -418,10 +442,27 @@ class TestKs:
         exp = rng.integers(0, 40, 11_000) / 40
         s = samples(obs, exp, seed=9)
         result, peak_mb = traced_call(ks_measure, s, n_permutations=1000)
-        # 1,000 permutations of 12,100 values in one batch would peak near 400 MB
-        assert peak_mb < 128
-        # recorded with one 1000-row batch; smaller batches draw the same rows
+        # one permutation at a time holds a few arrays of 12,100 values, well under 1 MB;
+        # all 1,000 as one matrix would peak near 400 MB
+        assert peak_mb < 4
+        # recorded with one 1000-row batch; drawing one row at a time draws the same rows
         assert result.pvalue == 95 / 1001
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        observed=st.lists(KS_VALUES, min_size=1, max_size=40),
+        expected=st.lists(KS_VALUES, min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        n_permutations=st.integers(1, 60),
+        batch=st.integers(1, 80),
+    )
+    def test_permutation_pvalue_equals_batched_reference(
+        self, observed, expected, seed, n_permutations, batch
+    ):
+        s = samples(observed, expected, seed=seed)
+        result = ks_measure(s, n_permutations=n_permutations)
+        batched = permutation_pvalue_batched(s, result.statistic, n_permutations, batch)
+        assert result.pvalue == batched
 
     def test_permutation_handles_ties(self):
         rng = np.random.default_rng(8)
@@ -429,6 +470,38 @@ class TestKs:
         exp = rng.integers(0, 4, 35).astype(float) / 4
         r = ks_measure(samples(obs, exp, seed=3), n_permutations=500)
         assert 0.0 < r.pvalue <= 1.0
+
+
+# tied grid values, or spread values kept well clear of subnormals, where scaling is inexact
+SCALE_VALUES = st.one_of(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obs=st.lists(SCALE_VALUES, min_size=1, max_size=30),
+    # two distinct expected values keep Scott's bandwidth off its unscaled floor
+    exp=st.lists(SCALE_VALUES, min_size=2, max_size=30).filter(lambda v: len(set(v)) >= 2),
+    upper=st.sampled_from([None, 1.0, 2.5]),
+    bandwidth=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    p=st.floats(0.0, 1.0, exclude_min=True),
+    k=st.integers(-3, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_measures_are_unchanged_by_power_of_two_scaling(obs, exp, upper, bandwidth, p, k, seed):
+    def measures(c):
+        s = samples(np.array(obs) * c, np.array(exp) * c, seed=seed)
+        bounds = None if upper is None else (0.0, upper * c)
+        bw = None if bandwidth is None else bandwidth * c
+        return (
+            krippendorff_alpha(s),
+            sigma_measure(s, p, bounds, bw),
+            # the CDF values sigma counts, so a bandwidth change shows even when no count moves
+            kde_cdf(fit_kde(s.expected, bounds, bw), s.observed).tolist(),
+            ks_measure(s),
+            ks_measure(s, n_permutations=20),
+        )
+
+    assert measures(2.0**k) == measures(1.0)
 
 
 class TestHistogramsAndDiagnostics:
