@@ -175,7 +175,8 @@ def one_matrix_cdf_pdf(model: KdeModel, xs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 @pytest.mark.parametrize("bounds", [None, (0.0, 1.0), (0.0, 2.5)])
-def test_pointwise_sums_equal_one_matrix(bounds):
+@pytest.mark.parametrize("budget", [1, 7, 1000])
+def test_row_blocks_equal_one_matrix(bounds, budget):
     rng = np.random.default_rng(3)
     # rounded values give ties; queries fall inside, outside and on the support
     model = fit_kde(np.round(rng.uniform(0.0, 1.0, 40), 2), bounds=bounds)
@@ -183,6 +184,10 @@ def test_pointwise_sums_equal_one_matrix(bounds):
     cdf, pdf = one_matrix_cdf_pdf(model, xs)
     assert np.array_equal(kde_cdf(model, xs), cdf)
     assert np.array_equal(kde_pdf(model, xs), pdf)
+    # queries passed in blocks of `budget` points give the same values
+    blocks = [xs[i : i + budget] for i in range(0, xs.size, budget)]
+    assert np.array_equal(np.concatenate([kde_cdf(model, b) for b in blocks]), cdf)
+    assert np.array_equal(np.concatenate([kde_pdf(model, b) for b in blocks]), pdf)
 
 
 def test_array_evaluation_memory_is_bounded():
