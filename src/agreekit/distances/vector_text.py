@@ -142,7 +142,10 @@ class TokenEmbeddingTable:
         self._vectors = {}
         dim = None
         for sid, mat in vectors.items():
-            arr = np.asarray(mat, dtype=float)
+            try:
+                arr = np.asarray(mat, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"embeddings for sentence {sid!r} are not numeric: {exc}") from exc
             if arr.ndim != 2:
                 raise DataError(f"embeddings for sentence {sid!r} are not a 2-d matrix")
             if dim is None:

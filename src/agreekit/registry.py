@@ -119,7 +119,10 @@ def _tree(mode, params, meta, embeddings, objects):
 
 
 def _ranking(mode, params, meta, embeddings, objects):
-    return partial(ranking_distance, cfg=RankingConfig(mode=mode, k=int(params.get("k", 5))))
+    k = params.get("k", 5)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    return partial(ranking_distance, cfg=RankingConfig(mode=mode, k=k))
 
 
 @dataclass(frozen=True)

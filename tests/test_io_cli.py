@@ -283,6 +283,14 @@ class TestCliCompute:
         assert main(["compute", "--input", path, "--distance", distance, "--param", param]) == 2
         assert repr(distance) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["1.5", "true", "0", "-2"])
+    def test_tau_at_k_needs_a_positive_integer_k(self, ranking_file, tmp_path, capsys, k):
+        out = tmp_path / "r.json"
+        argv = ["compute", "--input", ranking_file, "--distance", "tau_at_k", "--param", f"k={k}"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "k must be an integer of at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_de_samples_is_usage_error(self, vector_file):
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "zero"]) == 2
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "0"]) == 2
@@ -388,6 +396,46 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert [(ln.split()[0], f"{float(ln.split()[1]):.4f}") for ln in lines[1:]] == [
         ("tau", "0.7430"), ("rho", "0.8798")
     ]
+
+
+# runs `agree` argv in a fresh interpreter; with "block" first, every scipy import raises
+AGREE_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from agreekit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_agree_runs_without_scipy(tmp_path):
+    demo = str(tmp_path / "demo.jsonl")
+    assert main([
+        "simulate", "--task", "ranking", "--items", "30", "--annotators", "3", "--noise", "0.25",
+        "--seed", "7", "--out", demo,
+    ]) == 0
+    for argv, figure in [
+        (["compute", "--input", demo, "--distance", "tau", "--seed", "7"], "alpha      : 0.7430"),
+        (["compare", "--input", demo, "--distances", "tau,rho,tau_at_k", "--param", "k=3", "--seed", "7"],
+         "1     rho                   0.8798"),
+    ]:
+        outputs = []
+        for mode in ("block", "allow"):
+            report = tmp_path / f"{argv[0]}-{mode}.json"
+            proc = run_python(AGREE_WITHOUT_SCIPY, mode, *argv, "--out", str(report))
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append((proc.stdout, report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert figure in outputs[0][0]
+    proc = run_python("import sys, agreekit.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -602,6 +650,14 @@ class TestCliEmbeddings:
         ]) == 0
         capsys.readouterr()
         assert calls["load_embeddings"] == 1
+
+    @pytest.mark.parametrize("via", ["--embeddings", "--param"])
+    def test_non_numeric_embeddings_are_data_error(self, tmp_path, capsys, via):
+        data, _ = token_files(tmp_path)
+        emb = write_lines(tmp_path / "bad.jsonl", [json.dumps({"sentence_id": "s", "vectors": [["a"]]})])
+        flag = [via, emb] if via == "--embeddings" else [via, f"embeddings={emb}"]
+        assert main(["compute", "--input", data, "--distance", "embedding_f1", *flag]) == 3
+        assert "embeddings for sentence 's' are not numeric" in capsys.readouterr().err
 
 
 def token_files(tmp_path):

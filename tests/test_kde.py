@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from agreekit.errors import DataError
-from agreekit.kde import KdeModel, fit_kde, kde_cdf, kde_pdf, scott_bandwidth
+from agreekit.kde import KdeModel, _ndtr_ascending, fit_kde, kde_cdf, kde_pdf, scott_bandwidth
 
 
 def test_scott_bandwidth():
@@ -152,6 +152,40 @@ def test_explicit_bandwidth_override():
     )  # symmetric support, symmetric bounds
 
 
+def test_ndtr_matches_scipy_within_exp_rounding():
+    rng = np.random.default_rng(0)
+    t = np.sort(np.concatenate([rng.uniform(-60.0, 60.0, 500_000), np.linspace(-40.0, 10.0, 500_001)]))
+    got, want = _ndtr_ascending(t), ndtr(t)
+    # the same Cephes operations; numpy's exp may round the last ulp differently from libm's
+    err = np.abs(got - want)
+    assert err.max() <= 2.3e-16
+    assert (err[want > 0] / want[want > 0]).max() <= 1e-14
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+@pytest.mark.parametrize("t", [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+    # branch edges: erf below |t| = 1, erfc's P/Q from sqrt(2), R/S from 8 sqrt(2);
+    # t * sqrt(1/2) is exactly 1 at the double below sqrt(2)
+    1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+    math.sqrt(2), -math.sqrt(2), 8 * math.sqrt(2), -8 * math.sqrt(2),
+    *(sign * k * math.nextafter(math.sqrt(2), 0.0) for sign in (1, -1) for k in (1, 8)),
+    # filled without evaluation: exactly 1 from 8.5, exactly 0 where erfc underflows
+    8.5, math.nextafter(8.5, 0.0), -38.0, math.nextafter(-38.0, 0.0),
+    -37.67712072049519, math.nextafter(-37.67712072049519, 0.0), -37.6,
+])
+def test_ndtr_is_exact_at_special_points(t):
+    assert np.array_equal(_ndtr_ascending(np.array([t])), [ndtr(t)], equal_nan=True)
+
+
+def package_ndtr(t: np.ndarray) -> np.ndarray:
+    """The package's ndtr at t in any order: one ascending pass, then scattered back."""
+    order = np.argsort(t, axis=None)
+    out = np.empty(t.size)
+    out[order] = _ndtr_ascending(t.ravel()[order])
+    return out.reshape(t.shape)
+
+
 def one_matrix_cdf_pdf(model: KdeModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """kde_cdf and kde_pdf at xs from one points x centers matrix per kernel."""
     centers = model.support
@@ -163,7 +197,7 @@ def one_matrix_cdf_pdf(model: KdeModel, xs: np.ndarray) -> tuple[np.ndarray, np.
         return kernel((t[:, None] - centers[None, :]) / model.bandwidth).sum(axis=1)
 
     def mass(t):
-        return sums(t, ndtr) / model.support.size
+        return sums(t, package_ndtr) / model.support.size
 
     n, h = model.support.size, model.bandwidth
     dens = sums(xs, lambda z: np.exp(-0.5 * z * z)) / (n * h * np.sqrt(2 * np.pi))
