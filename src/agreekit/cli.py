@@ -86,6 +86,8 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
         raise UsageError("--kde-bandwidth must be positive and finite")
     if args.exact_ks < 0:
         raise UsageError("--exact-ks must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     dataset = _load(args)
     summary = validate_dataset(dataset.records, dataset.meta)
     if summary.violations:
@@ -173,6 +175,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("--noise must lie in [0, 1]")
     if args.items < 1 or args.annotators < 2:
         raise UsageError("need --items >= 1 and --annotators >= 2")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     gold, meta = random_gold(args.task, args.items, args.seed)
     spec = NoiseSpec(
         task=args.task, level=args.noise, n_annotators=args.annotators, seed=args.seed
@@ -187,6 +191,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_metric(args: argparse.Namespace) -> int:
+    if args.sample_size < 1:
+        raise UsageError("--sample-size must be >= 1")
     dataset = _load(args)
     (spec,) = _specs(args, dataset, [args.distance])
     seen: list = []

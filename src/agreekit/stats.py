@@ -214,21 +214,27 @@ def sigma_measure(
     return bisect.bisect_left(obs, True, key=lambda x: kde_cdf(model, x) >= p) / obs.size
 
 
-def _tie_ends(pooled_sorted: np.ndarray) -> np.ndarray:
-    """Right ends of runs of tied values: the only places an ECDF gap can peak.
+def _run_ends(pooled_sorted: np.ndarray) -> np.ndarray:
+    """Each slot's tie-run end: the last slot holding the same value.
 
-    Which tied slots belong to which sample cannot matter there."""
-    ends = np.ones(pooled_sorted.size, dtype=bool)
-    ends[:-1] = pooled_sorted[:-1] != pooled_sorted[1:]
-    return ends
+    An ECDF gap can peak only at run ends, where which tied slots belong to
+    which sample cannot matter."""
+    ends = np.flatnonzero(np.append(pooled_sorted[:-1] != pooled_sorted[1:], True))
+    return np.repeat(ends, np.diff(ends, prepend=-1))
 
 
-def _ecdf_gap(is_obs: np.ndarray, ends: np.ndarray, m: int) -> float:
-    """Max ECDF_obs - ECDF_exp over sorted-pooled-sample labels (True = observed)."""
-    cum_obs = np.cumsum(is_obs)
-    positions = np.arange(1, is_obs.size + 1)
-    diffs = cum_obs / m - (positions - cum_obs) / (is_obs.size - m)
-    return float(diffs[ends].max())
+def _ecdf_gap(obs_slots: np.ndarray, run_end: np.ndarray, m: int, n: int) -> float:
+    """Max ECDF_obs - ECDF_exp over tie-run ends, given the ascending slots of
+    the m observed values in the sorted pooled sample.
+
+    Between observed slots the gap only falls, so it peaks at the run end of
+    an observed slot. At the run end of the i-th observed slot at least i + 1
+    observed values lie, exactly i + 1 for the last one in its run, and the
+    gap rises with that count, so m candidates give the maximum over all N
+    slots."""
+    count = np.arange(1, m + 1)
+    end = run_end[obs_slots]
+    return float((count / m - (end + 1 - count) / n).max())
 
 
 def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -236,7 +242,7 @@ def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
     m = np.asarray(observed).size
     pooled = np.concatenate([observed, expected]).astype(float)
     order = np.argsort(pooled, kind="stable")
-    return _ecdf_gap(order < m, _tie_ends(pooled[order]), m)
+    return _ecdf_gap(np.flatnonzero(order < m), _run_ends(pooled[order]), m, pooled.size - m)
 
 
 @dataclass(frozen=True)
@@ -264,14 +270,28 @@ def ks_measure(samples: DistanceSamples, n_permutations: int = 0) -> KsResult:
 
 
 def _permutation_pvalue(samples: DistanceSamples, stat: float, n_permutations: int) -> float:
-    m = samples.observed.size
-    pooled = np.sort(np.concatenate([samples.observed, samples.expected]))
-    ends = _tie_ends(pooled)
+    """(1 + permutations whose gap reaches stat) / (n_permutations + 1).
+
+    A permutation draws m + n uniforms; draw k's rank among them is the slot
+    it labels observed (k < m) or expected. Buckets floor(draw * m) keep that
+    order, so the observed draws through bucket j and the expected ones
+    before it cap the gap over bucket j's slots, and a permutation whose caps
+    all fall short is never ranked."""
+    m, n = samples.observed.size, samples.expected.size
+    run_end = _run_ends(np.sort(np.concatenate([samples.observed, samples.expected])))
     rng = np.random.default_rng([samples.seed, 0x4B53])
     exceed = 0
     for _ in range(n_permutations):
-        is_obs = np.argsort(rng.random(pooled.size)) < m
-        exceed += _ecdf_gap(is_obs, ends, m) >= stat - 1e-12
+        draws = rng.random(m + n)
+        bucket = (draws * m).astype(np.intp)  # < m: no draw exceeds 1 - 2**-53
+        obs_through = np.cumsum(np.bincount(bucket[:m], minlength=m))
+        exp_through = np.cumsum(np.bincount(bucket[m:], minlength=m))
+        exp_before = np.concatenate(([0], exp_through[:-1]))
+        if (obs_through / m - exp_before / n).max() < stat - 1e-12:
+            continue
+        # ranks of the observed draws; an expected draw equal to one ranks after it
+        obs_slots = np.arange(m) + np.searchsorted(np.sort(draws[m:]), np.sort(draws[:m]))
+        exceed += _ecdf_gap(obs_slots, run_end, m, n) >= stat - 1e-12
     return (1 + exceed) / (n_permutations + 1)
 
 

@@ -344,6 +344,18 @@ class TestCliMeasureFlags:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compute", "compare", "hist", "simulate"])
+    def test_negative_seed_is_usage_error(self, vector_file, tmp_path, capsys, command):
+        out = tmp_path / "r.out"
+        if command == "simulate":
+            argv = [command, "--task", "vector", "--items", "3"]
+        else:
+            distance = "--distances" if command == "compare" else "--distance"
+            argv = [command, "--input", vector_file, distance, "euclidean"]
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_of_one_is_accepted(self, vector_file, tmp_path):
         out = str(tmp_path / "r.json")
         assert main(["compute", "--input", vector_file, "--distance", "euclidean", "--p", "1", "--out", out]) == 0
@@ -603,6 +615,13 @@ class TestCliCheckMetric:
     def test_dissimilarity_note(self, ranking_file, capsys):
         assert main(["check-metric", "--input", ranking_file, "--distance", "tau_at_k", "--param", "k=3"]) == 0
         assert "dissimilarity" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_sample_size_below_one_is_usage_error(self, vector_file, capsys, size):
+        argv = ["check-metric", "--input", vector_file, "--distance", "euclidean", "--sample-size", size]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--sample-size" in captured.err and "ok" not in captured.out
 
     def test_negative_tolerance_fails_with_data_error(self, vector_file, capsys):
         assert main(["check-metric", "--input", vector_file, "--distance", "euclidean", "--tolerance", "-1"]) == 3

@@ -14,6 +14,7 @@ from agreekit.kde import fit_kde, kde_cdf
 from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import NumericVector
 from agreekit.registry import make_spec
+from agreekit import stats
 from agreekit.stats import (
     DistanceSamples,
     agreement_report,
@@ -29,6 +30,7 @@ from agreekit.stats import (
     observed_pairs,
     sigma_measure,
 )
+from agreekit.stats import _ecdf_gap, _permutation_pvalue, _run_ends
 
 from conftest import dataset_from_grid, uniform_random_vector_dataset
 
@@ -388,6 +390,35 @@ def permutation_pvalue_batched(
     return (1 + exceed) / (n_permutations + 1)
 
 
+def ecdf_gap_full_slots(is_obs: np.ndarray, pooled_sorted: np.ndarray) -> float:
+    """Max ECDF gap by the full-slot formula: a cumsum over all N labels, maxed over tie ends."""
+    m = int(is_obs.sum())
+    ends = np.append(pooled_sorted[:-1] != pooled_sorted[1:], True)
+    cum_obs = np.cumsum(is_obs)
+    positions = np.arange(1, is_obs.size + 1)
+    diffs = cum_obs / m - (positions - cum_obs) / (is_obs.size - m)
+    return float(diffs[ends].max())
+
+
+def permutation_maxima_reference(s: DistanceSamples, n_permutations: int) -> np.ndarray:
+    """Each permutation's gap, labelling slots by a full argsort of its uniform draws."""
+    m = s.observed.size
+    pooled = np.sort(np.concatenate([s.observed, s.expected]))
+    rng = np.random.default_rng([s.seed, 0x4B53])
+    return np.array([
+        ecdf_gap_full_slots(np.argsort(rng.random(pooled.size)) < m, pooled)
+        for _ in range(n_permutations)
+    ])
+
+
+def thresholds_around(maxima: np.ndarray) -> np.ndarray:
+    """Each maximum, the threshold whose 1e-12 slack lands on it, and both their neighbours."""
+    centres = np.concatenate([maxima, maxima + 1e-12])
+    return np.unique(np.concatenate([
+        centres, np.nextafter(centres, -np.inf), np.nextafter(centres, np.inf),
+    ]))
+
+
 class TestKs:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -463,6 +494,61 @@ class TestKs:
         result = ks_measure(s, n_permutations=n_permutations)
         batched = permutation_pvalue_batched(s, result.statistic, n_permutations, batch)
         assert result.pvalue == batched
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        observed=st.lists(KS_VALUES, min_size=1, max_size=40),
+        expected=st.lists(KS_VALUES, min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_gap_over_observed_run_ends_equals_full_slot_formula(self, observed, expected, data):
+        m, n = len(observed), len(expected)
+        pooled = np.sort(np.array(observed + expected))
+        is_obs = np.array(data.draw(st.permutations([True] * m + [False] * n)))
+        gap = _ecdf_gap(np.flatnonzero(is_obs), _run_ends(pooled), m, n)
+        assert gap == ecdf_gap_full_slots(is_obs, pooled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        observed=st.lists(KS_VALUES, min_size=1, max_size=30),
+        expected=st.lists(KS_VALUES, min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+        n_permutations=st.integers(1, 25),
+    )
+    def test_permutation_pvalue_equals_argsort_reference_at_every_threshold(
+        self, observed, expected, seed, n_permutations
+    ):
+        s = samples(observed, expected, seed=seed)
+        maxima = permutation_maxima_reference(s, n_permutations)
+        for t in thresholds_around(maxima):
+            expect = (1 + int(np.sum(maxima >= t - 1e-12))) / (n_permutations + 1)
+            assert _permutation_pvalue(s, t, n_permutations) == expect
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_bucket_bound_skips_only_permutations_that_cannot_reach(self, tied, monkeypatch):
+        rng = np.random.default_rng(11)
+        if tied:
+            obs, exp = rng.integers(0, 12, 40) / 12, rng.integers(0, 12, 200) / 12
+        else:
+            obs, exp = rng.random(40), rng.random(200) * 1.05
+        s = samples(obs, exp, seed=4)
+        maxima = permutation_maxima_reference(s, 80)
+        thresholds = thresholds_around(maxima)
+        scored = []
+        monkeypatch.setattr(stats, "_ecdf_gap", lambda *a: scored.append(1) or _ecdf_gap(*a))
+        for t in thresholds:
+            expect = (1 + int(np.sum(maxima >= t - 1e-12))) / 81
+            assert _permutation_pvalue(s, t, 80) == expect
+        # both branches ran: some permutations were scored, the others skipped unsorted
+        assert 0 < len(scored) < 80 * thresholds.size
+
+    def test_largest_uniform_draw_stays_in_the_last_bucket(self):
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1 - 2**-53
+        assert np.random.default_rng(0).random(10**6).max() <= top
+        m = np.concatenate([np.arange(1, 2_000_001), 2 ** np.arange(63)])
+        assert np.all(np.floor(top * m) < m)
+        assert np.all((top * m).astype(np.intp) < m)
 
     def test_permutation_handles_ties(self):
         rng = np.random.default_rng(8)
