@@ -6,6 +6,9 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import DataError
 from ..payloads import OrderedTree, Ranking
@@ -167,3 +170,116 @@ def ranking_distance(a: Ranking, b: Ranking, cfg: RankingConfig = RankingConfig(
     cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
     var = sum((x - mean) ** 2 for x in va)
     return (1.0 - cov / var) / 2.0
+
+
+def _inversions(y: np.ndarray) -> np.ndarray:
+    """Per row, the pairs i < j with y[i] > y[j], by a bottom-up merge sort.
+
+    Blocks of up to 16 are counted by direct comparison and sorted. Each
+    further level sorts blocks whose two halves are sorted; tagging a value
+    with its half keeps equal values left before right, so a right value is
+    inverted with exactly the left values after it."""
+    rows, n = y.shape
+    width = 1 << (n - 1).bit_length()
+    z = np.full((rows, width), y.max(initial=0), dtype=np.int32)  # equal padding adds no inversion
+    z[:, :n] = y
+    base = z.reshape(rows, -1, min(width, 16))
+    count = np.zeros(rows, dtype=np.int64)
+    for d in range(1, base.shape[2]):
+        count += (base[:, :, :-d] > base[:, :, d:]).sum(axis=(1, 2))
+    half = base.shape[2]
+    if half < width:
+        base.sort(axis=2)
+    while half < width:
+        keyed = (z.reshape(rows, -1, 2 * half) << 1) | np.repeat(np.array([0, 1], np.int32), half)
+        keyed.sort(axis=2)
+        right = keyed & 1
+        count += (right * (half - np.cumsum(1 - right, axis=2, dtype=np.int32))).sum(axis=(1, 2))
+        z = keyed >> 1
+        half *= 2
+    return count
+
+
+def _ranking_rows(
+    ranks: np.ndarray, ia: np.ndarray, ib: np.ndarray, cfg: RankingConfig
+) -> np.ndarray:
+    """ranking_distance for rows ia[t], ib[t] of one universe's rank matrix.
+
+    ranks[r, c] is ranking r's position of universe element c."""
+    n = ranks.shape[1]
+    if n < 2:
+        return np.zeros(ia.size)
+    order = np.argsort(ranks, axis=1)  # order[r, p]: the element ranking r puts at p
+    if cfg.mode == "rho":
+        y = ranks[ib[:, None], order[ia]]
+        # rank x sits 2x - (n - 1) half-steps from the mean, so four times the
+        # covariance and the variance are integers, and Python's float sums of
+        # the same terms are exact
+        centred = 2 * np.arange(n) - (n - 1)
+        cov = ((2 * y - (n - 1)) * centred).sum(axis=1) / 4
+        var = int((centred * centred).sum()) / 4
+        return (1.0 - cov / var) / 2.0
+
+    k = min(cfg.k, n) if cfg.mode == "tau_at_k" else n
+    top_a = order[ia, :k]
+    # b's ranks of a's top k in a's order, every rank from k on tied at k
+    first = np.minimum(ranks[ib[:, None], top_a], k)
+    if k < n:
+        in_a = ranks[ia[:, None], order[ib, :k]] < k
+        # b's top-k elements outside a's top k: a ties them at k after all of
+        # its own, so in (a, b) order they follow in b's order; elements of both
+        # prefixes are padded past every rank and count in no pair
+        rest = np.sort(np.where(in_a, k + 1, np.arange(k)), axis=1)
+        y = np.concatenate([first, rest], axis=1)
+        only_b = k - in_a.sum(axis=1)
+    else:
+        y, only_b = first, np.zeros(ia.size, dtype=np.intp)
+    only_a = (first == k).sum(axis=1)
+
+    # Knight's counts, as in _tau_b; no element is outside both prefixes, so
+    # no pair is tied in both
+    m = k + only_b
+    tot = m * (m - 1) // 2
+    tied_a = only_b * (only_b - 1) // 2
+    tied_b = only_a * (only_a - 1) // 2
+    con_minus_dis = tot - tied_a - tied_b - 2 * _inversions(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.clip(con_minus_dis / np.sqrt(tot - tied_a) / np.sqrt(tot - tied_b), -1.0, 1.0)
+    tau[(tied_a == tot) | (tied_b == tot)] = 0.0
+    tau[(first == np.arange(k)).all(axis=1)] = 1.0
+    dist = (1.0 - tau) / 2.0
+    dist[m < 2] = 0.0
+    return dist
+
+
+def ranking_batch(
+    payloads: Sequence[Ranking],
+    ia: np.ndarray,
+    ib: np.ndarray,
+    cfg: RankingConfig = RankingConfig(),
+) -> np.ndarray:
+    """ranking_distance(payloads[ia[t]], payloads[ib[t]], cfg) for every t, bit for bit.
+
+    Each payload's rank vector over its sorted universe is built once; pairs
+    gather them, and one vectorized pass per universe computes the same
+    integer counts and float expressions as ranking_distance.
+    """
+    universes: dict[tuple[str, ...], int] = {}
+    rank_rows, codes = [], []
+    for p in payloads:
+        rank = sorted(range(len(p.order)), key=p.order.__getitem__)
+        codes.append(universes.setdefault(tuple(map(p.order.__getitem__, rank)), len(universes)))
+        rank_rows.append(rank)
+    code = np.array(codes, dtype=np.intp)
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    if (code[ia] != code[ib]).any():
+        raise DataError("rankings are over different element universes")
+    out = np.empty(ia.size)
+    for u in np.unique(code[ia]):
+        members = np.flatnonzero(code == u)
+        local = np.empty(code.size, dtype=np.intp)
+        local[members] = np.arange(members.size)
+        pairs = np.flatnonzero(code[ia] == u)
+        ranks = np.array([rank_rows[r] for r in members], dtype=np.intp)
+        out[pairs] = _ranking_rows(ranks, local[ia[pairs]], local[ib[pairs]], cfg)
+    return out

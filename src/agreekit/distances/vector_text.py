@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,44 @@ def vector_distance(
             acc += ((x - y) / width) ** 2
         return math.sqrt(acc / len(va))
     raise DataError(f"unknown vector distance mode {mode!r}")
+
+
+def vector_batch(
+    payloads: Sequence[NumericVector],
+    ia: np.ndarray,
+    ib: np.ndarray,
+    mode: str,
+    ranges: Optional[Ranges] = None,
+) -> np.ndarray:
+    """vector_distance(payloads[ia[t]], payloads[ib[t]], mode, ranges) for every t, bit for bit.
+
+    The vectors are stacked into one zero-padded matrix. Euclidean sums its
+    terms one dimension at a time, left to right, as vector_distance does, and
+    squares each term with Python's float power, which the platform's pow may
+    round differently from x * x.
+    """
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    lengths = np.array([len(p.values) for p in payloads], dtype=np.intp)
+    widths = np.array([float(hi) - float(lo) for lo, hi in ranges or ()])
+    bad = lengths[ia] != lengths[ib]
+    if mode != "binary":
+        bad |= (mode != "euclidean") | (ranges is None) | (widths <= 0).any()
+        bad |= lengths[ia] != widths.size
+    if bad.any():
+        t = int(np.argmax(bad))  # the first pair vector_distance rejects; it raises its error
+        vector_distance(payloads[ia[t]], payloads[ib[t]], mode, ranges)
+    values = np.zeros((len(payloads), lengths.max(initial=0)))
+    for row, p in enumerate(payloads):
+        values[row, : len(p.values)] = p.values
+    a, b = values[ia], values[ib]
+    if mode == "binary":
+        return (a != b).sum(axis=1) / lengths[ia]
+    terms = (a[:, : widths.size] - b[:, : widths.size]) / widths
+    squares = np.fromiter(map(pow, terms.ravel().tolist(), repeat(2)), float, terms.size)
+    acc = np.zeros(ia.size)
+    for column in squares.reshape(terms.shape).T:
+        acc += column
+    return np.sqrt(acc / widths.size)
 
 
 def levenshtein_raw(a: Sequence[str], b: Sequence[str]) -> int:

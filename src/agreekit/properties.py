@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +52,9 @@ def check_metric_properties(
     Violations are reported as payload indices. The dissimilarity flag does
     not change what is checked, only how callers interpret triangle failures.
     """
-    if tolerance < 0:
-        raise DataError("tolerance must be nonnegative")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        # NaN would fail every comparison below and so pass every check
+        raise DataError("tolerance must be finite and nonnegative")
     sample = list(sample)
     n = len(sample)
     if n == 0:
@@ -64,10 +66,8 @@ def check_metric_properties(
                 f"distance expects {spec.payload_kind!r}"
             )
 
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            d[i, j] = spec.fn(sample[i], sample[j])
+    first, second = np.divmod(np.arange(n * n), n)  # every ordered pair, row by row
+    d = spec.batch(sample, first, second).reshape(n, n)
 
     nonneg = [(i, j) for i in range(n) for j in range(n) if d[i, j] < -tolerance]
     symmetry = [

@@ -12,15 +12,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .distances.geometry import GeometryConfig, box_distance, keypoint_distance
 from .distances.multiobject import count_diff, multi_object_distance, ner_distance
-from .distances.structured import RankingConfig, TedConfig, ranking_distance, tree_distance
-from .distances.vector_text import TokenEmbeddingTable, translation_distance, vector_distance
+from .distances.structured import (
+    RankingConfig,
+    TedConfig,
+    ranking_batch,
+    ranking_distance,
+    tree_distance,
+)
+from .distances.vector_text import (
+    TokenEmbeddingTable,
+    translation_distance,
+    vector_batch,
+    vector_distance,
+)
 from .errors import UsageError
 
 PairFn = Callable[[object, object], float]
+# kernel(payloads, ia, ib) -> distances of the pairs (payloads[ia[t]], payloads[ib[t]])
+BatchFn = Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -33,9 +48,19 @@ class DistanceSpec:
     fn: PairFn = field(compare=False, repr=False)
     dissimilarity: bool = False
     upper_bound: Optional[float] = 1.0
+    # a vectorized batch equal to fn on every pair; None loops over fn
+    kernel: Optional[BatchFn] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
+
+    def batch(self, payloads: Sequence, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Distances of the pairs (payloads[ia[t]], payloads[ib[t]]), in order, as floats."""
+        if self.kernel is not None:
+            return self.kernel(payloads, ia, ib)
+        fn = self.fn
+        pairs = zip(np.asarray(ia).tolist(), np.asarray(ib).tolist())
+        return np.array([fn(payloads[i], payloads[j]) for i, j in pairs], dtype=float)
 
 
 def _bool_param(params: Mapping, key: str, default: bool) -> bool:
@@ -45,21 +70,21 @@ def _bool_param(params: Mapping, key: str, default: bool) -> bool:
     return val
 
 
-# Builders, one per distance family: build(mode, params, meta, embeddings, objects) -> PairFn.
-# `objects` reads the object tuple of a set-valued payload and is None for other kinds.
+# Builders, one per distance family: build(mode, params, meta, embeddings, objects) ->
+# (PairFn, BatchFn or None). `objects` reads the object tuple of a set-valued payload and
+# is None for other kinds.
 
 
 def _vector(mode, params, meta, embeddings, objects):
-    if mode == "binary":
-        return partial(vector_distance, mode=mode)
-    ranges = params.get("ranges", meta.get("ranges"))
+    ranges = None if mode == "binary" else params.get("ranges", meta.get("ranges"))
     if ranges is not None:
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-    return partial(vector_distance, mode=mode, ranges=ranges)
+    return (partial(vector_distance, mode=mode, ranges=ranges),
+            partial(vector_batch, mode=mode, ranges=ranges))
 
 
 def _tokens(mode, params, meta, embeddings, objects):
-    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False))
+    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False)), None
 
 
 def _embedding(mode, params, meta, embeddings, objects):
@@ -76,7 +101,7 @@ def _embedding(mode, params, meta, embeddings, objects):
         )
     if not isinstance(table, TokenEmbeddingTable):
         table = TokenEmbeddingTable(table)
-    return partial(translation_distance, mode=mode, embeddings=table)
+    return partial(translation_distance, mode=mode, embeddings=table), None
 
 
 def _lift(single: PairFn, objects: Callable) -> PairFn:
@@ -88,7 +113,7 @@ def _lift(single: PairFn, objects: Callable) -> PairFn:
 
 def _box(mode, params, meta, embeddings, objects):
     cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects)
+    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects), None
 
 
 def _keypoints(mode, params, meta, embeddings, objects):
@@ -97,7 +122,7 @@ def _keypoints(mode, params, meta, embeddings, objects):
         for key in ("scale_default", "k_default"):
             value = params.get(key, meta.get("oks_" + key))
             defaults[key] = None if value is None else float(value)
-    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects)
+    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects), None
 
 
 def _count(mode, params, meta, embeddings, objects):
@@ -106,23 +131,24 @@ def _count(mode, params, meta, embeddings, objects):
     def fn(a, b):
         return count_diff(objects(a), objects(b), normalize)
 
-    return fn
+    return fn, None
 
 
 def _ner(mode, params, meta, embeddings, objects):
     range_strict, tag_strict = mode
-    return partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict)
+    return partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict), None
 
 
 def _tree(mode, params, meta, embeddings, objects):
-    return partial(tree_distance, cfg=TedConfig(variant=mode))
+    return partial(tree_distance, cfg=TedConfig(variant=mode)), None
 
 
 def _ranking(mode, params, meta, embeddings, objects):
     k = params.get("k", 5)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    return partial(ranking_distance, cfg=RankingConfig(mode=mode, k=k))
+    cfg = RankingConfig(mode=mode, k=k)
+    return partial(ranking_distance, cfg=cfg), partial(ranking_batch, cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -248,7 +274,7 @@ def make_spec(
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
     try:
-        fn = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+        fn, kernel = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
@@ -262,4 +288,5 @@ def make_spec(
         fn=fn,
         dissimilarity=dissimilarity,
         upper_bound=upper_bound,
+        kernel=kernel,
     )

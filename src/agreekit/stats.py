@@ -19,7 +19,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,16 +51,33 @@ class DistanceSamples:
                 raise DataError(f"{name} distances contain negative values")
 
 
-def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
-    """All unordered same-item pairs from distinct annotators, in canonical order."""
-    pairs = [
-        pair
-        for _, group in itertools.groupby(dataset.records, key=attrgetter("item_id"))
-        for pair in itertools.combinations(group, 2)
-    ]
+@dataclass(frozen=True)
+class PairPlan:
+    """Observed and sampled expected pairs as (ia, ib) index arrays into dataset.records."""
+
+    observed: tuple[np.ndarray, np.ndarray]
+    expected: tuple[np.ndarray, np.ndarray]
+    available: int  # cross-item pairs the expected ones were sampled from
+
+
+def _record_pairs(dataset: Dataset, ia: np.ndarray, ib: np.ndarray) -> list:
+    records = dataset.records
+    return [(records[i], records[j]) for i, j in zip(ia.tolist(), ib.tolist())]
+
+
+def _observed_indices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    records = dataset.records
+    groups = itertools.groupby(range(len(records)), key=lambda i: records[i].item_id)
+    pairs = [pair for _, group in groups for pair in itertools.combinations(group, 2)]
     if not pairs:
         raise DataError("no observed pairs: no item has two or more annotations")
-    return pairs
+    ia, ib = np.array(pairs, dtype=np.intp).T
+    return ia, ib
+
+
+def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
+    """All unordered same-item pairs from distinct annotators, in canonical order."""
+    return _record_pairs(dataset, *_observed_indices(dataset))
 
 
 def _pairs_within(groups: Counter) -> int:
@@ -85,20 +101,9 @@ def _codes(values: list[str]) -> np.ndarray:
     return np.unique(np.array(values, dtype=object), return_inverse=True)[1]
 
 
-def expected_pairs(
-    dataset: Dataset,
-    sample_size: int,
-    seed: int,
-    exclude_same_annotator: bool = False,
-) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
-    """Uniform sample, without replacement, of cross-item annotation pairs.
-
-    Returns every available pair when sample_size covers them all. The result
-    is deterministic given the seed and sorted canonically. Up to 2,000,000
-    candidate pairs the admissible ones are enumerated and a sample chosen
-    from them; above that, candidates are rejection-sampled, which draws a
-    different sample for the same seed.
-    """
+def _expected_indices(
+    dataset: Dataset, sample_size: int, seed: int, exclude_same_annotator: bool
+) -> tuple[np.ndarray, np.ndarray]:
     records = dataset.records
     n = len(records)
     if len({r.item_id for r in records}) < 2:
@@ -127,7 +132,6 @@ def expected_pairs(
         if want < available:
             chosen = np.sort(rng.choice(first.size, size=want, replace=False))
             first, second = first[chosen], second[chosen]
-        idx_pairs = zip(first.tolist(), second.tolist())
     else:
         # rejection-sample linear indices of the i<j triangle; dataset is too
         # large to enumerate all pairs in memory
@@ -146,32 +150,49 @@ def expected_pairs(
                     out.append((j, i))
                     if len(out) >= want:
                         break
-        idx_pairs = sorted(out)
-    return [(records[i], records[j]) for i, j in idx_pairs]
+        first, second = np.array(sorted(out), dtype=np.intp).reshape(-1, 2).T
+    return first, second
+
+
+def expected_pairs(
+    dataset: Dataset,
+    sample_size: int,
+    seed: int,
+    exclude_same_annotator: bool = False,
+) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
+    """Uniform sample, without replacement, of cross-item annotation pairs.
+
+    Returns every available pair when sample_size covers them all. The result
+    is deterministic given the seed and sorted canonically. Up to 2,000,000
+    candidate pairs the admissible ones are enumerated and a sample chosen
+    from them; above that, candidates are rejection-sampled, which draws a
+    different sample for the same seed.
+    """
+    return _record_pairs(
+        dataset, *_expected_indices(dataset, sample_size, seed, exclude_same_annotator)
+    )
 
 
 def _plan_pairs(
     dataset: Dataset, de_sample_size: Optional[int], seed: int, exclude_same_annotator: bool
-) -> tuple[list, list, int]:
+) -> PairPlan:
     """Observed pairs, sampled expected pairs and the number of cross-item pairs."""
-    obs_pairs = observed_pairs(dataset)
+    observed = _observed_indices(dataset)
     available = count_expected_pairs(dataset, exclude_same_annotator)
     if de_sample_size is None:
-        de_sample_size = min(10 * len(obs_pairs), available)
-    exp_pairs = expected_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
-    return obs_pairs, exp_pairs, available
+        de_sample_size = min(10 * observed[0].size, available)
+    expected = _expected_indices(dataset, de_sample_size, seed, exclude_same_annotator)
+    return PairPlan(observed=observed, expected=expected, available=available)
 
 
-def _evaluate(spec: DistanceSpec, plan: tuple[list, list, int], seed: int) -> DistanceSamples:
-    obs_pairs, exp_pairs, available = plan
-    observed = np.array([spec.fn(a.payload, b.payload) for a, b in obs_pairs])
-    expected = np.array([spec.fn(a.payload, b.payload) for a, b in exp_pairs])
+def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -> DistanceSamples:
+    payloads = dataset.payloads()
     return DistanceSamples(
-        observed=observed,
-        expected=expected,
+        observed=spec.batch(payloads, *plan.observed),
+        expected=spec.batch(payloads, *plan.expected),
         distance_name=spec.name,
         seed=seed,
-        pair_counts=(len(obs_pairs), available),
+        pair_counts=(plan.observed[0].size, plan.available),
     )
 
 
@@ -187,7 +208,8 @@ def build_samples(
     de_sample_size defaults to min(10 * observed pairs, all available) so the
     chance estimate's sampling error stays small relative to the observed side.
     """
-    return _evaluate(spec, _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator), seed)
+    plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    return _evaluate(spec, dataset, plan, seed)
 
 
 def krippendorff_alpha(samples: DistanceSamples) -> float:
@@ -416,7 +438,7 @@ def agreement_reports(
     plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
     reports = []
     for spec in specs:
-        samples = _evaluate(spec, plan, seed)
+        samples = _evaluate(spec, dataset, plan, seed)
         bounds = (0.0, spec.upper_bound) if spec.upper_bound is not None else None
         alpha = krippendorff_alpha(samples)
         sigma = sigma_measure(samples, p=p, bounds=bounds, bandwidth=bandwidth)

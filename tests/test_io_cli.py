@@ -551,14 +551,14 @@ class TestCliCompare:
 
         calls = Counter()
         for module, name in ((cli, "validate_dataset"), (stats, "validate_dataset"),
-                             (stats, "expected_pairs")):
+                             (stats, "_observed_indices"), (stats, "_expected_indices")):
             count_calls(monkeypatch, calls, module, name)
         assert main([
             "compare", "--input", ranking_file, "--distances", "tau,rho,tau_at_k",
             "--param", "k=3",
         ]) == 0
         capsys.readouterr()
-        assert calls == {"validate_dataset": 2, "expected_pairs": 1}
+        assert calls == {"validate_dataset": 2, "_observed_indices": 1, "_expected_indices": 1}
 
 
 class TestCliHist:
@@ -623,9 +623,11 @@ class TestCliCheckMetric:
         captured = capsys.readouterr()
         assert "--sample-size" in captured.err and "ok" not in captured.out
 
-    def test_negative_tolerance_fails_with_data_error(self, vector_file, capsys):
-        assert main(["check-metric", "--input", vector_file, "--distance", "euclidean", "--tolerance", "-1"]) == 3
-        capsys.readouterr()
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_negative_tolerance_fails_with_data_error(self, vector_file, capsys, tolerance):
+        argv = ["check-metric", "--input", vector_file, "--distance", "euclidean", "--tolerance", tolerance]
+        assert main(argv) == 3
+        assert "ok" not in capsys.readouterr().out
 
 
 class TestCliEmbeddings:

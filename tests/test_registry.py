@@ -1,8 +1,12 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agreekit.errors import DataError, UsageError
+from agreekit.noise import TASKS, NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import (
     Box,
     BoxSet,
@@ -209,3 +213,30 @@ def test_box_l2_scale_param():
     a = BoxSet(boxes=(Box(0.0, 0.0, 2.0, 2.0),))
     b = BoxSet(boxes=(Box(3.0, 4.0, 5.0, 6.0),))
     assert near.fn(a, b) == pytest.approx(far.fn(a, b) * 20.0 / 100.0)
+
+
+SIMULATED_ENTRIES = [
+    (name, kind) for name in registry_names() for kind in supported_kinds(name) if kind in TASKS
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    items=st.integers(1, 6),
+    level=st.sampled_from([0.0, 0.25, 1.0]),
+    k=st.integers(1, 12),
+)
+def test_batch_equals_loop_for_every_simulated_entry(seed, items, level, k):
+    rng = np.random.default_rng(seed)
+    for task in TASKS:
+        gold, meta = random_gold(task, items, seed)
+        payloads = generate_cst_dataset(gold, NoiseSpec(task, level, 3, seed), meta).payloads()
+        ia, ib = rng.integers(0, len(payloads), (2, 40))
+        for name, kind in SIMULATED_ENTRIES:
+            if kind != task:
+                continue
+            spec = make_spec(name, kind, params={"k": k} if "k" in accepted_params(name) else {},
+                             meta=meta)
+            loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+            assert np.array_equal(spec.batch(payloads, ia, ib), loop), name

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau, spearmanr
 
 from agreekit.distances.structured import (
     RankingConfig,
     TedConfig,
+    ranking_batch,
     ranking_distance,
     tree_distance,
     tree_edit_distance,
@@ -211,3 +212,44 @@ def test_ranking_distance_equals_scipy_reference(orders):
         for k in range(1, n + 1):
             got = ranking_distance(rank(*x), rank(*y), RankingConfig(mode="tau_at_k", k=k))
             assert got == scipy_tau_distance(*reference_rank_vectors(x, y, k))
+
+
+@st.composite
+def ranking_batches(draw):
+    """Rankings over one universe of 1 to 40 elements, some repeated, and pairs of them.
+
+    Past 16 elements, or k > 8 for tau_at_k, the inversion count merges sorted blocks."""
+    universe = [f"e{i}" for i in range(draw(st.integers(1, 40)))]
+    orders = draw(st.lists(st.permutations(universe), min_size=1, max_size=6))
+    orders += orders[: draw(st.integers(0, len(orders)))]
+    index = st.integers(0, len(orders) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=30))
+    return [rank(*order) for order in orders], pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=ranking_batches(), k=st.integers(1, 11))
+@example(batch=([rank("e0")], [(0, 0)]), k=1)  # a one-element universe
+@example(batch=([rank("a", "b", "c"), rank("a", "b", "c"), rank("b", "a", "c")],
+                [(0, 1), (0, 2), (2, 0), (1, 1)]), k=1)  # identical rankings; k = 1
+@example(batch=([rank("a", "b", "c"), rank("c", "a", "b")], [(0, 1), (1, 0)]), k=5)  # k > n
+@example(batch=([rank(*"abcdef"), rank(*"fbdcea")], [(0, 1), (1, 0)]), k=2)  # tied tails
+def test_ranking_batch_equals_loop(batch, k):
+    payloads, pairs = batch
+    ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", k)):
+        loop = np.array([ranking_distance(payloads[i], payloads[j], cfg) for i, j in pairs])
+        assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop), cfg
+
+
+def test_ranking_batch_scores_each_universe_and_rejects_pairs_across_them():
+    payloads = [rank("a", "b", "c"), rank("x", "y"), rank("c", "b", "a"), rank("y", "x")]
+    ia, ib = np.array([0, 1, 2, 3]), np.array([2, 3, 2, 1])
+    for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", 1)):
+        loop = [ranking_distance(payloads[i], payloads[j], cfg) for i, j in zip(ia, ib)]
+        assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop)
+        with pytest.raises(DataError) as scalar:
+            ranking_distance(payloads[0], payloads[1], cfg)
+        with pytest.raises(DataError) as batched:
+            ranking_batch(payloads, np.array([0, 0]), np.array([2, 1]), cfg)
+        assert str(batched.value) == str(scalar.value)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from agreekit.distances.vector_text import (
     TokenEmbeddingTable,
     levenshtein_raw,
     translation_distance,
+    vector_batch,
     vector_distance,
 )
 from agreekit.errors import DataError
@@ -149,3 +151,30 @@ def test_embedding_lookup_errors_name_the_gap():
 def test_embedding_dimension_mismatch_rejected():
     with pytest.raises(DataError):
         TokenEmbeddingTable({"s1": [[1.0, 0.0]], "s2": [[1.0, 0.0, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "payloads, mode, ranges",
+    [
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3)], "binary", None),  # second pair: lengths
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3)], "euclidean", UNIT[:2]),
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", None),
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", UNIT[:3]),
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", [(0.0, 1.0), (2.0, 2.0)]),
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "manhattan", None),
+    ],
+)
+def test_vector_batch_raises_what_the_loop_raises(payloads, mode, ranges):
+    ia, ib = np.array([0, 1]), np.array([1, 2])
+    with pytest.raises(DataError) as loop:
+        [vector_distance(payloads[i], payloads[j], mode, ranges) for i, j in zip(ia, ib)]
+    with pytest.raises(DataError) as batched:
+        vector_batch(payloads, ia, ib, mode, ranges)
+    assert str(batched.value) == str(loop.value)
+
+
+def test_vector_batch_pads_vectors_of_other_lengths():
+    payloads = [vec(0.1, 0.2, 0.7), vec(0.3), vec(0.1, 0.5, 0.7), vec(0.3)]
+    ia, ib = np.array([0, 1, 2]), np.array([2, 3, 0])
+    loop = [vector_distance(payloads[i], payloads[j], "binary") for i, j in zip(ia, ib)]
+    assert np.array_equal(vector_batch(payloads, ia, ib, "binary"), loop)
