@@ -17,7 +17,13 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .distances.geometry import GeometryConfig, box_distance, keypoint_distance
-from .distances.multiobject import count_diff, multi_object_distance, ner_distance
+from .distances.multiobject import (
+    count_diff,
+    count_diff_batch,
+    multi_object_distance,
+    ner_batch,
+    ner_distance,
+)
 from .distances.structured import (
     RankingConfig,
     TedConfig,
@@ -131,12 +137,13 @@ def _count(mode, params, meta, embeddings, objects):
     def fn(a, b):
         return count_diff(objects(a), objects(b), normalize)
 
-    return fn, None
+    return fn, partial(count_diff_batch, objects=objects, normalize=normalize)
 
 
 def _ner(mode, params, meta, embeddings, objects):
     range_strict, tag_strict = mode
-    return partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict), None
+    return (partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict),
+            partial(ner_batch, range_strict=range_strict, tag_strict=tag_strict))
 
 
 def _tree(mode, params, meta, embeddings, objects):

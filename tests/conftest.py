@@ -193,6 +193,47 @@ def tau_distance_oracle(a_order, b_order) -> float:
     return (1.0 - tau) / 2.0
 
 
+def _covered_fraction(span, others, tag_strict: bool) -> float:
+    """Fraction of span's tokens covered by the union of matching spans in `others`."""
+    tokens = set(span.tokens())
+    covered: set[int] = set()
+    for other in others:
+        if tag_strict and other.tag != span.tag:
+            continue
+        covered.update(t for t in other.tokens() if t in tokens)
+    return len(covered) / len(tokens)
+
+
+def _exact_range_credit(span, others, tag_strict: bool) -> float:
+    credit = 0
+    for other in others:
+        if (other.start, other.end) != (span.start, span.end):
+            continue
+        if tag_strict and other.tag != span.tag:
+            continue
+        credit += 1
+    # a span can match several same-range spans of the other set; cap its credit
+    return min(1, credit)
+
+
+def ner_distance_oracle(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool) -> float:
+    """ner_distance by token sets, one span of one set against all spans of the other."""
+    if not a.spans and not b.spans:
+        return 0.0
+    if not a.spans or not b.spans:
+        return 1.0
+    credit = _exact_range_credit if range_strict else _covered_fraction
+
+    def directional(x: SpanSet, y: SpanSet) -> float:
+        return sum(credit(s, y.spans, tag_strict) for s in x.spans) / len(x.spans)
+
+    s_ab = directional(a, b)
+    s_ba = directional(b, a)
+    if s_ab + s_ba == 0:
+        return 1.0
+    return 1.0 - 2.0 * s_ab * s_ba / (s_ab + s_ba)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

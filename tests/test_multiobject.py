@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agreekit.distances.geometry import box_distance
 from agreekit.distances.multiobject import (
@@ -10,8 +12,16 @@ from agreekit.distances.multiobject import (
     ner_distance,
 )
 from agreekit.payloads import Box, Span, SpanSet
+from agreekit.registry import make_spec
 
-from conftest import make_boxset
+from conftest import make_boxset, ner_distance_oracle
+
+NER_ENTRIES = {
+    "ner_both_lenient": (False, False),
+    "ner_strict_tag": (False, True),
+    "ner_strict_range": (True, False),
+    "ner_both_strict": (True, True),
+}
 
 
 def iou(a, b):
@@ -141,3 +151,55 @@ def test_ner_symmetry_randomized(rng):
                 assert dab == pytest.approx(dba, abs=1e-12)
                 assert 0.0 <= dab <= 1.0
                 assert ner_distance(a, a, strict_range, strict_tag) == 0.0
+
+
+# ranges up to token 200, so masks run past 64 bits
+span_ranges = st.integers(0, 199).flatmap(
+    lambda start: st.tuples(st.just(start), st.integers(start + 1, min(start + 12, 200)))
+)
+
+
+@st.composite
+def span_set_lists(draw):
+    """2-5 SpanSets of 0-6 spans over 1-3 tags; ranges recur across sets and tags."""
+    tags = ("PER", "ORG", "LOC")[: draw(st.integers(1, 3))]
+    shared = draw(st.lists(span_ranges, min_size=1, max_size=4))
+    spans = st.tuples(st.sampled_from(shared) | span_ranges, st.sampled_from(tags))
+    sets = draw(st.lists(st.lists(spans, max_size=6), min_size=2, max_size=5))
+    return [SpanSet(spans=tuple(Span(s, e, t) for (s, e), t in x)) for x in sets]
+
+
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    ia, ib = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return ia.ravel(), ib.ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads=span_set_lists())
+def test_ner_batch_equals_set_oracle(payloads):
+    ia, ib = _all_pairs(len(payloads))
+    for name, (range_strict, tag_strict) in NER_ENTRIES.items():
+        want = np.array([ner_distance_oracle(payloads[i], payloads[j], range_strict, tag_strict)
+                         for i, j in zip(ia, ib)])
+        spec = make_spec(name, "spans")
+        assert np.array_equal(spec.batch(payloads, ia, ib), want), name
+        assert np.array_equal([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)], want)
+    for normalize in (True, False):
+        spec = make_spec("count_diff", "spans", params={"normalize": normalize})
+        loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+        assert np.array_equal(spec.batch(payloads, ia, ib), loop)
+
+
+@pytest.mark.parametrize("name", sorted(NER_ENTRIES))
+def test_ner_batch_edge_rules(name):
+    empty = spanset()
+    a = spanset((0, 3, "PER"), (70, 90, "PER"))
+    disjoint = spanset((10, 12, "LOC"), (100, 130, "ORG"))
+    # same ranges as a, other tags: no overlap once tags must agree
+    retagged = spanset((0, 3, "ORG"), (70, 90, "LOC"))
+    payloads = [empty, a, disjoint, retagged]
+    ia = np.array([0, 0, 1, 1, 1])
+    ib = np.array([0, 1, 0, 2, 3])
+    _, tag_strict = NER_ENTRIES[name]
+    got = make_spec(name, "spans").batch(payloads, ia, ib)
+    assert got.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0 if tag_strict else 0.0]

@@ -26,6 +26,9 @@ from agreekit.registry import (
     supported_kinds,
 )
 
+from conftest import make_payloads
+from test_registry_goldens import _keypoints_dataset, _tokens_dataset, _tree_dataset
+
 ALL_NAMES = [
     "bbox_iou",
     "binary",
@@ -240,3 +243,56 @@ def test_batch_equals_loop_for_every_simulated_entry(seed, items, level, k):
                              meta=meta)
             loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
             assert np.array_equal(spec.batch(payloads, ia, ib), loop), name
+
+
+# the parameter values that switch an entry to another formula
+PARAM_VARIANTS = {"raw": True, "normalize": False}
+
+
+def _generated_payloads(seed: int) -> dict[str, tuple[list, dict, object]]:
+    """kind -> (payloads, meta, embeddings) for the kinds the simulator does not make.
+
+    Boxes and keypoints add empty sets and zero-area objects (a point and a line box,
+    keypoints on one spot) to the seeded payloads.
+    """
+    tokens, table = _tokens_dataset(seed)
+    keypoints = _keypoints_dataset(seed)
+    on_one_spot = KeypointObject(points=((4.0, 4.0),) * 3, scale=10.0,
+                                 per_point_constant=(1.0, 1.0, 1.0))
+    point, line = Box(3.0, 3.0, 3.0, 3.0), Box(1.0, 2.0, 6.0, 2.0)
+    boxes = make_payloads("boxes", 20, seed) + [
+        BoxSet(boxes=()),
+        BoxSet(boxes=(point,)),
+        BoxSet(boxes=(point, line)),
+        BoxSet(boxes=(line, Box(0.0, 0.0, 5.0, 5.0))),
+    ]
+    return {
+        "tokens": (list(tokens.payloads()), tokens.meta, table),
+        "tree": (list(_tree_dataset(seed).payloads()), {}, None),
+        "keypoints": (list(keypoints.payloads()) + [
+            KeypointSet(objects=()),
+            KeypointSet(objects=(on_one_spot,)),
+        ], keypoints.meta, None),
+        "boxes": (boxes, {}, None),
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_batch_equals_loop_for_every_generated_entry(seed):
+    rng = np.random.default_rng(seed)
+    for kind, (payloads, meta, table) in _generated_payloads(seed).items():
+        n = len(payloads)
+        # random pairs, then every pair among the last four payloads, which hold the added ones
+        last = np.arange(n - 4, n)
+        ia = np.concatenate([rng.integers(0, n, 40), np.repeat(last, 4)])
+        ib = np.concatenate([rng.integers(0, n, 40), np.tile(last, 4)])
+        for name in registry_names():
+            if kind not in supported_kinds(name):
+                continue
+            variants = [{}] + [{key: value} for key, value in PARAM_VARIANTS.items()
+                               if key in accepted_params(name)]
+            for params in variants:
+                spec = make_spec(name, kind, params=params, meta=meta, embeddings=table)
+                loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+                assert np.array_equal(spec.batch(payloads, ia, ib), loop), (name, params)

@@ -69,8 +69,8 @@ def _records(labels_by_item: list[list]) -> Dataset:
     return Dataset(records=tuple(records))
 
 
-def _tokens_dataset() -> tuple[Dataset, dict]:
-    rng = np.random.default_rng([SEED, 1])
+def _tokens_dataset(seed: int = SEED) -> tuple[Dataset, dict]:
+    rng = np.random.default_rng([seed, 1])
     items = []
     table = {}
     for i in range(ITEMS):
@@ -101,8 +101,8 @@ def _perturbed_tree(tree: OrderedTree, rng: np.random.Generator) -> OrderedTree:
     return OrderedTree(label=label, children=children)
 
 
-def _tree_dataset() -> Dataset:
-    rng = np.random.default_rng([SEED, 2])
+def _tree_dataset(seed: int = SEED) -> Dataset:
+    rng = np.random.default_rng([seed, 2])
     items = []
     for _ in range(ITEMS):
         gold = _tree(rng, 3)
@@ -110,8 +110,8 @@ def _tree_dataset() -> Dataset:
     return _records(items)
 
 
-def _keypoints_dataset() -> Dataset:
-    rng = np.random.default_rng([SEED, 3])
+def _keypoints_dataset(seed: int = SEED) -> Dataset:
+    rng = np.random.default_rng([seed, 3])
     items = []
     for _ in range(ITEMS):
         gold = [rng.uniform(0.0, 100.0, (3, 2)) for _ in range(int(rng.integers(1, 4)))]
