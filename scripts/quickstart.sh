@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# README quick-start and spans examples through the installed `agree` script, with
+# the printed rows pinned, plus `check-metric` on the simulated ranking and vector
+# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
+# directory and exits non-zero on the first command or grep that fails.
+set -euo pipefail
+cd "$(mktemp -d)"
+
+agree simulate --task ranking --items 30 --annotators 3 --noise 0.25 --seed 7 --out demo.jsonl
+agree compute --input demo.jsonl --distance tau --seed 7 | tee compute.txt
+grep -F "alpha      : 0.7430" compute.txt
+agree compare --input demo.jsonl --distances tau,rho,tau_at_k --param k=3 --seed 7 \
+  | tee compare.txt
+grep -F "1     rho                   0.8798" compare.txt
+agree compare --input demo.jsonl --distances tau,rho,tau_at_k --param k=3 --seed 7 \
+  --exact-ks 200 | tee exact.txt
+grep -F "3     tau_at_k              0.5349   0.6556   0.6911      0.9950" exact.txt
+
+# spans rows pinned to the set-based NER definition
+agree simulate --task spans --items 30 --annotators 3 --noise 0.25 --seed 7 --out spans.jsonl
+agree compare --input spans.jsonl \
+  --distances ner_both_lenient,ner_strict_tag,ner_strict_range,ner_both_strict,count_diff \
+  --seed 7 | tee spans.txt
+grep -F "1     ner_strict_tag        0.4561   0.7333   0.6900      1.0000" spans.txt
+grep -F "2     ner_strict_range      0.4831   0.7000   0.6689      1.0000" spans.txt
+grep -F "3     ner_both_lenient      0.6091   0.6556   0.7189      1.0000" spans.txt
+grep -F "4     ner_both_strict       0.3477   0.5556   0.5500      1.0000" spans.txt
+grep -F "5     count_diff            0.2884   0.4667   0.1844      0.9962" spans.txt
+
+# metric axioms of kernel-backed entries on simulated payloads
+agree simulate --task vector --items 30 --annotators 3 --noise 0.25 --seed 7 --out vector.jsonl
+agree check-metric --input demo.jsonl --distance tau | tee tau-metric.txt
+grep -Fx ok tau-metric.txt
+agree check-metric --input vector.jsonl --distance euclidean | tee euclidean-metric.txt
+grep -Fx ok euclidean-metric.txt

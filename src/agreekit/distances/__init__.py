@@ -1,24 +1,17 @@
-"""Distance functions grouped by payload family.
+"""Distance implementations grouped by payload family.
 
-Everything here is a plain function from two payloads to a float; the
-registry module wires them to names, parameters, and metric-property flags.
+Each family has one implementation. The ranking, vector, span and
+object-count families are batch kernels (ranking_batch, vector_batch,
+ner_batch, count_diff_batch in their modules) that score index arrays of
+pairs at once; the functions exported here are the pair functions of the
+families without one. The registry module wires both to names, parameters
+and metric-property flags, and make_spec(...).fn scores one pair of any entry.
 """
 
-from .vector_text import (
-    TokenEmbeddingTable,
-    levenshtein_raw,
-    translation_distance,
-    vector_distance,
-)
+from .vector_text import TokenEmbeddingTable, levenshtein_raw, translation_distance
 from .geometry import GeometryConfig, box_distance, keypoint_distance
-from .multiobject import count_diff, multi_object_distance, ner_distance
-from .structured import (
-    RankingConfig,
-    TedConfig,
-    ranking_distance,
-    tree_distance,
-    tree_edit_distance,
-)
+from .multiobject import multi_object_distance
+from .structured import RankingConfig, TedConfig, tree_distance, tree_edit_distance
 
 __all__ = [
     "GeometryConfig",
@@ -26,14 +19,10 @@ __all__ = [
     "TedConfig",
     "TokenEmbeddingTable",
     "box_distance",
-    "count_diff",
     "keypoint_distance",
     "levenshtein_raw",
     "multi_object_distance",
-    "ner_distance",
-    "ranking_distance",
     "translation_distance",
     "tree_distance",
     "tree_edit_distance",
-    "vector_distance",
 ]

@@ -33,20 +33,13 @@ def multi_object_distance(a_objs: Sequence, b_objs: Sequence, inner: InnerDistan
     return (d_ab + d_ba) / 2.0
 
 
-def count_diff(a_objs: Sequence, b_objs: Sequence, normalize: bool = True) -> float:
-    """Absolute difference of object counts, optionally divided by max(|A|, |B|, 1)."""
-    diff = abs(len(a_objs) - len(b_objs))
-    if not normalize:
-        return float(diff)
-    return diff / max(len(a_objs), len(b_objs), 1)
-
-
 def count_diff_batch(
     payloads: Sequence, ia: np.ndarray, ib: np.ndarray, objects: Callable, normalize: bool
 ) -> np.ndarray:
-    """count_diff(objects(payloads[ia[t]]), objects(payloads[ib[t]]), normalize) for every t.
+    """|#A - #B| of the object sets of each pair (payloads[ia[t]], payloads[ib[t]]).
 
-    Counts are exact small integers, so the one division rounds as the scalar's does.
+    normalize divides it by max(#A, #B, 1). Counts are exact small integers, so
+    the one division is correctly rounded.
     """
     counts = np.array([len(objects(p)) for p in payloads], dtype=np.int64)
     na, nb = counts[ia], counts[ib]
@@ -123,15 +116,6 @@ def _ner_pair(a: _PackedSpans, b: _PackedSpans, directional: Callable) -> float:
     return 1.0 - 2.0 * s_ab * s_ba / (s_ab + s_ba)
 
 
-def ner_distance(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool) -> float:
-    """Harmonic-mean combination of the two directional span similarities, inverted.
-
-    D = 1 - 2*S_ab*S_ba / (S_ab + S_ba); both directions zero means distance 1.
-    Both empty is 0; exactly one empty is 1.
-    """
-    return _ner_pair(_PackedSpans(a), _PackedSpans(b), _DIRECTIONAL[range_strict, tag_strict])
-
-
 def ner_batch(
     payloads: Sequence[SpanSet],
     ia: np.ndarray,
@@ -139,7 +123,12 @@ def ner_batch(
     range_strict: bool,
     tag_strict: bool,
 ) -> np.ndarray:
-    """ner_distance(payloads[ia[t]], payloads[ib[t]], ...) for every t, each payload packed once."""
+    """Span-set distance of each pair (payloads[ia[t]], payloads[ib[t]]), in [0, 1].
+
+    D = 1 - 2*S_ab*S_ba / (S_ab + S_ba), the inverted harmonic mean of the two
+    directional similarities; both directions zero means distance 1. Both sets
+    empty is 0; exactly one empty is 1. Each payload is packed once.
+    """
     packed = [_PackedSpans(p) for p in payloads]
     directional = _DIRECTIONAL[range_strict, tag_strict]
     pairs = zip(np.asarray(ia).tolist(), np.asarray(ib).tolist())

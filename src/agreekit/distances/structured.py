@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,56 +119,6 @@ def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) 
     return float(max(0, ted - abs(leaves_a - leaves_b)))
 
 
-def _tau_b(va: list[int], vb: list[int]) -> float:
-    """Kendall tau-b by Knight's (1966) counting; 0.0 where it is undefined."""
-    if va == vb:
-        # bypass the float normalization so identical rankings score exactly 1
-        return 1.0
-    tot = len(va) * (len(va) - 1) // 2
-    pairs = sorted(zip(va, vb))
-    tied_a, tied_b, tied_ab = (
-        sum(c * (c - 1) // 2 for c in Counter(v).values()) for v in (va, vb, pairs)
-    )
-    if tied_a == tot or tied_b == tot:
-        return 0.0
-    # after the sort by (a, b), a discordant pair is an inversion of b
-    seen: list[int] = []
-    dis = 0
-    for _, y in pairs:
-        dis += len(seen) - bisect.bisect_right(seen, y)
-        bisect.insort(seen, y)
-    con_minus_dis = tot - tied_a - tied_b + tied_ab - 2 * dis
-    tau = con_minus_dis / math.sqrt(tot - tied_a) / math.sqrt(tot - tied_b)
-    return min(1.0, max(-1.0, tau))
-
-
-def ranking_distance(a: Ranking, b: Ranking, cfg: RankingConfig = RankingConfig()) -> float:
-    """Rank disagreement in [0, 1]: (1 - correlation) / 2.
-
-    All modes compare rank vectors over the union of both top-k prefixes,
-    with everything outside a list's top k tied at rank k+1; tau and rho take
-    k = n, the whole universe. tau and tau_at_k use tau-b (tie handling is
-    moot on true permutations); rho is the Pearson correlation of the rank
-    vectors.
-    """
-    if sorted(a.order) != sorted(b.order):
-        raise DataError("rankings are over different element universes")
-    k = cfg.k if cfg.mode == "tau_at_k" else len(a.order)
-    top = sorted(set(a.order[:k]) | set(b.order[:k]))
-    if len(top) < 2:
-        return 0.0
-    pos_a = {e: i for i, e in enumerate(a.order[:k])}
-    pos_b = {e: i for i, e in enumerate(b.order[:k])}
-    va = [pos_a.get(e, k) for e in top]
-    vb = [pos_b.get(e, k) for e in top]
-    if cfg.mode != "rho":
-        return (1.0 - _tau_b(va, vb)) / 2.0
-    mean = (len(va) - 1) / 2.0
-    cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
-    var = sum((x - mean) ** 2 for x in va)
-    return (1.0 - cov / var) / 2.0
-
-
 def _inversions(y: np.ndarray) -> np.ndarray:
     """Per row, the pairs i < j with y[i] > y[j], by a bottom-up merge sort.
 
@@ -203,7 +150,7 @@ def _inversions(y: np.ndarray) -> np.ndarray:
 def _ranking_rows(
     ranks: np.ndarray, ia: np.ndarray, ib: np.ndarray, cfg: RankingConfig
 ) -> np.ndarray:
-    """ranking_distance for rows ia[t], ib[t] of one universe's rank matrix.
+    """Distances of the ranking pairs (ia[t], ib[t]), rows of one universe's rank matrix.
 
     ranks[r, c] is ranking r's position of universe element c."""
     n = ranks.shape[1]
@@ -213,8 +160,7 @@ def _ranking_rows(
     if cfg.mode == "rho":
         y = ranks[ib[:, None], order[ia]]
         # rank x sits 2x - (n - 1) half-steps from the mean, so four times the
-        # covariance and the variance are integers, and Python's float sums of
-        # the same terms are exact
+        # covariance and the variance are integers, and their sums are exact
         centred = 2 * np.arange(n) - (n - 1)
         cov = ((2 * y - (n - 1)) * centred).sum(axis=1) / 4
         var = int((centred * centred).sum()) / 4
@@ -236,7 +182,7 @@ def _ranking_rows(
         y, only_b = first, np.zeros(ia.size, dtype=np.intp)
     only_a = (first == k).sum(axis=1)
 
-    # Knight's counts, as in _tau_b; no element is outside both prefixes, so
+    # tau-b by Knight's (1966) counts; no element is outside both prefixes, so
     # no pair is tied in both
     m = k + only_b
     tot = m * (m - 1) // 2
@@ -258,11 +204,17 @@ def ranking_batch(
     ib: np.ndarray,
     cfg: RankingConfig = RankingConfig(),
 ) -> np.ndarray:
-    """ranking_distance(payloads[ia[t]], payloads[ib[t]], cfg) for every t, bit for bit.
+    """Rank disagreement (1 - correlation) / 2 of each pair (payloads[ia[t]], payloads[ib[t]]).
+
+    Every mode compares rank vectors over the union of both top-k prefixes, with
+    everything outside a list's top k tied at rank k + 1; tau and rho take k = n,
+    the whole universe. A union of fewer than two elements scores 0. tau and
+    tau_at_k use tau-b, and identical rankings score exactly 0; rho is the Pearson
+    correlation of the rank vectors. Rankings over different universes raise
+    DataError.
 
     Each payload's rank vector over its sorted universe is built once; pairs
-    gather them, and one vectorized pass per universe computes the same
-    integer counts and float expressions as ranking_distance.
+    gather them, with one vectorized pass per universe.
     """
     universes: dict[tuple[str, ...], int] = {}
     rank_rows, codes = [], []

@@ -20,34 +20,6 @@ from ..payloads import NumericVector, TokenSequence
 Ranges = Sequence[tuple[float, float]]
 
 
-def vector_distance(
-    a: NumericVector, b: NumericVector, mode: str, ranges: Optional[Ranges] = None
-) -> float:
-    """Binary: fraction of unequal elements. Euclidean: RMSE of range-normalized values.
-
-    Both lie in [0, 1]. Euclidean requires per-dimension ranges; the raw score
-    orientation elsewhere is 1 - RMSE, we return the RMSE itself.
-    """
-    va, vb = a.values, b.values
-    if len(va) != len(vb):
-        raise DataError(f"vector length mismatch: {len(va)} != {len(vb)}")
-    if mode == "binary":
-        return sum(1 for x, y in zip(va, vb) if x != y) / len(va)
-    if mode == "euclidean":
-        if ranges is None:
-            raise DataError("euclidean vector distance requires per-dimension ranges")
-        if len(ranges) != len(va):
-            raise DataError(f"got {len(ranges)} ranges for {len(va)}-dimensional vectors")
-        acc = 0.0
-        for x, y, (lo, hi) in zip(va, vb, ranges):
-            width = float(hi) - float(lo)
-            if width <= 0:
-                raise DataError(f"zero-width range [{lo}, {hi}]")
-            acc += ((x - y) / width) ** 2
-        return math.sqrt(acc / len(va))
-    raise DataError(f"unknown vector distance mode {mode!r}")
-
-
 def vector_batch(
     payloads: Sequence[NumericVector],
     ia: np.ndarray,
@@ -55,12 +27,17 @@ def vector_batch(
     mode: str,
     ranges: Optional[Ranges] = None,
 ) -> np.ndarray:
-    """vector_distance(payloads[ia[t]], payloads[ib[t]], mode, ranges) for every t, bit for bit.
+    """The mode's distance of each pair (payloads[ia[t]], payloads[ib[t]]), in [0, 1].
+
+    binary: the fraction of unequal elements. euclidean: the RMSE of the
+    differences, each divided by its dimension's range width hi - lo (the raw
+    score orientation elsewhere is 1 - RMSE).
 
     The vectors are stacked into one zero-padded matrix. Euclidean sums its
-    terms one dimension at a time, left to right, as vector_distance does, and
-    squares each term with Python's float power, which the platform's pow may
-    round differently from x * x.
+    terms one dimension at a time, left to right, and squares each term with
+    Python's float power, which the platform's pow may round differently from
+    x * x. A length mismatch, an unknown mode and missing, miscounted or
+    zero-width ranges raise DataError at the first pair they affect.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     lengths = np.array([len(p.values) for p in payloads], dtype=np.intp)
@@ -70,8 +47,18 @@ def vector_batch(
         bad |= (mode != "euclidean") | (ranges is None) | (widths <= 0).any()
         bad |= lengths[ia] != widths.size
     if bad.any():
-        t = int(np.argmax(bad))  # the first pair vector_distance rejects; it raises its error
-        vector_distance(payloads[ia[t]], payloads[ib[t]], mode, ranges)
+        t = int(np.argmax(bad))
+        n, n_b = int(lengths[ia[t]]), int(lengths[ib[t]])
+        if n != n_b:
+            raise DataError(f"vector length mismatch: {n} != {n_b}")
+        if mode != "euclidean":
+            raise DataError(f"unknown vector distance mode {mode!r}")
+        if ranges is None:
+            raise DataError("euclidean vector distance requires per-dimension ranges")
+        if len(ranges) != n:
+            raise DataError(f"got {len(ranges)} ranges for {n}-dimensional vectors")
+        lo, hi = ranges[int(np.argmax(widths <= 0))]
+        raise DataError(f"zero-width range [{lo}, {hi}]")
     values = np.zeros((len(payloads), lengths.max(initial=0)))
     for row, p in enumerate(payloads):
         values[row, : len(p.values)] = p.values
@@ -187,6 +174,8 @@ class TokenEmbeddingTable:
                 raise DataError(f"embeddings for sentence {sid!r} are not numeric: {exc}") from exc
             if arr.ndim != 2:
                 raise DataError(f"embeddings for sentence {sid!r} are not a 2-d matrix")
+            if not np.isfinite(arr).all():
+                raise DataError(f"embeddings for sentence {sid!r} are not all finite")
             if dim is None:
                 dim = arr.shape[1]
             elif arr.shape[1] != dim:

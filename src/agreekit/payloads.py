@@ -8,6 +8,7 @@ order, and therefore every downstream float reduction, is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -28,6 +29,8 @@ class NumericVector:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise DataError("vector payload must have at least one dimension")
+        if not all(map(math.isfinite, self.values)):
+            raise DataError("vector values must be finite")
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,10 @@ class Box:
 
     def __post_init__(self) -> None:
         for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DataError(f"box coordinate {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise DataError(f"box corners out of order: {self}")
 
@@ -90,17 +96,19 @@ class KeypointObject:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise DataError("keypoint object must have at least one point")
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+            raise DataError("keypoint coordinates must be finite")
         if self.scale is not None:
             object.__setattr__(self, "scale", float(self.scale))
-            if self.scale <= 0:
-                raise DataError("keypoint scale must be positive")
+            if not (self.scale > 0 and math.isfinite(self.scale)):
+                raise DataError("keypoint scale must be positive and finite")
         if self.per_point_constant is not None:
             ks = tuple(float(k) for k in self.per_point_constant)
             object.__setattr__(self, "per_point_constant", ks)
             if len(ks) != len(pts):
                 raise DataError("per_point_constant length must match points")
-            if any(k <= 0 for k in ks):
-                raise DataError("per-point constants must be positive")
+            if not all(k > 0 and math.isfinite(k) for k in ks):
+                raise DataError("per-point constants must be positive and finite")
 
 
 @dataclass(frozen=True)

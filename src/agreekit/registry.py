@@ -1,7 +1,10 @@
 """Distance-function registry: names, payload kinds, parameters, and flags.
 
-Every entry resolves to a symmetric nonnegative pair function with
-d(a, a) = 0. Entries marked dissimilarity=True are known to violate the
+Every entry resolves to a symmetric nonnegative distance with d(a, a) = 0,
+implemented once: as a batch kernel over index arrays of pairs, or, for the
+families without one, as a pair function that DistanceSpec.batch loops over.
+spec.fn scores one pair either way; for a kernel family it is a one-pair
+kernel call. Entries marked dissimilarity=True are known to violate the
 triangle inequality (min-match set lifts, similarity inversions, tie-adjusted
 rank statistics, normalized edit distances) and are exempt from triangle
 checks; all measures accept them regardless.
@@ -17,26 +20,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .distances.geometry import GeometryConfig, box_distance, keypoint_distance
-from .distances.multiobject import (
-    count_diff,
-    count_diff_batch,
-    multi_object_distance,
-    ner_batch,
-    ner_distance,
-)
-from .distances.structured import (
-    RankingConfig,
-    TedConfig,
-    ranking_batch,
-    ranking_distance,
-    tree_distance,
-)
-from .distances.vector_text import (
-    TokenEmbeddingTable,
-    translation_distance,
-    vector_batch,
-    vector_distance,
-)
+from .distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
+from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_distance
+from .distances.vector_text import TokenEmbeddingTable, translation_distance, vector_batch
 from .errors import UsageError
 
 PairFn = Callable[[object, object], float]
@@ -54,7 +40,7 @@ class DistanceSpec:
     fn: PairFn = field(compare=False, repr=False)
     dissimilarity: bool = False
     upper_bound: Optional[float] = 1.0
-    # a vectorized batch equal to fn on every pair; None loops over fn
+    # the family's batch kernel, of which fn is the one-pair call; None loops over fn
     kernel: Optional[BatchFn] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -77,20 +63,20 @@ def _bool_param(params: Mapping, key: str, default: bool) -> bool:
 
 
 # Builders, one per distance family: build(mode, params, meta, embeddings, objects) ->
-# (PairFn, BatchFn or None). `objects` reads the object tuple of a set-valued payload and
-# is None for other kinds.
+# the family's one implementation, a BatchFn for the builders in _KERNEL_BUILDERS and a
+# PairFn otherwise. `objects` reads the object tuple of a set-valued payload and is None
+# for other kinds.
 
 
 def _vector(mode, params, meta, embeddings, objects):
     ranges = None if mode == "binary" else params.get("ranges", meta.get("ranges"))
     if ranges is not None:
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-    return (partial(vector_distance, mode=mode, ranges=ranges),
-            partial(vector_batch, mode=mode, ranges=ranges))
+    return partial(vector_batch, mode=mode, ranges=ranges)
 
 
 def _tokens(mode, params, meta, embeddings, objects):
-    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False)), None
+    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False))
 
 
 def _embedding(mode, params, meta, embeddings, objects):
@@ -107,7 +93,7 @@ def _embedding(mode, params, meta, embeddings, objects):
         )
     if not isinstance(table, TokenEmbeddingTable):
         table = TokenEmbeddingTable(table)
-    return partial(translation_distance, mode=mode, embeddings=table), None
+    return partial(translation_distance, mode=mode, embeddings=table)
 
 
 def _lift(single: PairFn, objects: Callable) -> PairFn:
@@ -119,7 +105,7 @@ def _lift(single: PairFn, objects: Callable) -> PairFn:
 
 def _box(mode, params, meta, embeddings, objects):
     cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects), None
+    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects)
 
 
 def _keypoints(mode, params, meta, embeddings, objects):
@@ -128,34 +114,31 @@ def _keypoints(mode, params, meta, embeddings, objects):
         for key in ("scale_default", "k_default"):
             value = params.get(key, meta.get("oks_" + key))
             defaults[key] = None if value is None else float(value)
-    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects), None
+    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects)
 
 
 def _count(mode, params, meta, embeddings, objects):
     normalize = _bool_param(params, "normalize", True)
-
-    def fn(a, b):
-        return count_diff(objects(a), objects(b), normalize)
-
-    return fn, partial(count_diff_batch, objects=objects, normalize=normalize)
+    return partial(count_diff_batch, objects=objects, normalize=normalize)
 
 
 def _ner(mode, params, meta, embeddings, objects):
     range_strict, tag_strict = mode
-    return (partial(ner_distance, range_strict=range_strict, tag_strict=tag_strict),
-            partial(ner_batch, range_strict=range_strict, tag_strict=tag_strict))
+    return partial(ner_batch, range_strict=range_strict, tag_strict=tag_strict)
 
 
 def _tree(mode, params, meta, embeddings, objects):
-    return partial(tree_distance, cfg=TedConfig(variant=mode)), None
+    return partial(tree_distance, cfg=TedConfig(variant=mode))
 
 
 def _ranking(mode, params, meta, embeddings, objects):
     k = params.get("k", 5)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    cfg = RankingConfig(mode=mode, k=k)
-    return partial(ranking_distance, cfg=cfg), partial(ranking_batch, cfg=cfg)
+    return partial(ranking_batch, cfg=RankingConfig(mode=mode, k=k))
+
+
+_KERNEL_BUILDERS = (_vector, _count, _ner, _ranking)
 
 
 @dataclass(frozen=True)
@@ -281,9 +264,14 @@ def make_spec(
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
     try:
-        fn, kernel = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+        impl = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
+    if entry.build in _KERNEL_BUILDERS:
+        kernel, fn = impl, lambda a, b: float(impl([a, b], [0], [1])[0])
+    else:
+        kernel, fn = None, impl
+
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
     if params.get("raw") is True or params.get("normalize") is False:
         # the raw edit or object-count difference is unbounded, and a metric

@@ -47,6 +47,8 @@ class DistanceSamples:
             object.__setattr__(self, name, arr)
             if arr.size == 0:
                 raise DataError(f"{name} distances are empty")
+            if not np.isfinite(arr).all():
+                raise NumericError(f"{name} {self.distance_name} distances are not all finite")
             if arr.min() < 0:
                 raise DataError(f"{name} distances contain negative values")
 
@@ -102,13 +104,13 @@ def _codes(values: list[str]) -> np.ndarray:
 
 
 def _expected_indices(
-    dataset: Dataset, sample_size: int, seed: int, exclude_same_annotator: bool
+    dataset: Dataset, available: int, sample_size: int, seed: int, exclude_same_annotator: bool
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled expected pairs; available is count_expected_pairs for the same arguments."""
     records = dataset.records
     n = len(records)
     if len({r.item_id for r in records}) < 2:
         raise DataError("expected pairs require at least two items")
-    available = count_expected_pairs(dataset, exclude_same_annotator)
     if available <= 0:
         raise DataError("no cross-item pairs available")
     item = _codes([r.item_id for r in records])
@@ -168,8 +170,9 @@ def expected_pairs(
     from them; above that, candidates are rejection-sampled, which draws a
     different sample for the same seed.
     """
+    available = count_expected_pairs(dataset, exclude_same_annotator)
     return _record_pairs(
-        dataset, *_expected_indices(dataset, sample_size, seed, exclude_same_annotator)
+        dataset, *_expected_indices(dataset, available, sample_size, seed, exclude_same_annotator)
     )
 
 
@@ -181,7 +184,7 @@ def _plan_pairs(
     available = count_expected_pairs(dataset, exclude_same_annotator)
     if de_sample_size is None:
         de_sample_size = min(10 * observed[0].size, available)
-    expected = _expected_indices(dataset, de_sample_size, seed, exclude_same_annotator)
+    expected = _expected_indices(dataset, available, de_sample_size, seed, exclude_same_annotator)
     return PairPlan(observed=observed, expected=expected, available=available)
 
 

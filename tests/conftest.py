@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import bisect
+import math
 import zlib
+from collections import Counter
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from agreekit.dataset import AnnotationRecord, Dataset
+from agreekit.distances.structured import RankingConfig
+from agreekit.errors import DataError
 from agreekit.payloads import (
     Box,
     BoxSet,
@@ -193,6 +200,84 @@ def tau_distance_oracle(a_order, b_order) -> float:
     return (1.0 - tau) / 2.0
 
 
+def _tau_b(va: list[int], vb: list[int]) -> float:
+    """Kendall tau-b by Knight's (1966) counting; 0.0 where it is undefined."""
+    if va == vb:
+        # bypass the float normalization so identical rankings score exactly 1
+        return 1.0
+    tot = len(va) * (len(va) - 1) // 2
+    pairs = sorted(zip(va, vb))
+    tied_a, tied_b, tied_ab = (
+        sum(c * (c - 1) // 2 for c in Counter(v).values()) for v in (va, vb, pairs)
+    )
+    if tied_a == tot or tied_b == tot:
+        return 0.0
+    # after the sort by (a, b), a discordant pair is an inversion of b
+    seen: list[int] = []
+    dis = 0
+    for _, y in pairs:
+        dis += len(seen) - bisect.bisect_right(seen, y)
+        bisect.insort(seen, y)
+    con_minus_dis = tot - tied_a - tied_b + tied_ab - 2 * dis
+    tau = con_minus_dis / math.sqrt(tot - tied_a) / math.sqrt(tot - tied_b)
+    return min(1.0, max(-1.0, tau))
+
+
+def ranking_distance_oracle(a: Ranking, b: Ranking, cfg: RankingConfig = RankingConfig()) -> float:
+    """ranking_batch for one pair: rank vectors over the union of both top-k prefixes.
+
+    Builds each pair's vectors with dicts and scores them with a bisect-based
+    tau-b or Python float sums for rho, independently of the kernel's
+    vectorized counts.
+    """
+    if sorted(a.order) != sorted(b.order):
+        raise DataError("rankings are over different element universes")
+    k = cfg.k if cfg.mode == "tau_at_k" else len(a.order)
+    top = sorted(set(a.order[:k]) | set(b.order[:k]))
+    if len(top) < 2:
+        return 0.0
+    pos_a = {e: i for i, e in enumerate(a.order[:k])}
+    pos_b = {e: i for i, e in enumerate(b.order[:k])}
+    va = [pos_a.get(e, k) for e in top]
+    vb = [pos_b.get(e, k) for e in top]
+    if cfg.mode != "rho":
+        return (1.0 - _tau_b(va, vb)) / 2.0
+    mean = (len(va) - 1) / 2.0
+    cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
+    var = sum((x - mean) ** 2 for x in va)
+    return (1.0 - cov / var) / 2.0
+
+
+def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges=None) -> float:
+    """vector_batch for one pair, one element at a time, raising the kernel's errors."""
+    va, vb = a.values, b.values
+    if len(va) != len(vb):
+        raise DataError(f"vector length mismatch: {len(va)} != {len(vb)}")
+    if mode == "binary":
+        return sum(1 for x, y in zip(va, vb) if x != y) / len(va)
+    if mode == "euclidean":
+        if ranges is None:
+            raise DataError("euclidean vector distance requires per-dimension ranges")
+        if len(ranges) != len(va):
+            raise DataError(f"got {len(ranges)} ranges for {len(va)}-dimensional vectors")
+        acc = 0.0
+        for x, y, (lo, hi) in zip(va, vb, ranges):
+            width = float(hi) - float(lo)
+            if width <= 0:
+                raise DataError(f"zero-width range [{lo}, {hi}]")
+            acc += ((x - y) / width) ** 2
+        return math.sqrt(acc / len(va))
+    raise DataError(f"unknown vector distance mode {mode!r}")
+
+
+def count_diff_oracle(a_objs, b_objs, normalize: bool = True) -> float:
+    """count_diff_batch for one pair of object sequences."""
+    diff = abs(len(a_objs) - len(b_objs))
+    if not normalize:
+        return float(diff)
+    return diff / max(len(a_objs), len(b_objs), 1)
+
+
 def _covered_fraction(span, others, tag_strict: bool) -> float:
     """Fraction of span's tokens covered by the union of matching spans in `others`."""
     tokens = set(span.tokens())
@@ -217,7 +302,7 @@ def _exact_range_credit(span, others, tag_strict: bool) -> float:
 
 
 def ner_distance_oracle(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool) -> float:
-    """ner_distance by token sets, one span of one set against all spans of the other."""
+    """ner_batch for one pair by token sets, one span of one set against all spans of the other."""
     if not a.spans and not b.spans:
         return 0.0
     if not a.spans or not b.spans:
@@ -232,6 +317,36 @@ def ner_distance_oracle(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: 
     if s_ab + s_ba == 0:
         return 1.0
     return 1.0 - 2.0 * s_ab * s_ba / (s_ab + s_ba)
+
+
+NER_ENTRIES = {
+    "ner_both_lenient": (False, False),
+    "ner_strict_tag": (False, True),
+    "ner_strict_range": (True, False),
+    "ner_both_strict": (True, True),
+}
+
+_OBJECTS = {"boxes": attrgetter("boxes"), "keypoints": attrgetter("objects"),
+            "spans": attrgetter("spans")}
+
+
+def reference_fn(spec, meta: dict):
+    """The pair function a spec's batch is checked against: the oracle of a kernel
+    family, and spec.fn, the family's one implementation, otherwise."""
+    name, params = spec.name, spec.params
+    if name in ("binary", "euclidean"):
+        ranges = None if name == "binary" else params.get("ranges", meta.get("ranges"))
+        return partial(vector_distance_oracle, mode=name, ranges=ranges)
+    if name in ("tau", "rho", "tau_at_k"):
+        return partial(ranking_distance_oracle, cfg=RankingConfig(name, params.get("k", 5)))
+    if name in NER_ENTRIES:
+        range_strict, tag_strict = NER_ENTRIES[name]
+        return partial(ner_distance_oracle, range_strict=range_strict, tag_strict=tag_strict)
+    if name == "count_diff":
+        objects, normalize = _OBJECTS[spec.payload_kind], params.get("normalize", True)
+        return lambda a, b: count_diff_oracle(objects(a), objects(b), normalize)
+    assert spec.kernel is None, name
+    return spec.fn
 
 
 @pytest.fixture

@@ -243,15 +243,16 @@ def test_criterion_6_oracle_equivalences():
     worst = 0.0
     for n in range(2, 9):
         ident = tuple(range(n))
-        ref = Ranking(order=ident)
-        for perm in itertools.permutations(ident):
-            diff = abs(spec.fn(ref, Ranking(order=perm)) - tau_distance_oracle(ident, perm))
-            worst = max(worst, diff)
+        perms = list(itertools.permutations(ident))
+        got = spec.batch([Ranking(order=p) for p in [ident] + perms],
+                         np.zeros(len(perms), dtype=np.intp), np.arange(1, len(perms) + 1))
+        for d, perm in zip(got, perms):
+            worst = max(worst, abs(d - tau_distance_oracle(ident, perm)))
     perms5 = list(itertools.permutations(range(5)))
-    for a in perms5:
-        for b in perms5:
-            diff = abs(spec.fn(Ranking(order=a), Ranking(order=b)) - tau_distance_oracle(a, b))
-            worst = max(worst, diff)
+    first, second = np.divmod(np.arange(len(perms5) ** 2), len(perms5))
+    got = spec.batch([Ranking(order=p) for p in perms5], first, second)
+    for d, i, j in zip(got, first, second):
+        worst = max(worst, abs(d - tau_distance_oracle(perms5[i], perms5[j])))
     ok = ok and worst <= 1e-15  # exact up to one float rounding step
     parts.append(f"tau worst |diff|={worst:.1e}")
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -318,6 +319,18 @@ class TestCliCompute:
         assert "degenerate" in capsys.readouterr().err
 
 
+    def test_non_finite_distances_are_numeric_error(self, tmp_path, capsys):
+        # finite corners whose areas overflow: IoU is inf / inf
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "boxes",
+                        "label": [[0, 0, 1e308, 1e308 / (1 + i + j)]]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "huge.jsonl", lines)
+        assert main(["compute", "--input", path, "--distance", "box_iou"]) == 4
+        assert "observed box_iou distances are not all finite" in capsys.readouterr().err
+
     def test_single_item_is_data_error(self, tmp_path, capsys):
         lines = [
             json.dumps({"item": "i0", "annotator": f"a{j}", "kind": "vector", "label": [0.1 * j]})
@@ -326,6 +339,43 @@ class TestCliCompute:
         path = write_lines(tmp_path / "single.jsonl", lines)
         assert main(["compute", "--input", path, "--distance", "binary"]) == 3
         assert "expected pairs require at least two items" in capsys.readouterr().err
+
+
+GOOD_LABELS = {"vector": [0.5, 0.5], "boxes": [[0, 0, 1, 1]],
+               "keypoints": [{"points": [[0, 0], [1, 1]], "scale": 1.0}]}
+
+
+class TestCliNonFiniteNumbers:
+    # Python's json reads NaN, Infinity and -Infinity
+    @pytest.mark.parametrize("kind, distance, label", [
+        ("vector", "binary", [0.5, math.nan]),
+        ("vector", "euclidean", [math.inf, 0.5]),
+        ("boxes", "box_iou", [[0, 0, math.nan, 1]]),
+        ("boxes", "box_l2", [[-math.inf, 0, 1, 1]]),
+        ("keypoints", "oks", [{"points": [[0, 0], [1, math.nan]], "scale": 1.0}]),
+        ("keypoints", "oks", [{"points": [[0, 0], [1, 1]], "scale": math.inf}]),
+        ("keypoints", "oks", [{"points": [[0, 0], [1, 1]], "scale": 1.0, "k": [1.0, math.nan]}]),
+    ])
+    def test_non_finite_payload_numbers_are_data_error(self, tmp_path, capsys, kind, distance,
+                                                       label):
+        lines = [json.dumps({"meta": {"ranges": [[0, 1], [0, 1]]}})] + [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": kind,
+                        "label": label if (i, j) == (1, 1) else GOOD_LABELS[kind]})
+            for i in range(2)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "bad.jsonl", lines)
+        assert main(["compute", "--input", path, "--distance", distance]) == 3
+        err = capsys.readouterr().err
+        assert "bad.jsonl:5: " in err and "finite" in err
+
+    def test_non_finite_embeddings_are_data_error(self, tmp_path, capsys):
+        data, _ = token_files(tmp_path)
+        emb = write_lines(tmp_path / "nan.jsonl",
+                          [json.dumps({"sentence_id": "s", "vectors": [[1.0, math.nan]]})])
+        assert main(["compute", "--input", data, "--distance", "embedding_f1",
+                     "--embeddings", emb]) == 3
+        assert "embeddings for sentence 's' are not all finite" in capsys.readouterr().err
 
 
 class TestCliMeasureFlags:
@@ -545,6 +595,15 @@ class TestCliCompare:
             "compare", "--input", ranking_file, "--distances", "tau,rho", "--param", "kk=3",
         ]) == 2
         assert "unknown parameter(s) for 'tau': kk" in capsys.readouterr().err
+
+    def test_counts_expected_pairs_once(self, ranking_file, monkeypatch, capsys):
+        from agreekit import stats
+
+        calls = Counter()
+        count_calls(monkeypatch, calls, stats, "count_expected_pairs")
+        assert main(["compare", "--input", ranking_file, "--distances", "tau,rho"]) == 0
+        capsys.readouterr()
+        assert calls == {"count_expected_pairs": 1}
 
     def test_validates_and_plans_once_for_all_distances(self, ranking_file, monkeypatch, capsys):
         from agreekit import cli, stats

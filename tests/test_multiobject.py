@@ -6,26 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agreekit.distances.geometry import box_distance
-from agreekit.distances.multiobject import (
-    count_diff,
-    multi_object_distance,
-    ner_distance,
-)
+from agreekit.distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
 from agreekit.payloads import Box, Span, SpanSet
 from agreekit.registry import make_spec
 
-from conftest import make_boxset, ner_distance_oracle
-
-NER_ENTRIES = {
-    "ner_both_lenient": (False, False),
-    "ner_strict_tag": (False, True),
-    "ner_strict_range": (True, False),
-    "ner_both_strict": (True, True),
-}
+from conftest import NER_ENTRIES, count_diff_oracle, make_boxset, ner_distance_oracle
 
 
 def iou(a, b):
     return box_distance(a, b, "iou")
+
+
+def count_diff(a_objs, b_objs, normalize=True):
+    """The count kernel on the one pair of object sequences (a_objs, b_objs)."""
+    pair = count_diff_batch([a_objs, b_objs], [0], [1], objects=tuple, normalize=normalize)
+    return float(pair[0])
+
+
+def ner_distance(a, b, range_strict, tag_strict):
+    """The span kernel on the one pair (a, b)."""
+    return float(ner_batch([a, b], [0], [1], range_strict, tag_strict)[0])
 
 
 def spanset(*triples):
@@ -186,7 +186,8 @@ def test_ner_batch_equals_set_oracle(payloads):
         assert np.array_equal([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)], want)
     for normalize in (True, False):
         spec = make_spec("count_diff", "spans", params={"normalize": normalize})
-        loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+        loop = np.array([count_diff_oracle(payloads[i].spans, payloads[j].spans, normalize)
+                         for i, j in zip(ia, ib)])
         assert np.array_equal(spec.batch(payloads, ia, ib), loop)
 
 

@@ -9,7 +9,8 @@ from agreekit.noise import (
     random_gold,
 )
 from agreekit.payloads import BoxSet, NumericVector, Ranking, SpanSet
-from agreekit.distances.structured import ranking_distance
+
+from conftest import ranking_distance_oracle as ranking_distance
 
 
 def test_noise_spec_validation():

@@ -1,7 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agreekit.errors import DataError
-from agreekit.payloads import NumericVector, TokenSequence
+from agreekit.payloads import (
+    Box,
+    BoxSet,
+    KeypointObject,
+    KeypointSet,
+    NumericVector,
+    OrderedTree,
+    Ranking,
+    Span,
+    SpanSet,
+    TokenSequence,
+)
 from agreekit.properties import check_metric_properties
 from agreekit.registry import DistanceSpec, make_spec
 
@@ -100,3 +113,72 @@ def test_empty_sample_rejected():
     spec = make_spec("binary", "vector")
     with pytest.raises(DataError):
         check_metric_properties(spec, [])
+
+
+# Payload draws for the registry's metrics, reaching what seeded payloads miss: one- and
+# two-element universes, values on the range bounds, empty object sets and, through
+# test_metric_axioms_hold_on_drawn_payloads, repeated payloads.
+# Each strategy draws (kind, meta, payloads).
+
+
+@st.composite
+def vector_samples(draw):
+    dims = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    vectors = st.lists(value, min_size=dims, max_size=dims).map(lambda v: NumericVector(tuple(v)))
+    meta = {"ranges": [[0.0, 1.0]] * dims}
+    return "vector", meta, draw(st.lists(vectors, min_size=1, max_size=6))
+
+
+_OBJECT_SETS = {
+    "boxes": (BoxSet, st.tuples(*[st.integers(0, 3)] * 4).map(
+        lambda c: Box(c[0], c[1], c[0] + c[2], c[1] + c[3]))),
+    "keypoints": (KeypointSet, st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda p: KeypointObject(points=(p,)))),
+    "spans": (SpanSet, st.tuples(st.integers(0, 4), st.integers(1, 3), st.sampled_from("AB")).map(
+        lambda s: Span(s[0], s[0] + s[1], s[2]))),
+}
+
+
+@st.composite
+def object_set_samples(draw):
+    kind = draw(st.sampled_from(sorted(_OBJECT_SETS)))
+    make, objects = _OBJECT_SETS[kind]
+    sets = st.lists(objects, max_size=3).map(lambda objs: make(tuple(objs)))
+    return kind, {}, draw(st.lists(sets, min_size=1, max_size=6))
+
+
+_trees = st.recursive(
+    st.sampled_from("ab").map(OrderedTree),
+    lambda children: st.tuples(st.sampled_from("ab"), st.lists(children, min_size=1, max_size=2))
+    .map(lambda t: OrderedTree(t[0], tuple(t[1]))),
+    max_leaves=4,
+)
+
+
+@st.composite
+def ranking_samples(draw):
+    universe = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+    orders = st.permutations(universe).map(lambda order: Ranking(tuple(order)))
+    return "ranking", {}, draw(st.lists(orders, min_size=1, max_size=6))
+
+
+METRIC_SAMPLES = {
+    "binary": vector_samples(),
+    "euclidean": vector_samples(),
+    "count_diff": object_set_samples(),
+    "ted": st.lists(_trees, min_size=1, max_size=6).map(lambda trees: ("tree", {}, trees)),
+    "tau": ranking_samples(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_SAMPLES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_metric_axioms_hold_on_drawn_payloads(name, data):
+    kind, meta, payloads = data.draw(METRIC_SAMPLES[name])
+    payloads += data.draw(st.lists(st.sampled_from(payloads), max_size=3))
+    spec = make_spec(name, kind, meta=meta)
+    assert not spec.dissimilarity
+    report = check_metric_properties(spec, payloads)
+    assert report.passed(), report.describe()

@@ -26,7 +26,7 @@ from agreekit.registry import (
     supported_kinds,
 )
 
-from conftest import make_payloads
+from conftest import make_payloads, reference_fn
 from test_registry_goldens import _keypoints_dataset, _tokens_dataset, _tree_dataset
 
 ALL_NAMES = [
@@ -241,7 +241,8 @@ def test_batch_equals_loop_for_every_simulated_entry(seed, items, level, k):
                 continue
             spec = make_spec(name, kind, params={"k": k} if "k" in accepted_params(name) else {},
                              meta=meta)
-            loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+            fn = reference_fn(spec, meta)
+            loop = np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
             assert np.array_equal(spec.batch(payloads, ia, ib), loop), name
 
 
@@ -294,5 +295,6 @@ def test_batch_equals_loop_for_every_generated_entry(seed):
                                if key in accepted_params(name)]
             for params in variants:
                 spec = make_spec(name, kind, params=params, meta=meta, embeddings=table)
-                loop = np.array([spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+                fn = reference_fn(spec, meta)
+                loop = np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
                 assert np.array_equal(spec.batch(payloads, ia, ib), loop), (name, params)

@@ -97,6 +97,16 @@ class TestAlpha:
         with pytest.raises(DataError):
             samples([-0.1, 0.2], [0.5])
 
+    @pytest.mark.parametrize("observed, expected, side", [
+        ([0.1, np.nan], [0.5], "observed"),
+        ([0.1], [0.5, np.inf], "expected"),
+        ([np.nan], [-np.inf], "observed"),
+    ])
+    def test_non_finite_distances_are_numeric_error(self, observed, expected, side):
+        # NaN passes a `min() < 0` check, so it needs one of its own
+        with pytest.raises(NumericError, match=f"^{side} test distances are not all finite"):
+            samples(observed, expected)
+
     @pytest.mark.parametrize("observed, expected", [([], [0.5]), ([0.5], [])])
     def test_empty_side_rejected(self, observed, expected):
         with pytest.raises(DataError, match="empty"):

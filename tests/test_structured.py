@@ -11,14 +11,13 @@ from agreekit.distances.structured import (
     RankingConfig,
     TedConfig,
     ranking_batch,
-    ranking_distance,
     tree_distance,
     tree_edit_distance,
 )
 from agreekit.errors import DataError
 from agreekit.payloads import Ranking, tree_from_nested
 
-from conftest import make_tree, tau_distance_oracle, ted_oracle
+from conftest import make_tree, ranking_distance_oracle, tau_distance_oracle, ted_oracle
 
 
 def tree(nested):
@@ -27,6 +26,11 @@ def tree(nested):
 
 def rank(*order):
     return Ranking(order=tuple(order))
+
+
+def ranking_distance(a, b, cfg=RankingConfig()):
+    """The ranking kernel on the one pair (a, b)."""
+    return float(ranking_batch([a, b], [0], [1], cfg)[0])
 
 
 def test_ted_identity_and_relabel():
@@ -201,17 +205,21 @@ def ranking_pairs(draw):
 @given(orders=ranking_pairs())
 def test_ranking_distance_equals_scipy_reference(orders):
     a, b = orders
-    for x, y in ((a, b), (b, a), (a, a)):
-        n = len(x)
+    n = len(a)
+    # the pairs (a, b), (b, a), (a, a), one kernel call per configuration
+    payloads, ia, ib = [rank(*a), rank(*b)], np.array([0, 1, 0]), np.array([1, 0, 0])
+    tau = ranking_batch(payloads, ia, ib, RankingConfig(mode="tau"))
+    rho_d = ranking_batch(payloads, ia, ib, RankingConfig(mode="rho"))
+    # every k < n ties the tails, so tau-b runs on tied rank vectors
+    at_k = [ranking_batch(payloads, ia, ib, RankingConfig(mode="tau_at_k", k=k))
+            for k in range(1, n + 1)]
+    for t, (x, y) in enumerate(((a, b), (b, a), (a, a))):
         va, vb = reference_rank_vectors(x, y, n)
-        assert ranking_distance(rank(*x), rank(*y)) == scipy_tau_distance(va, vb)
+        assert tau[t] == scipy_tau_distance(va, vb)
         rho = spearmanr(va, vb).statistic
-        got = ranking_distance(rank(*x), rank(*y), RankingConfig(mode="rho"))
-        assert got == pytest.approx((1.0 - rho) / 2.0, abs=1e-12)
-        # every k < n ties the tails, so tau-b runs on tied rank vectors
+        assert rho_d[t] == pytest.approx((1.0 - rho) / 2.0, abs=1e-12)
         for k in range(1, n + 1):
-            got = ranking_distance(rank(*x), rank(*y), RankingConfig(mode="tau_at_k", k=k))
-            assert got == scipy_tau_distance(*reference_rank_vectors(x, y, k))
+            assert at_k[k - 1][t] == scipy_tau_distance(*reference_rank_vectors(x, y, k))
 
 
 @st.composite
@@ -238,7 +246,7 @@ def test_ranking_batch_equals_loop(batch, k):
     payloads, pairs = batch
     ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", k)):
-        loop = np.array([ranking_distance(payloads[i], payloads[j], cfg) for i, j in pairs])
+        loop = np.array([ranking_distance_oracle(payloads[i], payloads[j], cfg) for i, j in pairs])
         assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop), cfg
 
 
@@ -246,10 +254,10 @@ def test_ranking_batch_scores_each_universe_and_rejects_pairs_across_them():
     payloads = [rank("a", "b", "c"), rank("x", "y"), rank("c", "b", "a"), rank("y", "x")]
     ia, ib = np.array([0, 1, 2, 3]), np.array([2, 3, 2, 1])
     for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", 1)):
-        loop = [ranking_distance(payloads[i], payloads[j], cfg) for i, j in zip(ia, ib)]
+        loop = [ranking_distance_oracle(payloads[i], payloads[j], cfg) for i, j in zip(ia, ib)]
         assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop)
         with pytest.raises(DataError) as scalar:
-            ranking_distance(payloads[0], payloads[1], cfg)
+            ranking_distance_oracle(payloads[0], payloads[1], cfg)
         with pytest.raises(DataError) as batched:
             ranking_batch(payloads, np.array([0, 0]), np.array([2, 1]), cfg)
         assert str(batched.value) == str(scalar.value)
