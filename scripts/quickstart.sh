@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# README quick-start and spans examples through the installed `agree` script, with
+# README quick-start, spans and boxes examples through the installed `agree` script, with
 # the printed rows pinned, plus `check-metric` on the simulated ranking and vector
 # inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
 # directory and exits non-zero on the first command or grep that fails.
@@ -26,6 +26,15 @@ grep -F "2     ner_strict_range      0.4831   0.7000   0.6689      1.0000" spans
 grep -F "3     ner_both_lenient      0.6091   0.6556   0.7189      1.0000" spans.txt
 grep -F "4     ner_both_strict       0.3477   0.5556   0.5500      1.0000" spans.txt
 grep -F "5     count_diff            0.2884   0.4667   0.1844      0.9962" spans.txt
+
+# boxes rows pinned to the min-match lift
+agree simulate --task boxes --items 30 --annotators 3 --noise 0.25 --seed 7 --out boxes.jsonl
+agree compare --input boxes.jsonl --distances box_iou,box_giou,box_l2,count_diff --seed 7 \
+  | tee boxes.txt
+grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes.txt
+grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
+grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
+grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
 
 # metric axioms of kernel-backed entries on simulated payloads
 agree simulate --task vector --items 30 --annotators 3 --noise 0.25 --seed 7 --out vector.jsonl

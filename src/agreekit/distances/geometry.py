@@ -29,48 +29,33 @@ class GeometryConfig:
 _DEFAULT_CFG = GeometryConfig()
 
 
-def _intersection(a: Box, b: Box) -> float:
-    w = min(a.x1, b.x1) - max(a.x0, b.x0)
-    h = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if w <= 0 or h <= 0:
-        return 0.0
-    return w * h
-
-
 def box_distance(a: Box, b: Box, mode: str, cfg: GeometryConfig = _DEFAULT_CFG) -> float:
     if mode == "l2":
         d0 = math.sqrt(((a.x0 - b.x0) ** 2 + (a.y0 - b.y0) ** 2) / 2.0)
         d1 = math.sqrt(((a.x1 - b.x1) ** 2 + (a.y1 - b.y1) ** 2) / 2.0)
         return min(1.0, (d0 + d1) / cfg.l2_scale)
+    if mode not in ("iou", "giou"):
+        raise DataError(f"unknown box distance mode {mode!r}")
+    w = min(a.x1, b.x1) - max(a.x0, b.x0)
+    h = min(a.y1, b.y1) - max(a.y0, b.y0)
+    inter = w * h if w > 0 and h > 0 else 0.0
+    union = a.area() + b.area() - inter
+    if union <= 0:
+        # both boxes degenerate: distance 0 when coincident, else 1
+        return 0.0 if a == b else 1.0
+    iou = inter / union
     if mode == "iou":
-        inter = _intersection(a, b)
-        union = a.area() + b.area() - inter
-        if union <= 0:
-            # both boxes degenerate: distance 0 when coincident, else 1
-            return 0.0 if a == b else 1.0
-        return 1.0 - inter / union
-    if mode == "giou":
-        inter = _intersection(a, b)
-        union = a.area() + b.area() - inter
-        hull = Box(
-            min(a.x0, b.x0), min(a.y0, b.y0), max(a.x1, b.x1), max(a.y1, b.y1)
-        ).area()
-        if union <= 0:
-            return 0.0 if a == b else 1.0
-        iou = inter / union
-        giou = iou - (hull - union) / hull if hull > 0 else iou
-        return (1.0 - giou) / 2.0
-    raise DataError(f"unknown box distance mode {mode!r}")
+        return 1.0 - iou
+    hull = (max(a.x1, b.x1) - min(a.x0, b.x0)) * (max(a.y1, b.y1) - min(a.y0, b.y0))
+    giou = iou - (hull - union) / hull if hull > 0 else iou
+    return (1.0 - giou) / 2.0
 
 
-def _oks_similarity(
-    a: KeypointObject, b: KeypointObject, scale: float, ks: tuple[float, ...]
-) -> float:
+def _oks_similarity(d2s: list[float], scale: float, ks: tuple[float, ...]) -> float:
     total = 0.0
-    for (ax, ay), (bx, by), k in zip(a.points, b.points, ks):
-        d2 = (ax - bx) ** 2 + (ay - by) ** 2
+    for d2, k in zip(d2s, ks):
         total += math.exp(-d2 / (2.0 * scale * scale * k * k))
-    return total / len(a.points)
+    return total / len(d2s)
 
 
 def keypoint_distance(
@@ -106,9 +91,9 @@ def keypoint_distance(
                 ks = (float(k_default),) * len(obj.points)
             return float(scale), ks
 
-        sa, ka = params(a)
-        sb, kb = params(b)
-        sim = (_oks_similarity(a, b, sa, ka) + _oks_similarity(a, b, sb, kb)) / 2.0
+        (sa, ka), (sb, kb) = params(a), params(b)
+        d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
+        sim = (_oks_similarity(d2s, sa, ka) + _oks_similarity(d2s, sb, kb)) / 2.0
         return 1.0 - sim
     if mode == "bbox_iou":
         return box_distance(_point_hull(a), _point_hull(b), "iou")

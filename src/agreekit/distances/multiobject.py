@@ -21,15 +21,18 @@ InnerDistance = Callable[[object, object], float]
 def multi_object_distance(a_objs: Sequence, b_objs: Sequence, inner: InnerDistance) -> float:
     """Symmetrized mean-of-minima lift of `inner` to object sets.
 
-    `inner` must be bounded by 1. Empty sets: both empty is perfect agreement
-    (0); exactly one empty is maximal disagreement about existence (1).
+    `inner` must be bounded by 1 and symmetric: each object pair is scored once, and
+    the row minima of that |A|x|B| matrix give A -> B, its column minima B -> A. Empty
+    sets: both empty is perfect agreement (0); exactly one empty is maximal
+    disagreement about existence (1).
     """
     if not a_objs and not b_objs:
         return 0.0
     if not a_objs or not b_objs:
         return 1.0
-    d_ab = sum(min(inner(a, b) for b in b_objs) for a in a_objs) / len(a_objs)
-    d_ba = sum(min(inner(b, a) for a in a_objs) for b in b_objs) / len(b_objs)
+    rows = [[inner(a, b) for b in b_objs] for a in a_objs]
+    d_ab = sum(min(row) for row in rows) / len(a_objs)
+    d_ba = sum(min(column) for column in zip(*rows)) / len(b_objs)
     return (d_ab + d_ba) / 2.0
 
 

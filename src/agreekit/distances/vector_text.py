@@ -36,15 +36,17 @@ def vector_batch(
     The vectors are stacked into one zero-padded matrix. Euclidean sums its
     terms one dimension at a time, left to right, and squares each term with
     Python's float power, which the platform's pow may round differently from
-    x * x. A length mismatch, an unknown mode and missing, miscounted or
-    zero-width ranges raise DataError at the first pair they affect.
+    x * x. A length mismatch, an unknown mode and missing, miscounted,
+    zero-width or non-finite ranges raise DataError at the first pair they affect.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     lengths = np.array([len(p.values) for p in payloads], dtype=np.intp)
     widths = np.array([float(hi) - float(lo) for lo, hi in ranges or ()])
+    # an infinite width would drop its dimension, (x - y) / inf being 0; NaN poisons the sum
+    bad_widths = ~((widths > 0) & (widths < np.inf))
     bad = lengths[ia] != lengths[ib]
     if mode != "binary":
-        bad |= (mode != "euclidean") | (ranges is None) | (widths <= 0).any()
+        bad |= (mode != "euclidean") | (ranges is None) | bad_widths.any()
         bad |= lengths[ia] != widths.size
     if bad.any():
         t = int(np.argmax(bad))
@@ -57,8 +59,9 @@ def vector_batch(
             raise DataError("euclidean vector distance requires per-dimension ranges")
         if len(ranges) != n:
             raise DataError(f"got {len(ranges)} ranges for {n}-dimensional vectors")
-        lo, hi = ranges[int(np.argmax(widths <= 0))]
-        raise DataError(f"zero-width range [{lo}, {hi}]")
+        lo, hi = ranges[int(np.argmax(bad_widths))]
+        kind = "zero-width" if float(hi) - float(lo) <= 0 else "non-finite"
+        raise DataError(f"{kind} range [{lo}, {hi}]")
     values = np.zeros((len(payloads), lengths.max(initial=0)))
     for row, p in enumerate(payloads):
         values[row, : len(p.values)] = p.values

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from agreekit.dataset import AnnotationRecord, Dataset
+from agreekit.distances.geometry import GeometryConfig, box_distance, keypoint_distance
 from agreekit.distances.structured import RankingConfig
 from agreekit.errors import DataError
 from agreekit.payloads import (
@@ -265,6 +266,8 @@ def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges
             width = float(hi) - float(lo)
             if width <= 0:
                 raise DataError(f"zero-width range [{lo}, {hi}]")
+            if not width < math.inf:
+                raise DataError(f"non-finite range [{lo}, {hi}]")
             acc += ((x - y) / width) ** 2
         return math.sqrt(acc / len(va))
     raise DataError(f"unknown vector distance mode {mode!r}")
@@ -326,14 +329,46 @@ NER_ENTRIES = {
     "ner_both_strict": (True, True),
 }
 
+
+def multi_object_distance_oracle(a_objs, b_objs, inner) -> float:
+    """The min-match lift with each direction scored on its own: inner(a, b) for
+    A -> B and inner(b, a) for B -> A, so it does not rely on inner's symmetry."""
+    if not a_objs and not b_objs:
+        return 0.0
+    if not a_objs or not b_objs:
+        return 1.0
+    d_ab = sum(min(inner(a, b) for b in b_objs) for a in a_objs) / len(a_objs)
+    d_ba = sum(min(inner(b, a) for a in a_objs) for b in b_objs) / len(b_objs)
+    return (d_ab + d_ba) / 2.0
+
+
+LIFTED_ENTRIES = ("box_l2", "box_iou", "box_giou", "oks", "bbox_iou")
+
+
+def lifted_inner(name: str, params: dict, meta: dict):
+    """The single-object distance of a lifted registry entry, with the builders' parameters."""
+    if name.startswith("box_"):
+        cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
+        return partial(box_distance, mode=name[len("box_"):], cfg=cfg)
+    defaults = {}
+    if name == "oks":
+        for key in ("scale_default", "k_default"):
+            value = params.get(key, meta.get("oks_" + key))
+            defaults[key] = None if value is None else float(value)
+    return partial(keypoint_distance, mode=name, **defaults)
+
+
 _OBJECTS = {"boxes": attrgetter("boxes"), "keypoints": attrgetter("objects"),
             "spans": attrgetter("spans")}
 
 
 def reference_fn(spec, meta: dict):
-    """The pair function a spec's batch is checked against: the oracle of a kernel
-    family, and spec.fn, the family's one implementation, otherwise."""
+    """The pair function a spec's batch is checked against: the oracle of a kernel family
+    or a lifted entry, and spec.fn, the family's one implementation, otherwise."""
     name, params = spec.name, spec.params
+    if name in LIFTED_ENTRIES:
+        objects, inner = _OBJECTS[spec.payload_kind], lifted_inner(name, params, meta)
+        return lambda a, b: multi_object_distance_oracle(objects(a), objects(b), inner)
     if name in ("binary", "euclidean"):
         ranges = None if name == "binary" else params.get("ranges", meta.get("ranges"))
         return partial(vector_distance_oracle, mode=name, ranges=ranges)

@@ -15,7 +15,7 @@ from agreekit.cli import main
 from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError
 
-from conftest import PAYLOAD_MAKERS, make_payloads
+from conftest import PAYLOAD_MAKERS, make_payloads, uniform_random_vector_dataset
 
 
 def small_dataset(kind: str, meta=None) -> Dataset:
@@ -369,6 +369,21 @@ class TestCliNonFiniteNumbers:
         err = capsys.readouterr().err
         assert "bad.jsonl:5: " in err and "finite" in err
 
+    @pytest.mark.parametrize("bounds, allow", [
+        ("[0,Infinity]", False), ("[0,Infinity]", True),
+        ("[-Infinity,1]", False), ("[-Infinity,1]", True),
+        ("[0,NaN]", True),
+    ])
+    def test_non_finite_range_is_data_error(self, vector_file, tmp_path, capsys, bounds, allow):
+        # an infinite width would drop its dimension from euclidean: (x - y) / inf is 0
+        out = tmp_path / "r.json"
+        ranges = ",".join(["[0,1]"] * 2 + [bounds] + ["[0,1]"] * 2)
+        argv = ["compute", "--input", vector_file, "--distance", "euclidean",
+                "--meta", f"ranges=[{ranges}]", "--out", str(out)]
+        assert main(argv + ["--allow-violations"] * allow) == 3
+        assert "non-finite range [" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_embeddings_are_data_error(self, tmp_path, capsys):
         data, _ = token_files(tmp_path)
         emb = write_lines(tmp_path / "nan.jsonl",
@@ -441,6 +456,19 @@ def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
     assert int(proc.stdout.splitlines()[-1]) / 1024 < 2048
     counts = json.loads(open(out).read())["counts"]
     assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
+
+
+def test_de_samples_all_above_two_million_candidates(tmp_path):
+    # 2,002 annotations: 2,003,001 candidate pairs, above the 2,000,000 past which a sample is
+    # rejection-sampled; "all" takes every admissible pair instead
+    data, out = str(tmp_path / "vec.jsonl"), str(tmp_path / "r.json")
+    aio.write_dataset(data, uniform_random_vector_dataset(1001, 2, 1, seed=0))
+    proc = run_python(LIMITED_AGREE, "compute", "--input", data, "--distance", "binary",
+                      "--de-samples", "all", "--out", out)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    counts = json.loads(open(out).read())["counts"]
+    assert counts["observed_pairs"] == 1001
+    assert counts["expected_pairs_used"] == counts["expected_pairs_available"] == 2_002_000
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

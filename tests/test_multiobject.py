@@ -47,6 +47,19 @@ def test_lift_empty_rules():
     assert multi_object_distance([], a, iou) == 1.0
 
 
+@pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 3), (2, 0), (1, 1), (1, 4), (3, 1), (3, 4)])
+def test_lift_scores_each_object_pair_once(n_a, n_b):
+    calls = []
+
+    def inner(a, b):
+        calls.append((a, b))
+        return abs(a - b) / 10
+
+    a, b = list(range(n_a)), list(range(10, 10 + n_b))
+    multi_object_distance(a, b, inner)
+    assert sorted(calls) == list(itertools.product(a, b))
+
+
 def test_lift_identity_and_symmetry_randomized(rng):
     for _ in range(50):
         a, b = make_boxset(rng), make_boxset(rng)

@@ -18,7 +18,7 @@ from agreekit.payloads import (
 from agreekit.properties import check_metric_properties
 from agreekit.registry import DistanceSpec, make_spec
 
-from conftest import make_payloads
+from conftest import lifted_inner, make_payloads
 
 
 def fake_spec(fn, kind="vector", name="fake"):
@@ -182,3 +182,70 @@ def test_metric_axioms_hold_on_drawn_payloads(name, data):
     assert not spec.dissimilarity
     report = check_metric_properties(spec, payloads)
     assert report.passed(), report.describe()
+
+
+# Object pairs for the inner distances of the lifted entries. The lift scores each object
+# pair once and reads both directions from it, so inner(a, b) must equal inner(b, a) bit
+# for bit. Draws reach zero-width and zero-height boxes, equal and nested boxes, and
+# one-point keypoint objects, whose hull boxes are points.
+_coordinate = st.integers(-3, 3) | st.floats(-1e3, 1e3)
+_extent = st.just(0.0) | st.integers(0, 3) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def _boxes(draw):
+    x0, y0 = draw(_coordinate), draw(_coordinate)
+    return Box(x0, y0, x0 + draw(_extent), y0 + draw(_extent))
+
+
+@st.composite
+def box_pairs(draw):
+    a = draw(_boxes())
+    relation = draw(st.sampled_from(["drawn", "equal", "nested"]))
+    if relation == "drawn":
+        return a, draw(_boxes())
+    if relation == "equal":
+        return a, Box(a.x0, a.y0, a.x1, a.y1)
+    xs = sorted(draw(st.lists(st.floats(a.x0, a.x1), min_size=2, max_size=2)))
+    ys = sorted(draw(st.lists(st.floats(a.y0, a.y1), min_size=2, max_size=2)))
+    return a, Box(xs[0], ys[0], xs[1], ys[1])
+
+
+@st.composite
+def keypoint_pairs(draw, own_params: bool):
+    """Two objects with the same point count; own_params gives each its scale and k_i,
+    otherwise either may be missing and the entry's defaults fill in."""
+    n = draw(st.integers(1, 3))
+    scale = st.floats(0.1, 100.0)
+    ks = st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n).map(tuple)
+    if not own_params:
+        scale, ks = st.none() | scale, st.none() | ks
+
+    def obj():
+        points = st.lists(st.tuples(_coordinate, _coordinate), min_size=n, max_size=n)
+        return st.builds(KeypointObject, points.map(tuple), scale, ks)
+
+    a = draw(obj())
+    return a, draw(obj() | st.just(a))
+
+
+INNER_SAMPLES = {  # case: (entry name, params, object pairs)
+    "box_l2": ("box_l2", {}, box_pairs()),
+    "box_l2-scale5": ("box_l2", {"l2_scale": 5.0}, box_pairs()),
+    "box_iou": ("box_iou", {}, box_pairs()),
+    "box_giou": ("box_giou", {}, box_pairs()),
+    "oks": ("oks", {}, keypoint_pairs(own_params=True)),
+    "oks-defaults": ("oks", {"scale_default": 12.0, "k_default": 0.5},
+                     keypoint_pairs(own_params=False)),
+    "bbox_iou": ("bbox_iou", {}, keypoint_pairs(own_params=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INNER_SAMPLES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lifted_inner_distances_are_bitwise_symmetric(case, data):
+    name, params, pairs = INNER_SAMPLES[case]
+    inner = lifted_inner(name, params, {})
+    a, b = data.draw(pairs)
+    assert inner(a, b).hex() == inner(b, a).hex()
