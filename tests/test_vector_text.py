@@ -167,10 +167,10 @@ def test_embedding_dimension_mismatch_rejected():
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", None),
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", UNIT[:3]),
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", [(0.0, 1.0), (2.0, 2.0)]),
+        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "manhattan", None),
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", [(0.0, math.inf), (2.0, 2.0)]),
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", [(0.0, 1.0), (-math.inf, 1.0)]),
         ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "euclidean", [(0.0, 1.0), (0.0, math.nan)]),
-        ([vec(0.1, 0.2), vec(0.5, 0.9), vec(0.3, 0.4)], "manhattan", None),
     ],
 )
 def test_vector_batch_raises_what_the_loop_raises(payloads, mode, ranges):
