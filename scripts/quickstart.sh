@@ -2,9 +2,11 @@
 # README quick-start, spans and boxes examples through the installed `agree` script, with
 # the printed rows pinned, plus `check-metric` on the simulated ranking and vector
 # inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
-# directory and exits non-zero on the first command or grep that fails.
+# directory, removed on exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
-cd "$(mktemp -d)"
+dir="$(mktemp -d)"
+trap 'rm -rf "$dir"' EXIT
+cd "$dir"
 
 agree simulate --task ranking --items 30 --annotators 3 --noise 0.25 --seed 7 --out demo.jsonl
 agree compute --input demo.jsonl --distance tau --seed 7 | tee compute.txt

@@ -71,7 +71,8 @@ def validate_dataset(
 
     Hard errors (raised): empty input, mixed payload kinds.
     Soft violations (reported): duplicate (item, annotator) pairs, vector values
-    outside configured ranges, vector length mismatches, rankings that are not
+    outside configured ranges, configured ranges with a NaN bound (once each),
+    vector length mismatches, rankings that are not
     permutations of the universe, items with fewer than two annotations.
     """
     meta = dict(meta or {})
@@ -111,6 +112,7 @@ def validate_dataset(
         if len(lengths) > 1:
             violations.append(f"inconsistent vector lengths: {sorted(lengths)}")
         if ranges is not None:
+            nan_ranges: dict[int, tuple] = {}
             for rec in records:
                 vals = rec.payload.values
                 if len(vals) != len(ranges):
@@ -120,11 +122,16 @@ def validate_dataset(
                     )
                     continue
                 for i, (v, (lo, hi)) in enumerate(zip(vals, ranges)):
-                    if not (lo <= v <= hi):
+                    if lo != lo or hi != hi:
+                        # no value lies in a range with a NaN bound: name the range, once
+                        nan_ranges[i] = (lo, hi)
+                    elif not (lo <= v <= hi):
                         violations.append(
                             f"item {rec.item_id!r} annotator {rec.annotator_id!r}: "
                             f"value {v} outside range [{lo}, {hi}] at dimension {i}"
                         )
+            violations += [f"range [{lo}, {hi}] at dimension {i} has a NaN bound"
+                           for i, (lo, hi) in nan_ranges.items()]
 
     if kind == "ranking":
         universe = meta.get("universe")

@@ -1,9 +1,9 @@
 """Distance implementations grouped by payload family.
 
-Each family has one implementation. The ranking, vector, span and
-object-count families are batch kernels (ranking_batch, vector_batch,
-ner_batch, count_diff_batch in their modules) that score index arrays of
-pairs at once; the functions exported here are the pair functions of the
+Each family has one implementation. The ranking, vector, box-overlap, span
+and object-count families are batch kernels (ranking_batch, vector_batch,
+box_overlap_batch, ner_batch, count_diff_batch in their modules) that score
+index arrays of pairs at once; the functions exported here are the pair functions of the
 families without one. The registry module wires both to names, parameters
 and metric-property flags, and make_spec(...).fn scores one pair of any entry.
 """

@@ -9,6 +9,7 @@ a metric inner distance, so every lifted registry entry is a dissimilarity.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,45 @@ def multi_object_distance(a_objs: Sequence, b_objs: Sequence, inner: InnerDistan
     d_ab = sum(min(row) for row in rows) / len(a_objs)
     d_ba = sum(min(column) for column in zip(*rows)) / len(b_objs)
     return (d_ab + d_ba) / 2.0
+
+
+def min_match_batch(
+    counts: np.ndarray, ia: np.ndarray, ib: np.ndarray, inner: Callable
+) -> np.ndarray:
+    """multi_object_distance of each pair (ia[t], ib[t]) of object sets.
+
+    Objects are numbered payload by payload, counts[p] of them for payload p, and
+    inner(ga, gb) scores the objects ga[e] and gb[e] elementwise. Each pair's
+    |A|x|B| matrix is one row-major block of a flat array, whose rows give the
+    A -> B minima and whose transposed gather the B -> A minima, both by
+    np.minimum.reduceat. Each direction's minima are summed with `sum` in object
+    order, as the pair function does (from Python 3.12 `sum` is compensated, and
+    numpy's add reductions are pairwise), so the results equal it bit for bit.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    na, nb = counts[ia], counts[ib]
+    out = np.where((na == 0) & (nb == 0), 0.0, 1.0)
+    full = np.flatnonzero((na > 0) & (nb > 0))
+    if not full.size:
+        return out
+    na, nb = na[full], nb[full]
+    size = na * nb
+    start = np.cumsum(size) - size
+    pair = np.repeat(np.arange(full.size), size)
+    cell = np.arange(pair.size) - start[pair]
+    row, col = np.divmod(cell, nb[pair])
+    d = inner(first[ia[full]][pair] + row, first[ib[full]][pair] + col)
+    row_min = np.minimum.reduceat(d, np.flatnonzero(col == 0))
+    # the same cells column-major: cell number k holds (row k % |A|, column k // |A|)
+    col, row = np.divmod(cell, na[pair])
+    col_min = np.minimum.reduceat(d[start[pair] + row * nb[pair] + col], np.flatnonzero(row == 0))
+    rows, cols = iter(row_min.tolist()), iter(col_min.tolist())
+    d_ab = [sum(islice(rows, k)) for k in na.tolist()]
+    d_ba = [sum(islice(cols, k)) for k in nb.tolist()]
+    out[full] = (np.array(d_ab) / na + np.array(d_ba) / nb) / 2.0
+    return out
 
 
 def count_diff_batch(

@@ -19,7 +19,12 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .distances.geometry import GeometryConfig, box_distance, keypoint_distance
+from .distances.geometry import (
+    GeometryConfig,
+    box_distance,
+    box_overlap_batch,
+    keypoint_distance,
+)
 from .distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
 from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_distance
 from .distances.vector_text import TokenEmbeddingTable, translation_distance, vector_batch
@@ -108,12 +113,15 @@ def _box(mode, params, meta, embeddings, objects):
     return _lift(partial(box_distance, mode=mode, cfg=cfg), objects)
 
 
+def _overlap(mode, params, meta, embeddings, objects):
+    return partial(box_overlap_batch, objects=objects, mode=mode)
+
+
 def _keypoints(mode, params, meta, embeddings, objects):
     defaults = {}
-    if mode == "oks":
-        for key in ("scale_default", "k_default"):
-            value = params.get(key, meta.get("oks_" + key))
-            defaults[key] = None if value is None else float(value)
+    for key in ("scale_default", "k_default"):
+        value = params.get(key, meta.get("oks_" + key))
+        defaults[key] = None if value is None else float(value)
     return _lift(partial(keypoint_distance, mode=mode, **defaults), objects)
 
 
@@ -138,7 +146,7 @@ def _ranking(mode, params, meta, embeddings, objects):
     return partial(ranking_batch, cfg=RankingConfig(mode=mode, k=k))
 
 
-_KERNEL_BUILDERS = (_vector, _count, _ner, _ranking)
+_KERNEL_BUILDERS = (_vector, _overlap, _count, _ner, _ranking)
 
 
 @dataclass(frozen=True)
@@ -178,13 +186,13 @@ _ENTRIES = {
                            "1 - greedy max-cosine token-matching F1"),
     "box_l2": _Entry(("boxes",), ("l2_scale",), True, 1.0, _box, "l2",
                      "min-match lift of scaled corner RMSE"),
-    "box_iou": _Entry(("boxes",), (), True, 1.0, _box, "iou",
+    "box_iou": _Entry(("boxes",), (), True, 1.0, _overlap, "iou",
                       "min-match lift of 1 - IoU"),
-    "box_giou": _Entry(("boxes",), (), True, 1.0, _box, "giou",
+    "box_giou": _Entry(("boxes",), (), True, 1.0, _overlap, "giou",
                        "min-match lift of (1 - GIoU) / 2"),
     "oks": _Entry(("keypoints",), ("scale_default", "k_default"), True, 1.0, _keypoints, "oks",
                   "min-match lift of 1 - object keypoint similarity"),
-    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _keypoints, "bbox_iou",
+    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _overlap, "bbox_iou",
                        "min-match lift of 1 - IoU of keypoint hull boxes"),
     "count_diff": _Entry(tuple(_OBJECTS), ("normalize",), False, 1.0, _count, None,
                          "absolute object-count difference (normalize=false for the raw count)"),

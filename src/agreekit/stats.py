@@ -287,40 +287,57 @@ def ks_measure(samples: DistanceSamples, n_permutations: int = 0) -> KsResult:
     n_permutations > 0 it is a pooled permutation estimate instead. The
     measure is exactly 1 - p.
     """
-    m, n = samples.observed.size, samples.expected.size
-    stat = ks_statistic(samples.observed, samples.expected)
+    return ks_measures([samples], n_permutations)[0]
+
+
+def ks_measures(samples: Sequence[DistanceSamples], n_permutations: int = 0) -> list[KsResult]:
+    """ks_measure of each of several samples that share their seed and sizes, as the
+    distances of one pair plan do, so one stream of permutations serves them all."""
+    if not samples:
+        return []
+    stats = [ks_statistic(s.observed, s.expected) for s in samples]
     if n_permutations > 0:
-        p = _permutation_pvalue(samples, stat, n_permutations)
+        ps = _permutation_pvalues(samples, stats, n_permutations)
     else:
-        p = math.exp(-2.0 * m * n * stat * stat / (m + n))
-        p = min(1.0, max(0.0, p))
-    return KsResult(statistic=stat, pvalue=p, measure=1.0 - p)
+        ps = []
+        for s, stat in zip(samples, stats):
+            m, n = s.observed.size, s.expected.size
+            ps.append(min(1.0, max(0.0, math.exp(-2.0 * m * n * stat * stat / (m + n)))))
+    return [KsResult(statistic=stat, pvalue=p, measure=1.0 - p) for stat, p in zip(stats, ps)]
 
 
-def _permutation_pvalue(samples: DistanceSamples, stat: float, n_permutations: int) -> float:
-    """(1 + permutations whose gap reaches stat) / (n_permutations + 1).
+def _permutation_pvalues(
+    samples: Sequence[DistanceSamples], stats: Sequence[float], n_permutations: int
+) -> list[float]:
+    """(1 + permutations whose gap reaches stats[k]) / (n_permutations + 1), for each
+    samples[k]; all of them share one seed and sizes (m, n), so the same draws.
 
     A permutation draws m + n uniforms; draw k's rank among them is the slot
     it labels observed (k < m) or expected. Buckets floor(draw * m) keep that
     order, so the observed draws through bucket j and the expected ones
-    before it cap the gap over bucket j's slots, and a permutation whose caps
-    all fall short is never ranked."""
-    m, n = samples.observed.size, samples.expected.size
-    run_end = _run_ends(np.sort(np.concatenate([samples.observed, samples.expected])))
-    rng = np.random.default_rng([samples.seed, 0x4B53])
-    exceed = 0
+    before it cap the gap over bucket j's slots. A permutation is drawn and
+    bucketed once, and ranked only if its cap reaches some statistic, whose
+    gaps alone are then taken."""
+    m, n = samples[0].observed.size, samples[0].expected.size
+    run_ends = [_run_ends(np.sort(np.concatenate([s.observed, s.expected]))) for s in samples]
+    reach = [stat - 1e-12 for stat in stats]
+    rng = np.random.default_rng([samples[0].seed, 0x4B53])
+    exceed = [0] * len(samples)
     for _ in range(n_permutations):
         draws = rng.random(m + n)
         bucket = (draws * m).astype(np.intp)  # < m: no draw exceeds 1 - 2**-53
         obs_through = np.cumsum(np.bincount(bucket[:m], minlength=m))
         exp_through = np.cumsum(np.bincount(bucket[m:], minlength=m))
         exp_before = np.concatenate(([0], exp_through[:-1]))
-        if (obs_through / m - exp_before / n).max() < stat - 1e-12:
+        cap = (obs_through / m - exp_before / n).max()
+        within = [k for k, r in enumerate(reach) if cap >= r]
+        if not within:
             continue
         # ranks of the observed draws; an expected draw equal to one ranks after it
         obs_slots = np.arange(m) + np.searchsorted(np.sort(draws[m:]), np.sort(draws[:m]))
-        exceed += _ecdf_gap(obs_slots, run_end, m, n) >= stat - 1e-12
-    return (1 + exceed) / (n_permutations + 1)
+        for k in within:
+            exceed[k] += _ecdf_gap(obs_slots, run_ends[k], m, n) >= reach[k]
+    return [(1 + e) / (n_permutations + 1) for e in exceed]
 
 
 def histogram(values: np.ndarray, lo: float, hi: float) -> list[list[float]]:
@@ -442,14 +459,18 @@ def agreement_reports(
     Validates once and plans pairs once, so all are measured on the same pairs."""
     summary = validate_dataset(dataset.records, dataset.meta)
     plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
-    reports = []
+    measured = []
     for spec in specs:
         samples = _evaluate(spec, dataset, plan, seed)
         bounds = (0.0, spec.upper_bound) if spec.upper_bound is not None else None
         alpha = krippendorff_alpha(samples)
         sigma = sigma_measure(samples, p=p, bounds=bounds, bandwidth=bandwidth)
-        ks = ks_measure(samples, n_permutations=n_permutations)
+        measured.append((samples, alpha, sigma))
+    # one plan gives every spec the same seed and sample sizes, so the same permutations
+    ks_results = ks_measures([samples for samples, _, _ in measured], n_permutations)
 
+    reports = []
+    for spec, (samples, alpha, sigma), ks in zip(specs, measured, ks_results):
         pooled_lo = float(min(samples.observed.min(), samples.expected.min()))
         pooled_hi = float(max(samples.observed.max(), samples.expected.max()))
         obs_hist = histogram(samples.observed, pooled_lo, pooled_hi)

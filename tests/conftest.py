@@ -342,20 +342,51 @@ def multi_object_distance_oracle(a_objs, b_objs, inner) -> float:
     return (d_ab + d_ba) / 2.0
 
 
+def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
+    """One object pair of box_overlap_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2."""
+    w = min(a.x1, b.x1) - max(a.x0, b.x0)
+    h = min(a.y1, b.y1) - max(a.y0, b.y0)
+    inter = w * h if w > 0 and h > 0 else 0.0
+    union = a.area() + b.area() - inter
+    if union <= 0:
+        # both boxes degenerate: distance 0 when coincident, else 1
+        return 0.0 if a == b else 1.0
+    iou = inter / union
+    if mode == "iou":
+        return 1.0 - iou
+    hull = (max(a.x1, b.x1) - min(a.x0, b.x0)) * (max(a.y1, b.y1) - min(a.y0, b.y0))
+    giou = iou - (hull - union) / hull if hull > 0 else iou
+    return (1.0 - giou) / 2.0
+
+
+def point_hull(obj: KeypointObject) -> Box:
+    xs = [p[0] for p in obj.points]
+    ys = [p[1] for p in obj.points]
+    return Box(min(xs), min(ys), max(xs), max(ys))
+
+
+def hull_iou_oracle(a: KeypointObject, b: KeypointObject) -> float:
+    """One object pair of bbox_iou: the IoU distance of the two point hulls."""
+    return box_overlap_oracle(point_hull(a), point_hull(b), "iou")
+
+
 LIFTED_ENTRIES = ("box_l2", "box_iou", "box_giou", "oks", "bbox_iou")
 
 
 def lifted_inner(name: str, params: dict, meta: dict):
     """The single-object distance of a lifted registry entry, with the builders' parameters."""
-    if name.startswith("box_"):
+    if name in ("box_iou", "box_giou"):
+        return partial(box_overlap_oracle, mode=name[len("box_"):])
+    if name == "bbox_iou":
+        return hull_iou_oracle
+    if name == "box_l2":
         cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-        return partial(box_distance, mode=name[len("box_"):], cfg=cfg)
+        return partial(box_distance, mode="l2", cfg=cfg)
     defaults = {}
-    if name == "oks":
-        for key in ("scale_default", "k_default"):
-            value = params.get(key, meta.get("oks_" + key))
-            defaults[key] = None if value is None else float(value)
-    return partial(keypoint_distance, mode=name, **defaults)
+    for key in ("scale_default", "k_default"):
+        value = params.get(key, meta.get("oks_" + key))
+        defaults[key] = None if value is None else float(value)
+    return partial(keypoint_distance, mode="oks", **defaults)
 
 
 _OBJECTS = {"boxes": attrgetter("boxes"), "keypoints": attrgetter("objects"),

@@ -384,6 +384,15 @@ class TestCliNonFiniteNumbers:
         assert "non-finite range [" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_range_is_one_violation(self, vector_file, capsys):
+        # 10 items x 3 annotators: checked value by value it was one violation per record
+        ranges = ",".join(["[0,1]"] * 2 + ["[0,NaN]"] + ["[0,1]"] * 2)
+        argv = ["compute", "--input", vector_file, "--distance", "euclidean",
+                "--meta", f"ranges=[{ranges}]"]
+        assert main(argv) == 3
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("validation:")]
+        assert lines == ["validation: range [0, nan] at dimension 2 has a NaN bound"]
+
     def test_non_finite_embeddings_are_data_error(self, tmp_path, capsys):
         data, _ = token_files(tmp_path)
         emb = write_lines(tmp_path / "nan.jsonl",

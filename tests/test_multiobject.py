@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agreekit.distances.geometry import box_distance
 from agreekit.distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
 from agreekit.payloads import Box, Span, SpanSet
 from agreekit.registry import make_spec
 
-from conftest import NER_ENTRIES, count_diff_oracle, make_boxset, ner_distance_oracle
+from conftest import (
+    NER_ENTRIES,
+    box_overlap_oracle,
+    count_diff_oracle,
+    make_boxset,
+    ner_distance_oracle,
+)
 
 
 def iou(a, b):
-    return box_distance(a, b, "iou")
+    return box_overlap_oracle(a, b, "iou")
 
 
 def count_diff(a_objs, b_objs, normalize=True):

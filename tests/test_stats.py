@@ -26,11 +26,12 @@ from agreekit.stats import (
     histogram,
     krippendorff_alpha,
     ks_measure,
+    ks_measures,
     ks_statistic,
     observed_pairs,
     sigma_measure,
 )
-from agreekit.stats import _ecdf_gap, _permutation_pvalue, _run_ends
+from agreekit.stats import _ecdf_gap, _permutation_pvalues, _run_ends
 
 from conftest import dataset_from_grid, uniform_random_vector_dataset
 
@@ -377,7 +378,8 @@ def ks_statistic_reference(observed: np.ndarray, expected: np.ndarray) -> float:
 
 
 # quarters give heavy ties; plain floats give almost none
-KS_VALUES = st.one_of(st.integers(0, 4).map(lambda q: q / 4), st.floats(0.0, 1.0))
+TIED_KS_VALUES = st.integers(0, 4).map(lambda q: q / 4)
+KS_VALUES = st.one_of(TIED_KS_VALUES, st.floats(0.0, 1.0))
 
 
 def permutation_pvalue_batched(
@@ -504,6 +506,7 @@ class TestKs:
         result = ks_measure(s, n_permutations=n_permutations)
         batched = permutation_pvalue_batched(s, result.statistic, n_permutations, batch)
         assert result.pvalue == batched
+        assert _permutation_pvalues([s], [result.statistic], n_permutations) == [batched]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -530,9 +533,32 @@ class TestKs:
     ):
         s = samples(observed, expected, seed=seed)
         maxima = permutation_maxima_reference(s, n_permutations)
-        for t in thresholds_around(maxima):
-            expect = (1 + int(np.sum(maxima >= t - 1e-12))) / (n_permutations + 1)
-            assert _permutation_pvalue(s, t, n_permutations) == expect
+        thresholds = thresholds_around(maxima).tolist()
+        expect = [(1 + int(np.sum(maxima >= t - 1e-12))) / (n_permutations + 1)
+                  for t in thresholds]
+        # every threshold against one stream of permutations, as the distances of a compare
+        got = _permutation_pvalues([s] * len(thresholds), thresholds, n_permutations)
+        assert got == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 30),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        n_permutations=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_shared_permutation_stream_equals_each_distance_alone(
+        self, m, n, seed, n_permutations, data
+    ):
+        group = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            values = data.draw(st.sampled_from([TIED_KS_VALUES, st.floats(0.0, 1.0)]))
+            observed = data.draw(st.lists(values, min_size=m, max_size=m))
+            expected = data.draw(st.lists(values, min_size=n, max_size=n))
+            group.append(samples(observed, expected, seed=seed))
+        shared = ks_measures(group, n_permutations=n_permutations)
+        assert shared == [ks_measure(s, n_permutations=n_permutations) for s in group]
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_bucket_bound_skips_only_permutations_that_cannot_reach(self, tied, monkeypatch):
@@ -548,7 +574,7 @@ class TestKs:
         monkeypatch.setattr(stats, "_ecdf_gap", lambda *a: scored.append(1) or _ecdf_gap(*a))
         for t in thresholds:
             expect = (1 + int(np.sum(maxima >= t - 1e-12))) / 81
-            assert _permutation_pvalue(s, t, 80) == expect
+            assert _permutation_pvalues([s], [t], 80) == [expect]
         # both branches ran: some permutations were scored, the others skipped unsorted
         assert 0 < len(scored) < 80 * thresholds.size
 
