@@ -44,3 +44,5 @@ agree check-metric --input demo.jsonl --distance tau | tee tau-metric.txt
 grep -Fx ok tau-metric.txt
 agree check-metric --input vector.jsonl --distance euclidean | tee euclidean-metric.txt
 grep -Fx ok euclidean-metric.txt
+agree check-metric --input boxes.jsonl --distance box_l2 | tee box-l2-metric.txt
+grep -Fx ok box-l2-metric.txt

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 from .errors import DataError
@@ -69,7 +70,8 @@ def validate_dataset(
 ) -> ValidationSummary:
     """Check dataset-level invariants and return counts plus a sorted violation list.
 
-    Hard errors (raised): empty input, mixed payload kinds.
+    Hard errors (raised): empty input, mixed payload kinds, vector ranges that are
+    not a list of [lo, hi] pairs of numbers.
     Soft violations (reported): duplicate (item, annotator) pairs, vector values
     outside configured ranges, configured ranges with a NaN bound (once each),
     vector length mismatches, rankings that are not
@@ -108,6 +110,11 @@ def validate_dataset(
 
     if kind == "vector":
         ranges = meta.get("ranges")
+        if ranges is not None and not (isinstance(ranges, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) and len(r) == 2
+            and all(isinstance(x, Real) and not isinstance(x, bool) for x in r) for r in ranges
+        )):
+            raise DataError(f"ranges must be a list of [lo, hi] pairs of numbers, got {ranges!r}")
         lengths = {len(r.payload.values) for r in records}
         if len(lengths) > 1:
             violations.append(f"inconsistent vector lengths: {sorted(lengths)}")

@@ -1,5 +1,5 @@
-"""Geometric distances: box L2 and keypoint OKS as single-object pair functions, and
-box IoU, GIoU and keypoint bbox IoU as one batch kernel of their min-match lift.
+"""Geometric distances: the min-match lift of box L2, box IoU and GIoU, keypoint OKS
+and keypoint bbox IoU, each one batch kernel over min_match_batch.
 
 Raw score orientations for traceability: IoU and OKS are similarities in
 [0, 1], shipped as 1 - score; GIoU lies in [-1, 1], shipped as (1 - GIoU) / 2;
@@ -10,7 +10,6 @@ would be 1 - error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,28 +17,7 @@ import numpy as np
 from ..errors import DataError
 from ..payloads import Box, KeypointObject
 from .multiobject import min_match_batch
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    # l2_scale assumes coordinates in the original dataset's units; override per dataset
-    l2_scale: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.l2_scale <= 0:
-            raise DataError("l2_scale must be positive")
-
-
-_DEFAULT_CFG = GeometryConfig()
-
-
-def box_distance(a: Box, b: Box, mode: str, cfg: GeometryConfig = _DEFAULT_CFG) -> float:
-    """The scaled corner RMSE of two boxes (mode "l2"); IoU and GIoU are box_overlap_batch."""
-    if mode != "l2":
-        raise DataError(f"unknown box distance mode {mode!r}")
-    d0 = math.sqrt(((a.x0 - b.x0) ** 2 + (a.y0 - b.y0) ** 2) / 2.0)
-    d1 = math.sqrt(((a.x1 - b.x1) ** 2 + (a.y1 - b.y1) ** 2) / 2.0)
-    return min(1.0, (d0 + d1) / cfg.l2_scale)
+from .vector_text import squares
 
 
 def _box_corners(box: Box) -> tuple[float, float, float, float]:
@@ -52,28 +30,41 @@ def _hull_corners(obj: KeypointObject) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-# finite corners can overflow to an inf area, and then to a nan distance, as the scalar
-# operations do; DistanceSamples rejects it, so numpy's warnings would only be noise
+# finite corners can overflow to an inf area, and then to a nan distance, or to an inf
+# difference that l2 clamps to 1, as the scalar operations do; DistanceSamples rejects
+# a nan distance, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
-def box_overlap_batch(
-    payloads: Sequence, ia: np.ndarray, ib: np.ndarray, objects: Callable, mode: str
+def box_batch(
+    payloads: Sequence,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    objects: Callable,
+    mode: str,
+    l2_scale: float = 20.0,
 ) -> np.ndarray:
-    """Min-match lift of an overlap distance for each pair (payloads[ia[t]], payloads[ib[t]]).
+    """Min-match lift of a box distance for each pair (payloads[ia[t]], payloads[ib[t]]).
 
-    mode "iou" scores two boxes 1 - IoU, "giou" (1 - GIoU) / 2, and "bbox_iou" is
-    1 - IoU of the bounding boxes of two keypoint objects' points. Two boxes of no
-    union (both degenerate) are 0 apart when equal and 1 otherwise. Every payload's
-    boxes are packed once into one coordinate array, and each operation is the
-    scalar's, in its order, so every pair's value is exact.
+    mode "l2" scores two boxes min(1, (d0 + d1) / l2_scale), d0 and d1 being the RMSE
+    of the upper-left and of the lower-right corners' coordinate differences. "iou"
+    scores them 1 - IoU, "giou" (1 - GIoU) / 2, and "bbox_iou" is 1 - IoU of the
+    bounding boxes of two keypoint objects' points. Two boxes of no union (both
+    degenerate) are 0 apart when equal and 1 otherwise. Every payload's boxes are
+    packed once into one coordinate array, and each operation is the scalar's, in its
+    order, so every pair's value is exact.
     """
-    if mode not in ("iou", "giou", "bbox_iou"):
-        raise DataError(f"unknown box overlap mode {mode!r}")
+    if mode not in ("l2", "iou", "giou", "bbox_iou"):
+        raise DataError(f"unknown box distance mode {mode!r}")
     corners = _hull_corners if mode == "bbox_iou" else _box_corners
     sets = [objects(p) for p in payloads]
     boxes = np.array([corners(obj) for objs in sets for obj in objs], dtype=float).reshape(-1, 4)
     area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        if mode == "l2":
+            sq = squares(boxes[ga] - boxes[gb])
+            d0 = np.sqrt((sq[:, 0] + sq[:, 1]) / 2.0)
+            d1 = np.sqrt((sq[:, 2] + sq[:, 3]) / 2.0)
+            return np.minimum(1.0, (d0 + d1) / l2_scale)
         (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[ga].T, boxes[gb].T
         w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
         h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
@@ -97,48 +88,66 @@ def box_overlap_batch(
     return min_match_batch([len(objs) for objs in sets], ia, ib, inner)
 
 
-def _oks_similarity(d2s: list[float], scale: float, ks: tuple[float, ...]) -> float:
-    total = 0.0
-    for d2, k in zip(d2s, ks):
-        total += math.exp(-d2 / (2.0 * scale * scale * k * k))
-    return total / len(d2s)
-
-
-def keypoint_distance(
-    a: KeypointObject,
-    b: KeypointObject,
-    mode: str,
-    *,
+# 2 s^2 k^2 can overflow, or underflow to 0 and give a nan 0 / 0 for coincident points;
+# DistanceSamples rejects a nan distance, so numpy's warnings would only be noise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def oks_batch(
+    payloads: Sequence,
+    ia: np.ndarray,
+    ib: np.ndarray,
+    objects: Callable,
     scale_default: Optional[float] = None,
     k_default: Optional[float] = None,
-) -> float:
-    """OKS: 1 - mean exp(-d_i^2 / (2 s^2 k_i^2)); bbox_iou is box_overlap_batch.
+) -> np.ndarray:
+    """Min-match lift of 1 - OKS for each pair (payloads[ia[t]], payloads[ib[t]]).
 
-    The definition leaves open whose scale s and constants k_i apply, so the
-    score is evaluated under each object's parameters and averaged, which
-    restores symmetry.
+    OKS is mean exp(-d_i^2 / (2 s^2 k_i^2)). The definition leaves open whose scale s
+    and constants k_i apply, so the score is evaluated under each object's parameters
+    and averaged, which restores symmetry; objects without their own take scale_default
+    and k_default. Every object's points and denominators 2 s^2 k_i^2 are packed once.
+    Each exp is math.exp, and each object pair's terms are added left to right from
+    0.0. Differing point counts and missing parameters raise DataError at the first
+    scored object pair they affect.
     """
-    if mode != "oks":
-        raise DataError(f"unknown keypoint distance mode {mode!r}")
-    if len(a.points) != len(b.points):
-        raise DataError(
-            f"oks requires matching point counts, got {len(a.points)} and {len(b.points)}"
-        )
+    sets = [objects(p) for p in payloads]
+    objs: list[KeypointObject] = [obj for objs in sets for obj in objs]
+    n_points = np.array([len(o.points) for o in objs], dtype=np.intp)
+    first = np.cumsum(n_points) - n_points
+    points = np.array([pt for o in objs for pt in o.points], dtype=float).reshape(-1, 2)
+    # a missing parameter without a default is nan
+    scale = np.array([scale_default if o.scale is None else o.scale for o in objs], dtype=float)
+    ks = np.array([k for o in objs for k in o.per_point_constant or (k_default,) * len(o.points)],
+                  dtype=float)
+    no_scale, no_ks = np.isnan(scale), np.isnan(ks[first])
+    s = np.repeat(scale, n_points)
+    denominator = 2.0 * s * s * ks * ks
 
-    def params(obj: KeypointObject) -> tuple[float, tuple[float, ...]]:
-        scale = obj.scale if obj.scale is not None else scale_default
-        if scale is None:
-            raise DataError("keypoint object has no scale and no default was configured")
-        ks = obj.per_point_constant
-        if ks is None:
-            if k_default is None:
+    def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        n = n_points[ga]
+        bad = (n != n_points[gb]) | no_scale[ga] | no_ks[ga] | no_scale[gb] | no_ks[gb]
+        if bad.any():
+            a, b = ga[np.argmax(bad)], gb[np.argmax(bad)]
+            if n_points[a] != n_points[b]:
                 raise DataError(
-                    "keypoint object has no per-point constants and no default was configured"
+                    f"oks requires matching point counts, got {n_points[a]} and {n_points[b]}"
                 )
-            ks = (float(k_default),) * len(obj.points)
-        return float(scale), ks
+            for o in (a, b):
+                if no_scale[o]:
+                    raise DataError("keypoint object has no scale and no default was configured")
+                if no_ks[o]:
+                    raise DataError(
+                        "keypoint object has no per-point constants and no default was configured"
+                    )
+        # point j of every object pair, under a's parameters and under b's
+        total = np.zeros((2, ga.size))
+        for j in range(int(n.max())):
+            live = np.flatnonzero(n > j)
+            pa, pb = first[ga[live]] + j, first[gb[live]] + j
+            sq = squares(points[pa] - points[pb])
+            x = -(sq[:, 0] + sq[:, 1]) / denominator[np.stack([pa, pb])]
+            total[:, live] += np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size
+                                          ).reshape(x.shape)
+        oks_a, oks_b = total / n
+        return 1.0 - (oks_a + oks_b) / 2.0
 
-    (sa, ka), (sb, kb) = params(a), params(b)
-    d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
-    sim = (_oks_similarity(d2s, sa, ka) + _oks_similarity(d2s, sb, kb)) / 2.0
-    return 1.0 - sim
+    return min_match_batch([len(objs) for objs in sets], ia, ib, inner)

@@ -16,39 +16,21 @@ import numpy as np
 
 from ..payloads import SpanSet
 
-InnerDistance = Callable[[object, object], float]
-
-
-def multi_object_distance(a_objs: Sequence, b_objs: Sequence, inner: InnerDistance) -> float:
-    """Symmetrized mean-of-minima lift of `inner` to object sets.
-
-    `inner` must be bounded by 1 and symmetric: each object pair is scored once, and
-    the row minima of that |A|x|B| matrix give A -> B, its column minima B -> A. Empty
-    sets: both empty is perfect agreement (0); exactly one empty is maximal
-    disagreement about existence (1).
-    """
-    if not a_objs and not b_objs:
-        return 0.0
-    if not a_objs or not b_objs:
-        return 1.0
-    rows = [[inner(a, b) for b in b_objs] for a in a_objs]
-    d_ab = sum(min(row) for row in rows) / len(a_objs)
-    d_ba = sum(min(column) for column in zip(*rows)) / len(b_objs)
-    return (d_ab + d_ba) / 2.0
-
 
 def min_match_batch(
     counts: np.ndarray, ia: np.ndarray, ib: np.ndarray, inner: Callable
 ) -> np.ndarray:
-    """multi_object_distance of each pair (ia[t], ib[t]) of object sets.
+    """Symmetrized mean-of-minima lift of `inner` to each pair (ia[t], ib[t]) of object sets.
 
     Objects are numbered payload by payload, counts[p] of them for payload p, and
-    inner(ga, gb) scores the objects ga[e] and gb[e] elementwise. Each pair's
-    |A|x|B| matrix is one row-major block of a flat array, whose rows give the
-    A -> B minima and whose transposed gather the B -> A minima, both by
-    np.minimum.reduceat. Each direction's minima are summed with `sum` in object
-    order, as the pair function does (from Python 3.12 `sum` is compensated, and
-    numpy's add reductions are pairwise), so the results equal it bit for bit.
+    inner(ga, gb) scores the objects ga[e] and gb[e] elementwise; it must be bounded
+    by 1 and bitwise symmetric. Both sets empty is perfect agreement (0); exactly one
+    empty is maximal disagreement about existence (1). Otherwise each object pair is
+    scored once: each pair's |A|x|B| matrix is one row-major block of a flat array,
+    whose rows give the A -> B minima and whose transposed gather the B -> A minima,
+    both by np.minimum.reduceat. Each direction's minima are summed with `sum` in
+    object order (from Python 3.12 `sum` is compensated, and numpy's add reductions
+    are pairwise), so each value equals a plain Python lift's bit for bit.
     """
     counts = np.asarray(counts, dtype=np.intp)
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)

@@ -14,10 +14,23 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NumericError
 from ..payloads import NumericVector, TokenSequence
 
 Ranges = Sequence[tuple[float, float]]
+
+
+def squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 elementwise, by Python's float power, for every kernel that squares.
+
+    The platform's pow may round a square differently from x * x, so this is the one
+    place where that choice is made. A square that overflows raises NumericError.
+    """
+    try:
+        values = np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size)
+    except OverflowError as exc:
+        raise NumericError("a squared difference overflows the float range") from exc
+    return values.reshape(x.shape)
 
 
 def vector_batch(
@@ -33,10 +46,9 @@ def vector_batch(
     differences, each divided by its dimension's range width hi - lo (the raw
     score orientation elsewhere is 1 - RMSE).
 
-    The vectors are stacked into one zero-padded matrix. Euclidean sums its
-    terms one dimension at a time, left to right, and squares each term with
-    Python's float power, which the platform's pow may round differently from
-    x * x. A length mismatch, an unknown mode and missing, miscounted,
+    The vectors are stacked into one zero-padded matrix. Euclidean squares its
+    terms with `squares` and sums them one dimension at a time, left to right.
+    A length mismatch, an unknown mode and missing, miscounted,
     zero-width or non-finite ranges raise DataError at the first pair they affect.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
@@ -69,9 +81,8 @@ def vector_batch(
     if mode == "binary":
         return (a != b).sum(axis=1) / lengths[ia]
     terms = (a[:, : widths.size] - b[:, : widths.size]) / widths
-    squares = np.fromiter(map(pow, terms.ravel().tolist(), repeat(2)), float, terms.size)
     acc = np.zeros(ia.size)
-    for column in squares.reshape(terms.shape).T:
+    for column in squares(terms).T:
         acc += column
     return np.sqrt(acc / widths.size)
 

@@ -2,7 +2,7 @@
 
 Every entry resolves to a symmetric nonnegative distance with d(a, a) = 0,
 implemented once: as a batch kernel over index arrays of pairs, or, for the
-families without one, as a pair function that DistanceSpec.batch loops over.
+token and tree families, as a pair function that DistanceSpec.batch loops over.
 spec.fn scores one pair either way; for a kernel family it is a one-pair
 kernel call. Entries marked dissimilarity=True are known to violate the
 triangle inequality (min-match set lifts, similarity inversions, tie-adjusted
@@ -12,6 +12,7 @@ checks; all measures accept them regardless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -19,13 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .distances.geometry import (
-    GeometryConfig,
-    box_distance,
-    box_overlap_batch,
-    keypoint_distance,
-)
-from .distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
+from .distances.geometry import box_batch, oks_batch
+from .distances.multiobject import count_diff_batch, ner_batch
 from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_distance
 from .distances.vector_text import TokenEmbeddingTable, translation_distance, vector_batch
 from .errors import UsageError
@@ -67,9 +63,16 @@ def _bool_param(params: Mapping, key: str, default: bool) -> bool:
     return val
 
 
+def _positive_finite(key: str, value) -> float:
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    return value
+
+
 # Builders, one per distance family: build(mode, params, meta, embeddings, objects) ->
-# the family's one implementation, a BatchFn for the builders in _KERNEL_BUILDERS and a
-# PairFn otherwise. `objects` reads the object tuple of a set-valued payload and is None
+# the family's one implementation, a PairFn for the builders in _PAIR_BUILDERS and a
+# BatchFn otherwise. `objects` reads the object tuple of a set-valued payload and is None
 # for other kinds.
 
 
@@ -101,28 +104,18 @@ def _embedding(mode, params, meta, embeddings, objects):
     return partial(translation_distance, mode=mode, embeddings=table)
 
 
-def _lift(single: PairFn, objects: Callable) -> PairFn:
-    def fn(a, b):
-        return multi_object_distance(objects(a), objects(b), single)
-
-    return fn
-
-
 def _box(mode, params, meta, embeddings, objects):
-    cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-    return _lift(partial(box_distance, mode=mode, cfg=cfg), objects)
-
-
-def _overlap(mode, params, meta, embeddings, objects):
-    return partial(box_overlap_batch, objects=objects, mode=mode)
+    # l2_scale assumes coordinates in the original dataset's units; override per dataset
+    l2_scale = _positive_finite("l2_scale", params.get("l2_scale", 20.0))
+    return partial(box_batch, objects=objects, mode=mode, l2_scale=l2_scale)
 
 
 def _keypoints(mode, params, meta, embeddings, objects):
     defaults = {}
     for key in ("scale_default", "k_default"):
         value = params.get(key, meta.get("oks_" + key))
-        defaults[key] = None if value is None else float(value)
-    return _lift(partial(keypoint_distance, mode=mode, **defaults), objects)
+        defaults[key] = None if value is None else _positive_finite(key, value)
+    return partial(oks_batch, objects=objects, **defaults)
 
 
 def _count(mode, params, meta, embeddings, objects):
@@ -146,7 +139,7 @@ def _ranking(mode, params, meta, embeddings, objects):
     return partial(ranking_batch, cfg=RankingConfig(mode=mode, k=k))
 
 
-_KERNEL_BUILDERS = (_vector, _overlap, _count, _ner, _ranking)
+_PAIR_BUILDERS = (_tokens, _embedding, _tree)
 
 
 @dataclass(frozen=True)
@@ -186,13 +179,13 @@ _ENTRIES = {
                            "1 - greedy max-cosine token-matching F1"),
     "box_l2": _Entry(("boxes",), ("l2_scale",), True, 1.0, _box, "l2",
                      "min-match lift of scaled corner RMSE"),
-    "box_iou": _Entry(("boxes",), (), True, 1.0, _overlap, "iou",
+    "box_iou": _Entry(("boxes",), (), True, 1.0, _box, "iou",
                       "min-match lift of 1 - IoU"),
-    "box_giou": _Entry(("boxes",), (), True, 1.0, _overlap, "giou",
+    "box_giou": _Entry(("boxes",), (), True, 1.0, _box, "giou",
                        "min-match lift of (1 - GIoU) / 2"),
     "oks": _Entry(("keypoints",), ("scale_default", "k_default"), True, 1.0, _keypoints, "oks",
                   "min-match lift of 1 - object keypoint similarity"),
-    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _overlap, "bbox_iou",
+    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _box, "bbox_iou",
                        "min-match lift of 1 - IoU of keypoint hull boxes"),
     "count_diff": _Entry(tuple(_OBJECTS), ("normalize",), False, 1.0, _count, None,
                          "absolute object-count difference (normalize=false for the raw count)"),
@@ -275,10 +268,10 @@ def make_spec(
         impl = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
-    if entry.build in _KERNEL_BUILDERS:
-        kernel, fn = impl, lambda a, b: float(impl([a, b], [0], [1])[0])
-    else:
+    if entry.build in _PAIR_BUILDERS:
         kernel, fn = None, impl
+    else:
+        kernel, fn = impl, lambda a, b: float(impl([a, b], [0], [1])[0])
 
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
     if params.get("raw") is True or params.get("normalize") is False:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from agreekit.dataset import AnnotationRecord, Dataset
-from agreekit.distances.geometry import GeometryConfig, box_distance, keypoint_distance
 from agreekit.distances.structured import RankingConfig
 from agreekit.errors import DataError
 from agreekit.payloads import (
@@ -343,7 +342,7 @@ def multi_object_distance_oracle(a_objs, b_objs, inner) -> float:
 
 
 def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
-    """One object pair of box_overlap_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2."""
+    """One object pair of box_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2."""
     w = min(a.x1, b.x1) - max(a.x0, b.x0)
     h = min(a.y1, b.y1) - max(a.y0, b.y0)
     inter = w * h if w > 0 and h > 0 else 0.0
@@ -357,6 +356,47 @@ def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
     hull = (max(a.x1, b.x1) - min(a.x0, b.x0)) * (max(a.y1, b.y1) - min(a.y0, b.y0))
     giou = iou - (hull - union) / hull if hull > 0 else iou
     return (1.0 - giou) / 2.0
+
+
+def box_l2_oracle(a: Box, b: Box, l2_scale: float = 20.0) -> float:
+    """One object pair of box_batch's mode "l2": the scaled corner RMSE, clamped at 1."""
+    d0 = math.sqrt(((a.x0 - b.x0) ** 2 + (a.y0 - b.y0) ** 2) / 2.0)
+    d1 = math.sqrt(((a.x1 - b.x1) ** 2 + (a.y1 - b.y1) ** 2) / 2.0)
+    return min(1.0, (d0 + d1) / l2_scale)
+
+
+def _oks_similarity(d2s: list[float], scale: float, ks: tuple[float, ...]) -> float:
+    total = 0.0
+    for d2, k in zip(d2s, ks):
+        total += math.exp(-d2 / (2.0 * scale * scale * k * k))
+    return total / len(d2s)
+
+
+def oks_oracle(a: KeypointObject, b: KeypointObject, scale_default=None, k_default=None) -> float:
+    """One object pair of oks_batch: 1 - OKS averaged over both objects' parameters,
+    raising the kernel's errors in its order."""
+    if len(a.points) != len(b.points):
+        raise DataError(
+            f"oks requires matching point counts, got {len(a.points)} and {len(b.points)}"
+        )
+
+    def params(obj: KeypointObject) -> tuple[float, tuple[float, ...]]:
+        scale = obj.scale if obj.scale is not None else scale_default
+        if scale is None:
+            raise DataError("keypoint object has no scale and no default was configured")
+        ks = obj.per_point_constant
+        if ks is None:
+            if k_default is None:
+                raise DataError(
+                    "keypoint object has no per-point constants and no default was configured"
+                )
+            ks = (float(k_default),) * len(obj.points)
+        return float(scale), ks
+
+    (sa, ka), (sb, kb) = params(a), params(b)
+    d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
+    sim = (_oks_similarity(d2s, sa, ka) + _oks_similarity(d2s, sb, kb)) / 2.0
+    return 1.0 - sim
 
 
 def point_hull(obj: KeypointObject) -> Box:
@@ -380,13 +420,12 @@ def lifted_inner(name: str, params: dict, meta: dict):
     if name == "bbox_iou":
         return hull_iou_oracle
     if name == "box_l2":
-        cfg = GeometryConfig(l2_scale=float(params.get("l2_scale", 20.0)))
-        return partial(box_distance, mode="l2", cfg=cfg)
+        return partial(box_l2_oracle, l2_scale=float(params.get("l2_scale", 20.0)))
     defaults = {}
     for key in ("scale_default", "k_default"):
         value = params.get(key, meta.get("oks_" + key))
         defaults[key] = None if value is None else float(value)
-    return partial(keypoint_distance, mode="oks", **defaults)
+    return partial(oks_oracle, **defaults)
 
 
 _OBJECTS = {"boxes": attrgetter("boxes"), "keypoints": attrgetter("objects"),

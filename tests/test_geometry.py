@@ -3,26 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from agreekit.distances.geometry import (
-    GeometryConfig,
-    box_distance,
-    box_overlap_batch,
-    keypoint_distance,
-)
+from agreekit.distances.geometry import box_batch, oks_batch
 from agreekit.errors import DataError
 from agreekit.payloads import Box, BoxSet, KeypointObject, KeypointSet
 from agreekit.registry import make_spec
 
-from conftest import lifted_inner, make_box, reference_fn
+from conftest import (
+    lifted_inner,
+    make_box,
+    multi_object_distance_oracle,
+    oks_oracle,
+    reference_fn,
+)
 
 
 def kp(points, scale=None, k=None):
     return KeypointObject(points=tuple(points), scale=scale, per_point_constant=k)
 
 
-def overlap(a, b, mode):
-    """The overlap kernel on one pair of single objects: the lift of one pair is its distance."""
-    return float(box_overlap_batch([(a,), (b,)], [0], [1], objects=tuple, mode=mode)[0])
+def overlap(a, b, mode, **params):
+    """The box kernel on one pair of single objects: the lift of one pair is its distance."""
+    return float(box_batch([(a,), (b,)], [0], [1], objects=tuple, mode=mode, **params)[0])
+
+
+def l2(a, b, l2_scale=20.0):
+    return overlap(a, b, "l2", l2_scale=l2_scale)
+
+
+def oks(a, b, **defaults):
+    """The OKS kernel on one pair of single keypoint objects."""
+    return float(oks_batch([(a,), (b,)], [0], [1], objects=tuple, **defaults)[0])
 
 
 def test_iou_distance_overlapping_squares():
@@ -64,17 +74,17 @@ def test_l2_distance_translation():
     a = Box(0.0, 0.0, 2.0, 2.0)
     b = Box(3.0, 4.0, 5.0, 6.0)
     # both corners move by (3, 4): per-corner RMSE sqrt(12.5)
-    assert box_distance(a, b, "l2") == pytest.approx(2 * math.sqrt(12.5) / 20.0)
-    assert box_distance(a, b, "l2", GeometryConfig(l2_scale=5.0)) == 1.0  # clamped
-    assert box_distance(a, a, "l2") == 0.0
+    assert l2(a, b) == pytest.approx(2 * math.sqrt(12.5) / 20.0)
+    assert l2(a, b, l2_scale=5.0) == 1.0  # clamped
+    assert l2(a, a) == 0.0
 
 
 def test_oks_single_point():
     a = kp([(0.0, 0.0)], scale=1.0, k=(1.0,))
     b = kp([(math.sqrt(2.0), 0.0)], scale=1.0, k=(1.0,))
     # squared error 2 = 2 s^2 k^2, so similarity exp(-1)
-    assert keypoint_distance(a, b, "oks") == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert keypoint_distance(a, a, "oks") == 0.0
+    assert oks(a, b) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert oks(a, a) == 0.0
 
 
 def test_oks_rigid_translation_invariance():
@@ -83,8 +93,8 @@ def test_oks_rigid_translation_invariance():
     a, b = kp(pts_a, scale=3.0), kp(pts_b, scale=3.0)
     a2 = kp([(x + 10.0, y - 4.0) for x, y in pts_a], scale=3.0)
     b2 = kp([(x + 10.0, y - 4.0) for x, y in pts_b], scale=3.0)
-    d1 = keypoint_distance(a, b, "oks", k_default=0.5)
-    d2 = keypoint_distance(a2, b2, "oks", k_default=0.5)
+    d1 = oks(a, b, k_default=0.5)
+    d2 = oks(a2, b2, k_default=0.5)
     assert d1 == pytest.approx(d2, abs=1e-12)
 
 
@@ -92,21 +102,21 @@ def test_oks_averages_both_objects_parameters():
     a = kp([(0.0, 0.0)], scale=1.0, k=(1.0,))
     b = kp([(2.0, 0.0)], scale=2.0, k=(1.0,))
     expected = 1.0 - (math.exp(-4.0 / 2.0) + math.exp(-4.0 / 8.0)) / 2.0
-    assert keypoint_distance(a, b, "oks") == pytest.approx(expected, abs=1e-12)
-    assert keypoint_distance(b, a, "oks") == keypoint_distance(a, b, "oks")
+    assert oks(a, b) == pytest.approx(expected, abs=1e-12)
+    assert oks(b, a) == oks(a, b)
 
 
 def test_oks_defaults_and_errors():
     a = kp([(0.0, 0.0)])
     b = kp([(1.0, 0.0)])
     with pytest.raises(DataError, match="no scale"):
-        keypoint_distance(a, b, "oks", k_default=1.0)
+        oks(a, b, k_default=1.0)
     with pytest.raises(DataError, match="constants"):
-        keypoint_distance(a, b, "oks", scale_default=1.0)
-    d = keypoint_distance(a, b, "oks", scale_default=1.0, k_default=1.0)
+        oks(a, b, scale_default=1.0)
+    d = oks(a, b, scale_default=1.0, k_default=1.0)
     assert d == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
     with pytest.raises(DataError, match="point counts"):
-        keypoint_distance(a, kp([(0.0, 0.0), (1.0, 1.0)]), "oks", scale_default=1, k_default=1)
+        oks(a, kp([(0.0, 0.0), (1.0, 1.0)]), scale_default=1, k_default=1)
 
 
 def test_bbox_iou_uses_point_hulls():
@@ -119,13 +129,9 @@ def test_bbox_iou_uses_point_hulls():
 def test_unknown_modes_rejected():
     a = Box(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(DataError):
-        box_distance(a, a, "manhattan")
+        overlap(a, a, "manhattan")
     with pytest.raises(DataError):
-        box_distance(a, a, "iou")
-    with pytest.raises(DataError):
-        overlap(a, a, "l2")
-    with pytest.raises(DataError):
-        keypoint_distance(kp([(0.0, 0.0)]), kp([(0.0, 0.0)]), "pck")
+        overlap(a, a, "oks")
 
 
 def boxes(*corners):
@@ -210,3 +216,159 @@ def test_hull_kernel_equals_the_oracle_on_one_point_objects():
     ]
     got, want = hex_distances(make_spec("bbox_iou", "keypoints"), payloads)
     assert got == want
+
+
+def pow_square_offset(value_of):
+    """A seeded offset x for which value_of(square, x) differs between squaring as
+    x ** 2 and as x * x; the test is skipped where the platform's pow never differs."""
+    rng = np.random.default_rng(0)
+    for x in rng.uniform(0.0, 3.0, 200_000).tolist():
+        if x ** 2 != x * x and value_of(lambda t: t ** 2, x) != value_of(lambda t: t * t, x):
+            return x
+    pytest.skip("pow squares every drawn offset as x * x does")
+
+
+def test_l2_squares_with_pythons_pow():
+    def value_of(square, x):  # both corners offset by (x, 0)
+        d = math.sqrt((square(x) + square(0.0)) / 2.0)
+        return min(1.0, (d + d) / 20.0)
+
+    x = pow_square_offset(value_of)
+    payloads = [boxes((x, 0.0, x, 0.0)), boxes((0.0, 0.0, 0.0, 0.0))]
+    got, want = hex_distances(make_spec("box_l2", "boxes"), payloads)
+    assert got == want
+    assert got[1] == value_of(lambda t: t ** 2, x).hex() != value_of(lambda t: t * t, x).hex()
+
+
+def test_oks_squares_with_pythons_pow():
+    def value_of(square, x):  # one point offset by (x, 0), s = k = 1
+        e = math.exp(-(square(x) + square(0.0)) / (2.0 * 1.0 * 1.0 * 1.0 * 1.0))
+        return 1.0 - (e / 1 + e / 1) / 2.0
+
+    x = pow_square_offset(value_of)
+    payloads = [KeypointSet(objects=(kp([(x, 0.0)], scale=1.0, k=(1.0,)),)),
+                KeypointSet(objects=(kp([(0.0, 0.0)], scale=1.0, k=(1.0,)),))]
+    got, want = hex_distances(make_spec("oks", "keypoints"), payloads)
+    assert got == want
+    assert got[1] == value_of(lambda t: t ** 2, x).hex() != value_of(lambda t: t * t, x).hex()
+
+
+def oks_summed_by(total, a, b):
+    """1 - OKS of two objects with their own parameters, each mean's terms added by total."""
+    d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
+
+    def mean(o):
+        terms = [math.exp(-d2 / (2.0 * o.scale * o.scale * k * k))
+                 for d2, k in zip(d2s, o.per_point_constant)]
+        return total(terms) / len(terms)
+
+    return 1.0 - (mean(a) + mean(b)) / 2.0
+
+
+def plain_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_oks_adds_seventeen_terms_left_to_right():
+    # object pairs whose distance moves if the 17 terms are summed pairwise or compensated
+    rng = np.random.default_rng(17)
+
+    def draw():
+        points = rng.uniform(0.0, 10.0, (17, 2)).tolist()
+        return kp(points, scale=float(rng.uniform(1.0, 10.0)), k=rng.uniform(0.3, 2.0, 17))
+
+    telling = []
+    while len(telling) < 3:
+        a, b = draw(), draw()
+        plain = oks_summed_by(plain_sum, a, b)
+        if (plain != oks_summed_by(math.fsum, a, b)
+                and plain != oks_summed_by(lambda v: float(np.sum(v)), a, b)):
+            telling.append((a, b))
+    payloads = [KeypointSet(objects=(obj,)) for pair in telling for obj in pair]
+    payloads.append(KeypointSet(objects=tuple(obj for pair in telling for obj in pair)))
+    got, want = hex_distances(make_spec("oks", "keypoints"), payloads)
+    assert got == want
+    assert got[1] == oks_summed_by(plain_sum, *telling[0]).hex()
+
+
+def test_oks_mixes_own_and_default_parameters():
+    rng = np.random.default_rng(3)
+
+    def obj(own_scale, own_k):
+        scale = float(rng.uniform(1.0, 30.0)) if own_scale else None
+        return kp(rng.uniform(0.0, 50.0, (3, 2)).tolist(), scale=scale,
+                  k=rng.uniform(0.2, 1.5, 3) if own_k else None)
+
+    objects = [obj(own_scale, own_k) for own_scale in (True, False) for own_k in (True, False)]
+    payloads = [KeypointSet(objects=(o,)) for o in objects]
+    payloads += [KeypointSet(objects=tuple(objects[:2])), KeypointSet(objects=tuple(objects[1:]))]
+    for scale_default, k_default in ((7.5, 0.4), (0.3, 3.0)):
+        params = {"scale_default": scale_default, "k_default": k_default}
+        got, want = hex_distances(make_spec("oks", "keypoints", params=params), payloads)
+        assert got == want, params
+
+
+def test_l2_clamps_at_one():
+    near, exactly_one, far = (0.0, 0.0, 1.0, 1.0), (10.0, 10.0, 11.0, 11.0), (300, 0, 301, 1)
+    payloads = [boxes(near), boxes((1.0, 2.0, 2.0, 3.0)), boxes(exactly_one), boxes(far)]
+    spec = make_spec("box_l2", "boxes")
+    got, want = hex_distances(spec, payloads)
+    assert got == want
+    distances = spec.batch(payloads, [0, 0, 0], [1, 2, 3]).tolist()
+    assert distances[0] < 1.0 and distances[1:] == [1.0, 1.0]
+
+
+def kps_with_params(*objects):
+    return KeypointSet(objects=tuple(kp(points, scale=2.0, k=(0.5,) * len(points))
+                                     for points in objects))
+
+
+@pytest.mark.parametrize("name, kind, payloads", [
+    ("box_l2", "boxes", [boxes((0, 0, 1, 1), (0.5, 0.25, 3, 7))] * 2 + [boxes()] * 2),
+    ("oks", "keypoints", [kps_with_params([(0, 0), (1, 2)], [(3, 1), (4, 4)])] * 2
+                         + [KeypointSet(objects=())] * 2),
+])
+def test_identical_and_empty_sets(name, kind, payloads):
+    spec = make_spec(name, kind)
+    assert spec.batch(payloads, [0, 2, 0, 2], [1, 3, 2, 0]).tolist() == [0.0, 0.0, 1.0, 1.0]
+    got, want = hex_distances(spec, payloads)
+    assert got == want
+
+
+GOOD3 = kp([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)], scale=2.0, k=(1.0, 1.0, 1.0))
+GOOD2 = kp([(0.0, 0.0), (1.0, 1.0)], scale=2.0, k=(1.0, 1.0))
+NO_SCALE = kp([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)], k=(1.0, 1.0, 1.0))
+NO_K = kp([(1.0, 0.0), (1.0, 2.0), (2.0, 0.0)], scale=2.0)
+
+# payloads (object tuples), pairs (ia, ib) and the message of the first error the lift meets
+OKS_ERRORS = {
+    "point_counts": ([(GOOD3,), (GOOD2,)], [0], [1], "point counts, got 3 and 2"),
+    "no_scale": ([(GOOD3,), (NO_SCALE,)], [0], [1], "no scale"),
+    "no_constants": ([(GOOD3,), (NO_K,)], [0], [1], "no per-point constants"),
+    "first_pair_counts": ([(GOOD3,), (NO_SCALE,), (GOOD2,)], [0, 0], [2, 1], "point counts"),
+    "first_pair_scale": ([(GOOD3,), (NO_SCALE,), (GOOD2,)], [0, 0], [1, 2], "no scale"),
+    "first_object_pair_constants": ([(GOOD3,), (NO_K, NO_SCALE)], [0], [1], "constants"),
+    "first_object_pair_scale": ([(GOOD3,), (NO_SCALE, NO_K)], [0], [1], "no scale"),
+    "a_before_b_constants": ([(NO_K,), (NO_SCALE,)], [0], [1], "constants"),
+    "a_before_b_scale": ([(NO_SCALE,), (NO_K,)], [0], [1], "no scale"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OKS_ERRORS))
+def test_oks_raises_the_first_scored_pairs_error(case):
+    payloads, ia, ib, message = OKS_ERRORS[case]
+    with pytest.raises(DataError, match=message) as raised:
+        oks_batch(payloads, np.array(ia), np.array(ib), objects=tuple)
+    with pytest.raises(DataError) as oracle:
+        for i, j in zip(ia, ib):
+            multi_object_distance_oracle(payloads[i], payloads[j], oks_oracle)
+    assert str(raised.value) == str(oracle.value)
+
+
+def test_oks_errors_spare_objects_outside_every_scored_pair():
+    payloads = [(NO_SCALE, GOOD2), (), (GOOD3,), (NO_K,)]
+    got = oks_batch(payloads, np.array([0, 1, 2, 3]), np.array([1, 0, 2, 1]), objects=tuple)
+    assert got.tolist() == [1.0, 1.0, 0.0, 1.0]

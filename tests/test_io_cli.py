@@ -277,6 +277,10 @@ class TestCliCompute:
         ("boxes", "box_l2", "l2_scale=x"),
         ("ranking", "tau_at_k", "k=x"),
         ("vector", "euclidean", "ranges=[1,2]"),
+        ("boxes", "box_l2", "l2_scale=NaN"),
+        ("boxes", "box_l2", "l2_scale=Infinity"),
+        ("boxes", "box_l2", "l2_scale=0"),
+        ("boxes", "box_l2", "l2_scale=-1"),
     ])
     def test_malformed_param_value_is_usage_error(self, tmp_path, capsys, task, distance, param):
         path = str(tmp_path / f"{task}.jsonl")
@@ -330,6 +334,69 @@ class TestCliCompute:
         path = write_lines(tmp_path / "huge.jsonl", lines)
         assert main(["compute", "--input", path, "--distance", "box_iou"]) == 4
         assert "observed box_iou distances are not all finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--param", "scale_default=0"),
+        ("--param", "k_default=0"),
+        ("--param", "scale_default=-1"),
+        ("--param", "k_default=Infinity"),
+        ("--meta", "oks_scale_default=NaN"),
+        ("--meta", "oks_k_default=-1"),
+    ])
+    def test_oks_defaults_must_be_positive_and_finite(self, tmp_path, capsys, flag, value):
+        # objects without their own scale and constants: the defaults are what OKS divides by
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "keypoints",
+                        "label": [{"points": [[i, j], [1 + i, 2 * j]]}]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "kp.jsonl", lines)
+        out = tmp_path / "r.json"
+        argv = ["compute", "--input", path, "--distance", "oks", "--meta", "oks_scale_default=2",
+                "--meta", "oks_k_default=1", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_box_square_is_numeric_error(self, tmp_path, capsys):
+        # corners 1e200 apart: the square of their difference overflows
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "boxes",
+                        "label": [[0, 0, 1e200 * (1 + i + j), 1]]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "far.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", "box_l2", "--out", str(out)]) == 4
+        assert "a squared difference overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_vector_square_is_numeric_error(self, tmp_path, capsys):
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "vector",
+                        "label": [0.5, 1e300 if (i, j) == (1, 1) else 0.25]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "big.jsonl", lines)
+        out = tmp_path / "r.json"
+        argv = ["compute", "--input", path, "--distance", "euclidean", "--allow-violations",
+                "--meta", "ranges=[[0,1],[0,1]]", "--out", str(out)]
+        assert main(argv) == 4
+        assert "a squared difference overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ranges", ["[1,2,3,4,5]", "5", "[[0,1],[0,1],[0,1],[0,1],[0]]",
+                                        '[[0,1],[0,1],[0,1],[0,1],["0","1"]]'])
+    def test_malformed_ranges_meta_is_data_error(self, vector_file, tmp_path, capsys, ranges):
+        out = tmp_path / "r.json"
+        argv = ["compute", "--input", vector_file, "--distance", "binary",
+                "--meta", f"ranges={ranges}", "--out", str(out)]
+        assert main(argv) == 3
+        assert "ranges must be a list of [lo, hi] pairs of numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_item_is_data_error(self, tmp_path, capsys):
         lines = [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agreekit.distances.multiobject import count_diff_batch, multi_object_distance, ner_batch
+from agreekit.distances.multiobject import count_diff_batch, min_match_batch, ner_batch
 from agreekit.payloads import Box, Span, SpanSet
 from agreekit.registry import make_spec
 
@@ -20,6 +20,16 @@ from conftest import (
 
 def iou(a, b):
     return box_overlap_oracle(a, b, "iou")
+
+
+def lift(a_objs, b_objs, inner):
+    """min_match_batch on the one pair (a_objs, b_objs), scoring object pairs with inner."""
+    objs = [*a_objs, *b_objs]
+
+    def elementwise(ga, gb):
+        return np.array([inner(objs[i], objs[j]) for i, j in zip(ga, gb)], dtype=float)
+
+    return float(min_match_batch([len(a_objs), len(b_objs)], [0], [1], elementwise)[0])
 
 
 def count_diff(a_objs, b_objs, normalize=True):
@@ -40,16 +50,16 @@ def spanset(*triples):
 def test_lift_min_match_example():
     shared = Box(0.0, 0.0, 2.0, 2.0)
     extra = Box(10.0, 10.0, 11.0, 11.0)  # disjoint from shared: inner distance 1
-    d = multi_object_distance([shared], [shared, extra], iou)
+    d = lift([shared], [shared, extra], iou)
     # forward 0; backward (0 + 1) / 2; symmetrized 0.25
     assert d == pytest.approx(0.25, abs=1e-12)
 
 
 def test_lift_empty_rules():
     a = [Box(0.0, 0.0, 1.0, 1.0)]
-    assert multi_object_distance([], [], iou) == 0.0
-    assert multi_object_distance(a, [], iou) == 1.0
-    assert multi_object_distance([], a, iou) == 1.0
+    assert lift([], [], iou) == 0.0
+    assert lift(a, [], iou) == 1.0
+    assert lift([], a, iou) == 1.0
 
 
 @pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 3), (2, 0), (1, 1), (1, 4), (3, 1), (3, 4)])
@@ -61,17 +71,17 @@ def test_lift_scores_each_object_pair_once(n_a, n_b):
         return abs(a - b) / 10
 
     a, b = list(range(n_a)), list(range(10, 10 + n_b))
-    multi_object_distance(a, b, inner)
+    lift(a, b, inner)
     assert sorted(calls) == list(itertools.product(a, b))
 
 
 def test_lift_identity_and_symmetry_randomized(rng):
     for _ in range(50):
         a, b = make_boxset(rng), make_boxset(rng)
-        dab = multi_object_distance(a.boxes, b.boxes, iou)
-        dba = multi_object_distance(b.boxes, a.boxes, iou)
+        dab = lift(a.boxes, b.boxes, iou)
+        dba = lift(b.boxes, a.boxes, iou)
         assert dab == pytest.approx(dba, abs=1e-12)
-        assert multi_object_distance(a.boxes, a.boxes, iou) == 0.0
+        assert lift(a.boxes, a.boxes, iou) == 0.0
         assert dab >= 0.0
 
 
@@ -82,7 +92,7 @@ def test_lift_matches_brute_force_on_exact_equality_inner():
     for _ in range(200):
         a = [int(x) for x in rng.integers(0, 6, rng.integers(1, 6))]
         b = [int(x) for x in rng.integers(0, 6, rng.integers(1, 6))]
-        got = multi_object_distance(a, b, eq)
+        got = lift(a, b, eq)
         miss_a = sum(1 for x in a if x not in b) / len(a)
         miss_b = sum(1 for x in b if x not in a) / len(b)
         assert got == pytest.approx((miss_a + miss_b) / 2, abs=1e-12)

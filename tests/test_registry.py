@@ -191,6 +191,28 @@ def test_oks_defaults_are_read_only_by_oks():
         make_spec("oks", "keypoints", meta=meta)
 
 
+SET_KINDS = ("boxes", "keypoints", "spans")
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if set(supported_kinds(n)) & set(SET_KINDS)])
+def test_every_set_valued_entry_is_a_kernel(name):
+    for kind in set(supported_kinds(name)) & set(SET_KINDS):
+        assert make_spec(name, kind).kernel is not None
+
+
+@pytest.mark.parametrize("name, kind, params, meta", [
+    *[("box_l2", "boxes", {"l2_scale": v}, {}) for v in (float("nan"), float("inf"), 0, -1)],
+    ("oks", "keypoints", {"scale_default": 0}, {}),
+    ("oks", "keypoints", {"k_default": -1.0}, {}),
+    ("oks", "keypoints", {"k_default": float("inf")}, {}),
+    ("oks", "keypoints", {}, {"oks_scale_default": float("nan")}),
+    ("oks", "keypoints", {}, {"oks_k_default": 0.0}),
+])
+def test_scale_parameters_must_be_positive_and_finite(name, kind, params, meta):
+    with pytest.raises(UsageError, match=f"'{name}': .* must be positive and finite"):
+        make_spec(name, kind, params=params, meta=meta)
+
+
 def test_tau_at_k_param():
     spec = make_spec("tau_at_k", "ranking", params={"k": 3})
     assert spec.params == {"k": 3}
