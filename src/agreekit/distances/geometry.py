@@ -106,8 +106,8 @@ def oks_batch(
     and averaged, which restores symmetry; objects without their own take scale_default
     and k_default. Every object's points and denominators 2 s^2 k_i^2 are packed once.
     Each exp is math.exp, and each object pair's terms are added left to right from
-    0.0. Differing point counts and missing parameters raise DataError at the first
-    scored object pair they affect.
+    0.0. Differing point counts and missing parameters, or ones so small that 2 s^2 k^2
+    underflows, raise DataError at the first scored object pair they affect.
     """
     sets = [objects(p) for p in payloads]
     objs: list[KeypointObject] = [obj for objs in sets for obj in objs]
@@ -118,26 +118,25 @@ def oks_batch(
     scale = np.array([scale_default if o.scale is None else o.scale for o in objs], dtype=float)
     ks = np.array([k for o in objs for k in o.per_point_constant or (k_default,) * len(o.points)],
                   dtype=float)
-    no_scale, no_ks = np.isnan(scale), np.isnan(ks[first])
     s = np.repeat(scale, n_points)
     denominator = 2.0 * s * s * ks * ks
+    # each object's first fault, if any; a denominator under the smallest normal float underflowed
+    fault = np.select([np.isnan(scale), np.isnan(ks[first]),
+                       np.minimum.reduceat(denominator, first) < np.finfo(float).tiny],
+                      ["keypoint object has no scale and no default was configured",
+                       "keypoint object has no per-point constants and no default was configured",
+                       "keypoint scale and constants are so small that 2 s^2 k^2 underflows"], "")
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
         n = n_points[ga]
-        bad = (n != n_points[gb]) | no_scale[ga] | no_ks[ga] | no_scale[gb] | no_ks[gb]
+        bad = (n != n_points[gb]) | (fault[ga] != "") | (fault[gb] != "")
         if bad.any():
             a, b = ga[np.argmax(bad)], gb[np.argmax(bad)]
             if n_points[a] != n_points[b]:
                 raise DataError(
                     f"oks requires matching point counts, got {n_points[a]} and {n_points[b]}"
                 )
-            for o in (a, b):
-                if no_scale[o]:
-                    raise DataError("keypoint object has no scale and no default was configured")
-                if no_ks[o]:
-                    raise DataError(
-                        "keypoint object has no per-point constants and no default was configured"
-                    )
+            raise DataError(str(fault[a] or fault[b]))
         # point j of every object pair, under a's parameters and under b's
         total = np.zeros((2, ga.size))
         for j in range(int(n.max())):

@@ -227,7 +227,7 @@ def ranking_batch(
     if (code[ia] != code[ib]).any():
         raise DataError("rankings are over different element universes")
     out = np.empty(ia.size)
-    for u in np.unique(code[ia]):
+    for u in set(code[ia].tolist()):  # np.unique would import numpy.ma
         members = np.flatnonzero(code == u)
         local = np.empty(code.size, dtype=np.intp)
         local[members] = np.arange(members.size)

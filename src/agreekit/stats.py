@@ -1,8 +1,8 @@
 """Observed/expected distance samples and the three agreement measures.
 
-Observed distances compare annotations of the same item from different
-annotators; expected distances compare annotations of different items and
-estimate the chance level. Measures:
+Observed distances compare annotations of the same item (duplicates by one
+annotator included); expected distances compare annotations of different items
+and estimate the chance level. Measures:
 
   alpha  = 1 - mean(observed) / mean(expected); 1 perfect, 0 chance, < 0 worse.
   sigma  = fraction of observed distances d with CDF_expected(d) < p, the CDF
@@ -15,7 +15,6 @@ estimate the chance level. Measures:
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -67,18 +66,32 @@ def _record_pairs(dataset: Dataset, ia: np.ndarray, ib: np.ndarray) -> list:
     return [(records[i], records[j]) for i, j in zip(ia.tolist(), ib.tolist())]
 
 
+def _item_ends(records: Sequence[AnnotationRecord]) -> np.ndarray:
+    """end[i]: the index of the first record after record i's item in the item-sorted
+    records. Ids compare with Python !=, as numpy str arrays drop trailing NULs."""
+    n = len(records)
+    stops = [i for i in range(1, n) if records[i].item_id != records[i - 1].item_id] + [n]
+    return np.repeat(np.array(stops, dtype=np.intp), np.diff(stops, prepend=0))
+
+
+def _rows(lo: np.ndarray, hi: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], in row-major (canonical) order."""
+    width = hi - lo
+    first = np.repeat(np.arange(lo.size), width)
+    second = np.arange(first.size) - np.repeat(np.cumsum(width) - width - lo, width)
+    return first, second
+
+
 def _observed_indices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    records = dataset.records
-    groups = itertools.groupby(range(len(records)), key=lambda i: records[i].item_id)
-    pairs = [pair for _, group in groups for pair in itertools.combinations(group, 2)]
-    if not pairs:
+    end = _item_ends(dataset.records)
+    ia, ib = _rows(np.arange(1, end.size + 1), end)
+    if not ia.size:
         raise DataError("no observed pairs: no item has two or more annotations")
-    ia, ib = np.array(pairs, dtype=np.intp).T
     return ia, ib
 
 
 def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
-    """All unordered same-item pairs from distinct annotators, in canonical order."""
+    """All unordered same-item pairs, duplicate annotations included, in canonical order."""
     return _record_pairs(dataset, *_observed_indices(dataset))
 
 
@@ -87,20 +100,15 @@ def _pairs_within(groups: Counter) -> int:
 
 
 def count_expected_pairs(dataset: Dataset, exclude_same_annotator: bool = False) -> int:
+    """Cross-item record pairs (less same-annotator ones if excluded): what De samples."""
     records = dataset.records
-    n = len(records)
-    total = n * (n - 1) // 2 - _pairs_within(Counter(r.item_id for r in records))
+    total = int((len(records) - _item_ends(records)).sum())
     if exclude_same_annotator:
         # same-annotator pairs that also share the item (duplicate records)
         # were already removed with the same-item pairs
         total -= _pairs_within(Counter(r.annotator_id for r in records))
         total += _pairs_within(Counter((r.item_id, r.annotator_id) for r in records))
     return total
-
-
-def _codes(values: list[str]) -> np.ndarray:
-    """Integer codes of strings; object dtype, as numpy str arrays drop trailing NULs."""
-    return np.unique(np.array(values, dtype=object), return_inverse=True)[1]
 
 
 def _expected_indices(
@@ -113,46 +121,39 @@ def _expected_indices(
         raise DataError("expected pairs require at least two items")
     if available <= 0:
         raise DataError("no cross-item pairs available")
-    item = _codes([r.item_id for r in records])
-    annotator = _codes([r.annotator_id for r in records])
-
-    def admissible(item, annotator, i, j):
-        """One rule for lists of codes (a bool) and code arrays (a mask)."""
-        ok = item[i] != item[j]
-        if exclude_same_annotator:
-            ok = ok & (annotator[i] != annotator[j])
-        return ok
+    end, codes = _item_ends(records), {}
+    annotator = np.array([codes.setdefault(r.annotator_id, len(codes)) for r in records])
 
     rng = np.random.default_rng(seed)
     total_pairs = n * (n - 1) // 2
     want = min(int(sample_size), available)
 
     if want >= available or total_pairs <= 2_000_000:
-        first, second = np.triu_indices(n, 1)
-        keep = admissible(item, annotator, first, second)
-        first, second = first[keep], second[keep]
+        # each record's cross-item partners are the records after its item
+        first, second = _rows(end, n)
+        if exclude_same_annotator:
+            keep = annotator[first] != annotator[second]
+            first, second = first[keep], second[keep]
         if want < available:
             chosen = np.sort(rng.choice(first.size, size=want, replace=False))
             first, second = first[chosen], second[chosen]
     else:
         # rejection-sample linear indices of the i<j triangle; dataset is too
         # large to enumerate all pairs in memory
-        item, annotator = item.tolist(), annotator.tolist()
-        picked: set[int] = set()
-        out: list[tuple[int, int]] = []
+        end, annotator = end.tolist(), annotator.tolist()
+        out: dict[int, tuple[int, int]] = {}  # by linear index t
         while len(out) < want:
             batch = rng.integers(0, total_pairs, size=max(1024, 2 * (want - len(out))))
             for t in batch.tolist():
-                if t in picked:
+                if t in out:
                     continue
                 i = int((1 + math.isqrt(1 + 8 * t)) // 2)
                 j = t - i * (i - 1) // 2
-                if admissible(item, annotator, j, i):
-                    picked.add(t)
-                    out.append((j, i))
+                if i >= end[j] and not (exclude_same_annotator and annotator[i] == annotator[j]):
+                    out[t] = (j, i)
                     if len(out) >= want:
                         break
-        first, second = np.array(sorted(out), dtype=np.intp).reshape(-1, 2).T
+        first, second = np.array(sorted(out.values()), dtype=np.intp).reshape(-1, 2).T
     return first, second
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import sys
 import zlib
 from collections import Counter
 from functools import partial
@@ -391,6 +393,8 @@ def oks_oracle(a: KeypointObject, b: KeypointObject, scale_default=None, k_defau
                     "keypoint object has no per-point constants and no default was configured"
                 )
             ks = (float(k_default),) * len(obj.points)
+        if min(2.0 * scale * scale * k * k for k in ks) < sys.float_info.min:
+            raise DataError("keypoint scale and constants are so small that 2 s^2 k^2 underflows")
         return float(scale), ks
 
     (sa, ka), (sb, kb) = params(a), params(b)
@@ -452,6 +456,76 @@ def reference_fn(spec, meta: dict):
         return lambda a, b: count_diff_oracle(objects(a), objects(b), normalize)
     assert spec.kernel is None, name
     return spec.fn
+
+
+def _codes(values: list[str]) -> np.ndarray:
+    """Integer codes of strings; object dtype, as numpy str arrays drop trailing NULs."""
+    return np.unique(np.array(values, dtype=object), return_inverse=True)[1]
+
+
+def observed_indices_oracle(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """stats._observed_indices by grouping the item-sorted records and pairing each group."""
+    records = dataset.records
+    groups = itertools.groupby(range(len(records)), key=lambda i: records[i].item_id)
+    pairs = [pair for _, group in groups for pair in itertools.combinations(group, 2)]
+    if not pairs:
+        raise DataError("no observed pairs: no item has two or more annotations")
+    ia, ib = np.array(pairs, dtype=np.intp).T
+    return ia, ib
+
+
+def expected_indices_oracle(
+    dataset: Dataset, available: int, sample_size: int, seed: int, exclude_same_annotator: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """stats._expected_indices by masking the whole i < j triangle with item and annotator
+    codes, or by rejection sampling it above 2,000,000 candidates."""
+    records = dataset.records
+    n = len(records)
+    if len({r.item_id for r in records}) < 2:
+        raise DataError("expected pairs require at least two items")
+    if available <= 0:
+        raise DataError("no cross-item pairs available")
+    item = _codes([r.item_id for r in records])
+    annotator = _codes([r.annotator_id for r in records])
+
+    def admissible(item, annotator, i, j):
+        """One rule for lists of codes (a bool) and code arrays (a mask)."""
+        ok = item[i] != item[j]
+        if exclude_same_annotator:
+            ok = ok & (annotator[i] != annotator[j])
+        return ok
+
+    rng = np.random.default_rng(seed)
+    total_pairs = n * (n - 1) // 2
+    want = min(int(sample_size), available)
+
+    if want >= available or total_pairs <= 2_000_000:
+        first, second = np.triu_indices(n, 1)
+        keep = admissible(item, annotator, first, second)
+        first, second = first[keep], second[keep]
+        if want < available:
+            chosen = np.sort(rng.choice(first.size, size=want, replace=False))
+            first, second = first[chosen], second[chosen]
+    else:
+        # rejection-sample linear indices of the i<j triangle; dataset is too
+        # large to enumerate all pairs in memory
+        item, annotator = item.tolist(), annotator.tolist()
+        picked: set[int] = set()
+        out: list[tuple[int, int]] = []
+        while len(out) < want:
+            batch = rng.integers(0, total_pairs, size=max(1024, 2 * (want - len(out))))
+            for t in batch.tolist():
+                if t in picked:
+                    continue
+                i = int((1 + math.isqrt(1 + 8 * t)) // 2)
+                j = t - i * (i - 1) // 2
+                if admissible(item, annotator, j, i):
+                    picked.add(t)
+                    out.append((j, i))
+                    if len(out) >= want:
+                        break
+        first, second = np.array(sorted(out), dtype=np.intp).reshape(-1, 2).T
+    return first, second
 
 
 @pytest.fixture

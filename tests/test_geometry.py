@@ -119,6 +119,17 @@ def test_oks_defaults_and_errors():
         oks(a, kp([(0.0, 0.0), (1.0, 1.0)]), scale_default=1, k_default=1)
 
 
+def test_oks_own_scale_with_the_default_constant_underflows():
+    # 2 * 1e-150 * 1e-150 is normal; times 1e-10 twice it is not, though each factor is
+    a = kp([(0.0, 0.0), (1.0, 1.0)], scale=1e-150)
+    b = kp([(0.0, 0.0), (1.0, 1.0)], scale=2.0, k=(1.0, 1.0))
+    assert oks(a, b, k_default=1.0) == oks_oracle(a, b, k_default=1.0) == 0.0
+    with pytest.raises(DataError, match="underflows"):
+        oks(a, b, k_default=1e-10)
+    with pytest.raises(DataError, match="underflows"):
+        oks_oracle(a, b, k_default=1e-10)
+
+
 def test_bbox_iou_uses_point_hulls():
     a = kp([(0.0, 0.0), (2.0, 2.0)])
     b = kp([(1.0, 1.0), (3.0, 3.0), (2.0, 1.5)])
@@ -342,6 +353,7 @@ GOOD3 = kp([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)], scale=2.0, k=(1.0, 1.0, 1.0))
 GOOD2 = kp([(0.0, 0.0), (1.0, 1.0)], scale=2.0, k=(1.0, 1.0))
 NO_SCALE = kp([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)], k=(1.0, 1.0, 1.0))
 NO_K = kp([(1.0, 0.0), (1.0, 2.0), (2.0, 0.0)], scale=2.0)
+TINY = kp([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)], scale=1e-170, k=(1.0, 1.0, 1.0))
 
 # payloads (object tuples), pairs (ia, ib) and the message of the first error the lift meets
 OKS_ERRORS = {
@@ -354,6 +366,10 @@ OKS_ERRORS = {
     "first_object_pair_scale": ([(GOOD3,), (NO_SCALE, NO_K)], [0], [1], "no scale"),
     "a_before_b_constants": ([(NO_K,), (NO_SCALE,)], [0], [1], "constants"),
     "a_before_b_scale": ([(NO_SCALE,), (NO_K,)], [0], [1], "no scale"),
+    "underflow": ([(GOOD3,), (TINY,)], [0], [1], "2 s\\^2 k\\^2 underflows"),
+    "a_before_b_underflow": ([(TINY,), (NO_SCALE,)], [0], [1], "underflows"),
+    "a_missing_before_b_underflow": ([(NO_K,), (TINY,)], [0], [1], "constants"),
+    "first_pair_underflow": ([(GOOD3,), (TINY,), (GOOD2,)], [0, 0], [1, 2], "underflows"),
 }
 
 

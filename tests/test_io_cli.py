@@ -359,6 +359,31 @@ class TestCliCompute:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, params, coincide", [
+        (1e-170, ["k_default=1"], False),
+        (1e-170, ["k_default=1"], True),
+        (None, ["scale_default=1", "k_default=1e-160"], False),
+        (None, ["scale_default=1", "k_default=1e-160"], True),
+    ])
+    def test_underflowing_oks_denominator_is_data_error(self, tmp_path, capsys, scale, params,
+                                                        coincide):
+        # 2 s^2 k^2 underflows: each term would be exp(-inf) = 0, or 0 / 0 where points coincide
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "keypoints",
+                        "label": [{"points": [[i, 0 if coincide else j], [1 + i, 2]],
+                                   **({} if scale is None else {"scale": scale})}]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "kp.jsonl", lines)
+        out = tmp_path / "r.json"
+        argv = ["compute", "--input", path, "--distance", "oks", "--out", str(out)]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 3
+        assert "2 s^2 k^2 underflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_box_square_is_numeric_error(self, tmp_path, capsys):
         # corners 1e200 apart: the square of their difference overflows
         lines = [
@@ -562,6 +587,26 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert [(ln.split()[0], f"{float(ln.split()[1]):.4f}") for ln in lines[1:]] == [
         ("tau", "0.7430"), ("rho", "0.8798")
     ]
+
+
+# runs `agree` argv in a fresh interpreter; prints whether numpy.ma was imported
+AGREE_REPORTING_NUMPY_MA = """
+import sys
+from agreekit.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_tau_compute_leaves_numpy_ma_unimported(tmp_path):
+    demo, out = str(tmp_path / "demo.jsonl"), str(tmp_path / "r.json")
+    assert main(["simulate", "--task", "ranking", "--items", "30", "--annotators", "3",
+                 "--out", demo]) == 0
+    proc = run_python(AGREE_REPORTING_NUMPY_MA, "compute", "--input", demo, "--distance", "tau",
+                      "--out", out)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # runs `agree` argv in a fresh interpreter; with "block" first, every scipy import raises

@@ -33,7 +33,12 @@ from agreekit.stats import (
 )
 from agreekit.stats import _ecdf_gap, _permutation_pvalues, _run_ends
 
-from conftest import dataset_from_grid, uniform_random_vector_dataset
+from conftest import (
+    dataset_from_grid,
+    expected_indices_oracle,
+    observed_indices_oracle,
+    uniform_random_vector_dataset,
+)
 
 
 def samples(observed, expected, seed=0):
@@ -256,6 +261,11 @@ DRAW_PINS = [
      "aba8beb6f67e367118fb7046182bd7710f82b64c8a7d8d80c6a0b4d1e2ca7a28"),
     (1001, 2, 10_010, True, [(0, 813), (0, 989), (0, 1003), (0, 1317), (0, 1611)],
      "d3ef40349eab3ff21e896b5a5c448782039dcf22210b1fff8e7236cd379a065e"),
+    # the enumerating path at the spans-ner scale: 1,122,750 and 748,500 pairs available
+    (500, 3, 15_000, False, [(0, 204), (0, 290), (0, 311), (0, 421), (0, 662)],
+     "53a5e61163635baa055c2e70f895a1cb3d5cb9e79682f300886ad1c752223c71"),
+    (500, 3, 15_000, True, [(0, 205), (0, 292), (0, 311), (0, 421), (0, 667)],
+     "d3e9aaecdc1af1ccf95114e101490a4af07a39113862b7a5c1c78227b9a406b1"),
 ]
 
 
@@ -300,6 +310,54 @@ def test_planner_matches_brute_force(cells, exclude):
     else:
         with pytest.raises(DataError):
             expected_pairs(ds, everything, seed=0, exclude_same_annotator=exclude)
+
+
+def plan_or_error(plan, *args):
+    """The index arrays plan(*args) returns, or the message of the DataError it raises."""
+    try:
+        return plan(*args)
+    except DataError as e:
+        return str(e)
+
+
+def assert_same_plan(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+# items with 1 to 5 records each, annotators repeating within an item (duplicate records)
+PLANNER_ITEMS = st.lists(
+    st.tuples(st.text(alphabet="ab\x00", max_size=4), st.lists(IDS, min_size=1, max_size=5)),
+    min_size=1, max_size=40, unique_by=lambda cell: cell[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=PLANNER_ITEMS, exclude=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
+    records = tuple(AnnotationRecord(item_id=i, annotator_id=a, payload=NumericVector((0.5,)))
+                    for i, annotators in items for a in annotators)
+    ds = Dataset(records=records)
+    assert_same_plan(plan_or_error(stats._observed_indices, ds),
+                     plan_or_error(observed_indices_oracle, ds))
+    available = count_expected_pairs(ds, exclude)
+    want = data.draw(st.integers(1, max(1, available)), label="sample size")
+    for size in (want, available):
+        args = (ds, available, size, seed, exclude)
+        got = plan_or_error(stats._expected_indices, *args)
+        assert_same_plan(got, plan_or_error(expected_indices_oracle, *args))
+    if available:
+        assert got[0].size == available
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_rejection_sampling_matches_the_triangle_oracle(large_ds, exclude):
+    available = count_expected_pairs(large_ds, exclude)
+    args = (large_ds, available, 3_000, 11, exclude)
+    assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
 
 
 class TestSigma:
