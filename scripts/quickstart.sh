@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# README quick-start, spans and boxes examples through the installed `agree` script, with
-# the printed rows pinned, plus `check-metric` on the simulated ranking and vector
-# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
-# directory, removed on exit, and exits non-zero on the first command or grep that fails.
+# README quick-start (also with --exclude-same-annotator), spans and boxes examples
+# through the installed `agree` script, with the printed rows pinned, plus
+# `check-metric` on the simulated ranking and vector inputs. Run from anywhere after
+# `pip install -e .`; it works in a fresh temporary directory, removed on exit, and
+# exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -17,6 +18,11 @@ grep -F "1     rho                   0.8798" compare.txt
 agree compare --input demo.jsonl --distances tau,rho,tau_at_k --param k=3 --seed 7 \
   --exact-ks 200 | tee exact.txt
 grep -F "3     tau_at_k              0.5349   0.6556   0.6911      0.9950" exact.txt
+# the same-annotator exclusion path
+agree compute --input demo.jsonl --distance tau --seed 7 --exclude-same-annotator \
+  | tee exclude.txt
+grep -F "alpha      : 0.7441" exclude.txt
+grep -F "pairs      : observed=90 expected_used=900 expected_available=2610" exclude.txt
 
 # spans rows pinned to the set-based NER definition
 agree simulate --task spans --items 30 --annotators 3 --noise 0.25 --seed 7 --out spans.jsonl

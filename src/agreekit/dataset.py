@@ -71,7 +71,7 @@ def validate_dataset(
     """Check dataset-level invariants and return counts plus a sorted violation list.
 
     Hard errors (raised): empty input, mixed payload kinds, vector ranges that are
-    not a list of [lo, hi] pairs of numbers.
+    not a list of [lo, hi] pairs of numbers, a ranking universe that is not a list.
     Soft violations (reported): duplicate (item, annotator) pairs, vector values
     outside configured ranges, configured ranges with a NaN bound (once each),
     vector length mismatches, rankings that are not
@@ -144,6 +144,8 @@ def validate_dataset(
         universe = meta.get("universe")
         if universe is None:
             universe = list(records[0].payload.order)
+        elif not isinstance(universe, (list, tuple)):
+            raise DataError(f"universe must be a list of elements, got {universe!r}")
         expected = sorted(str(e) for e in universe)
         for rec in records:
             if sorted(rec.payload.order) != expected:

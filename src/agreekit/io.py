@@ -126,9 +126,13 @@ def load_dataset(path: str) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}:{lineno}: nested too deeply") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             if "meta" in obj and "item" not in obj:
+                if not isinstance(obj["meta"], dict):
+                    raise DataError(f"{path}:{lineno}: meta must be a JSON object")
                 meta.update(obj["meta"])
                 continue
             try:
@@ -148,6 +152,8 @@ def load_dataset(path: str) -> Dataset:
                 payload = parse_payload(line_kind, label, sentence_id=f"{item}::{annotator}")
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}:{lineno}: nested too deeply") from exc
             records.append(AnnotationRecord(item_id=item, annotator_id=annotator, payload=payload))
     if not records:
         raise DataError(f"{path}: empty dataset")

@@ -423,6 +423,48 @@ class TestCliCompute:
         assert "ranges must be a list of [lo, hi] pairs of numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("meta", [5, "xy", [["universe", ["a"]]]])
+    def test_malformed_meta_line_is_data_error(self, ranking_file, tmp_path, capsys, meta):
+        lines = open(ranking_file).read().splitlines()
+        lines.insert(2, json.dumps({"meta": meta}))
+        path = write_lines(tmp_path / "m.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", "tau", "--out", str(out)]) == 3
+        assert f"{path}:3: meta must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, universe", [("flag", "5"), ("flag", "abc"), ("line", 5),
+                                                  ("line", "abc")])
+    def test_malformed_universe_is_data_error(self, ranking_file, tmp_path, capsys, source,
+                                              universe):
+        out = tmp_path / "r.json"
+        argv = ["compute", "--distance", "tau", "--out", str(out), "--input"]
+        if source == "flag":
+            argv += [ranking_file, "--meta", f"universe={universe}"]
+        else:
+            # a later meta line overrides the simulated universe
+            lines = open(ranking_file).read().splitlines()
+            argv.append(write_lines(tmp_path / "u.jsonl",
+                                    lines + [json.dumps({"meta": {"universe": universe}})]))
+        assert main(argv) == 3
+        assert "universe must be a list of elements" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_line_is_data_error(self, tmp_path, capsys):
+        # a tree 495 levels deep: 990 nested arrays overflow the JSON decoder's recursion
+        deep = '["x", [' * 495 + '"x"' + "]]" * 495
+        lines = [
+            '{"item": "i%d", "annotator": "a%d", "kind": "tree", "label": %s}'
+            % (i, j, deep if (i, j) == (1, 1) else '["x", [["y"]]]')
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "deep.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", "ted", "--out", str(out)]) == 3
+        assert f"{path}:4: nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_item_is_data_error(self, tmp_path, capsys):
         lines = [
             json.dumps({"item": "i0", "annotator": f"a{j}", "kind": "vector", "label": [0.1 * j]})

@@ -360,6 +360,17 @@ def test_rejection_sampling_matches_the_triangle_oracle(large_ds, exclude):
     assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
 
 
+@pytest.mark.parametrize("exclude, available", [(False, 1_998_000), (True, 999_000)])
+def test_ranked_draw_memory_is_independent_of_the_pairs_available(exclude, available):
+    # 2,000 records: 1,999,000 candidate pairs, just under the rejection-sampling limit
+    ds = uniform_random_vector_dataset(1000, 2, 1, seed=0)
+    assert count_expected_pairs(ds, exclude) == available
+    args = (ds, available, 100, 0, exclude)
+    got, peak_mb = traced_call(stats._expected_indices, *args)
+    assert peak_mb < 4.0  # listing every pair took 45.8 MB (62.9 MB with exclusion)
+    assert_same_plan(got, expected_indices_oracle(*args))
+
+
 class TestSigma:
     def test_all_observed_in_tail(self):
         s = samples(np.full(30, 0.01), normal_grid(0.5, 0.05, 400).clip(0, 1))
