@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# README quick-start (also with --exclude-same-annotator), spans and boxes examples
-# through the installed `agree` script, with the printed rows pinned, plus
-# `check-metric` on the simulated ranking and vector inputs. Run from anywhere after
-# `pip install -e .`; it works in a fresh temporary directory, removed on exit, and
-# exits non-zero on the first command or grep that fails.
+# README quick-start (also with --exclude-same-annotator), spans and boxes examples and a
+# rejection-sampled vector compute through the installed `agree` script, with the printed
+# rows pinned, plus `check-metric` on the simulated ranking and vector inputs. Run from
+# anywhere after `pip install -e .`; it works in a fresh temporary directory, removed on
+# exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -43,6 +43,13 @@ grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes
 grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
 grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
 grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
+
+# expected pairs by rejection sampling: 2,200 annotations give 2,418,900 candidates
+agree simulate --task vector --items 1100 --annotators 2 --noise 0.25 --seed 7 --out large.jsonl
+agree compute --input large.jsonl --distance euclidean --seed 7 --exclude-same-annotator \
+  | tee large.txt
+grep -F "alpha      : 0.3564" large.txt
+grep -F "pairs      : observed=1100 expected_used=11000 expected_available=1208900" large.txt
 
 # metric axioms of kernel-backed entries on simulated payloads
 agree simulate --task vector --items 30 --annotators 3 --noise 0.25 --seed 7 --out vector.jsonl

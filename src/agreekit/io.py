@@ -194,6 +194,8 @@ def load_embeddings(path: str) -> TokenEmbeddingTable:
                 table[str(obj["sentence_id"])] = obj["vectors"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed embedding line: {exc}") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}:{lineno}: nested too deeply") from exc
     if not table:
         raise DataError(f"{path}: no embeddings found")
     return TokenEmbeddingTable(table)

@@ -131,8 +131,13 @@ class Span:
     tag: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "end", int(self.end))
+        for name in ("start", "end"):
+            value = getattr(self, name)
+            # an int or a whole float such as 3.0 is an offset; a bool, 2.7 or "3" is not
+            whole = isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not (whole or hasattr(value, "__index__")):
+                raise DataError(f"span {name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.start < 0 or self.start >= self.end:
             raise DataError(f"invalid span range [{self.start}, {self.end})")
 

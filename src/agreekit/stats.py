@@ -141,22 +141,19 @@ def _expected_indices(
             base = np.searchsorted(key, own + end[first])
             second += np.searchsorted(key - np.arange(n), own + second - base, "right") - base
     else:
-        # rejection-sample linear indices of the i<j triangle; kept apart from the ranked
-        # draw above only because perfbench/goldens.json and DRAW_PINS pin its stream
-        end, annotator = end.tolist(), annotator.tolist()
-        out: dict[int, tuple[int, int]] = {}  # by linear index t
-        while len(out) < want:
-            batch = rng.integers(0, total_pairs, size=max(1024, 2 * (want - len(out))))
-            for t in batch.tolist():
-                if t in out:
-                    continue
-                i = int((1 + math.isqrt(1 + 8 * t)) // 2)
-                j = t - i * (i - 1) // 2
-                if i >= end[j] and not (exclude_same_annotator and annotator[i] == annotator[j]):
-                    out[t] = (j, i)
-                    if len(out) >= want:
-                        break
-        first, second = np.array(sorted(out.values()), dtype=np.intp).reshape(-1, 2).T
+        # rejection-sample ranks t of the i<j triangle, row i holding the i pairs (j, i); apart
+        # from the ranked draw above only because perfbench/goldens.json and DRAW_PINS pin it
+        kept, row_width = np.empty(0, dtype=np.intp), np.arange(n)
+        while (need := want - kept.size) > 0:
+            batch = rng.integers(0, total_pairs, size=max(1024, 2 * need))
+            t, at = np.unique(batch, return_index=True)  # each rank drawn, and its first draw
+            i, j = _unrank(t, row_width)
+            ok = (i >= end[j]) & ~(exclude_same_annotator & (annotator[i] == annotator[j]))
+            ok &= np.searchsorted(kept, t) == np.searchsorted(kept, t, "right")  # not kept yet
+            t = np.sort(t[ok][np.argsort(at[ok])[:need]])  # the need drawn first
+            kept = np.insert(kept, np.searchsorted(kept, t), t)
+        second, first = _unrank(kept, row_width)
+        first, second = np.divmod(np.sort(first * n + second), n)
     return first, second
 
 
@@ -171,8 +168,9 @@ def expected_pairs(
     Returns every available pair when sample_size covers them all. The result
     is deterministic given the seed and sorted canonically. Up to 2,000,000
     candidate pairs, ranks among the admissible pairs are sampled and mapped to
-    pairs through per-record partner counts; above that, candidates are
-    rejection-sampled, which draws a different sample for the same seed.
+    pairs through per-record partner counts; above that, the first draws of
+    admissible pairs among uniform candidates are kept, in draw order, which
+    draws a different sample for the same seed. Memory is O(n + sample_size).
     """
     available = count_expected_pairs(dataset, exclude_same_annotator)
     return _record_pairs(

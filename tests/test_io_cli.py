@@ -465,6 +465,23 @@ class TestCliCompute:
         assert f"{path}:4: nested too deeply" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label, message", [
+        ([[2.7, 5.2, "ORG"]], "span start must be a whole number, got 2.7"),
+        ([[1, 5.5, "ORG"]], "span end must be a whole number, got 5.5"),
+        ([[True, 5, "ORG"]], "span start must be a whole number, got True"),
+        ([[0, math.inf, "ORG"]], "span end must be a whole number, got inf"),
+    ])
+    def test_span_offset_that_is_not_whole_is_data_error(self, tmp_path, capsys, label, message):
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "spans",
+                        "label": label if (i, j) == (1, 1) else [[2.0, 5, "ORG"]]})
+            for i in range(2)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "spans.jsonl", lines)
+        assert main(["compute", "--input", path, "--distance", "ner_both_lenient"]) == 3
+        assert f"{path}:4: {message}" in capsys.readouterr().err
+
     def test_single_item_is_data_error(self, tmp_path, capsys):
         lines = [
             json.dumps({"item": "i0", "annotator": f"a{j}", "kind": "vector", "label": [0.1 * j]})
@@ -929,6 +946,18 @@ class TestCliEmbeddings:
         flag = [via, emb] if via == "--embeddings" else [via, f"embeddings={emb}"]
         assert main(["compute", "--input", data, "--distance", "embedding_f1", *flag]) == 3
         assert "embeddings for sentence 's' are not numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["--embeddings", "--param"])
+    def test_deeply_nested_embedding_line_is_data_error(self, tmp_path, capsys, via):
+        data, _ = token_files(tmp_path)
+        deep = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+        emb = write_lines(tmp_path / "deep.jsonl", [
+            json.dumps({"sentence_id": "s", "vectors": [[1.0]]}),
+            '{"sentence_id": "t", "vectors": %s}' % deep,
+        ])
+        flag = [via, emb] if via == "--embeddings" else [via, f"embeddings={emb}"]
+        assert main(["compute", "--input", data, "--distance", "embedding_f1", *flag]) == 3
+        assert f"{emb}:2: nested too deeply" in capsys.readouterr().err
 
 
 def token_files(tmp_path):

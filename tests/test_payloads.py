@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from agreekit.dataset import AnnotationRecord, Dataset, validate_dataset
@@ -36,6 +39,15 @@ def test_span_bounds():
     with pytest.raises(DataError):
         Span(start=-1, end=2, tag="PER")
     assert tuple(Span(start=1, end=4, tag="PER").tokens()) == (1, 2, 3)
+
+
+def test_span_offsets_are_whole_numbers():
+    span = Span(start=3.0, end=np.int64(5), tag="PER")
+    assert (span.start, span.end) == (3, 5)
+    assert all(type(x) is int for x in (span.start, span.end))
+    for start, end in [(2.7, 5), (2, 5.2), (True, 5), (0, False), ("1", 5), (math.nan, 5)]:
+        with pytest.raises(DataError, match="must be a whole number"):
+            Span(start=start, end=end, tag="PER")
 
 
 def test_object_sets_deduplicate_and_sort():

@@ -266,6 +266,9 @@ DRAW_PINS = [
      "53a5e61163635baa055c2e70f895a1cb3d5cb9e79682f300886ad1c752223c71"),
     (500, 3, 15_000, True, [(0, 205), (0, 292), (0, 311), (0, 421), (0, 667)],
      "d3e9aaecdc1af1ccf95114e101490a4af07a39113862b7a5c1c78227b9a406b1"),
+    # rejection sampling for most of the pairs available: many rounds, most late draws rejected
+    (1001, 2, 900_000, True, [(0, 5), (0, 9), (0, 11), (0, 13), (0, 15)],
+     "d0310e92b7a08ef2a995d2738a310a81c451fa9a12f856be136245c3b37adcb1"),
 ]
 
 
@@ -357,6 +360,22 @@ def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
 def test_rejection_sampling_matches_the_triangle_oracle(large_ds, exclude):
     available = count_expected_pairs(large_ds, exclude)
     args = (large_ds, available, 3_000, 11, exclude)
+    assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
+
+
+# 2,001 records: 2,001,000 candidate pairs, of which only the 79,220 that leave the
+# 1,961-record item are admissible (52,827 with exclusion); so a draw takes many
+# rounds, repeats pairs within a batch and cuts its last batch short
+SPARSE_DS = Dataset(records=tuple(
+    AnnotationRecord(item_id=item, annotator_id=f"a{k % 3}", payload=NumericVector((0.5,)))
+    for k, item in enumerate(["big"] * 1961 + [f"s{k:02d}" for k in range(40)])
+))
+
+
+@settings(max_examples=20, deadline=None)
+@given(want=st.integers(1, 12_000), seed=st.integers(0, 2**32 - 1), exclude=st.booleans())
+def test_rejection_rounds_match_the_per_draw_oracle(want, seed, exclude):
+    args = (SPARSE_DS, count_expected_pairs(SPARSE_DS, exclude), want, seed, exclude)
     assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
 
 
