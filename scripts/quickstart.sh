@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # README quick-start (also with --exclude-same-annotator), spans and boxes examples and a
 # rejection-sampled vector compute through the installed `agree` script, with the printed
-# rows pinned, plus `check-metric` on the simulated ranking and vector inputs. Run from
-# anywhere after `pip install -e .`; it works in a fresh temporary directory, removed on
-# exit, and exits non-zero on the first command or grep that fails.
+# rows pinned, plus `check-metric` on the simulated ranking, vector, boxes and spans
+# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
+# directory, removed on exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -59,3 +59,10 @@ agree check-metric --input vector.jsonl --distance euclidean | tee euclidean-met
 grep -Fx ok euclidean-metric.txt
 agree check-metric --input boxes.jsonl --distance box_l2 | tee box-l2-metric.txt
 grep -Fx ok box-l2-metric.txt
+# the NER kernel over check-metric's every ordered pair: symmetry and identity hold
+agree check-metric --input spans.jsonl --distance ner_both_lenient | tee ner-lenient-metric.txt
+grep -Fx "payloads=12, nonnegativity violations=0, symmetry violations=0, identity violations=0, triangle violations=4" ner-lenient-metric.txt
+grep -Fx ok ner-lenient-metric.txt
+agree check-metric --input spans.jsonl --distance ner_both_strict | tee ner-strict-metric.txt
+grep -Fx "payloads=12, nonnegativity violations=0, symmetry violations=0, identity violations=0, triangle violations=0" ner-strict-metric.txt
+grep -Fx ok ner-strict-metric.txt

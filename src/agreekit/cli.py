@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from .dataset import Dataset, validate_dataset
 from .errors import AgreeError, DataError, UsageError
 from .noise import TASKS, NoiseSpec, generate_cst_dataset, random_gold
 from .properties import check_metric_properties
-from .stats import agreement_reports, count_expected_pairs
+from .stats import agreement_reports, check_measure_args, count_expected_pairs
 
 
 def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -39,28 +38,28 @@ def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
             out[key] = value
+        except ValueError as exc:  # JSON that Python will not read, such as a 5,000-digit integer
+            raise UsageError(f"{flag} {key}: {exc}") from exc
     return out
 
 
 def _load(args: argparse.Namespace) -> Dataset:
     dataset = aio.load_dataset(args.input)
-    meta = dict(dataset.meta)
-    meta.update(_parse_kv(args.meta, "--meta"))
-    return Dataset(records=dataset.records, meta=meta)
+    # the dataset's meta is its own dict: merging into it keeps the records' one sort
+    dataset.meta.update(_parse_kv(args.meta, "--meta"))
+    return dataset
 
 
 def _resolve_de_samples(value: Optional[str], dataset: Dataset, exclude: bool) -> Optional[int]:
     if value is None:
         return None
     if value == "all":
-        return count_expected_pairs(dataset, exclude_same_annotator=exclude)
+        # with no pair available, pair planning raises its DataError
+        return max(count_expected_pairs(dataset, exclude_same_annotator=exclude), 1)
     try:
-        n = int(value)
+        return int(value)
     except ValueError as exc:
         raise UsageError(f"--de-samples expects an integer or 'all', got {value!r}") from exc
-    if n < 1:
-        raise UsageError("--de-samples must be >= 1")
-    return n
 
 
 def _specs(args: argparse.Namespace, dataset: Dataset, names: Sequence[str]) -> list:
@@ -80,14 +79,8 @@ def _specs(args: argparse.Namespace, dataset: Dataset, names: Sequence[str]) -> 
 def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     """compute, compare and hist: check the flags, load and validate the
     dataset, build the specs, and report every distance on one pair plan."""
-    if not 0.0 < args.p <= 1.0:
-        raise UsageError("--p must lie in (0, 1]")
-    if args.kde_bandwidth is not None and not 0.0 < args.kde_bandwidth < math.inf:
-        raise UsageError("--kde-bandwidth must be positive and finite")
-    if args.exact_ks < 0:
-        raise UsageError("--exact-ks must be >= 0")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
+    check_measure_args(p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
+                       n_permutations=args.exact_ks)
     dataset = _load(args)
     summary = validate_dataset(dataset.records, dataset.meta)
     if summary.violations:

@@ -17,6 +17,47 @@ import numpy as np
 from ..payloads import SpanSet
 
 
+def _blocks(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray) -> tuple:
+    """The object-pair cells of each pair (ia[t], ib[t]) of object sets, as flat arrays.
+
+    Objects are numbered payload by payload, counts[p] of them for payload p. Returns
+    (out, full, na, nb, ga, gb, rows, by_col, cols): out is every pair's value under the
+    empty-set rule (0 when both sets are empty, 1 when one is), full the pairs whose sets
+    are both non-empty, and na, nb their sizes. Each full pair's |A|x|B| block is laid out
+    row-major: cell k pairs object ga[k] of A with object gb[k] of B, and each row starts
+    at an entry of rows. by_col takes the cells column-major, each column starting at an
+    entry of cols.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    na, nb = counts[ia], counts[ib]
+    out = np.where((na == 0) & (nb == 0), 0.0, 1.0)
+    full = np.flatnonzero((na > 0) & (nb > 0))
+    na, nb = na[full], nb[full]
+    size = na * nb
+    start = np.cumsum(size) - size
+    pair = np.repeat(np.arange(full.size), size)
+    cell = np.arange(pair.size) - start[pair]
+    row, col = np.divmod(cell, nb[pair])
+    ga, gb = first[ia[full]][pair] + row, first[ib[full]][pair] + col
+    rows = np.flatnonzero(col == 0)
+    # the same cells column-major: cell number k holds (row k % |A|, column k // |A|)
+    col, row = np.divmod(cell, na[pair])
+    by_col = start[pair] + row * nb[pair] + col
+    return out, full, na, nb, ga, gb, rows, by_col, np.flatnonzero(row == 0)
+
+
+def _mean_in_order(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The mean of each run of sizes[k] consecutive values, each run summed with `sum`.
+
+    `sum` adds in object order (compensated from Python 3.12), where numpy's add
+    reductions are pairwise, so each mean equals a plain Python lift's bit for bit.
+    """
+    it = iter(values.tolist())
+    return np.array([sum(islice(it, k)) for k in sizes.tolist()], dtype=float) / sizes
+
+
 def min_match_batch(
     counts: np.ndarray, ia: np.ndarray, ib: np.ndarray, inner: Callable
 ) -> np.ndarray:
@@ -25,36 +66,16 @@ def min_match_batch(
     Objects are numbered payload by payload, counts[p] of them for payload p, and
     inner(ga, gb) scores the objects ga[e] and gb[e] elementwise; it must be bounded
     by 1 and bitwise symmetric. Both sets empty is perfect agreement (0); exactly one
-    empty is maximal disagreement about existence (1). Otherwise each object pair is
-    scored once: each pair's |A|x|B| matrix is one row-major block of a flat array,
-    whose rows give the A -> B minima and whose transposed gather the B -> A minima,
-    both by np.minimum.reduceat. Each direction's minima are summed with `sum` in
-    object order (from Python 3.12 `sum` is compensated, and numpy's add reductions
-    are pairwise), so each value equals a plain Python lift's bit for bit.
+    empty is maximal disagreement about existence (1). Otherwise each object pair of
+    the _blocks layout is scored once; its rows give the A -> B minima and its columns
+    the B -> A minima, both by np.minimum.reduceat.
     """
-    counts = np.asarray(counts, dtype=np.intp)
-    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
-    first = np.cumsum(counts) - counts
-    na, nb = counts[ia], counts[ib]
-    out = np.where((na == 0) & (nb == 0), 0.0, 1.0)
-    full = np.flatnonzero((na > 0) & (nb > 0))
-    if not full.size:
-        return out
-    na, nb = na[full], nb[full]
-    size = na * nb
-    start = np.cumsum(size) - size
-    pair = np.repeat(np.arange(full.size), size)
-    cell = np.arange(pair.size) - start[pair]
-    row, col = np.divmod(cell, nb[pair])
-    d = inner(first[ia[full]][pair] + row, first[ib[full]][pair] + col)
-    row_min = np.minimum.reduceat(d, np.flatnonzero(col == 0))
-    # the same cells column-major: cell number k holds (row k % |A|, column k // |A|)
-    col, row = np.divmod(cell, na[pair])
-    col_min = np.minimum.reduceat(d[start[pair] + row * nb[pair] + col], np.flatnonzero(row == 0))
-    rows, cols = iter(row_min.tolist()), iter(col_min.tolist())
-    d_ab = [sum(islice(rows, k)) for k in na.tolist()]
-    d_ba = [sum(islice(cols, k)) for k in nb.tolist()]
-    out[full] = (np.array(d_ab) / na + np.array(d_ba) / nb) / 2.0
+    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(counts, ia, ib)
+    if full.size:
+        d = inner(ga, gb)
+        d_ab = _mean_in_order(np.minimum.reduceat(d, rows), na)
+        d_ba = _mean_in_order(np.minimum.reduceat(d[by_col], cols), nb)
+        out[full] = (d_ab + d_ba) / 2.0
     return out
 
 
@@ -74,73 +95,6 @@ def count_diff_batch(
     return diff / np.maximum(np.maximum(na, nb), 1)
 
 
-class _PackedSpans:
-    """A SpanSet as token bitmasks: bit t of a span's mask is set iff token t is in it."""
-
-    __slots__ = ("n", "masks", "union", "union_by_tag", "ranges", "range_set", "tagged")
-
-    def __init__(self, spans: SpanSet) -> None:
-        self.n = len(spans.spans)
-        self.masks = []  # (mask, width, tag) per span
-        self.union = 0
-        self.union_by_tag: dict[str, int] = {}
-        for s in spans.spans:
-            mask = ((1 << s.end) - 1) ^ ((1 << s.start) - 1)
-            self.masks.append((mask, s.end - s.start, s.tag))
-            self.union |= mask
-            self.union_by_tag[s.tag] = self.union_by_tag.get(s.tag, 0) | mask
-        self.ranges = [(s.start, s.end) for s in spans.spans]
-        self.range_set = set(self.ranges)
-        self.tagged = {(s.start, s.end, s.tag) for s in spans.spans}
-
-
-# Directional similarity of a's spans against b, one per (range_strict, tag_strict). A span
-# scores the share of its tokens that b's spans (of its tag) cover, or, range-strict, 1 if
-# b has a span of the same range (and tag) and 0 otherwise: several matches still earn 1.
-# The span scores are summed in span order with `sum`, as the set-based definition is, so
-# the floats match it bit for bit.
-
-
-def _covered(a: _PackedSpans, b: _PackedSpans) -> float:
-    union = b.union
-    return sum([(mask & union).bit_count() / width for mask, width, _ in a.masks]) / a.n
-
-
-def _covered_same_tag(a: _PackedSpans, b: _PackedSpans) -> float:
-    by_tag = b.union_by_tag
-    return sum([(mask & by_tag.get(tag, 0)).bit_count() / width
-                for mask, width, tag in a.masks]) / a.n
-
-
-def _same_range(a: _PackedSpans, b: _PackedSpans) -> float:
-    return sum([r in b.range_set for r in a.ranges]) / a.n
-
-
-def _same_range_and_tag(a: _PackedSpans, b: _PackedSpans) -> float:
-    # SpanSet holds each (start, end, tag) once
-    return len(a.tagged & b.tagged) / a.n
-
-
-_DIRECTIONAL = {
-    (False, False): _covered,
-    (False, True): _covered_same_tag,
-    (True, False): _same_range,
-    (True, True): _same_range_and_tag,
-}
-
-
-def _ner_pair(a: _PackedSpans, b: _PackedSpans, directional: Callable) -> float:
-    if not a.n and not b.n:
-        return 0.0
-    if not a.n or not b.n:
-        return 1.0
-    s_ab = directional(a, b)
-    s_ba = directional(b, a)
-    if s_ab + s_ba == 0:
-        return 1.0
-    return 1.0 - 2.0 * s_ab * s_ba / (s_ab + s_ba)
-
-
 def ner_batch(
     payloads: Sequence[SpanSet],
     ia: np.ndarray,
@@ -152,9 +106,37 @@ def ner_batch(
 
     D = 1 - 2*S_ab*S_ba / (S_ab + S_ba), the inverted harmonic mean of the two
     directional similarities; both directions zero means distance 1. Both sets
-    empty is 0; exactly one empty is 1. Each payload is packed once.
+    empty is 0; exactly one empty is 1. S_ab is the mean over a's spans of each
+    span's score against b's spans (of its tag, when tag_strict), scored on the
+    _blocks cells of the min-match lift: range_strict, 1 if one of them has the
+    same range and 0 otherwise; else the share of its tokens that they cover, by
+    token bitmasks (bit t of a span's mask is set iff token t is in the span).
     """
-    packed = [_PackedSpans(p) for p in payloads]
-    directional = _DIRECTIONAL[range_strict, tag_strict]
-    pairs = zip(np.asarray(ia).tolist(), np.asarray(ib).tolist())
-    return np.array([_ner_pair(packed[i], packed[j], directional) for i, j in pairs], dtype=float)
+    spans = [s for p in payloads for s in p.spans]
+    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(
+        [len(p.spans) for p in payloads], ia, ib)
+    if not full.size:
+        return out
+    start, end = np.array([[s.start, s.end] for s in spans]).T
+    tag = np.array([s.tag for s in spans])
+    same = tag[ga] == tag[gb] if tag_strict else True
+    if range_strict:
+        match = same & (start[ga] == start[gb]) & (end[ga] == end[gb])
+        s_ab = np.maximum.reduceat(match, rows)
+        s_ba = np.maximum.reduceat(match[by_col], cols)
+    else:
+        masks = np.array([((1 << s.end) - 1) ^ ((1 << s.start) - 1) for s in spans], dtype=object)
+
+        def covered(own: np.ndarray, usable: np.ndarray, starts: np.ndarray) -> np.ndarray:
+            # each span's share of tokens in the union of the usable masks of its row or column
+            union = np.bitwise_or.reduceat(usable, starts).tolist()
+            own = own[starts]
+            hits = [(m & u).bit_count() for m, u in zip(masks[own].tolist(), union)]
+            return np.array(hits) / (end[own] - start[own])
+
+        s_ab = covered(ga, np.where(same, masks[gb], 0), rows)
+        s_ba = covered(gb[by_col], np.where(same, masks[ga], 0)[by_col], cols)
+    s_ab, s_ba = _mean_in_order(s_ab, na), _mean_in_order(s_ba, nb)
+    total = s_ab + s_ba
+    out[full] = 1.0 - np.divide(2.0 * s_ab * s_ba, total, out=np.zeros_like(total), where=total > 0)
+    return out

@@ -184,7 +184,7 @@ class TokenEmbeddingTable:
         for sid, mat in vectors.items():
             try:
                 arr = np.asarray(mat, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"embeddings for sentence {sid!r} are not numeric: {exc}") from exc
             if arr.ndim != 2:
                 raise DataError(f"embeddings for sentence {sid!r} are not a 2-d matrix")

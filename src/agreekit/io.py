@@ -78,7 +78,7 @@ def parse_payload(kind: str, label: object, sentence_id: Optional[str] = None) -
             return Ranking(order=tuple(label))
     except DataError:
         raise
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed {kind} payload: {exc}") from exc
     raise DataError(f"unknown payload kind {kind!r}")
 
@@ -124,7 +124,7 @@ def load_dataset(path: str) -> Dataset:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
                 raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             except RecursionError as exc:
                 raise DataError(f"{path}:{lineno}: nested too deeply") from exc
@@ -192,7 +192,7 @@ def load_embeddings(path: str) -> TokenEmbeddingTable:
             try:
                 obj = json.loads(line)
                 table[str(obj["sentence_id"])] = obj["vectors"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed embedding line: {exc}") from exc
             except RecursionError as exc:
                 raise DataError(f"{path}:{lineno}: nested too deeply") from exc

@@ -266,7 +266,7 @@ def make_spec(
         )
     try:
         impl = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
     if entry.build in _PAIR_BUILDERS:
         kernel, fn = None, impl

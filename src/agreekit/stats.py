@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import AnnotationRecord, Dataset, validate_dataset
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UsageError
 from .kde import fit_kde, kde_cdf
 from .registry import DistanceSpec
 
@@ -430,6 +430,26 @@ class AgreementReport:
         }
 
 
+def check_measure_args(
+    p: float = 0.05,
+    de_sample_size: Optional[int] = None,
+    seed: int = 0,
+    bandwidth: Optional[float] = None,
+    n_permutations: int = 0,
+) -> None:
+    """Raise UsageError, naming the agree flag, for an agreement_reports argument out of range."""
+    if not 0.0 < p <= 1.0:
+        raise UsageError("--p must lie in (0, 1]")
+    if bandwidth is not None and not 0.0 < bandwidth < math.inf:
+        raise UsageError("--kde-bandwidth must be positive and finite")
+    if n_permutations < 0:
+        raise UsageError("--exact-ks must be >= 0")
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
+    if de_sample_size is not None and de_sample_size < 1:
+        raise UsageError("--de-samples must be >= 1")
+
+
 def agreement_report(
     dataset: Dataset,
     spec: DistanceSpec,
@@ -459,6 +479,7 @@ def agreement_reports(
     """One report per spec, each equal to agreement_report for that spec alone.
 
     Validates once and plans pairs once, so all are measured on the same pairs."""
+    check_measure_args(p, de_sample_size, seed, bandwidth, n_permutations)
     summary = validate_dataset(dataset.records, dataset.meta)
     plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
     measured = []

@@ -305,8 +305,12 @@ def _exact_range_credit(span, others, tag_strict: bool) -> float:
     return min(1, credit)
 
 
-def ner_distance_oracle(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool) -> float:
-    """ner_batch for one pair by token sets, one span of one set against all spans of the other."""
+def ner_distance_oracle(
+    a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool, total=sum
+) -> float:
+    """ner_batch for one pair by token sets, one span of one set against all spans of the other.
+
+    total adds up one direction's span credits in span order; ner_batch uses `sum`."""
     if not a.spans and not b.spans:
         return 0.0
     if not a.spans or not b.spans:
@@ -314,7 +318,7 @@ def ner_distance_oracle(a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: 
     credit = _exact_range_credit if range_strict else _covered_fraction
 
     def directional(x: SpanSet, y: SpanSet) -> float:
-        return sum(credit(s, y.spans, tag_strict) for s in x.spans) / len(x.spans)
+        return total([credit(s, y.spans, tag_strict) for s in x.spans]) / len(x.spans)
 
     s_ab = directional(a, b)
     s_ba = directional(b, a)

@@ -224,6 +224,16 @@ class TestCliCompute:
         assert main(["compute", "--input", vector_file, "--distance", "euclidean", "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_builds_one_dataset(self, vector_file, monkeypatch, capsys):
+        # merging --meta into a second Dataset sorted every record again
+        calls = Counter()
+        count_calls(monkeypatch, calls, Dataset, "__post_init__")
+        ranges = json.dumps([[0, 1]] * 5)
+        assert main(["compute", "--input", vector_file, "--distance", "euclidean",
+                     "--meta", f"ranges={ranges}"]) == 0
+        capsys.readouterr()
+        assert calls == {"__post_init__": 1}
+
     def test_p_and_de_samples_flow_into_report(self, vector_file, tmp_path):
         out = str(tmp_path / "r.json")
         assert main([
@@ -551,6 +561,74 @@ class TestCliNonFiniteNumbers:
         assert main(["compute", "--input", data, "--distance", "embedding_f1",
                      "--embeddings", emb]) == 3
         assert "embeddings for sentence 's' are not all finite" in capsys.readouterr().err
+
+
+# a 400-digit integer overflows float(), and a 5,001-digit one exceeds the digit limit
+# of Python's int parsing, which json.loads raises as a ValueError of its own
+BIG, HUGE = "9" * 400, "9" * 5001
+
+
+def raw_label_file(tmp_path, kind, label):
+    """2 items x 2 annotators of GOOD_LABELS[kind], the last line's label the raw JSON label."""
+    lines = [json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": kind,
+                         "label": GOOD_LABELS[kind]}) for i in range(2) for j in range(2)]
+    lines[-1] = lines[-1][: lines[-1].index('"label": ')] + f'"label": {label}}}'
+    return write_lines(tmp_path / "big.jsonl", lines)
+
+
+class TestCliIntegersTooLargeForAFloat:
+    @pytest.mark.parametrize("kind, distance, label", [
+        ("vector", "euclidean", "[{n}, 0.5]"),
+        ("boxes", "box_iou", "[[0, 0, {n}, 1]]"),
+        ("keypoints", "oks", '[{{"points": [[0, 0], [1, {n}]], "scale": 1.0}}]'),
+        ("keypoints", "oks", '[{{"points": [[0, 0], [1, 1]], "scale": {n}}}]'),
+    ], ids=["vector_value", "box_coordinate", "keypoint_coordinate", "keypoint_scale"])
+    @pytest.mark.parametrize("digits, message", [
+        (BIG, "malformed {kind} payload: int too large to convert to float"),
+        (HUGE, "malformed JSON: Exceeds the limit"),
+    ], ids=["400_digits", "5001_digits"])
+    def test_payload_number_is_data_error(self, tmp_path, capsys, kind, distance, label, digits,
+                                          message):
+        path, out = raw_label_file(tmp_path, kind, label.format(n=digits)), tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", distance, "--out", str(out)]) == 3
+        assert f"big.jsonl:4: {message.format(kind=kind)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, distance, flag, value", [
+        ("boxes", "box_l2", "--param", "l2_scale={n}"),
+        ("keypoints", "oks", "--param", "scale_default={n}"),
+        ("vector", "euclidean", "--param", "ranges=[[0, {n}], [0, 1]]"),
+        ("vector", "euclidean", "--meta", "ranges=[[0, {n}], [0, 1]]"),
+        ("keypoints", "oks", "--meta", "oks_scale_default={n}"),
+    ], ids=["param_l2_scale", "param_scale_default", "param_ranges", "meta_ranges",
+            "meta_oks_scale_default"])
+    @pytest.mark.parametrize("digits, message", [
+        (BIG, "cannot configure distance '{distance}': int too large to convert to float"),
+        (HUGE, "{flag} {key}: Exceeds the limit"),
+    ], ids=["400_digits", "5001_digits"])
+    def test_flag_number_is_usage_error(self, tmp_path, capsys, kind, distance, flag, value,
+                                        digits, message):
+        path = raw_label_file(tmp_path, kind, json.dumps(GOOD_LABELS[kind]))
+        out, key = tmp_path / "r.json", value.split("=")[0]
+        argv = ["compute", "--input", path, "--distance", distance, flag, value.format(n=digits)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message.format(distance=distance, flag=flag, key=key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits, message", [
+        (BIG, "embeddings for sentence 'i0::x' are not numeric: int too large to convert"),
+        (HUGE, "emb.jsonl:1: malformed embedding line: Exceeds the limit"),
+    ], ids=["400_digits", "5001_digits"])
+    def test_embedding_number_is_data_error(self, tmp_path, capsys, digits, message):
+        data, emb = token_files(tmp_path)
+        lines = open(emb).read().splitlines()
+        lines[0] = '{"sentence_id": "i0::x", "vectors": [[%s, 0.0], [0.0, 1.0]]}' % digits
+        write_lines(tmp_path / "emb.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", data, "--distance", "embedding_f1",
+                     "--embeddings", emb, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliMeasureFlags:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     box_overlap_oracle,
     count_diff_oracle,
     make_boxset,
+    make_span,
     ner_distance_oracle,
 )
 
@@ -232,3 +234,48 @@ def test_ner_batch_edge_rules(name):
     _, tag_strict = NER_ENTRIES[name]
     got = make_spec(name, "spans").batch(payloads, ia, ib)
     assert got.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0 if tag_strict else 0.0]
+
+
+def twelve_span_sets(seed):
+    """Two SpanSets of 12 distinct spans each, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(2):
+        spans = set()
+        while len(spans) < 12:
+            spans.add(make_span(rng))
+        sets.append(SpanSet(spans=tuple(spans)))
+    return sets
+
+
+# per lenient entry, two 12-span sets whose span scores, added left to right, by numpy's
+# add reduction and by math.fsum, give three different distances
+TWELVE_SPAN_PAIRS = {"ner_both_lenient": twelve_span_sets(55), "ner_strict_tag": twelve_span_sets(530)}
+
+
+def test_twelve_span_pairs_tell_the_summation_orders():
+    def plain(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def numpy_reduction(values):
+        return float(np.add.reduceat(np.array(values), [0])[0])
+
+    for name, (a, b) in TWELVE_SPAN_PAIRS.items():
+        modes = NER_ENTRIES[name]
+        distances = {ner_distance_oracle(a, b, *modes, total=total)
+                     for total in (plain, numpy_reduction, math.fsum)}
+        assert len(distances) == 3, name
+
+
+@pytest.mark.parametrize("name", sorted(NER_ENTRIES))
+def test_ner_batch_equals_the_oracle_on_twelve_span_sets(name):
+    # both orders of each pair, in one batch with the other pair's sets
+    payloads = [s for pair in TWELVE_SPAN_PAIRS.values() for s in pair]
+    ia, ib = np.array([0, 1, 2, 3, 0, 2]), np.array([1, 0, 3, 2, 3, 1])
+    got = [float.hex(float(d)) for d in make_spec(name, "spans").batch(payloads, ia, ib)]
+    want = [float.hex(ner_distance_oracle(payloads[i], payloads[j], *NER_ENTRIES[name]))
+            for i, j in zip(ia, ib)]
+    assert got == want

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agreekit.dataset import AnnotationRecord, Dataset
-from agreekit.errors import DataError, NumericError
+from agreekit.errors import DataError, NumericError, UsageError
 from agreekit.kde import fit_kde, kde_cdf
 from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import NumericVector
@@ -799,6 +799,35 @@ class TestReport:
         assert spec.upper_bound is None
         r = agreement_report(ds, spec, seed=0)
         assert 0.0 <= r.sigma <= 1.0
+
+    # each out-of-range argument, with the agree flag its message names; p = 1.5 and 0 gave
+    # reports outside REPORT_SCHEMA, nan a nan p_threshold, -1 and -3 numpy errors, and a
+    # negative n_permutations the asymptotic p-value
+    @pytest.mark.parametrize("kwargs, flag", [
+        ({"p": 1.5}, "--p"), ({"p": 0.0}, "--p"), ({"p": math.nan}, "--p"),
+        ({"bandwidth": 0.0}, "--kde-bandwidth"), ({"bandwidth": math.nan}, "--kde-bandwidth"),
+        ({"n_permutations": -5}, "--exact-ks"),
+        ({"seed": -1}, "--seed"),
+        ({"de_sample_size": 0}, "--de-samples"), ({"de_sample_size": -3}, "--de-samples"),
+    ])
+    def test_out_of_range_arguments_are_usage_errors(self, kwargs, flag):
+        ds = uniform_random_vector_dataset(10, 3, 3, seed=6)
+        spec = make_spec("euclidean", "vector", meta=ds.meta)
+        with pytest.raises(UsageError, match=f"^{flag} "):
+            agreement_report(ds, spec, **kwargs)
+        with pytest.raises(UsageError, match=f"^{flag} "):
+            agreement_reports(ds, [spec, spec], **kwargs)
+
+    def test_arguments_are_checked_before_the_dataset(self):
+        # an empty dataset would raise DataError
+        with pytest.raises(UsageError, match="^--seed "):
+            agreement_reports(Dataset(records=()), [], seed=-1)
+
+    def test_range_ends_are_accepted(self):
+        ds = uniform_random_vector_dataset(10, 3, 3, seed=6)
+        spec = make_spec("euclidean", "vector", meta=ds.meta)
+        r = agreement_report(ds, spec, p=1.0, de_sample_size=1, seed=0, n_permutations=0)
+        assert (r.p_threshold, r.counts["expected_pairs_used"], r.seed) == (1.0, 1, 0)
 
 
 PIPELINE_DISTANCES = {
