@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# README quick-start (also with --exclude-same-annotator), spans and boxes examples and a
-# rejection-sampled vector compute through the installed `agree` script, with the printed
-# rows pinned, plus `check-metric` on the simulated ranking, vector, boxes and spans
-# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
+# README quick-start (also with --exclude-same-annotator), spans and boxes examples, far
+# span offsets and a rejection-sampled vector compute through the installed `agree` script,
+# with the printed rows pinned, a too-wide span's exit code and error line, plus
+# `check-metric` on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
 # directory, removed on exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
@@ -34,6 +34,24 @@ grep -F "2     ner_strict_range      0.4831   0.7000   0.6689      1.0000" spans
 grep -F "3     ner_both_lenient      0.6091   0.6556   0.7189      1.0000" spans.txt
 grep -F "4     ner_both_strict       0.3477   0.5556   0.5500      1.0000" spans.txt
 grep -F "5     count_diff            0.2884   0.4667   0.1844      0.9962" spans.txt
+# far span offsets: 2-token spans 10^10 tokens in are scored in int64, with no token bitmask
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "spans", "label": [[10000000000, 10000000002, "X"]]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "spans", "label": [[10000000001, 10000000003, "X"]]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "spans", "label": [[0, 2, "X"]]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "spans", "label": [[0, 2, "X"]]}' > far.jsonl
+agree compute --input far.jsonl --distance ner_both_lenient | tee far.txt
+grep -F "alpha      : 0.7500" far.txt
+# a span 2^31 tokens wide is a data error (exit 3) at load
+head -n 3 far.jsonl > wide.jsonl
+printf '%s\n' '{"item": "i1", "annotator": "a1", "kind": "spans", "label": [[0, 2147483648, "X"]]}' \
+  >> wide.jsonl
+code=0
+agree compute --input wide.jsonl --distance ner_both_lenient 2> wide.txt || code=$?
+cat wide.txt
+test "$code" -eq 3
+grep -F "wide.jsonl:4: span [0, 2147483648) must end below 2**63 and be under 2**31 tokens wide" \
+  wide.txt
 
 # boxes rows pinned to the min-match lift
 agree simulate --task boxes --items 30 --annotators 3 --noise 0.25 --seed 7 --out boxes.jsonl

@@ -106,37 +106,36 @@ def ner_batch(
 
     D = 1 - 2*S_ab*S_ba / (S_ab + S_ba), the inverted harmonic mean of the two
     directional similarities; both directions zero means distance 1. Both sets
-    empty is 0; exactly one empty is 1. S_ab is the mean over a's spans of each
-    span's score against b's spans (of its tag, when tag_strict), scored on the
-    _blocks cells of the min-match lift: range_strict, 1 if one of them has the
-    same range and 0 otherwise; else the share of its tokens that they cover, by
-    token bitmasks (bit t of a span's mask is set iff token t is in the span).
+    empty is 0; exactly one empty is 1. S_ab is the mean over a's spans of the share
+    of each span's tokens covered by b's usable spans: those of its tag when tag_strict,
+    and of its very range when range_strict (so a span then scores 0 or 1). Each span
+    is scored on its row (or column) of the _blocks cells of the min-match lift.
     """
     spans = [s for p in payloads for s in p.spans]
     out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(
         [len(p.spans) for p in payloads], ia, ib)
     if not full.size:
         return out
-    start, end = np.array([[s.start, s.end] for s in spans]).T
-    tag = np.array([s.tag for s in spans])
-    same = tag[ga] == tag[gb] if tag_strict else True
+    codes = {}  # integer tag codes, as a numpy str array drops trailing NULs
+    start, end, tag = np.array([[s.start, s.end, codes.setdefault(s.tag, len(codes))]
+                                for s in spans], dtype=np.int64).T
+    usable = tag[ga] == tag[gb] if tag_strict else np.ones(ga.size, dtype=bool)
     if range_strict:
-        match = same & (start[ga] == start[gb]) & (end[ga] == end[gb])
-        s_ab = np.maximum.reduceat(match, rows)
-        s_ba = np.maximum.reduceat(match[by_col], cols)
-    else:
-        masks = np.array([((1 << s.end) - 1) ^ ((1 << s.start) - 1) for s in spans], dtype=object)
-
-        def covered(own: np.ndarray, usable: np.ndarray, starts: np.ndarray) -> np.ndarray:
-            # each span's share of tokens in the union of the usable masks of its row or column
-            union = np.bitwise_or.reduceat(usable, starts).tolist()
-            own = own[starts]
-            hits = [(m & u).bit_count() for m, u in zip(masks[own].tolist(), union)]
-            return np.array(hits) / (end[own] - start[own])
-
-        s_ab = covered(ga, np.where(same, masks[gb], 0), rows)
-        s_ba = covered(gb[by_col], np.where(same, masks[ga], 0)[by_col], cols)
-    s_ab, s_ba = _mean_in_order(s_ab, na), _mean_in_order(s_ba, nb)
+        usable &= (start[ga] == start[gb]) & (end[ga] == end[gb])
+    # one run of cells per span, the rows and then the columns, clips each other span to its
+    # own offsets as [lo, hi), empty when unusable. The others come sorted by start, so a running
+    # max of hi sweeps their union; the runs are shifted end to end, so they never mix in it.
+    own, other = np.concatenate((ga, gb[by_col])), np.concatenate((gb, ga[by_col]))
+    usable, runs = np.concatenate((usable, usable[by_col])), np.concatenate((rows, ga.size + cols))
+    first, width = start[own], (end - start)[own]
+    lo = np.clip(start[other] - first, 0, width)
+    hi = np.where(usable, np.clip(end[other] - first, lo, width), lo)
+    run_width = width[runs]
+    shift = np.repeat(np.cumsum(run_width) - run_width, np.diff(runs, append=own.size))
+    reach = np.maximum.accumulate(hi + shift)
+    gain = reach - np.maximum(lo + shift, np.concatenate(([0], reach[:-1])))
+    score = np.add.reduceat(gain, runs) / run_width
+    s_ab, s_ba = _mean_in_order(score[:rows.size], na), _mean_in_order(score[rows.size:], nb)
     total = s_ab + s_ba
     out[full] = 1.0 - np.divide(2.0 * s_ab * s_ba, total, out=np.zeros_like(total), where=total > 0)
     return out

@@ -140,6 +140,9 @@ class Span:
             object.__setattr__(self, name, int(value))
         if self.start < 0 or self.start >= self.end:
             raise DataError(f"invalid span range [{self.start}, {self.end})")
+        if self.end >= 2**63 or self.end - self.start >= 2**31:  # ner_batch sums widths in int64
+            raise DataError(f"span [{self.start}, {self.end}) must end below 2**63 "
+                            "and be under 2**31 tokens wide")
 
     def tokens(self) -> range:
         return range(self.start, self.end)

@@ -5,9 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agreekit
 from agreekit import io as aio
@@ -15,7 +18,7 @@ from agreekit.cli import main
 from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError
 
-from conftest import PAYLOAD_MAKERS, make_payloads, uniform_random_vector_dataset
+from conftest import NER_ENTRIES, PAYLOAD_MAKERS, make_payloads, uniform_random_vector_dataset
 
 
 def small_dataset(kind: str, meta=None) -> Dataset:
@@ -492,6 +495,27 @@ class TestCliCompute:
         assert main(["compute", "--input", path, "--distance", "ner_both_lenient"]) == 3
         assert f"{path}:4: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distance", [*NER_ENTRIES, "count_diff"])
+    @pytest.mark.parametrize("label, message", [
+        ([[0, 2**31, "ORG"]],
+         "span [0, 2147483648) must end below 2**63 and be under 2**31 tokens wide"),
+        ([[2**63, 2**63 + 2, "ORG"]], "span [9223372036854775808, 9223372036854775810) "
+                                      "must end below 2**63 and be under 2**31 tokens wide"),
+    ], ids=["too-wide", "beyond-int64"])
+    def test_span_beyond_the_int64_bounds_is_data_error(self, tmp_path, capsys, distance, label,
+                                                         message):
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "spans",
+                        "label": label if (i, j) == (1, 1) else [[2, 5, "ORG"]]})
+            for i in range(2)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "spans.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", distance, "--out", str(out)]) == 3
+        assert f"{path}:4: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_item_is_data_error(self, tmp_path, capsys):
         lines = [
             json.dumps({"item": "i0", "annotator": f"a{j}", "kind": "vector", "label": [0.1 * j]})
@@ -694,6 +718,64 @@ def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
     assert int(proc.stdout.splitlines()[-1]) / 1024 < 2048
     counts = json.loads(open(out).read())["counts"]
     assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
+
+
+@pytest.mark.parametrize("distance, alpha", [("ner_both_lenient", 0.75), ("ner_strict_tag", 0.75),
+                                             ("ner_strict_range", 0.5), ("ner_both_strict", 0.5)])
+def test_far_span_offsets_compute_under_one_gigabyte(tmp_path, distance, alpha):
+    # two annotators of two items; the first item's 2-token spans lie 10**10 tokens in
+    labels = [[[10**10, 10**10 + 2, "X"]], [[10**10 + 1, 10**10 + 3, "X"]], [[0, 2, "X"]],
+              [[0, 2, "X"]]]
+    path = write_lines(tmp_path / "far.jsonl", [
+        json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "spans", "label": label})
+        for k, label in enumerate(labels)
+    ])
+    out = str(tmp_path / "r.json")
+    proc = run_python(LIMITED_AGREE.replace("4096 * 2**20", "1024 * 2**20"), "compute",
+                      "--input", path, "--distance", distance, "--out", out)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(open(out).read())["alpha"] == alpha
+
+
+# offsets at and around the span bounds and the float and JSON integer limits, and values
+# that are no offsets; tags empty, NUL or ending in one
+FUZZ_OFFSETS = [0, 1, 2**31 - 1, 2**31 + 1, 2**53 + 1, 2**62, 2**63 - 1, 2**63 + 1, 10**30, -1,
+                3.0, 2.7, True, False]
+FUZZ_TAGS = ["X", "Y", "", "\u0000", "X\u0000"]
+
+
+@st.composite
+def fuzz_span_files(draw):
+    """4-6 spans labels of 0-2 spans, for items of 2 annotators. A file's spans start at
+    one of 1-2 drawn offsets and end 1-3 tokens past it, or, in one file of two, at a
+    drawn offset half the time."""
+    starts = st.sampled_from(draw(st.lists(st.sampled_from(FUZZ_OFFSETS), min_size=1, max_size=2)))
+    wild_ends = draw(st.booleans())
+
+    def span():
+        start = draw(starts)
+        end = (draw(st.sampled_from(FUZZ_OFFSETS)) if wild_ends and draw(st.booleans())
+               else start + draw(st.integers(1, 3)))
+        return [start, end, draw(st.sampled_from(FUZZ_TAGS))]
+
+    return [
+        json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "spans",
+                    "label": [span() for _ in range(draw(st.integers(0, 2)))]})
+        for k in range(draw(st.integers(4, 6)))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=fuzz_span_files(), distance=st.sampled_from([*NER_ENTRIES, "count_diff"]))
+def test_spans_compute_ends_in_a_clean_exit(lines, distance):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spans.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "r.json")
+        code = main(["compute", "--input", path, "--distance", distance, "--out", out])
+        assert code in {0, 2, 3, 4}
+        assert os.path.exists(out) == (code == 0)
 
 
 def test_de_samples_all_above_two_million_candidates(tmp_path):

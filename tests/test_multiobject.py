@@ -221,6 +221,21 @@ def test_ner_batch_equals_set_oracle(payloads):
         assert np.array_equal(spec.batch(payloads, ia, ib), loop)
 
 
+@settings(max_examples=200, deadline=None)
+@given(payloads=span_set_lists())
+def test_ner_batch_depends_only_on_offset_differences(payloads):
+    # 2**62 tokens in: int64 holds every offset, where a token bitmask would not fit in memory
+    far = [SpanSet(spans=tuple(Span(s.start + 2**62, s.end + 2**62, s.tag) for s in p.spans))
+           for p in payloads]
+    ia, ib = _all_pairs(len(payloads))
+    for name, modes in NER_ENTRIES.items():
+        spec = make_spec(name, "spans")
+        near = [float.hex(float(d)) for d in spec.batch(payloads, ia, ib)]
+        got = [float.hex(float(d)) for d in spec.batch(far, ia, ib)]
+        want = [float.hex(ner_distance_oracle(far[i], far[j], *modes)) for i, j in zip(ia, ib)]
+        assert got == near == want, name
+
+
 @pytest.mark.parametrize("name", sorted(NER_ENTRIES))
 def test_ner_batch_edge_rules(name):
     empty = spanset()
@@ -228,12 +243,15 @@ def test_ner_batch_edge_rules(name):
     disjoint = spanset((10, 12, "LOC"), (100, 130, "ORG"))
     # same ranges as a, other tags: no overlap once tags must agree
     retagged = spanset((0, 3, "ORG"), (70, 90, "LOC"))
-    payloads = [empty, a, disjoint, retagged]
-    ia = np.array([0, 0, 1, 1, 1])
-    ib = np.array([0, 1, 0, 2, 3])
+    # tags that differ only by a trailing NUL, which a numpy str array would drop
+    x, x_nul = spanset((0, 3, "X")), spanset((0, 3, "X\u0000"))
+    payloads = [empty, a, disjoint, retagged, x, x_nul]
+    ia = np.array([0, 0, 1, 1, 1, 4])
+    ib = np.array([0, 1, 0, 2, 3, 5])
     _, tag_strict = NER_ENTRIES[name]
     got = make_spec(name, "spans").batch(payloads, ia, ib)
-    assert got.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0 if tag_strict else 0.0]
+    assert got.tolist() == [0.0, 1.0, 1.0, 1.0] + [1.0 if tag_strict else 0.0] * 2
+    assert got[-1] == ner_distance_oracle(x, x_nul, *NER_ENTRIES[name])
 
 
 def twelve_span_sets(seed):

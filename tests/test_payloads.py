@@ -50,6 +50,14 @@ def test_span_offsets_are_whole_numbers():
             Span(start=start, end=end, tag="PER")
 
 
+def test_span_offsets_fit_int64_and_widths_stay_below_2_31():
+    assert Span(start=0, end=2**31 - 1, tag="PER").end == 2**31 - 1
+    assert Span(start=2**63 - 3, end=2**63 - 1, tag="PER").start == 2**63 - 3
+    for start, end in [(0, 2**31), (2**63, 2**63 + 2), (2**63 - 2, 2**63)]:
+        with pytest.raises(DataError, match=r"must end below 2\*\*63 and be under 2\*\*31 tokens"):
+            Span(start=start, end=end, tag="PER")
+
+
 def test_object_sets_deduplicate_and_sort():
     b = Box(0.0, 0.0, 1.0, 1.0)
     s = BoxSet(boxes=(b, Box(0.0, 0.0, 1.0, 1.0), Box(2.0, 2.0, 3.0, 3.0)))
