@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # README quick-start (also with --exclude-same-annotator), spans and boxes examples, far
-# span offsets and a rejection-sampled vector compute through the installed `agree` script,
-# with the printed rows pinned, a too-wide span's exit code and error line, plus
-# `check-metric` on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
+# span offsets, `levenshtein` and `ted` on small token and tree files, and a rejection-sampled
+# vector compute through the installed `agree` script, with the printed rows pinned, a
+# too-wide span's exit code and error line, plus `check-metric` on the simulated ranking,
+# vector, boxes and spans inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
 # directory, removed on exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
@@ -61,6 +62,28 @@ grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes
 grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
 grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
 grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
+
+# token edit distance and tree edit distance, each through its batch kernel
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "tokens", "label": ["the", "cat", "sat", "on", "the", "mat"]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "tokens", "label": ["the", "cat", "sat", "on", "a", "mat"]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "tokens", "label": ["a", "dog", "ran", "home"]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "tokens", "label": ["the", "dog", "ran", "home"]}' \
+  '{"item": "i2", "annotator": "a0", "kind": "tokens", "label": ["birds", "sing", "at", "dawn"]}' \
+  '{"item": "i2", "annotator": "a1", "kind": "tokens", "label": ["birds", "sing", "at", "dusk"]}' \
+  > tokens.jsonl
+agree compute --input tokens.jsonl --distance levenshtein | tee levenshtein.txt
+grep -Fx "alpha      : 0.7714" levenshtein.txt
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "tree", "label": ["S", [["NP", ["D", "N"]], ["VP", ["V"]]]]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "tree", "label": ["S", [["NP", ["N"]], ["VP", ["V"]]]]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "tree", "label": ["S", [["VP", ["V", ["NP", ["N"]]]]]]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "tree", "label": ["S", [["VP", ["V", ["NP", ["D", "N"]]]]]]}' \
+  '{"item": "i2", "annotator": "a0", "kind": "tree", "label": ["S", [["NP", ["N"]], ["VP", ["V", "ADV"]]]]}' \
+  '{"item": "i2", "annotator": "a1", "kind": "tree", "label": ["S", [["NP", ["N"]], ["VP", ["V", ["PP", ["P", "N"]]]]]]}' \
+  > trees.jsonl
+agree compute --input trees.jsonl --distance ted | tee ted.txt
+grep -Fx "alpha      : 0.5556" ted.txt
 
 # expected pairs by rejection sampling: 2,200 annotations give 2,418,900 candidates
 agree simulate --task vector --items 1100 --annotators 2 --noise 0.25 --seed 7 --out large.jsonl

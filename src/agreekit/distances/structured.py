@@ -34,50 +34,36 @@ class RankingConfig:
             raise DataError("k must be at least 1")
 
 
-def _postorder(tree: OrderedTree) -> tuple[list[str], list[int]]:
-    """Postorder labels and, per node, the postorder index of its leftmost leaf."""
-    labels: list[str] = []
-    lmld: list[int] = []
-
-    def walk(node: OrderedTree) -> int:
-        first_leaf = None
-        for child in node.children:
-            leaf = walk(child)
-            if first_leaf is None:
-                first_leaf = leaf
-        idx = len(labels)
-        labels.append(node.label)
-        lmld.append(first_leaf if first_leaf is not None else idx)
-        return lmld[idx]
-
-    walk(tree)
-    return labels, lmld
-
-
-def _keyroots(lmld: list[int]) -> list[int]:
+def _postorder(tree: OrderedTree) -> tuple[list[str], list[int], list[int], int]:
+    """Postorder labels; per node, the postorder index of its leftmost leaf; the
+    keyroots; and the leaf count. An explicit stack walks the tree, so any tree
+    that loads prepares, however deep."""
+    labels, lmld, stack = [], [], [(tree, None)]
+    while stack:
+        node, first_leaf = stack.pop()
+        if first_leaf is None:
+            # the subtree's first postorder node is its leftmost leaf
+            stack.append((node, len(labels)))
+            stack.extend((child, None) for child in reversed(node.children))
+        else:
+            labels.append(node.label)
+            lmld.append(first_leaf)
     # a keyroot is the highest node among those sharing a leftmost leaf
-    seen: set[int] = set()
-    roots: list[int] = []
-    for i in range(len(lmld) - 1, -1, -1):
-        if lmld[i] not in seen:
-            seen.add(lmld[i])
-            roots.append(i)
-    roots.reverse()
-    return roots
+    keyroots = sorted({leaf: i for i, leaf in enumerate(lmld)}.values())
+    return labels, lmld, keyroots, sum(i == leaf for i, leaf in enumerate(lmld))
 
 
-def tree_edit_distance(a: OrderedTree, b: OrderedTree) -> int:
-    """Minimal unit-cost edit script length between ordered labeled trees.
-
-    Standard keyroot/forest dynamic program over postorder numberings.
-    """
-    la, ra = _postorder(a)
-    lb, rb = _postorder(b)
+def _tree_distance(a, b, variant: str) -> float:
+    """The variant's distance of two _postorder trees: the unit-cost edit distance by
+    Zhang and Shasha's (1989) keyroot/forest dynamic program over postorder numberings,
+    over the total leaf count (norm), or minus the leaf-count difference (diff)."""
+    la, ra, keys_a, leaves_a = a
+    lb, rb, keys_b, leaves_b = b
     na, nb = len(la), len(lb)
     td = [[0] * nb for _ in range(na)]
 
-    for i in _keyroots(ra):
-        for j in _keyroots(rb):
+    for i in keys_a:
+        for j in keys_b:
             # forest distance over postorder slices ra[i]..i and rb[j]..j
             ioff, joff = ra[i] - 1, rb[j] - 1
             m, n = i - ioff, j - joff
@@ -104,19 +90,28 @@ def tree_edit_distance(a: OrderedTree, b: OrderedTree) -> int:
                             fd[x][y - 1] + 1,
                             fd[ra[ni] - 1 - ioff][rb[nj] - 1 - joff] + td[ni][nj],
                         )
-    return td[na - 1][nb - 1]
-
-
-def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) -> float:
-    ted = tree_edit_distance(a, b)
-    if cfg.variant == "plain":
-        return float(ted)
-    leaves_a, leaves_b = a.n_leaves(), b.n_leaves()
-    if cfg.variant == "norm":
+    ted = td[na - 1][nb - 1]
+    if variant == "norm":
         return ted / (leaves_a + leaves_b)
-    # diff: every unit edit changes the leaf count by at most one, so
-    # |leaves_a - leaves_b| <= ted and the clamp below is a pure safeguard
-    return float(max(0, ted - abs(leaves_a - leaves_b)))
+    if variant == "diff":
+        # every unit edit changes the leaf count by at most one, so
+        # |leaves_a - leaves_b| <= ted and the clamp below is a pure safeguard
+        return max(0, ted - abs(leaves_a - leaves_b))
+    return ted
+
+
+def tree_batch(
+    payloads: Sequence[OrderedTree], ia: np.ndarray, ib: np.ndarray, cfg: TedConfig = TedConfig()
+) -> np.ndarray:
+    """The variant's tree edit distance of each pair (payloads[ia[t]], payloads[ib[t]]).
+
+    Every tree in a pair is walked once into its postorder labels, leftmost
+    leaves, keyroots and leaf count; the dynamic program runs per pair.
+    """
+    ia, ib = np.asarray(ia).tolist(), np.asarray(ib).tolist()
+    prepared = {k: _postorder(payloads[k]) for k in set(ia) | set(ib)}
+    dists = [_tree_distance(prepared[i], prepared[j], cfg.variant) for i, j in zip(ia, ib)]
+    return np.array(dists, dtype=float)
 
 
 def _inversions(y: np.ndarray) -> np.ndarray:

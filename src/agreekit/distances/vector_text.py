@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
@@ -87,34 +88,61 @@ def vector_batch(
     return np.sqrt(acc / widths.size)
 
 
-def levenshtein_raw(a: Sequence[str], b: Sequence[str]) -> int:
-    """Token edit distance (insert/delete/substitute, unit costs), iterative DP."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tb in enumerate(b, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ta != tb),
-            )
-        prev = cur
-    return prev[len(b)]
+def _bitmasks(seq: TokenSequence) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The tokens, and per token the bitmask of the positions where it occurs."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(seq.tokens):
+        masks[token] = masks.get(token, 0) | 1 << i
+    return seq.tokens, masks
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _edit_distance(a, b, raw: bool) -> float:
+    """Token edit distance (insert/delete/substitute, unit costs) of two _bitmasks, over
+    the longer length unless raw.
+
+    Myers's (1999) bit-vector algorithm in Hyyrö's (2003) form for the global
+    distance: one DP column down the longer sequence is held in two bit vectors,
+    pv and mv, of its +1 and -1 vertical steps, and each token of the shorter one
+    advances it in a few integer operations."""
+    (ta, masks), (tb, _) = (a, b) if len(a[0]) >= len(b[0]) else (b, a)
+    m = len(ta)
+    if not m:
+        return 0
+    full, last = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for token in tb:
+        eq = masks.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full ^ (xh | pv))  # bits from m up are left over, and never read
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | (full ^ (xv | ph))) & full
+        mv = ph & xv
+    return score if raw else score / m
+
+
+def _ngram_counts(seq: TokenSequence) -> tuple[int, list[Counter]]:
+    """The length, and the 1- to 4-gram counts, of a token sequence."""
+    tokens = seq.tokens
+    return len(tokens), [
+        Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)) for n in range(1, 5)
+    ]
+
+
+def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
+    return sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
 
 
 _BLEU_SMOOTHING_K = 5.0
 
 
-def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
-    """Sentence BLEU with brevity penalty and length-decaying smoothing.
+def _bleu(hyp, ref) -> float:
+    """Sentence BLEU of two _ngram_counts, with brevity penalty and length-decaying smoothing.
 
     Zero-count n-gram precisions of order i are replaced by
     (ln(hyp_len) / (k * 2^invcnt)) / denominator with k = _BLEU_SMOOTHING_K,
@@ -123,19 +151,11 @@ def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
     Weights are uniform over orders 1..4, or over 1..hyp_len for hypotheses
     shorter than 4 tokens so identical short sentences still score 1.
     """
-    hyp_len, ref_len = len(hyp), len(ref)
+    (hyp_len, hyp_counts), (ref_len, ref_counts) = hyp, ref
     max_order = min(4, hyp_len)
     weights = [1.0 / max_order] * max_order
-
-    numerators = []
-    denominators = []
-    for n in range(1, max_order + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        numerators.append(clipped)
-        denominators.append(max(1, sum(hyp_counts.values())))
-
+    numerators = [_clipped(h, r) for h, r in zip(hyp_counts[:max_order], ref_counts)]
+    denominators = [max(1, sum(h.values())) for h in hyp_counts[:max_order]]
     if numerators[0] == 0:
         return 0.0
 
@@ -155,21 +175,13 @@ def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
     return bp * math.exp(log_score)
 
 
-def _gleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
-    """Sentence GLEU: pooled 1..4-gram matches / max(hyp n-grams, ref n-grams).
-
-    Equals min(precision, recall) over the pooled counts and is symmetric.
+def _gleu(hyp, ref) -> float:
+    """Sentence GLEU of two _ngram_counts: pooled 1..4-gram matches / max(hyp n-grams,
+    ref n-grams). Equals min(precision, recall) over the pooled counts and is symmetric.
     """
-    tp = 0
-    hyp_total = 0
-    ref_total = 0
-    for n in range(1, 5):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        tp += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        hyp_total += sum(hyp_counts.values())
-        ref_total += sum(ref_counts.values())
-    denom = max(hyp_total, ref_total)
+    (_, hyp_counts), (_, ref_counts) = hyp, ref
+    tp = sum(_clipped(h, r) for h, r in zip(hyp_counts, ref_counts))
+    denom = max(sum(sum(c.values()) for c in counts) for counts in (hyp_counts, ref_counts))
     if denom == 0:
         return 0.0
     return tp / denom
@@ -215,11 +227,15 @@ class TokenEmbeddingTable:
         return mat[: len(seq.tokens)]
 
 
-def _embedding_f1(a: TokenSequence, b: TokenSequence, table: TokenEmbeddingTable) -> float:
-    va = table.lookup(a)
-    vb = table.lookup(b)
-    na = np.linalg.norm(va, axis=1)
-    nb = np.linalg.norm(vb, axis=1)
+def _embedded(seq: TokenSequence, table: Optional[TokenEmbeddingTable]) -> tuple:
+    if table is None:
+        raise DataError("embedding_f1 requires a token embedding table")
+    va = table.lookup(seq)
+    return va, np.linalg.norm(va, axis=1)
+
+
+def _embedding_f1(a, b) -> float:
+    (va, na), (vb, nb) = a, b
     sims = va @ vb.T
     denom = np.outer(na, nb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -235,35 +251,42 @@ def _embedding_f1(a: TokenSequence, b: TokenSequence, table: TokenEmbeddingTable
     return 1.0 - min(1.0, max(0.0, f1))
 
 
-def translation_distance(
-    a: TokenSequence,
-    b: TokenSequence,
+def translation_batch(
+    payloads: Sequence[TokenSequence],
+    ia: np.ndarray,
+    ib: np.ndarray,
     mode: str,
-    *,
     raw: bool = False,
     embeddings: Optional[TokenEmbeddingTable] = None,
-) -> float:
-    """Token-sequence distance in the selected mode.
+) -> np.ndarray:
+    """The mode's distance of each pair (payloads[ia[t]], payloads[ib[t]]).
 
     levenshtein: edit distance / max length (raw=True skips normalization).
     bleu, gleu: 1 - symmetrized sentence score.
     embedding_f1: 1 - F1 of greedy max-cosine token matching.
+
+    Each payload in a pair is prepared once, in pair order: its token bitmasks,
+    its n-gram counts, or its embedding rows and their norms. So a payload in no
+    pair is never looked up, and an empty sequence (bleu, gleu, embedding_f1) or
+    a failed embedding lookup raises DataError at the first pair it affects.
     """
-    ta, tb = a.tokens, b.tokens
     if mode == "levenshtein":
-        dist = levenshtein_raw(ta, tb)
-        if raw:
-            return float(dist)
-        m = max(len(ta), len(tb))
-        return dist / m if m else 0.0
-    if not ta or not tb:
-        raise DataError(f"{mode} distance is undefined for empty token sequences")
-    if mode == "bleu":
-        return 1.0 - (_bleu(ta, tb) + _bleu(tb, ta)) / 2.0
-    if mode == "gleu":
-        return 1.0 - (_gleu(ta, tb) + _gleu(tb, ta)) / 2.0
-    if mode == "embedding_f1":
-        if embeddings is None:
-            raise DataError("embedding_f1 requires a token embedding table")
-        return _embedding_f1(a, b, embeddings)
-    raise DataError(f"unknown translation distance mode {mode!r}")
+        prepare, score = _bitmasks, partial(_edit_distance, raw=raw)
+    elif mode in ("bleu", "gleu"):
+        sentence = _bleu if mode == "bleu" else _gleu
+        prepare, score = _ngram_counts, lambda a, b: 1.0 - (sentence(a, b) + sentence(b, a)) / 2.0
+    elif mode == "embedding_f1":
+        prepare, score = partial(_embedded, table=embeddings), _embedding_f1
+    else:
+        raise DataError(f"unknown translation distance mode {mode!r}")
+    ia, ib = np.asarray(ia).tolist(), np.asarray(ib).tolist()
+    need_tokens = mode != "levenshtein"
+    prepared: list = [None] * len(payloads)
+    for i, j in zip(ia, ib):
+        if need_tokens and not (payloads[i].tokens and payloads[j].tokens):
+            raise DataError(f"{mode} distance is undefined for empty token sequences")
+        if prepared[i] is None:
+            prepared[i] = prepare(payloads[i])
+        if prepared[j] is None:
+            prepared[j] = prepare(payloads[j])
+    return np.array([score(prepared[i], prepared[j]) for i, j in zip(ia, ib)], dtype=float)

@@ -44,6 +44,8 @@ class TokenSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(str(t) for t in self.tokens))
+        if self.sentence_id is not None:  # embedding tables key sentences by str(id)
+            object.__setattr__(self, "sentence_id", str(self.sentence_id))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Distance-function registry: names, payload kinds, parameters, and flags.
 
 Every entry resolves to a symmetric nonnegative distance with d(a, a) = 0,
-implemented once: as a batch kernel over index arrays of pairs, or, for the
-token and tree families, as a pair function that DistanceSpec.batch loops over.
-spec.fn scores one pair either way; for a kernel family it is a one-pair
-kernel call. Entries marked dissimilarity=True are known to violate the
-triangle inequality (min-match set lifts, similarity inversions, tie-adjusted
-rank statistics, normalized edit distances) and are exempt from triangle
-checks; all measures accept them regardless.
+implemented once, as its family's batch kernel over index arrays of pairs;
+spec.fn scores one pair by a one-pair kernel call. Entries marked
+dissimilarity=True are known to violate the triangle inequality (min-match set
+lifts, similarity inversions, tie-adjusted rank statistics, normalized edit
+distances) and are exempt from triangle checks; all measures accept them
+regardless.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import numpy as np
 
 from .distances.geometry import box_batch, oks_batch
 from .distances.multiobject import count_diff_batch, ner_batch
-from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_distance
-from .distances.vector_text import TokenEmbeddingTable, translation_distance, vector_batch
+from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_batch
+from .distances.vector_text import TokenEmbeddingTable, translation_batch, vector_batch
 from .errors import UsageError
 
 PairFn = Callable[[object, object], float]
@@ -38,22 +37,20 @@ class DistanceSpec:
     name: str
     payload_kind: str
     params: Mapping
-    fn: PairFn = field(compare=False, repr=False)
+    kernel: BatchFn = field(compare=False, repr=False)
     dissimilarity: bool = False
     upper_bound: Optional[float] = 1.0
-    # the family's batch kernel, of which fn is the one-pair call; None loops over fn
-    kernel: Optional[BatchFn] = field(default=None, compare=False, repr=False)
+    # one pair's distance; by default the kernel's one-pair call
+    fn: Optional[PairFn] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
+        if self.fn is None:
+            object.__setattr__(self, "fn", lambda a, b: float(self.kernel([a, b], [0], [1])[0]))
 
     def batch(self, payloads: Sequence, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Distances of the pairs (payloads[ia[t]], payloads[ib[t]]), in order, as floats."""
-        if self.kernel is not None:
-            return self.kernel(payloads, ia, ib)
-        fn = self.fn
-        pairs = zip(np.asarray(ia).tolist(), np.asarray(ib).tolist())
-        return np.array([fn(payloads[i], payloads[j]) for i, j in pairs], dtype=float)
+        return self.kernel(payloads, ia, ib)
 
 
 def _bool_param(params: Mapping, key: str, default: bool) -> bool:
@@ -71,9 +68,8 @@ def _positive_finite(key: str, value) -> float:
 
 
 # Builders, one per distance family: build(mode, params, meta, embeddings, objects) ->
-# the family's one implementation, a PairFn for the builders in _PAIR_BUILDERS and a
-# BatchFn otherwise. `objects` reads the object tuple of a set-valued payload and is None
-# for other kinds.
+# the family's batch kernel. `objects` reads the object tuple of a set-valued payload and
+# is None for other kinds.
 
 
 def _vector(mode, params, meta, embeddings, objects):
@@ -84,7 +80,7 @@ def _vector(mode, params, meta, embeddings, objects):
 
 
 def _tokens(mode, params, meta, embeddings, objects):
-    return partial(translation_distance, mode=mode, raw=_bool_param(params, "raw", False))
+    return partial(translation_batch, mode=mode, raw=_bool_param(params, "raw", False))
 
 
 def _embedding(mode, params, meta, embeddings, objects):
@@ -101,7 +97,7 @@ def _embedding(mode, params, meta, embeddings, objects):
         )
     if not isinstance(table, TokenEmbeddingTable):
         table = TokenEmbeddingTable(table)
-    return partial(translation_distance, mode=mode, embeddings=table)
+    return partial(translation_batch, mode=mode, embeddings=table)
 
 
 def _box(mode, params, meta, embeddings, objects):
@@ -129,7 +125,7 @@ def _ner(mode, params, meta, embeddings, objects):
 
 
 def _tree(mode, params, meta, embeddings, objects):
-    return partial(tree_distance, cfg=TedConfig(variant=mode))
+    return partial(tree_batch, cfg=TedConfig(variant=mode))
 
 
 def _ranking(mode, params, meta, embeddings, objects):
@@ -137,9 +133,6 @@ def _ranking(mode, params, meta, embeddings, objects):
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return partial(ranking_batch, cfg=RankingConfig(mode=mode, k=k))
-
-
-_PAIR_BUILDERS = (_tokens, _embedding, _tree)
 
 
 @dataclass(frozen=True)
@@ -265,14 +258,9 @@ def make_spec(
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
     try:
-        impl = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+        kernel = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
-    if entry.build in _PAIR_BUILDERS:
-        kernel, fn = None, impl
-    else:
-        kernel, fn = impl, lambda a, b: float(impl([a, b], [0], [1])[0])
-
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
     if params.get("raw") is True or params.get("normalize") is False:
         # the raw edit or object-count difference is unbounded, and a metric
@@ -281,8 +269,7 @@ def make_spec(
         name=name,
         payload_kind=kind,
         params=params,
-        fn=fn,
+        kernel=kernel,
         dissimilarity=dissimilarity,
         upper_bound=upper_bound,
-        kernel=kernel,
     )

@@ -10,12 +10,14 @@ import zlib
 from collections import Counter
 from functools import partial
 from operator import attrgetter
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 from agreekit.dataset import AnnotationRecord, Dataset
-from agreekit.distances.structured import RankingConfig
+from agreekit.distances.structured import RankingConfig, TedConfig
+from agreekit.distances.vector_text import TokenEmbeddingTable
 from agreekit.errors import DataError
 from agreekit.payloads import (
     Box,
@@ -178,6 +180,235 @@ def ted_oracle(a: OrderedTree, b: OrderedTree) -> int:
         return best
 
     return forest((_freeze_tree(a),), (_freeze_tree(b),))
+
+
+def levenshtein_raw(a: Sequence[str], b: Sequence[str]) -> int:
+    """Token edit distance (insert/delete/substitute, unit costs), by the full iterative DP."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ta in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, tb in enumerate(b, start=1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (ta != tb),
+            )
+        prev = cur
+    return prev[len(b)]
+
+
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+_BLEU_SMOOTHING_K = 5.0
+
+
+def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
+    """Sentence BLEU with brevity penalty and length-decaying smoothing.
+
+    Zero-count n-gram precisions of order i are replaced by
+    (ln(hyp_len) / (k * 2^invcnt)) / denominator with k = _BLEU_SMOOTHING_K,
+    invcnt starting at 1 and incrementing for each smoothed order, applied
+    only when hyp_len > 1.
+    Weights are uniform over orders 1..4, or over 1..hyp_len for hypotheses
+    shorter than 4 tokens so identical short sentences still score 1.
+    """
+    hyp_len, ref_len = len(hyp), len(ref)
+    max_order = min(4, hyp_len)
+    weights = [1.0 / max_order] * max_order
+
+    numerators = []
+    denominators = []
+    for n in range(1, max_order + 1):
+        hyp_counts = _ngram_counts(hyp, n)
+        ref_counts = _ngram_counts(ref, n)
+        clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        numerators.append(clipped)
+        denominators.append(max(1, sum(hyp_counts.values())))
+
+    if numerators[0] == 0:
+        return 0.0
+
+    precisions = []
+    invcnt = 1
+    for num, den in zip(numerators, denominators):
+        if num == 0 and hyp_len > 1:
+            precisions.append((math.log(hyp_len) / (_BLEU_SMOOTHING_K * 2**invcnt)) / den)
+            invcnt += 1
+        else:
+            precisions.append(num / den)
+
+    if any(p <= 0 for p in precisions):
+        return 0.0
+    log_score = sum(w * math.log(p) for w, p in zip(weights, precisions))
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_score)
+
+
+def _gleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
+    """Sentence GLEU: pooled 1..4-gram matches / max(hyp n-grams, ref n-grams).
+
+    Equals min(precision, recall) over the pooled counts and is symmetric.
+    """
+    tp = 0
+    hyp_total = 0
+    ref_total = 0
+    for n in range(1, 5):
+        hyp_counts = _ngram_counts(hyp, n)
+        ref_counts = _ngram_counts(ref, n)
+        tp += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        hyp_total += sum(hyp_counts.values())
+        ref_total += sum(ref_counts.values())
+    denom = max(hyp_total, ref_total)
+    if denom == 0:
+        return 0.0
+    return tp / denom
+
+
+def _embedding_f1(a: TokenSequence, b: TokenSequence, table: TokenEmbeddingTable) -> float:
+    va = table.lookup(a)
+    vb = table.lookup(b)
+    na = np.linalg.norm(va, axis=1)
+    nb = np.linalg.norm(vb, axis=1)
+    sims = va @ vb.T
+    denom = np.outer(na, nb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(denom > 0, sims / np.where(denom > 0, denom, 1.0), 0.0)
+    # cos(0-vector, 0-vector) is taken as 1 so identical payloads stay at distance 0
+    both_zero = np.outer(na == 0, nb == 0)
+    sims = np.where(both_zero, 1.0, sims)
+    precision = float(sims.max(axis=1).mean())
+    recall = float(sims.max(axis=0).mean())
+    if precision + recall <= 0:
+        return 1.0
+    f1 = 2 * precision * recall / (precision + recall)
+    return 1.0 - min(1.0, max(0.0, f1))
+
+
+def translation_distance(
+    a: TokenSequence,
+    b: TokenSequence,
+    mode: str,
+    *,
+    raw: bool = False,
+    embeddings: Optional[TokenEmbeddingTable] = None,
+) -> float:
+    """translation_batch for one pair, by the whole DP, per-pair n-gram counts and table
+    lookups, raising the kernel's errors in its order.
+
+    levenshtein: edit distance / max length (raw=True skips normalization).
+    bleu, gleu: 1 - symmetrized sentence score.
+    embedding_f1: 1 - F1 of greedy max-cosine token matching.
+    """
+    ta, tb = a.tokens, b.tokens
+    if mode == "levenshtein":
+        dist = levenshtein_raw(ta, tb)
+        if raw:
+            return float(dist)
+        m = max(len(ta), len(tb))
+        return dist / m if m else 0.0
+    if not ta or not tb:
+        raise DataError(f"{mode} distance is undefined for empty token sequences")
+    if mode == "bleu":
+        return 1.0 - (_bleu(ta, tb) + _bleu(tb, ta)) / 2.0
+    if mode == "gleu":
+        return 1.0 - (_gleu(ta, tb) + _gleu(tb, ta)) / 2.0
+    if mode == "embedding_f1":
+        if embeddings is None:
+            raise DataError("embedding_f1 requires a token embedding table")
+        return _embedding_f1(a, b, embeddings)
+    raise DataError(f"unknown translation distance mode {mode!r}")
+
+
+def _postorder(tree: OrderedTree) -> tuple[list[str], list[int]]:
+    """Postorder labels and, per node, the postorder index of its leftmost leaf."""
+    labels: list[str] = []
+    lmld: list[int] = []
+
+    def walk(node: OrderedTree) -> int:
+        first_leaf = None
+        for child in node.children:
+            leaf = walk(child)
+            if first_leaf is None:
+                first_leaf = leaf
+        idx = len(labels)
+        labels.append(node.label)
+        lmld.append(first_leaf if first_leaf is not None else idx)
+        return lmld[idx]
+
+    walk(tree)
+    return labels, lmld
+
+
+def _keyroots(lmld: list[int]) -> list[int]:
+    # a keyroot is the highest node among those sharing a leftmost leaf
+    seen: set[int] = set()
+    roots: list[int] = []
+    for i in range(len(lmld) - 1, -1, -1):
+        if lmld[i] not in seen:
+            seen.add(lmld[i])
+            roots.append(i)
+    roots.reverse()
+    return roots
+
+
+def tree_edit_distance(a: OrderedTree, b: OrderedTree) -> int:
+    """Minimal unit-cost edit script length between ordered labeled trees.
+
+    Standard keyroot/forest dynamic program over postorder numberings.
+    """
+    la, ra = _postorder(a)
+    lb, rb = _postorder(b)
+    na, nb = len(la), len(lb)
+    td = [[0] * nb for _ in range(na)]
+
+    for i in _keyroots(ra):
+        for j in _keyroots(rb):
+            # forest distance over postorder slices ra[i]..i and rb[j]..j
+            ioff, joff = ra[i] - 1, rb[j] - 1
+            m, n = i - ioff, j - joff
+            fd = [[0] * (n + 1) for _ in range(m + 1)]
+            for x in range(1, m + 1):
+                fd[x][0] = fd[x - 1][0] + 1
+            for y in range(1, n + 1):
+                fd[0][y] = fd[0][y - 1] + 1
+            for x in range(1, m + 1):
+                for y in range(1, n + 1):
+                    ni, nj = x + ioff, y + joff
+                    if ra[ni] == ra[i] and rb[nj] == rb[j]:
+                        # both prefixes are whole trees rooted at ni, nj
+                        relabel = 0 if la[ni] == lb[nj] else 1
+                        fd[x][y] = min(
+                            fd[x - 1][y] + 1,
+                            fd[x][y - 1] + 1,
+                            fd[x - 1][y - 1] + relabel,
+                        )
+                        td[ni][nj] = fd[x][y]
+                    else:
+                        fd[x][y] = min(
+                            fd[x - 1][y] + 1,
+                            fd[x][y - 1] + 1,
+                            fd[ra[ni] - 1 - ioff][rb[nj] - 1 - joff] + td[ni][nj],
+                        )
+    return td[na - 1][nb - 1]
+
+
+def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) -> float:
+    """tree_batch for one pair, walking both trees by recursion."""
+    ted = tree_edit_distance(a, b)
+    if cfg.variant == "plain":
+        return float(ted)
+    leaves_a, leaves_b = a.n_leaves(), b.n_leaves()
+    if cfg.variant == "norm":
+        return ted / (leaves_a + leaves_b)
+    # diff: every unit edit changes the leaf count by at most one, so
+    # |leaves_a - leaves_b| <= ted and the clamp below is a pure safeguard
+    return float(max(0, ted - abs(leaves_a - leaves_b)))
 
 
 def tau_distance_oracle(a_order, b_order) -> float:
@@ -440,9 +671,9 @@ _OBJECTS = {"boxes": attrgetter("boxes"), "keypoints": attrgetter("objects"),
             "spans": attrgetter("spans")}
 
 
-def reference_fn(spec, meta: dict):
-    """The pair function a spec's batch is checked against: the oracle of a kernel family
-    or a lifted entry, and spec.fn, the family's one implementation, otherwise."""
+def reference_fn(spec, meta: dict, embeddings=None):
+    """The pair function a spec's batch is checked against: the oracle of its family, or of
+    its lifted entry."""
     name, params = spec.name, spec.params
     if name in LIFTED_ENTRIES:
         objects, inner = _OBJECTS[spec.payload_kind], lifted_inner(name, params, meta)
@@ -458,8 +689,12 @@ def reference_fn(spec, meta: dict):
     if name == "count_diff":
         objects, normalize = _OBJECTS[spec.payload_kind], params.get("normalize", True)
         return lambda a, b: count_diff_oracle(objects(a), objects(b), normalize)
-    assert spec.kernel is None, name
-    return spec.fn
+    if name == "embedding_f1":
+        return partial(translation_distance, mode=name, embeddings=TokenEmbeddingTable(embeddings))
+    if spec.payload_kind == "tokens":
+        return partial(translation_distance, mode=name, raw=params.get("raw", False))
+    assert spec.payload_kind == "tree", name
+    return partial(tree_distance, cfg=TedConfig(variant={"ted": "plain"}.get(name, name[4:])))
 
 
 def _codes(values: list[str]) -> np.ndarray:

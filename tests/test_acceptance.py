@@ -220,10 +220,11 @@ def test_criterion_6_oracle_equivalences():
     ]
     spec = make_spec("levenshtein", "tokens", params={"raw": True})
     payloads = [TokenSequence(tokens=tuple(s)) for s in strings]
+    first, second = np.triu_indices(len(strings))  # every pair i <= j
+    got = spec.batch(payloads, first, second)
     mismatches = sum(
-        spec.fn(payloads[i], payloads[j]) != _lev_brute(strings[i], strings[j])
-        for i in range(len(strings))
-        for j in range(i, len(strings))
+        d != _lev_brute(strings[i], strings[j])
+        for d, i, j in zip(got.tolist(), first.tolist(), second.tolist())
     )
     ok = ok and mismatches == 0
     parts.append(f"levenshtein {len(strings)} strings, {mismatches} mismatches")
@@ -232,8 +233,11 @@ def test_criterion_6_oracle_equivalences():
     nested = [t for n in range(1, 5) for t in _nested_trees(n, ("A", "B"))]
     trees = [tree_from_nested(t) for t in nested]
     spec = make_spec("ted", "tree")
+    first, second = np.divmod(np.arange(len(trees) ** 2), len(trees))  # every ordered pair
+    got = spec.batch(trees, first, second)
     ted_bad = sum(
-        spec.fn(a, b) != ted_oracle(a, b) for a in trees for b in trees
+        d != ted_oracle(trees[i], trees[j])
+        for d, i, j in zip(got.tolist(), first.tolist(), second.tolist())
     )
     ok = ok and len(trees) == 102 and ted_bad == 0
     parts.append(f"ted {len(trees)} trees all pairs, {ted_bad} mismatches")
@@ -246,12 +250,12 @@ def test_criterion_6_oracle_equivalences():
         perms = list(itertools.permutations(ident))
         got = spec.batch([Ranking(order=p) for p in [ident] + perms],
                          np.zeros(len(perms), dtype=np.intp), np.arange(1, len(perms) + 1))
-        for d, perm in zip(got, perms):
+        for d, perm in zip(got.tolist(), perms):
             worst = max(worst, abs(d - tau_distance_oracle(ident, perm)))
     perms5 = list(itertools.permutations(range(5)))
     first, second = np.divmod(np.arange(len(perms5) ** 2), len(perms5))
     got = spec.batch([Ranking(order=p) for p in perms5], first, second)
-    for d, i, j in zip(got, first, second):
+    for d, i, j in zip(got.tolist(), first.tolist(), second.tolist()):
         worst = max(worst, abs(d - tau_distance_oracle(perms5[i], perms5[j])))
     ok = ok and worst <= 1e-15  # exact up to one float rounding step
     parts.append(f"tau worst |diff|={worst:.1e}")

@@ -778,6 +778,97 @@ def test_spans_compute_ends_in_a_clean_exit(lines, distance):
         assert os.path.exists(out) == (code == 0)
 
 
+# tokens: empty and NUL strings, numbers at the float and JSON integer limits, booleans, null
+# and nested lists; sentence ids numeric, boolean, null or text; embedding values at the limits
+FUZZ_TOKENS = ["a", "b", "", "\u0000", "a\u0000", 0, -1.5, 2**53 + 1, 10**30, 1e308, 5e-324,
+               True, False, None, [], ["a", [0]]]
+FUZZ_SENTENCE_IDS = [0, 5, -1, 2**53 + 1, 1.5, True, False, None, "5", ""]
+FUZZ_VECTOR_VALUES = [0.0, 1.0, -1.0, 1e308, 5e-324]
+# tree labels, and the depths of the one chain a file may hold (494 is the deepest that loads
+# in a fresh interpreter; in process, under the test runner's frames, it is a data error)
+FUZZ_TREE_LABELS = ["x", "y", "", "\u0000", 0, -1.5, 10**30, True, None, [], ["x", [0]]]
+FUZZ_DEPTHS = [2, 60, 300, 494]
+TOKEN_AND_TREE_ENTRIES = ["levenshtein", "bleu", "gleu", "embedding_f1", "ted", "ted_norm", "ted_diff"]
+
+
+@st.composite
+def fuzz_token_files(draw):
+    """4-6 labels, for items of 2 annotators, half of them objects with a drawn sentence_id,
+    and an embedding line per label. In one file of two, labels hold 1-3 tokens, the drawn
+    ids differ as text and each label has one row per token; in the other, labels hold 0-3
+    tokens, ids may repeat or be null, and the rows are one per token give or take one."""
+    tidy, values = draw(st.booleans()), st.sampled_from(FUZZ_VECTOR_VALUES)
+    n = draw(st.integers(4, 6))
+    ids = draw(st.lists(st.sampled_from([i for i in FUZZ_SENTENCE_IDS if not tidy or i is not None]),
+                        min_size=n, max_size=n, unique_by=str if tidy else None))
+    lines, embeddings = [], []
+    for k, sid in enumerate(ids):
+        tokens = draw(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=int(tidy), max_size=3))
+        label = {"tokens": tokens, "sentence_id": sid}
+        if draw(st.booleans()):
+            label, sid = tokens, f"i{k // 2}::a{k % 2}"
+        rows = len(tokens) + (0 if tidy else draw(st.integers(-1, 1)))
+        lines.append(json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "tokens",
+                                 "label": label}))
+        embeddings.append(json.dumps({"sentence_id": sid, "vectors": [
+            [draw(values), draw(values)] for _ in range(max(rows, 0))]}))
+    return lines, embeddings
+
+
+@st.composite
+def fuzz_tree_files(draw):
+    """4-6 trees of up to 3 levels, for items of 2 annotators, with nodes as [label], a bare
+    label or [label, [children]]; half the files make one tree a chain of a drawn depth."""
+    labels = st.sampled_from(FUZZ_TREE_LABELS)
+
+    def node(levels):
+        if levels and draw(st.booleans()):
+            return [draw(labels), [node(levels - 1) for _ in range(draw(st.integers(0, 2)))]]
+        return [draw(labels)] if draw(st.booleans()) else draw(labels)
+
+    trees = [json.dumps(node(3)) for _ in range(draw(st.integers(4, 6)))]
+    if draw(st.booleans()):
+        depth = draw(st.sampled_from(FUZZ_DEPTHS))
+        trees[draw(st.integers(0, len(trees) - 1))] = '["x", [' * depth + '"x"' + "]]" * depth
+    return [
+        '{"item": "i%d", "annotator": "a%d", "kind": "tree", "label": %s}' % (k // 2, k % 2, tree)
+        for k, tree in enumerate(trees)
+    ], []
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), distance=st.sampled_from(TOKEN_AND_TREE_ENTRIES))
+def test_tokens_and_trees_compute_ends_in_a_clean_exit(data, distance):
+    files = fuzz_tree_files() if distance.startswith("ted") else fuzz_token_files()
+    lines, embeddings = data.draw(files)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, emb, out = (os.path.join(tmp, name) for name in ("d.jsonl", "e.jsonl", "r.json"))
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        with open(emb, "w", encoding="utf-8") as f:
+            f.write("\n".join(embeddings) + "\n")
+        argv = ["compute", "--input", path, "--distance", distance, "--out", out]
+        code = main(argv + (["--embeddings", emb] if distance == "embedding_f1" else []))
+        assert code in {0, 2, 3, 4}
+        assert os.path.exists(out) == (code == 0)
+
+
+@pytest.mark.parametrize("distance", ["ted", "ted_norm", "ted_diff"])
+def test_the_deepest_tree_that_loads_computes(tmp_path, distance):
+    # 494 levels: 988 nested arrays, the most a fresh interpreter's JSON decoder reads
+    deep = '["x", [' * 494 + '"x"' + "]]" * 494
+    path = write_lines(tmp_path / "deep.jsonl", [
+        '{"item": "i%d", "annotator": "a%d", "kind": "tree", "label": %s}'
+        % (i, j, deep if (i, j) == (1, 1) else '["x", [["y"]]]')
+        for i in range(3)
+        for j in range(2)
+    ])
+    out = str(tmp_path / "r.json")
+    proc = run_python(LIMITED_AGREE, "compute", "--input", path, "--distance", distance, "--out", out)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(open(out).read())["counts"]["observed_pairs"] == 3
+
+
 def test_de_samples_all_above_two_million_candidates(tmp_path):
     # 2,002 annotations: 2,003,001 candidate pairs, above the 2,000,000 past which a sample is
     # rejection-sampled; "all" takes every admissible pair instead
@@ -1098,6 +1189,28 @@ class TestCliEmbeddings:
         ]) == 0
         capsys.readouterr()
         assert calls["load_embeddings"] == 1
+
+    def test_numeric_sentence_ids_match_their_embeddings(self, tmp_path, capsys):
+        # the token_files rows with sentence ids 0-3, written as numbers and then as text
+        reports = []
+        for form in (int, str):
+            rows = [(["cat", "dog"], [[1.0, 0.0], [0.0, 1.0]]), (["cat"], [[1.0, 0.0]]),
+                    (["bird"], [[0.5, 0.5]]), (["bird", "fish"], [[0.5, 0.5], [0.0, 1.0]])]
+            data = write_lines(tmp_path / f"tok-{form.__name__}.jsonl", [
+                json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "tokens",
+                            "label": {"tokens": tokens, "sentence_id": form(k)}})
+                for k, (tokens, _) in enumerate(rows)
+            ])
+            emb = write_lines(tmp_path / f"emb-{form.__name__}.jsonl", [
+                json.dumps({"sentence_id": form(k), "vectors": vectors})
+                for k, (_, vectors) in enumerate(rows)
+            ])
+            out = tmp_path / f"r-{form.__name__}.json"
+            assert main(["compute", "--input", data, "--distance", "embedding_f1", "--embeddings",
+                         emb, "--de-samples", "all", "--out", str(out)]) == 0, capsys.readouterr().err
+            reports.append(out.read_text())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("via", ["--embeddings", "--param"])
     def test_non_numeric_embeddings_are_data_error(self, tmp_path, capsys, via):

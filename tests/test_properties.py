@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,12 @@ from conftest import lifted_inner, make_payloads
 
 
 def fake_spec(fn, kind="vector", name="fake"):
-    return DistanceSpec(name=name, payload_kind=kind, params={}, fn=fn)
+    """A spec whose kernel scores each pair with fn."""
+
+    def kernel(payloads, ia, ib):
+        return np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)], dtype=float)
+
+    return DistanceSpec(name=name, payload_kind=kind, params={}, kernel=kernel)
 
 
 def test_clean_metric_passes():

@@ -317,6 +317,6 @@ def test_batch_equals_loop_for_every_generated_entry(seed):
                                if key in accepted_params(name)]
             for params in variants:
                 spec = make_spec(name, kind, params=params, meta=meta, embeddings=table)
-                fn = reference_fn(spec, meta)
+                fn = reference_fn(spec, meta, table)
                 loop = np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
                 assert np.array_equal(spec.batch(payloads, ia, ib), loop), (name, params)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from agreekit.distances.structured import (
     RankingConfig,
     TedConfig,
     ranking_batch,
-    tree_distance,
-    tree_edit_distance,
+    tree_batch,
 )
 from agreekit.errors import DataError
-from agreekit.payloads import Ranking, tree_from_nested
+from agreekit.payloads import OrderedTree, Ranking, tree_from_nested
 
 from conftest import make_tree, ranking_distance_oracle, tau_distance_oracle, ted_oracle
 
@@ -28,6 +28,11 @@ def rank(*order):
     return Ranking(order=tuple(order))
 
 
+def tree_distance(a, b, cfg=TedConfig()):
+    """The tree kernel on the one pair (a, b)."""
+    return float(tree_batch([a, b], [0], [1], cfg)[0])
+
+
 def ranking_distance(a, b, cfg=RankingConfig()):
     """The ranking kernel on the one pair (a, b)."""
     return float(ranking_batch([a, b], [0], [1], cfg)[0])
@@ -35,37 +40,37 @@ def ranking_distance(a, b, cfg=RankingConfig()):
 
 def test_ted_identity_and_relabel():
     a = tree(["a", ["b", "c"]])
-    assert tree_edit_distance(a, a) == 0
-    assert tree_edit_distance(tree("a"), tree("b")) == 1
-    assert tree_edit_distance(tree("a"), tree(["a", ["x"]])) == 1
+    assert tree_distance(a, a) == 0
+    assert tree_distance(tree("a"), tree("b")) == 1
+    assert tree_distance(tree("a"), tree(["a", ["x"]])) == 1
 
 
 def test_ted_classic_rotation_case():
     # moving the subtree d(a b) under c costs one delete plus one insert
     t1 = tree(["f", [["d", ["a", ["c", ["b"]]]], "e"]])
     t2 = tree(["f", [["c", [["d", ["a", "b"]]]], "e"]])
-    assert tree_edit_distance(t1, t2) == 2
+    assert tree_distance(t1, t2) == 2
 
 
 def test_ted_chain_vs_star():
     chain = tree(["a", [["b", [["c", ["d"]]]]]])
     star = tree(["a", ["b", "c", "d"]])
-    assert tree_edit_distance(chain, star) == ted_oracle(chain, star)
+    assert tree_distance(chain, star) == ted_oracle(chain, star)
 
 
 def test_ted_matches_recursive_oracle_randomized(rng):
     for _ in range(150):
         a = make_tree(rng, max_nodes=7)
         b = make_tree(rng, max_nodes=7)
-        assert tree_edit_distance(a, b) == ted_oracle(a, b)
+        assert tree_distance(a, b) == ted_oracle(a, b)
 
 
 def test_ted_symmetry_and_triangle_randomized(rng):
     trees = [make_tree(rng, max_nodes=6) for _ in range(12)]
     for a, b in itertools.combinations(trees, 2):
-        assert tree_edit_distance(a, b) == tree_edit_distance(b, a)
+        assert tree_distance(a, b) == tree_distance(b, a)
     for a, b, c in itertools.permutations(trees[:8], 3):
-        assert tree_edit_distance(a, c) <= tree_edit_distance(a, b) + tree_edit_distance(b, c)
+        assert tree_distance(a, c) <= tree_distance(a, b) + tree_distance(b, c)
 
 
 def test_ted_variants():
@@ -81,6 +86,18 @@ def test_ted_variants():
     assert tree_distance(a, relabeled, TedConfig(variant="diff")) == 1.0
     with pytest.raises(DataError):
         TedConfig(variant="fancy")
+
+
+def test_tree_kernel_walks_trees_deeper_than_the_recursion_limit():
+    chain = OrderedTree(label="x")
+    for _ in range(1200):
+        chain = OrderedTree(label="x", children=(chain,))
+    assert sys.getrecursionlimit() < 1201
+    # keep the root and one node, relabeled to y, and delete the other 1,199
+    trees, ia, ib = [chain, tree(["x", ["y"]])], [0, 1], [1, 0]
+    assert tree_batch(trees, ia, ib).tolist() == [1200.0, 1200.0]
+    assert tree_batch(trees, ia, ib, TedConfig(variant="norm")).tolist() == [600.0, 600.0]
+    assert tree_batch(trees, ia, ib, TedConfig(variant="diff")).tolist() == [1200.0, 1200.0]
 
 
 def test_ted_norm_can_exceed_one():

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agreekit.distances.vector_text import (
-    TokenEmbeddingTable,
-    levenshtein_raw,
-    translation_distance,
-    vector_batch,
-)
+from agreekit.distances.vector_text import TokenEmbeddingTable, translation_batch, vector_batch
 from agreekit.errors import DataError
 from agreekit.payloads import NumericVector, TokenSequence
 
+from conftest import levenshtein_raw as full_dp_levenshtein
+from conftest import translation_distance as translation_oracle
 from conftest import vector_distance_oracle
 
 UNIT = [(0.0, 1.0)] * 6
@@ -28,6 +27,16 @@ def vector_distance(a, b, mode, ranges=None):
 
 def toks(*tokens, sid=None):
     return TokenSequence(tokens=tuple(tokens), sentence_id=sid)
+
+
+def translation_distance(a, b, mode, *, raw=False, embeddings=None):
+    """The token kernel on the one pair (a, b)."""
+    return float(translation_batch([a, b], [0], [1], mode, raw, embeddings)[0])
+
+
+def levenshtein_raw(a, b):
+    """The token kernel's raw edit distance of the one pair of token tuples (a, b)."""
+    return translation_distance(toks(*a), toks(*b), "levenshtein", raw=True)
 
 
 def test_binary_fraction_unequal():
@@ -65,6 +74,15 @@ def test_levenshtein_raw_basics():
     assert levenshtein_raw(("a",), ()) == 1
     assert levenshtein_raw(("the", "cat", "sat"), ("the", "dog", "sat")) == 1
     assert levenshtein_raw(("a", "b", "c"), ("b", "c", "d")) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.sampled_from("abc"), max_size=90), b=st.lists(st.sampled_from("abc"), max_size=90))
+def test_bit_vector_levenshtein_equals_the_full_dp(a, b):
+    # up to 90 tokens: bit vectors of several 30-bit int digits, patterns longer and shorter
+    assert levenshtein_raw(a, b) == full_dp_levenshtein(a, b)
+    want = full_dp_levenshtein(a, b) / max(len(a), len(b), 1)
+    assert translation_distance(toks(*a), toks(*b), "levenshtein") == want
 
 
 def test_levenshtein_normalized():
@@ -152,6 +170,39 @@ def test_embedding_lookup_errors_name_the_gap():
         translation_distance(
             toks("u", "v", sid="s1"), toks("u", sid="s1"), "embedding_f1", embeddings=table
         )
+
+
+S1, S2 = toks("u", "v", sid="s1"), toks("w", sid="s2")
+EMPTY, UNKNOWN, SHORT, NO_ID = toks(sid="s2"), toks("u", sid="zz"), toks("u", "v", sid="s2"), toks("u")
+
+
+@pytest.mark.parametrize("mode, pairs", [
+    ("bleu", [(S1, S2), (S1, EMPTY)]),
+    ("gleu", [(S1, S2), (EMPTY, S1)]),
+    ("embedding_f1", [(S1, S2), (S1, EMPTY)]),
+    ("embedding_f1", [(S1, S2), (S1, UNKNOWN)]),
+    ("embedding_f1", [(S1, S2), (SHORT, S1)]),
+    ("embedding_f1", [(S1, S2), (S2, NO_ID)]),
+    ("embedding_f1", [(UNKNOWN, EMPTY), (NO_ID, S1)]),  # a pair's empty sequence comes first
+    ("embedding_f1", [(UNKNOWN, NO_ID)]),  # then the first sequence's lookup
+])
+def test_translation_batch_raises_what_the_loop_raises(mode, pairs):
+    table = TokenEmbeddingTable({"s1": [[1.0, 0.0], [0.0, 1.0]], "s2": [[1.0, 0.0]]})
+    payloads = [p for pair in pairs for p in pair]
+    ia, ib = np.arange(0, len(payloads), 2), np.arange(1, len(payloads), 2)
+    with pytest.raises(DataError) as loop:
+        [translation_oracle(payloads[i], payloads[j], mode, embeddings=table) for i, j in zip(ia, ib)]
+    with pytest.raises(DataError) as batched:
+        translation_batch(payloads, ia, ib, mode, embeddings=table)
+    assert str(batched.value) == str(loop.value)
+
+
+def test_embedding_f1_looks_up_only_sequences_in_a_pair():
+    table = TokenEmbeddingTable({"s1": [[1.0, 0.0], [0.0, 1.0]], "s2": [[1.0, 0.0]]})
+    payloads = [S1, UNKNOWN, S2, NO_ID]
+    got = translation_batch(payloads, [0, 2, 0], [2, 0, 0], "embedding_f1", embeddings=table)
+    assert got.tolist() == [translation_oracle(payloads[i], payloads[j], "embedding_f1",
+                                               embeddings=table) for i, j in [(0, 2), (2, 0), (0, 0)]]
 
 
 def test_embedding_dimension_mismatch_rejected():
