@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# README quick-start (also with --exclude-same-annotator), spans and boxes examples, far
-# span offsets, `levenshtein` and `ted` on small token and tree files, and a rejection-sampled
-# vector compute through the installed `agree` script, with the printed rows pinned, a
-# too-wide span's exit code and error line, plus `check-metric` on the simulated ranking,
-# vector, boxes and spans inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
-# directory, removed on exit, and exits non-zero on the first command or grep that fails.
+# README quick-start (also with --exclude-same-annotator and --de-samples all), spans and
+# boxes examples, far span offsets, `levenshtein` and `ted` on small token and tree files,
+# and a rejection-sampled vector compute through the installed `agree` script, with the
+# printed rows pinned, a too-wide span's exit code and error line, plus `check-metric` on
+# the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
+# `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
+# non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -24,6 +25,10 @@ agree compute --input demo.jsonl --distance tau --seed 7 --exclude-same-annotato
   | tee exclude.txt
 grep -F "alpha      : 0.7441" exclude.txt
 grep -F "pairs      : observed=90 expected_used=900 expected_available=2610" exclude.txt
+# every cross-item pair: --de-samples all asks for n(n - 1)/2 and the plan takes all there are
+agree compute --input demo.jsonl --distance tau --seed 7 --de-samples all | tee all.txt
+grep -F "alpha      : 0.7432" all.txt
+grep -F "pairs      : observed=90 expected_used=3915 expected_available=3915" all.txt
 
 # spans rows pinned to the set-based NER definition
 agree simulate --task spans --items 30 --annotators 3 --noise 0.25 --seed 7 --out spans.jsonl

@@ -25,7 +25,8 @@ from .dataset import Dataset, validate_dataset
 from .errors import AgreeError, DataError, UsageError
 from .noise import TASKS, NoiseSpec, generate_cst_dataset, random_gold
 from .properties import check_metric_properties
-from .stats import agreement_reports, check_measure_args, count_expected_pairs
+from .stats import agreement_reports, check_measure_args
+from .stats import count_expected_pairs  # noqa: F401 perfbench/tracing.py wraps it here by name
 
 
 def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
@@ -50,12 +51,12 @@ def _load(args: argparse.Namespace) -> Dataset:
     return dataset
 
 
-def _resolve_de_samples(value: Optional[str], dataset: Dataset, exclude: bool) -> Optional[int]:
+def _resolve_de_samples(value: Optional[str], n_records: int) -> Optional[int]:
     if value is None:
         return None
     if value == "all":
-        # with no pair available, pair planning raises its DataError
-        return max(count_expected_pairs(dataset, exclude_same_annotator=exclude), 1)
+        # no plan has more than the n(n - 1)/2 pairs of n records; with none, it raises
+        return max(n_records * (n_records - 1) // 2, 1)
     try:
         return int(value)
     except ValueError as exc:
@@ -94,7 +95,7 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     specs = _specs(args, dataset, names)
     return agreement_reports(
         dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
-        de_sample_size=_resolve_de_samples(args.de_samples, dataset, args.exclude_same_annotator),
+        de_sample_size=_resolve_de_samples(args.de_samples, len(dataset.records)),
         n_permutations=args.exact_ks, exclude_same_annotator=args.exclude_same_annotator,
     )
 

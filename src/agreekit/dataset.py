@@ -44,9 +44,7 @@ class Dataset:
 
     @property
     def kind(self) -> str:
-        if not self.records:
-            raise DataError("empty dataset")
-        return payload_kind(self.records[0].payload)
+        return dataset_kind(self.records[:1])  # the first record's; validation checks the rest
 
     def payloads(self) -> list[LabelPayload]:
         return [r.payload for r in self.records]
@@ -65,6 +63,19 @@ class ValidationSummary:
         return not self.violations
 
 
+def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
+    """The records' one payload kind; DataError if there are none or they mix kinds."""
+    if not records:
+        raise DataError("empty dataset")
+    kind = payload_kind(records[0].payload)
+    for rec in records:
+        if payload_kind(rec.payload) != kind:
+            raise DataError(f"mixed payload kinds: dataset starts with {kind!r} but item "
+                            f"{rec.item_id!r} annotator {rec.annotator_id!r} has "
+                            f"{payload_kind(rec.payload)!r}")
+    return kind
+
+
 def validate_dataset(
     records: Sequence[AnnotationRecord], meta: Optional[Mapping] = None
 ) -> ValidationSummary:
@@ -79,18 +90,7 @@ def validate_dataset(
     """
     meta = dict(meta or {})
     records = list(records)
-    if not records:
-        raise DataError("empty dataset")
-
-    kind = payload_kind(records[0].payload)
-    for rec in records:
-        if payload_kind(rec.payload) != kind:
-            raise DataError(
-                f"mixed payload kinds: dataset starts with {kind!r} but "
-                f"item {rec.item_id!r} annotator {rec.annotator_id!r} has "
-                f"{payload_kind(rec.payload)!r}"
-            )
-
+    kind = dataset_kind(records)
     violations: list[str] = []
 
     seen: set[tuple[str, str]] = set()

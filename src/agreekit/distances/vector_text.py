@@ -202,6 +202,10 @@ class TokenEmbeddingTable:
                 raise DataError(f"embeddings for sentence {sid!r} are not a 2-d matrix")
             if not np.isfinite(arr).all():
                 raise DataError(f"embeddings for sentence {sid!r} are not all finite")
+            with np.errstate(over="ignore"):  # an inf norm would make every cosine nan
+                if not np.isfinite(np.linalg.norm(arr, axis=1)).all():
+                    raise DataError(f"embeddings for sentence {sid!r} have a row whose "
+                                    "squared norm overflows")
             if dim is None:
                 dim = arr.shape[1]
             elif arr.shape[1] != dim:

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import AnnotationRecord, Dataset, validate_dataset
+from .dataset import AnnotationRecord, Dataset, dataset_kind
+from .dataset import validate_dataset  # noqa: F401 perfbench/tracing.py wraps it here by name
 from .errors import DataError, NumericError, UsageError
 from .kde import fit_kde, kde_cdf
 from .registry import DistanceSpec
@@ -57,7 +58,7 @@ class PairPlan:
 
     observed: tuple[np.ndarray, np.ndarray]
     expected: tuple[np.ndarray, np.ndarray]
-    available: int  # cross-item pairs the expected ones were sampled from
+    counts: dict  # a report's counts: items, annotators, annotations and pairs
 
 
 def _record_pairs(dataset: Dataset, ia: np.ndarray, ib: np.ndarray) -> list:
@@ -80,8 +81,7 @@ def _unrank(rank: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return row, rank - (stop - width)[row]
 
 
-def _observed_indices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    end = _item_ends(dataset.records)
+def _observed_indices(end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = end - np.arange(1, end.size + 1)  # record i pairs with i + 1 .. end[i] - 1
     ia, k = _unrank(np.arange(width.sum()), width)
     if not ia.size:
@@ -91,7 +91,7 @@ def _observed_indices(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
     """All unordered same-item pairs, duplicate annotations included, in canonical order."""
-    return _record_pairs(dataset, *_observed_indices(dataset))
+    return _record_pairs(dataset, *_observed_indices(_item_ends(dataset.records)))
 
 
 def _partners(records: Sequence[AnnotationRecord], exclude: bool) -> tuple[np.ndarray, ...]:
@@ -115,11 +115,11 @@ def count_expected_pairs(dataset: Dataset, exclude_same_annotator: bool = False)
 
 
 def _expected_indices(
-    dataset: Dataset, available: int, sample_size: int, seed: int, exclude_same_annotator: bool
+    partners: tuple[np.ndarray, ...], sample_size: int, seed: int, exclude_same_annotator: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled expected pairs; available is count_expected_pairs for the same arguments."""
-    n = len(dataset.records)
-    end, width, annotator, key = _partners(dataset.records, exclude_same_annotator)
+    """Sampled expected pairs, given _partners(records, exclude_same_annotator)."""
+    end, width, annotator, key = partners
+    n, available = end.size, int(width.sum())
     if not n or end[0] == n:  # the records are sorted by item
         raise DataError("expected pairs require at least two items")
     if available <= 0:
@@ -172,22 +172,26 @@ def expected_pairs(
     admissible pairs among uniform candidates are kept, in draw order, which
     draws a different sample for the same seed. Memory is O(n + sample_size).
     """
-    available = count_expected_pairs(dataset, exclude_same_annotator)
-    return _record_pairs(
-        dataset, *_expected_indices(dataset, available, sample_size, seed, exclude_same_annotator)
-    )
+    partners = _partners(dataset.records, exclude_same_annotator)
+    ia, ib = _expected_indices(partners, sample_size, seed, exclude_same_annotator)
+    return _record_pairs(dataset, ia, ib)
 
 
 def _plan_pairs(
     dataset: Dataset, de_sample_size: Optional[int], seed: int, exclude_same_annotator: bool
 ) -> PairPlan:
-    """Observed pairs, sampled expected pairs and the number of cross-item pairs."""
-    observed = _observed_indices(dataset)
-    available = count_expected_pairs(dataset, exclude_same_annotator)
+    """Observed pairs, sampled expected pairs and the counts, from one partner table."""
+    partners = end, width, annotator, _ = _partners(dataset.records, exclude_same_annotator)
+    observed = _observed_indices(end)
+    available = int(width.sum())
     if de_sample_size is None:
         de_sample_size = min(10 * observed[0].size, available)
-    expected = _expected_indices(dataset, available, de_sample_size, seed, exclude_same_annotator)
-    return PairPlan(observed=observed, expected=expected, available=available)
+    expected = _expected_indices(partners, de_sample_size, seed, exclude_same_annotator)
+    items = int(np.count_nonzero(end == np.arange(1, end.size + 1)))  # one last record per item
+    counts = {"items": items, "annotators": int(annotator.max()) + 1,
+              "annotations": end.size, "observed_pairs": observed[0].size,
+              "expected_pairs_available": available, "expected_pairs_used": expected[0].size}
+    return PairPlan(observed=observed, expected=expected, counts=counts)
 
 
 def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -> DistanceSamples:
@@ -200,7 +204,7 @@ def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -
         expected=distances[n_observed:],
         distance_name=spec.name,
         seed=seed,
-        pair_counts=(n_observed, plan.available),
+        pair_counts=(n_observed, plan.counts["expected_pairs_available"]),
     )
 
 
@@ -343,9 +347,12 @@ def _permutation_pvalues(
 
 
 def histogram(values: np.ndarray, lo: float, hi: float) -> list[list[float]]:
-    """Fixed 50-bin histogram over [lo, hi] as [bin_lo, bin_hi, count] rows."""
+    """Fixed 50-bin histogram over [lo, hi] as [bin_lo, bin_hi, count] rows. An empty range,
+    or one too narrow for 51 distinct edges (1 - 41 * 2**-53 to 1, say), is widened."""
     if hi <= lo:
         hi = lo + 1e-9
+    if (np.diff(np.linspace(lo, hi, HISTOGRAM_BINS + 1)) <= 0).any():  # np.histogram's test
+        hi = lo + max(1e-9, lo * 1e-9)
     counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(lo, hi))
     return [
         [float(edges[i]), float(edges[i + 1]), int(counts[i])]
@@ -478,9 +485,10 @@ def agreement_reports(
 ) -> list[AgreementReport]:
     """One report per spec, each equal to agreement_report for that spec alone.
 
-    Validates once and plans pairs once, so all are measured on the same pairs."""
+    Plans pairs once, so all share Do, De and the counts; validates only that the payloads
+    share one kind (validate_dataset lists the violations)."""
     check_measure_args(p, de_sample_size, seed, bandwidth, n_permutations)
-    summary = validate_dataset(dataset.records, dataset.meta)
+    dataset_kind(dataset.records)
     plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
     measured = []
     for spec in specs:
@@ -512,14 +520,7 @@ def agreement_reports(
             expected_hist=tuple(tuple(row) for row in exp_hist),
             distance_name=spec.name,
             distance_params=dict(spec.params),
-            counts={
-                "items": summary.items,
-                "annotators": summary.annotators,
-                "annotations": summary.annotations,
-                "observed_pairs": samples.pair_counts[0],
-                "expected_pairs_available": samples.pair_counts[1],
-                "expected_pairs_used": int(samples.expected.size),
-            },
+            counts=dict(plan.counts),
             seed=seed,
         ))
     return reports

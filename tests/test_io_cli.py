@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import agreekit
 from agreekit import io as aio
 from agreekit.cli import main
-from agreekit.dataset import AnnotationRecord, Dataset
+from agreekit.dataset import AnnotationRecord, Dataset, validate_dataset
 from agreekit.errors import DataError
 
 from conftest import NER_ENTRIES, PAYLOAD_MAKERS, make_payloads, uniform_random_vector_dataset
@@ -586,6 +586,20 @@ class TestCliNonFiniteNumbers:
                      "--embeddings", emb]) == 3
         assert "embeddings for sentence 's' are not all finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--embeddings", "--param"])
+    def test_embeddings_whose_norm_overflows_are_data_error(self, tmp_path, capsys, flag):
+        data, emb = token_files(tmp_path)
+        lines = open(emb).read().splitlines()
+        lines[0] = '{"sentence_id": "i0::x", "vectors": [[1e155, 0.0], [0.0, 1.0]]}'
+        write_lines(tmp_path / "emb.jsonl", lines)
+        out = tmp_path / "r.json"
+        value = emb if flag == "--embeddings" else f"embeddings={emb}"
+        assert main(["compute", "--input", data, "--distance", "embedding_f1", flag, value,
+                     "--out", str(out)]) == 3
+        assert ("embeddings for sentence 'i0::x' have a row whose squared norm overflows"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 # a 400-digit integer overflows float(), and a 5,001-digit one exceeds the digit limit
 # of Python's int parsing, which json.loads raises as a ValueError of its own
@@ -853,6 +867,113 @@ def test_tokens_and_trees_compute_ends_in_a_clean_exit(data, distance):
         assert os.path.exists(out) == (code == 0)
 
 
+# numbers at the float and JSON integer limits, and Python json's NaN and Infinity tokens;
+# ranking elements empty, NUL, numeric, boolean or null; tau_at_k k values, whole or not
+FUZZ_NUMBERS = [0, 1, -1, 0.5, 2, 1e308, -1e308, 5e-324, 2**53 + 1, 1e30, -1e30, math.nan,
+                math.inf, -math.inf]
+FUZZ_ELEMENTS = ["a", "b", "c", "", "\u0000", "a\u0000", 0, -1.5, 2**53 + 1, 1e308, True, None]
+FUZZ_KS = [1, 2, 3, 2**53 + 1, 10**30, 0, -1, 1.5, 1e308, math.nan, True, "x"]
+NUMERIC_ENTRIES = {"vector": ["binary", "euclidean"],
+                   "boxes": ["box_l2", "box_iou", "box_giou", "count_diff"],
+                   "keypoints": ["oks", "bbox_iou", "count_diff"],
+                   "ranking": ["tau", "rho", "tau_at_k"]}
+
+
+@st.composite
+def fuzz_numeric_files(draw, kind, distance):
+    """Lines of 4-6 labels of the kind, for items of 2 annotators, with a meta line, and the
+    --param flags. In one file of two, items are whole, numbers finite, boxes' corners in
+    order, keypoint objects of one size, rankings permutations of one universe, and meta and
+    params well formed and meant for the distance; in the other, numbers may be NaN or
+    infinite, and shapes, lengths, meta and params are anything drawn."""
+    tidy = draw(st.booleans())
+    mine = draw(st.booleans()) if tidy else True  # a param for the distance, or any param
+    numbers = st.sampled_from([x for x in FUZZ_NUMBERS if not tidy or math.isfinite(x)])
+    anything = st.sampled_from([*FUZZ_NUMBERS, "x", None, [], [1, 2, 3], [[0]], [[0, "1"]]])
+
+    def pair():
+        lo_hi = [draw(numbers), draw(numbers)]
+        return sorted(lo_hi) if tidy else lo_hi
+
+    def positive():
+        return draw(st.sampled_from([x for x in FUZZ_NUMBERS if x > 0]) if tidy else numbers)
+
+    def or_wild(value):
+        """The value, or in a wild file, one time in two, anything drawn."""
+        return value if tidy or draw(st.booleans()) else draw(anything)
+
+    n, meta, params = draw(st.sampled_from([4, 6] if tidy else [4, 5, 6])), {}, {}
+    if kind == "vector":
+        dim = draw(st.integers(1, 3))
+        labels = [[draw(numbers) for _ in range(dim if tidy else draw(st.integers(0, 3)))]
+                  for _ in range(n)]
+        if tidy or draw(st.booleans()):
+            meta["ranges"] = or_wild([pair() for _ in range(dim)])
+    elif kind == "boxes":
+        def box():
+            (x0, x1), (y0, y1) = pair(), pair()
+            return [x0, y0, x1, y1]
+
+        labels = [[box() for _ in range(draw(st.integers(0, 2)))] for _ in range(n)]
+        if draw(st.booleans()) and (distance == "box_l2" or not mine):
+            params["l2_scale"] = positive()
+    elif kind == "keypoints":
+        size = draw(st.integers(1, 3))
+
+        def obj():
+            points = [[draw(numbers), draw(numbers)]
+                      for _ in range(size if tidy else draw(st.integers(1, 3)))]
+            out = {"points": points}
+            if draw(st.booleans()):
+                out["scale"] = positive()
+            if draw(st.booleans()):
+                out["k"] = or_wild([positive() for _ in points])
+            return out
+
+        labels = [[obj() for _ in range(draw(st.integers(0, 2)))] for _ in range(n)]
+        for key in ("oks_scale_default", "oks_k_default"):
+            if tidy or draw(st.booleans()):
+                meta[key] = or_wild(positive())
+        for key in ("scale_default", "k_default"):
+            if draw(st.booleans()) and (distance == "oks" or not mine):
+                params[key] = positive()
+    else:
+        universe = draw(st.lists(st.sampled_from(FUZZ_ELEMENTS), min_size=1, max_size=4,
+                                 unique_by=str))
+        labels = [draw(st.permutations(universe)) if tidy or draw(st.booleans())
+                  else draw(st.lists(st.sampled_from(FUZZ_ELEMENTS), max_size=4))
+                  for _ in range(n)]
+        if draw(st.booleans()):
+            meta["universe"] = or_wild(universe)
+        if draw(st.booleans()) and (distance == "tau_at_k" or not mine):
+            params["k"] = draw(st.sampled_from(FUZZ_KS[:5] if tidy else FUZZ_KS))
+    lines = [json.dumps({"meta": meta})] + [
+        json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": kind, "label": label})
+        for k, label in enumerate(labels)
+    ]
+    return lines, params
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_ENTRIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numeric_kinds_compute_ends_in_a_clean_exit(kind, data):
+    distance = data.draw(st.sampled_from(NUMERIC_ENTRIES[kind]), label="distance")
+    lines, params = data.draw(fuzz_numeric_files(kind, distance), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "d.jsonl"), os.path.join(tmp, "r.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        argv = ["compute", "--input", path, "--distance", distance, "--out", out]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={json.dumps(value)}"]
+        if data.draw(st.booleans(), label="--allow-violations"):
+            argv.append("--allow-violations")
+        code = main(argv)
+        assert code in {0, 2, 3, 4}
+        assert os.path.exists(out) == (code == 0)
+
+
 @pytest.mark.parametrize("distance", ["ted", "ted_norm", "ted_diff"])
 def test_the_deepest_tree_that_loads_computes(tmp_path, distance):
     # 494 levels: 988 nested arrays, the most a fresh interpreter's JSON decoder reads
@@ -1056,13 +1177,18 @@ class TestCliCompare:
         assert "unknown parameter(s) for 'tau': kk" in capsys.readouterr().err
 
     def test_counts_expected_pairs_once(self, ranking_file, monkeypatch, capsys):
-        from agreekit import stats
+        from agreekit import cli, stats
 
         calls = Counter()
-        count_calls(monkeypatch, calls, stats, "count_expected_pairs")
-        assert main(["compare", "--input", ranking_file, "--distances", "tau,rho"]) == 0
-        capsys.readouterr()
-        assert calls == {"count_expected_pairs": 1}
+        for module, name in ((stats, "_partners"), (stats, "count_expected_pairs"),
+                             (cli, "count_expected_pairs")):
+            count_calls(monkeypatch, calls, module, name)
+        for extra in ([], ["--de-samples", "all"],
+                      ["--de-samples", "all", "--exclude-same-annotator"]):
+            calls.clear()
+            assert main(["compare", "--input", ranking_file, "--distances", "tau,rho", *extra]) == 0
+            capsys.readouterr()
+            assert calls == {"_partners": 1}, extra
 
     def test_validates_and_plans_once_for_all_distances(self, ranking_file, monkeypatch, capsys):
         from agreekit import cli, stats
@@ -1076,10 +1202,73 @@ class TestCliCompare:
             "--param", "k=3",
         ]) == 0
         capsys.readouterr()
-        assert calls == {"validate_dataset": 2, "_observed_indices": 1, "_expected_indices": 1}
+        assert calls == {"validate_dataset": 1, "_observed_indices": 1, "_expected_indices": 1}
+
+    @pytest.mark.parametrize("command", ["compute", "hist"])
+    def test_compute_and_hist_validate_once(self, ranking_file, monkeypatch, capsys, command):
+        from agreekit import cli, dataset, stats
+
+        calls = Counter()
+        for module in (cli, dataset, stats):
+            count_calls(monkeypatch, calls, module, "validate_dataset")
+        count_calls(monkeypatch, calls, stats, "_partners")
+        assert main([command, "--input", ranking_file, "--distance", "tau"]) == 0
+        capsys.readouterr()
+        assert calls == {"validate_dataset": 1, "_partners": 1}
+
+
+# ids equal but for trailing NULs, which numpy str arrays would merge
+COUNT_IDS = ["a", "a\u0000", "a\u0000\u0000", "b", ""]
+
+
+@st.composite
+def count_files(draw):
+    """A vector file of 2-5 items with 1-4 records each (2-4 for the first), annotators
+    repeated within an item (duplicate records) and drawn from 2-5 names. Every record has
+    its own value, so no expected sample is all zeros."""
+    annotators = st.sampled_from(draw(st.lists(st.sampled_from(COUNT_IDS), min_size=2,
+                                               max_size=5, unique=True)))
+    items = draw(st.lists(st.sampled_from(COUNT_IDS), min_size=2, max_size=5, unique=True))
+    cells = [(item, draw(annotators)) for k, item in enumerate(items)
+             for _ in range(draw(st.integers(1 + (k == 0), 4)))]
+    return [json.dumps({"meta": {"ranges": [[0, 1]]}})] + [
+        json.dumps({"item": item, "annotator": annotator, "kind": "vector",
+                    "label": [k / len(cells)]})
+        for k, (item, annotator) in enumerate(cells)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=count_files(), exclude=st.booleans())
+def test_report_counts_are_the_validation_counts(lines, exclude):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "v.jsonl"), os.path.join(tmp, "r.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        argv = ["compute", "--input", path, "--distance", "euclidean", "--allow-violations",
+                "--out", out] + (["--exclude-same-annotator"] if exclude else [])
+        code = main(argv)
+        if code:  # no observed or no cross-item pairs
+            assert code == 3 and not os.path.exists(out)
+            return
+        summary = validate_dataset(aio.load_dataset(path).records)
+        counts = json.loads(open(out).read())["counts"]
+        assert (counts["items"], counts["annotators"], counts["annotations"]) == (
+            summary.items, summary.annotators, summary.annotations)
 
 
 class TestCliHist:
+    def test_distances_a_few_ulps_apart(self, tmp_path, capsys):
+        # box_iou gives 1 - 1e-15 and 1, 9 float steps apart: np.histogram could not bin them
+        labels = {("i0", "a0"): [[0, 0, 1, 1]], ("i0", "a1"): [[0, 0, 1, 1e-15]],
+                  ("i1", "a0"): [[5, 5, 6, 6]], ("i1", "a1"): [[5, 5, 6, 5 + 1e-15]]}
+        path = write_lines(tmp_path / "b.jsonl", [
+            json.dumps({"item": i, "annotator": a, "kind": "boxes", "label": label})
+            for (i, a), label in labels.items()])
+        assert main(["hist", "--input", path, "--distance", "box_iou"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 100 and rows[0].startswith("observed,0.999999999999999,")
+
     def test_csv_shape(self, vector_file, capsys):
         assert main(["hist", "--input", vector_file, "--distance", "euclidean"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

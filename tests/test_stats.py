@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agreekit.dataset import AnnotationRecord, Dataset
+from agreekit.dataset import AnnotationRecord, Dataset, validate_dataset
 from agreekit.errors import DataError, NumericError, UsageError
 from agreekit.kde import fit_kde, kde_cdf
 from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
-from agreekit.payloads import NumericVector
+from agreekit.payloads import NumericVector, Ranking
 from agreekit.registry import make_spec
 from agreekit import stats
 from agreekit.stats import (
@@ -344,13 +345,14 @@ def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
     records = tuple(AnnotationRecord(item_id=i, annotator_id=a, payload=NumericVector((0.5,)))
                     for i, annotators in items for a in annotators)
     ds = Dataset(records=records)
-    assert_same_plan(plan_or_error(stats._observed_indices, ds),
+    assert_same_plan(plan_or_error(stats._observed_indices, stats._item_ends(ds.records)),
                      plan_or_error(observed_indices_oracle, ds))
     available = count_expected_pairs(ds, exclude)
     want = data.draw(st.integers(1, max(1, available)), label="sample size")
     for size in (want, available):
         args = (ds, available, size, seed, exclude)
-        got = plan_or_error(stats._expected_indices, *args)
+        got = plan_or_error(stats._expected_indices, stats._partners(ds.records, exclude), size,
+                            seed, exclude)
         assert_same_plan(got, plan_or_error(expected_indices_oracle, *args))
     if available:
         assert got[0].size == available
@@ -360,7 +362,9 @@ def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
 def test_rejection_sampling_matches_the_triangle_oracle(large_ds, exclude):
     available = count_expected_pairs(large_ds, exclude)
     args = (large_ds, available, 3_000, 11, exclude)
-    assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
+    assert_same_plan(stats._expected_indices(stats._partners(large_ds.records, exclude), 3_000, 11,
+                                             exclude),
+                     expected_indices_oracle(*args))
 
 
 # 2,001 records: 2,001,000 candidate pairs, of which only the 79,220 that leave the
@@ -376,7 +380,9 @@ SPARSE_DS = Dataset(records=tuple(
 @given(want=st.integers(1, 12_000), seed=st.integers(0, 2**32 - 1), exclude=st.booleans())
 def test_rejection_rounds_match_the_per_draw_oracle(want, seed, exclude):
     args = (SPARSE_DS, count_expected_pairs(SPARSE_DS, exclude), want, seed, exclude)
-    assert_same_plan(stats._expected_indices(*args), expected_indices_oracle(*args))
+    assert_same_plan(stats._expected_indices(stats._partners(SPARSE_DS.records, exclude), want,
+                                             seed, exclude),
+                     expected_indices_oracle(*args))
 
 
 @pytest.mark.parametrize("exclude, available", [(False, 1_998_000), (True, 999_000)])
@@ -385,7 +391,9 @@ def test_ranked_draw_memory_is_independent_of_the_pairs_available(exclude, avail
     ds = uniform_random_vector_dataset(1000, 2, 1, seed=0)
     assert count_expected_pairs(ds, exclude) == available
     args = (ds, available, 100, 0, exclude)
-    got, peak_mb = traced_call(stats._expected_indices, *args)
+    # the partner table is built inside the traced call, as it was when the planner built it
+    got, peak_mb = traced_call(
+        lambda: stats._expected_indices(stats._partners(ds.records, exclude), 100, 0, exclude))
     assert peak_mb < 4.0  # listing every pair took 45.8 MB (62.9 MB with exclusion)
     assert_same_plan(got, expected_indices_oracle(*args))
 
@@ -745,6 +753,17 @@ class TestHistogramsAndDiagnostics:
         rows2 = histogram(lopsided, 0.0, 1.0)
         assert "observed_multimodal" not in diagnostics_flags(rows2, rows)
 
+    # ranges narrower than 50 float steps, on which np.histogram raised ValueError, and one value
+    @pytest.mark.parametrize("values, lo, hi", [
+        ([1 - 41 * 2**-53, 1.0], 1 - 41 * 2**-53, 1.0), ([0.0, 5e-324], 0.0, 5e-324),
+        ([1e30, 1e30], 1e30, 1e30), ([0.25, 0.25], 0.25, 0.25),
+    ])
+    def test_a_range_too_narrow_for_the_bins_is_widened(self, values, lo, hi):
+        rows = histogram(np.array(values), lo, hi)
+        edges = [rows[0][0]] + [row[1] for row in rows]
+        assert len(rows) == 50 and edges[0] == lo and edges == sorted(set(edges))
+        assert sum(row[2] for row in rows) == len(values)
+
 
 class TestReport:
     def test_report_fields_and_determinism(self):
@@ -822,6 +841,24 @@ class TestReport:
         # an empty dataset would raise DataError
         with pytest.raises(UsageError, match="^--seed "):
             agreement_reports(Dataset(records=()), [], seed=-1)
+
+    @pytest.mark.parametrize("records, message", [
+        ((AnnotationRecord("i1", "a1", NumericVector((0.1,))),
+          AnnotationRecord("i1", "a2", NumericVector((0.2,))),
+          AnnotationRecord("i2", "a1", Ranking(("x", "y"))),
+          AnnotationRecord("i2", "a2", NumericVector((0.4,)))),
+         "mixed payload kinds: dataset starts with 'vector' but item 'i2' annotator 'a1' has "
+         "'ranking'"),
+        ((), "empty dataset"),
+    ])
+    def test_reports_reject_what_validation_rejects_first(self, records, message):
+        # the one check agreement_reports shares with validate_dataset, on a hand-built dataset
+        ds = Dataset(records=records)
+        spec = make_spec("euclidean", "vector", meta={"ranges": [[0.0, 1.0]]})
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            validate_dataset(ds.records)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            agreement_reports(ds, [spec])
 
     def test_range_ends_are_accepted(self):
         ds = uniform_random_vector_dataset(10, 3, 3, seed=6)

@@ -205,6 +205,19 @@ def test_embedding_f1_looks_up_only_sequences_in_a_pair():
                                                embeddings=table) for i, j in [(0, 2), (2, 0), (0, 0)]]
 
 
+@pytest.mark.parametrize("row", [[1e155, 0.0], [1e154, 1e154], [-1e308, 5e-324]])
+def test_an_embedding_row_whose_squared_norm_overflows_is_rejected(row):
+    # it scored an identical pair 1: inf / inf made every cosine nan, and nan F1 counted 0
+    with pytest.raises(DataError, match="sentence 's' have a row whose squared norm overflows"):
+        TokenEmbeddingTable({"s": [[1.0, 0.0], row]})
+
+
+def test_the_largest_embedding_rows_score_an_identical_pair_zero():
+    a = toks("u", "v", sid="s")
+    table = TokenEmbeddingTable({"s": [[1e154, 0.0], [0.0, -1e154]]})
+    assert translation_distance(a, a, "embedding_f1", embeddings=table) == 0.0
+
+
 def test_embedding_dimension_mismatch_rejected():
     with pytest.raises(DataError):
         TokenEmbeddingTable({"s1": [[1.0, 0.0]], "s2": [[1.0, 0.0, 0.0]]})
