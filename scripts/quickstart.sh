@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # README quick-start (also with --exclude-same-annotator and --de-samples all), spans and
-# boxes examples, far span offsets, `levenshtein` and `ted` on small token and tree files,
-# and a rejection-sampled vector compute through the installed `agree` script, with the
-# printed rows pinned, a too-wide span's exit code and error line, plus `check-metric` on
-# the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
-# `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
-# non-zero on the first command or grep that fails.
+# boxes examples, `box_giou` on boxes at the float limit, far span offsets, `levenshtein`
+# and `ted` on small token and tree files, and a rejection-sampled vector compute through
+# the installed `agree` script, with the printed rows pinned, a too-wide span's exit code
+# and error line, plus `check-metric` on the simulated ranking, vector, boxes and spans
+# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
+# directory, removed on exit, and exits non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -67,6 +67,16 @@ grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes
 grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
 grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
 grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
+# boxes at the float limit: the overlap kernel scales a pair whose widths, areas or hull
+# would overflow by a power of two, which leaves GIoU as it is
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "boxes", "label": [[-1e308, -1e308, 1e308, 1e308]]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "boxes", "label": [[-1e308, 0, 1e308, 1e308]]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "boxes", "label": [[0, 0, 1e308, 5e307]]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "boxes", "label": [[-5e307, -1e308, 1e308, 0]]}' \
+  > huge.jsonl
+agree compute --input huge.jsonl --distance box_giou | tee huge.txt
+grep -Fx "alpha      : 0.0453" huge.txt
 
 # token edit distance and tree edit distance, each through its batch kernel
 printf '%s\n' \

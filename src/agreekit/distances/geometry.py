@@ -4,7 +4,8 @@ and keypoint bbox IoU, each one batch kernel over min_match_batch.
 Raw score orientations for traceability: IoU and OKS are similarities in
 [0, 1], shipped as 1 - score; GIoU lies in [-1, 1], shipped as (1 - GIoU) / 2;
 the L2 form is an error magnitude shipped directly (the score orientation
-would be 1 - error).
+would be 1 - error). Every square is x * x (vector_text.squares) and every sum
+adds left to right, so each value has the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ def _hull_corners(obj: KeypointObject) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-# finite corners can overflow to an inf area, and then to a nan distance, or to an inf
-# difference that l2 clamps to 1, as the scalar operations do; DistanceSamples rejects
-# a nan distance, so numpy's warnings would only be noise
+# finite corners can overflow to an inf difference, which l2 clamps to 1, as the scalar
+# operations do, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def box_batch(
     payloads: Sequence,
@@ -50,26 +50,35 @@ def box_batch(
     bounding boxes of two keypoint objects' points. Two boxes of no union (both
     degenerate) are 0 apart when equal and 1 otherwise. Every payload's boxes are
     packed once into one coordinate array, and each operation is the scalar's, in its
-    order, so every pair's value is exact.
+    order. An overlap mode scales each axis on which a pair of boxes reaches 2**500 by
+    one power of two, which leaves its IoU and GIoU as they are but keeps its areas finite.
     """
     if mode not in ("l2", "iou", "giou", "bbox_iou"):
         raise DataError(f"unknown box distance mode {mode!r}")
     corners = _hull_corners if mode == "bbox_iou" else _box_corners
     sets = [objects(p) for p in payloads]
     boxes = np.array([corners(obj) for objs in sets for obj in objs], dtype=float).reshape(-1, 4)
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    reach = np.abs(boxes).reshape(-1, 2, 2).max(axis=1)  # each box's largest |x| and |y|
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        a, b = boxes[ga], boxes[gb]
         if mode == "l2":
-            sq = squares(boxes[ga] - boxes[gb])
+            sq = squares(a - b)
             d0 = np.sqrt((sq[:, 0] + sq[:, 1]) / 2.0)
             d1 = np.sqrt((sq[:, 2] + sq[:, 3]) / 2.0)
             return np.minimum(1.0, (d0 + d1) / l2_scale)
-        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[ga].T, boxes[gb].T
+        # IoU and GIoU are unchanged by scaling either axis, and a power of two scales
+        # exactly: an axis on which a pair reaches 2**500 is brought just below it, where no
+        # area or hull overflows, and the other axis keeps its small widths
+        if (reach >= 2.0**500).any():
+            peak = np.maximum(reach[ga], reach[gb])
+            shift = np.tile(np.where(peak >= 2.0**500, 500 - np.frexp(peak)[1], 0), 2)
+            a, b = np.ldexp(a, shift), np.ldexp(b, shift)
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.T, b.T
         w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
         h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
         inter = np.where((w > 0) & (h > 0), w * h, 0.0)
-        union = (area[ga] + area[gb]) - inter
+        union = ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)) - inter
         degenerate = union <= 0
         iou = inter / np.where(degenerate, 1.0, union)
         if mode == "giou":

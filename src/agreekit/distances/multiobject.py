@@ -9,7 +9,6 @@ a metric inner distance, so every lifted registry entry is a dissimilarity.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,13 +48,16 @@ def _blocks(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray) -> tuple:
 
 
 def _mean_in_order(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The mean of each run of sizes[k] consecutive values, each run summed with `sum`.
+    """The mean of each run of sizes[k] consecutive values, each run added left to right.
 
-    `sum` adds in object order (compensated from Python 3.12), where numpy's add
-    reductions are pairwise, so each mean equals a plain Python lift's bit for bit.
+    Step j adds the j-th value of every run that has one, so each run is summed in object
+    order from 0.0, as a plain Python loop sums it, on every Python version.
     """
-    it = iter(values.tolist())
-    return np.array([sum(islice(it, k)) for k in sizes.tolist()], dtype=float) / sizes
+    first, total = np.cumsum(sizes) - sizes, np.zeros(sizes.size)
+    for j in range(int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > j)
+        total[live] += values[first[live] + j]
+    return total / sizes
 
 
 def min_match_batch(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,19 +20,22 @@ from ..payloads import NumericVector, TokenSequence
 Ranges = Sequence[tuple[float, float]]
 
 
+@np.errstate(over="ignore")
 def squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 elementwise, by Python's float power, for every kernel that squares.
+    """x * x elementwise, for every kernel that squares.
 
-    The platform's pow may round a square differently from x * x, so this is the one
-    place where that choice is made. A square that overflows raises NumericError.
+    A product is correctly rounded, where the platform's pow need not be, so every
+    platform gives the same squares. A finite x whose square overflows raises NumericError.
     """
-    try:
-        values = np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size)
-    except OverflowError as exc:
-        raise NumericError("a squared difference overflows the float range") from exc
-    return values.reshape(x.shape)
+    values = x * x
+    if (np.isinf(values) & ~np.isinf(x)).any():
+        raise NumericError("a squared difference overflows the float range")
+    return values
 
 
+# a difference or its quotient by a width can overflow to inf, and the distance with it;
+# DistanceSamples rejects an inf distance, so numpy's warnings would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def vector_batch(
     payloads: Sequence[NumericVector],
     ia: np.ndarray,
@@ -48,9 +50,10 @@ def vector_batch(
     score orientation elsewhere is 1 - RMSE).
 
     The vectors are stacked into one zero-padded matrix. Euclidean squares its
-    terms with `squares` and sums them one dimension at a time, left to right.
-    A length mismatch, an unknown mode and missing, miscounted,
-    zero-width or non-finite ranges raise DataError at the first pair they affect.
+    terms with `squares` and sums them one dimension at a time, left to right; a
+    term that overflows to inf makes the distance inf. A length mismatch, an
+    unknown mode and missing, miscounted, zero-width or non-finite ranges raise
+    DataError at the first pair they affect.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     lengths = np.array([len(p.values) for p in payloads], dtype=np.intp)
@@ -149,28 +152,26 @@ def _bleu(hyp, ref) -> float:
     invcnt starting at 1 and incrementing for each smoothed order, applied
     only when hyp_len > 1.
     Weights are uniform over orders 1..4, or over 1..hyp_len for hypotheses
-    shorter than 4 tokens so identical short sentences still score 1.
+    shorter than 4 tokens so identical short sentences still score 1. The weighted
+    log precisions are added left to right, from 0.0.
     """
     (hyp_len, hyp_counts), (ref_len, ref_counts) = hyp, ref
     max_order = min(4, hyp_len)
-    weights = [1.0 / max_order] * max_order
+    weight = 1.0 / max_order
     numerators = [_clipped(h, r) for h, r in zip(hyp_counts[:max_order], ref_counts)]
     denominators = [max(1, sum(h.values())) for h in hyp_counts[:max_order]]
     if numerators[0] == 0:
         return 0.0
 
-    precisions = []
-    invcnt = 1
+    # every precision is positive: an order past the first exists only when hyp_len > 1
+    log_score, invcnt = 0.0, 1
     for num, den in zip(numerators, denominators):
         if num == 0 and hyp_len > 1:
-            precisions.append((math.log(hyp_len) / (_BLEU_SMOOTHING_K * 2**invcnt)) / den)
+            p = (math.log(hyp_len) / (_BLEU_SMOOTHING_K * 2**invcnt)) / den
             invcnt += 1
         else:
-            precisions.append(num / den)
-
-    if any(p <= 0 for p in precisions):
-        return 0.0
-    log_score = sum(w * math.log(p) for w, p in zip(weights, precisions))
+            p = num / den
+        log_score += weight * math.log(p)
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_score)
 

@@ -201,6 +201,15 @@ def levenshtein_raw(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[len(b)]
 
 
+def plain_sum(values) -> float:
+    """values added left to right from 0.0: the order of every kernel's sums, and of Python's
+    float `sum` before 3.12, which compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -208,7 +217,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 _BLEU_SMOOTHING_K = 5.0
 
 
-def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
+def sentence_bleu(hyp: Sequence[str], ref: Sequence[str], total=plain_sum) -> float:
     """Sentence BLEU with brevity penalty and length-decaying smoothing.
 
     Zero-count n-gram precisions of order i are replaced by
@@ -216,7 +225,8 @@ def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
     invcnt starting at 1 and incrementing for each smoothed order, applied
     only when hyp_len > 1.
     Weights are uniform over orders 1..4, or over 1..hyp_len for hypotheses
-    shorter than 4 tokens so identical short sentences still score 1.
+    shorter than 4 tokens so identical short sentences still score 1. total adds up the
+    weighted log precisions in order; the kernel adds them left to right.
     """
     hyp_len, ref_len = len(hyp), len(ref)
     max_order = min(4, hyp_len)
@@ -245,7 +255,7 @@ def _bleu(hyp: Sequence[str], ref: Sequence[str]) -> float:
 
     if any(p <= 0 for p in precisions):
         return 0.0
-    log_score = sum(w * math.log(p) for w, p in zip(weights, precisions))
+    log_score = total([w * math.log(p) for w, p in zip(weights, precisions)])
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_score)
 
@@ -315,7 +325,7 @@ def translation_distance(
     if not ta or not tb:
         raise DataError(f"{mode} distance is undefined for empty token sequences")
     if mode == "bleu":
-        return 1.0 - (_bleu(ta, tb) + _bleu(tb, ta)) / 2.0
+        return 1.0 - (sentence_bleu(ta, tb) + sentence_bleu(tb, ta)) / 2.0
     if mode == "gleu":
         return 1.0 - (_gleu(ta, tb) + _gleu(tb, ta)) / 2.0
     if mode == "embedding_f1":
@@ -500,7 +510,8 @@ def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges
                 raise DataError(f"zero-width range [{lo}, {hi}]")
             if not width < math.inf:
                 raise DataError(f"non-finite range [{lo}, {hi}]")
-            acc += ((x - y) / width) ** 2
+            term = (x - y) / width
+            acc += term * term
         return math.sqrt(acc / len(va))
     raise DataError(f"unknown vector distance mode {mode!r}")
 
@@ -537,11 +548,11 @@ def _exact_range_credit(span, others, tag_strict: bool) -> float:
 
 
 def ner_distance_oracle(
-    a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool, total=sum
+    a: SpanSet, b: SpanSet, range_strict: bool, tag_strict: bool, total=plain_sum
 ) -> float:
     """ner_batch for one pair by token sets, one span of one set against all spans of the other.
 
-    total adds up one direction's span credits in span order; ner_batch uses `sum`."""
+    total adds up one direction's span credits in span order; ner_batch adds left to right."""
     if not a.spans and not b.spans:
         return 0.0
     if not a.spans or not b.spans:
@@ -566,27 +577,40 @@ NER_ENTRIES = {
 }
 
 
-def multi_object_distance_oracle(a_objs, b_objs, inner) -> float:
+def multi_object_distance_oracle(a_objs, b_objs, inner, total=plain_sum) -> float:
     """The min-match lift with each direction scored on its own: inner(a, b) for
-    A -> B and inner(b, a) for B -> A, so it does not rely on inner's symmetry."""
+    A -> B and inner(b, a) for B -> A, so it does not rely on inner's symmetry.
+
+    total adds up one direction's minima in object order; min_match_batch adds left to right."""
     if not a_objs and not b_objs:
         return 0.0
     if not a_objs or not b_objs:
         return 1.0
-    d_ab = sum(min(inner(a, b) for b in b_objs) for a in a_objs) / len(a_objs)
-    d_ba = sum(min(inner(b, a) for a in a_objs) for b in b_objs) / len(b_objs)
+    d_ab = total([min(inner(a, b) for b in b_objs) for a in a_objs]) / len(a_objs)
+    d_ba = total([min(inner(b, a) for a in a_objs) for b in b_objs]) / len(b_objs)
     return (d_ab + d_ba) / 2.0
 
 
 def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
-    """One object pair of box_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2."""
+    """One object pair of box_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2. On each axis
+    where a coordinate of the two boxes reaches 2**500, both are first scaled by the power
+    of two that brings the largest just below 2**500."""
+    coincident = a == b
+
+    def shift(*coords):
+        peak = max(map(abs, coords))
+        return 500 - math.frexp(peak)[1] if peak >= 2.0**500 else 0
+
+    sx, sy = shift(a.x0, a.x1, b.x0, b.x1), shift(a.y0, a.y1, b.y0, b.y1)
+    a, b = (Box(math.ldexp(box.x0, sx), math.ldexp(box.y0, sy), math.ldexp(box.x1, sx),
+                math.ldexp(box.y1, sy)) for box in (a, b))
     w = min(a.x1, b.x1) - max(a.x0, b.x0)
     h = min(a.y1, b.y1) - max(a.y0, b.y0)
     inter = w * h if w > 0 and h > 0 else 0.0
     union = a.area() + b.area() - inter
     if union <= 0:
         # both boxes degenerate: distance 0 when coincident, else 1
-        return 0.0 if a == b else 1.0
+        return 0.0 if coincident else 1.0
     iou = inter / union
     if mode == "iou":
         return 1.0 - iou
@@ -597,8 +621,9 @@ def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
 
 def box_l2_oracle(a: Box, b: Box, l2_scale: float = 20.0) -> float:
     """One object pair of box_batch's mode "l2": the scaled corner RMSE, clamped at 1."""
-    d0 = math.sqrt(((a.x0 - b.x0) ** 2 + (a.y0 - b.y0) ** 2) / 2.0)
-    d1 = math.sqrt(((a.x1 - b.x1) ** 2 + (a.y1 - b.y1) ** 2) / 2.0)
+    dx0, dy0, dx1, dy1 = a.x0 - b.x0, a.y0 - b.y0, a.x1 - b.x1, a.y1 - b.y1
+    d0 = math.sqrt((dx0 * dx0 + dy0 * dy0) / 2.0)
+    d1 = math.sqrt((dx1 * dx1 + dy1 * dy1) / 2.0)
     return min(1.0, (d0 + d1) / l2_scale)
 
 
@@ -633,7 +658,8 @@ def oks_oracle(a: KeypointObject, b: KeypointObject, scale_default=None, k_defau
         return float(scale), ks
 
     (sa, ka), (sb, kb) = params(a), params(b)
-    d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
+    d2s = [(ax - bx) * (ax - bx) + (ay - by) * (ay - by)
+           for (ax, ay), (bx, by) in zip(a.points, b.points)]
     sim = (_oks_similarity(d2s, sa, ka) + _oks_similarity(d2s, sb, kb)) / 2.0
     return 1.0 - sim
 

@@ -13,6 +13,7 @@ from conftest import (
     make_box,
     multi_object_distance_oracle,
     oks_oracle,
+    plain_sum,
     reference_fn,
 )
 
@@ -165,7 +166,13 @@ EDGE_PAIRS = {
     "nested": (boxes((0, 0, 4, 4)), boxes((1, 1, 2, 2), (0, 0, 4, 2))),
     "identical": (boxes((0, 0, 1, 1), (0.5, 0.25, 3, 7)), boxes((0, 0, 1, 1), (0.5, 0.25, 3, 7))),
     "one_empty": (boxes(), boxes((0, 0, 1, 1))),
+    # scaled by a power of two, as areas and hulls this large would overflow
     "overflowing_areas": (boxes((0, 0, 1e308, 1e308)), boxes((0, 0, 1e308, 5e307))),
+    "corners_at_the_float_limit": (
+        boxes((-1e308, -1e308, 1e308, 1e308), (0, 0, 1e308, 5e307)),
+        boxes((-1e308, 0, 1e308, 1e308), (-5e307, -1e308, 1e-300, 2**500))),
+    "thin_boxes_at_the_float_limit": (boxes((0, 0, 1e308, 1e-300), (-1e308, 0, 0, 3e-300)),
+                                      boxes((0, 0, 1e308, 2e-300))),
     "both_empty": (boxes(), boxes()),
     # seeds 0 and 1 give each mode a 12x12 and a 12x1 pair whose plain left-to-right and
     # compensated sums differ (test_twelve_object_pairs_tell_plain_from_compensated_sums)
@@ -192,24 +199,36 @@ def test_overlap_kernel_equals_the_oracle_on_edge_sets(name, case):
     assert got == want
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["box_iou", "box_giou"])
+def test_overlap_kernel_is_scale_free_up_to_the_float_limit(name):
+    # corners at +-1e308 give an inf width, area or hull unless the kernel scales them down;
+    # times 2**-1000 they are boxes the kernel scores as they are, with the same bits
+    big = [boxes((-1e308, -1e308, 1e308, 1e308), (0, 0, 1e308, 5e307)),
+           boxes((-1e308, 0, 1e308, 1e308)), boxes((-1e308, -1e308, -1e308, 1e308)),
+           boxes((-5e307, -1e308, 0, 0), (1e307, 1e307, 9e307, 2e307))]
+    small = [BoxSet(boxes=tuple(Box(*(math.ldexp(c, -1000) for c in (b.x0, b.y0, b.x1, b.y1)))
+                                for b in p.boxes)) for p in big]
+    ia, ib = np.divmod(np.arange(len(big) ** 2), len(big))
+    spec = make_spec(name, "boxes")
+    got, want = spec.batch(big, ia, ib), spec.batch(small, ia, ib)
+    assert np.isfinite(got).all()
+    assert [float.hex(d) for d in got.tolist()] == [float.hex(d) for d in want.tolist()]
+    # only the wide axis is scaled, so 1e-300 high boxes keep their heights: IoU 1/2
+    thin = [boxes((0, 0, 1e308, 1e-300)), boxes((0, 0, 1e308, 2e-300))]
+    assert spec.batch(thin, [0], [1])[0] == {"box_iou": 0.5, "box_giou": 0.25}[name]
+
+
 def test_twelve_object_pairs_tell_plain_from_compensated_sums():
     def lift(a, b, inner, total):
-        rows = [[inner(x, y) for y in b.boxes] for x in a.boxes]
-        d_ab = total([min(row) for row in rows]) / len(a.boxes)
-        d_ba = total([min(column) for column in zip(*rows)]) / len(b.boxes)
-        return (d_ab + d_ba) / 2.0
-
-    def plain(values):
-        total = 0.0
-        for v in values:
-            total += v
-        return total
+        return multi_object_distance_oracle(a.boxes, b.boxes, inner, total)
 
     for name in ("box_iou", "box_giou"):
         inner = lifted_inner(name, {}, {})
         for k in (12, 1):
             pairs = [EDGE_PAIRS[f"12x{k}_seed{seed}"] for seed in (0, 1)]
-            assert any(lift(a, b, inner, plain) != lift(a, b, inner, math.fsum) for a, b in pairs)
+            assert any(lift(a, b, inner, plain_sum) != lift(a, b, inner, math.fsum)
+                       for a, b in pairs)
 
 
 def kps(*objects):
@@ -239,7 +258,7 @@ def pow_square_offset(value_of):
     pytest.skip("pow squares every drawn offset as x * x does")
 
 
-def test_l2_squares_with_pythons_pow():
+def test_l2_squares_as_x_times_x():
     def value_of(square, x):  # both corners offset by (x, 0)
         d = math.sqrt((square(x) + square(0.0)) / 2.0)
         return min(1.0, (d + d) / 20.0)
@@ -248,10 +267,10 @@ def test_l2_squares_with_pythons_pow():
     payloads = [boxes((x, 0.0, x, 0.0)), boxes((0.0, 0.0, 0.0, 0.0))]
     got, want = hex_distances(make_spec("box_l2", "boxes"), payloads)
     assert got == want
-    assert got[1] == value_of(lambda t: t ** 2, x).hex() != value_of(lambda t: t * t, x).hex()
+    assert got[1] == value_of(lambda t: t * t, x).hex() != value_of(lambda t: t ** 2, x).hex()
 
 
-def test_oks_squares_with_pythons_pow():
+def test_oks_squares_as_x_times_x():
     def value_of(square, x):  # one point offset by (x, 0), s = k = 1
         e = math.exp(-(square(x) + square(0.0)) / (2.0 * 1.0 * 1.0 * 1.0 * 1.0))
         return 1.0 - (e / 1 + e / 1) / 2.0
@@ -261,12 +280,13 @@ def test_oks_squares_with_pythons_pow():
                 KeypointSet(objects=(kp([(0.0, 0.0)], scale=1.0, k=(1.0,)),))]
     got, want = hex_distances(make_spec("oks", "keypoints"), payloads)
     assert got == want
-    assert got[1] == value_of(lambda t: t ** 2, x).hex() != value_of(lambda t: t * t, x).hex()
+    assert got[1] == value_of(lambda t: t * t, x).hex() != value_of(lambda t: t ** 2, x).hex()
 
 
 def oks_summed_by(total, a, b):
     """1 - OKS of two objects with their own parameters, each mean's terms added by total."""
-    d2s = [(ax - bx) ** 2 + (ay - by) ** 2 for (ax, ay), (bx, by) in zip(a.points, b.points)]
+    d2s = [(ax - bx) * (ax - bx) + (ay - by) * (ay - by)
+           for (ax, ay), (bx, by) in zip(a.points, b.points)]
 
     def mean(o):
         terms = [math.exp(-d2 / (2.0 * o.scale * o.scale * k * k))
@@ -274,13 +294,6 @@ def oks_summed_by(total, a, b):
         return total(terms) / len(terms)
 
     return 1.0 - (mean(a) + mean(b)) / 2.0
-
-
-def plain_sum(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def test_oks_adds_seventeen_terms_left_to_right():

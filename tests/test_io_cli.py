@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -336,17 +338,37 @@ class TestCliCompute:
         assert "degenerate" in capsys.readouterr().err
 
 
-    def test_non_finite_distances_are_numeric_error(self, tmp_path, capsys):
-        # finite corners whose areas overflow: IoU is inf / inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ranges, values", [
+        ([[-1e308, 0]], [1e308, -1e308, 0, 0]),  # a difference overflows
+        ([[0, 5e-324]], [0, 5e-324, 1, 0]),  # a difference over its width overflows
+    ])
+    def test_non_finite_distances_are_numeric_error(self, tmp_path, capsys, ranges, values):
         lines = [
-            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "boxes",
-                        "label": [[0, 0, 1e308, 1e308 / (1 + i + j)]]})
-            for i in range(3)
-            for j in range(2)
+            json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "vector",
+                        "label": [value]})
+            for k, value in enumerate(values)
         ]
         path = write_lines(tmp_path / "huge.jsonl", lines)
-        assert main(["compute", "--input", path, "--distance", "box_iou"]) == 4
-        assert "observed box_iou distances are not all finite" in capsys.readouterr().err
+        argv = ["compute", "--input", path, "--distance", "euclidean", "--allow-violations",
+                "--meta", f"ranges={json.dumps(ranges)}"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: observed euclidean distances are not all finite"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distance", ["box_iou", "box_giou"])
+    def test_boxes_at_the_float_limit_compute(self, tmp_path, capsys, distance):
+        # widths, areas and hulls of these corners overflow unless the kernel scales them down
+        labels = [[[-1e308, -1e308, 1e308, 1e308]], [[-1e308, 0, 1e308, 1e308]],
+                  [[0, 0, 1e308, 5e307]], [[-5e307, -1e308, 1e308, 0]]]
+        lines = [json.dumps({"item": f"i{k // 2}", "annotator": f"a{k % 2}", "kind": "boxes",
+                             "label": label}) for k, label in enumerate(labels)]
+        path, out = write_lines(tmp_path / "huge.jsonl", lines), tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", distance, "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert math.isfinite(json.loads(out.read_text())["alpha"])
 
     @pytest.mark.parametrize("flag, value", [
         ("--param", "scale_default=0"),
@@ -969,9 +991,12 @@ def test_numeric_kinds_compute_ends_in_a_clean_exit(kind, data):
             argv += ["--param", f"{key}={json.dumps(value)}"]
         if data.draw(st.booleans(), label="--allow-violations"):
             argv.append("--allow-violations")
-        code = main(argv)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
         assert code in {0, 2, 3, 4}
         assert os.path.exists(out) == (code == 0)
+        if distance in ("box_iou", "box_giou"):  # scale-free: no finite box overflows them
+            assert "not all finite" not in err.getvalue()
 
 
 @pytest.mark.parametrize("distance", ["ted", "ted_norm", "ted_diff"])

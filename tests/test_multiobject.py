@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agreekit.distances.multiobject import count_diff_batch, min_match_batch, ner_batch
-from agreekit.payloads import Box, Span, SpanSet
+from agreekit.payloads import Box, BoxSet, KeypointSet, Span, SpanSet, TokenSequence
 from agreekit.registry import make_spec
 
 from conftest import (
     NER_ENTRIES,
     box_overlap_oracle,
     count_diff_oracle,
+    lifted_inner,
+    make_box,
     make_boxset,
+    make_keypoint_object,
     make_span,
+    multi_object_distance_oracle,
     ner_distance_oracle,
+    plain_sum,
+    sentence_bleu,
 )
 
 
@@ -272,19 +279,13 @@ TWELVE_SPAN_PAIRS = {"ner_both_lenient": twelve_span_sets(55), "ner_strict_tag":
 
 
 def test_twelve_span_pairs_tell_the_summation_orders():
-    def plain(values):
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-
     def numpy_reduction(values):
         return float(np.add.reduceat(np.array(values), [0])[0])
 
     for name, (a, b) in TWELVE_SPAN_PAIRS.items():
         modes = NER_ENTRIES[name]
         distances = {ner_distance_oracle(a, b, *modes, total=total)
-                     for total in (plain, numpy_reduction, math.fsum)}
+                     for total in (plain_sum, numpy_reduction, math.fsum)}
         assert len(distances) == 3, name
 
 
@@ -297,3 +298,88 @@ def test_ner_batch_equals_the_oracle_on_twelve_span_sets(name):
     want = [float.hex(ner_distance_oracle(payloads[i], payloads[j], *NER_ENTRIES[name]))
             for i, j in zip(ia, ib)]
     assert got == want
+
+
+def twelve_object_sets(kind, seed):
+    """Two sets of 12 boxes, or of 12 four-point keypoint objects with their own scale and
+    constants, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "boxes":
+        return [BoxSet(boxes=tuple(make_box(rng) for _ in range(12))) for _ in range(2)]
+    return [KeypointSet(objects=tuple(
+        dataclasses.replace(make_keypoint_object(rng),
+                            per_point_constant=tuple(rng.uniform(0.2, 1.5, 4).tolist()))
+        for _ in range(12))) for _ in range(2)]
+
+
+def compensated_sum(values):
+    """Python's float `sum` from 3.12 on: Neumaier's (1974) compensated summation."""
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def pairwise_sum(values):
+    """numpy's add reduction, pairwise from 8 values on."""
+    return float(np.sum(np.array(values, dtype=float)))
+
+
+# per kind, payloads whose pairs (0, 1), (2, 3), ... tell the left-to-right, pairwise and
+# compensated sums apart; bleu's four terms are too few for a pairwise sum to differ
+PINNED_PAYLOADS = {
+    "boxes": twelve_object_sets("boxes", 4) + twelve_object_sets("boxes", 59),
+    "keypoints": twelve_object_sets("keypoints", 2) + twelve_object_sets("keypoints", 43),
+    "spans": [*TWELVE_SPAN_PAIRS["ner_both_lenient"], *TWELVE_SPAN_PAIRS["ner_strict_tag"],
+              *twelve_span_sets(382)],
+    "tokens": [TokenSequence(tokens=tuple("babbdbabc")), TokenSequence(tokens=tuple("cdadacbac"))],
+}
+# float.hex of spec.batch over those pairs
+BIT_PINS = {
+    "bbox_iou": ["0x1.99a498a6827c0p-2", "0x1.e36980c56c520p-2"],
+    "bleu": ["0x1.d74df18d346e1p-1"],
+    "box_giou": ["0x1.94d35a7293a2ap-2", "0x1.b50fd9461c65cp-2"],
+    "box_iou": ["0x1.663b6caa5f0d6p-1", "0x1.8708e302469c8p-1"],
+    "box_l2": ["0x1.bd71fefcb4ff2p-1", "0x1.dc31d69d7714ap-1"],
+    "ner_both_lenient": ["0x1.1e4791e4791e0p-3", "0x1.3674134cc9454p-3", "0x1.214efd251d808p-4"],
+    "ner_both_strict": ["0x1.0000000000000p+0", "0x1.d555555555555p-1", "0x1.0000000000000p+0"],
+    "ner_strict_range": ["0x1.0000000000000p+0", "0x1.8000000000000p-1", "0x1.aaaaaaaaaaaabp-1"],
+    "ner_strict_tag": ["0x1.12b9bf672ddf2p-1", "0x1.bc5394b16834cp-2", "0x1.4178a4c8178a6p-1"],
+    "oks": ["0x1.0a92d40f7bcb9p-1", "0x1.10ca86f78df02p-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_PINS))
+def test_set_lifts_and_bleu_give_the_pinned_bits(name):
+    kind = {"box_": "boxes", "oks": "keypoints", "bbox": "keypoints", "ner_": "spans",
+            "bleu": "tokens"}[name[:4]]
+    payloads = PINNED_PAYLOADS[kind]
+    pairs = list(zip(payloads[::2], payloads[1::2]))
+    ia = np.arange(0, len(payloads), 2)
+    got = [float.hex(d) for d in make_spec(name, kind).batch(payloads, ia, ia + 1).tolist()]
+    assert got == BIT_PINS[name]
+
+    def summed_by(total):
+        if name == "bleu":
+            return [float.hex(1.0 - (sentence_bleu(a.tokens, b.tokens, total)
+                                     + sentence_bleu(b.tokens, a.tokens, total)) / 2.0)
+                    for a, b in pairs]
+        if name in NER_ENTRIES:
+            return [float.hex(ner_distance_oracle(a, b, *NER_ENTRIES[name], total=total))
+                    for a, b in pairs]
+        objects = (lambda p: p.boxes) if kind == "boxes" else (lambda p: p.objects)
+        inner = lifted_inner(name, {}, {})
+        return [float.hex(multi_object_distance_oracle(objects(a), objects(b), inner, total))
+                for a, b in pairs]
+
+    plain, pairwise, compensated = (summed_by(t) for t in (plain_sum, pairwise_sum,
+                                                           compensated_sum))
+    assert plain == got
+    if name in ("ner_strict_range", "ner_both_strict"):  # whole-number credits: exact sums
+        assert pairwise == compensated == got
+    elif name == "bleu":
+        assert pairwise == got != compensated
+    else:
+        assert len({tuple(got), tuple(pairwise), tuple(compensated)}) == 3
