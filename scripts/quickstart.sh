@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # README quick-start (also with --exclude-same-annotator and --de-samples all), spans and
-# boxes examples, `box_giou` on boxes at the float limit, far span offsets, `levenshtein`
-# and `ted` on small token and tree files, and a rejection-sampled vector compute through
-# the installed `agree` script, with the printed rows pinned, a too-wide span's exit code
-# and error line, plus `check-metric` on the simulated ranking, vector, boxes and spans
-# inputs. Run from anywhere after `pip install -e .`; it works in a fresh temporary
-# directory, removed on exit, and exits non-zero on the first command or grep that fails.
+# boxes examples, a permutation KS p-value above its floor, `box_giou` on boxes at the
+# float limit, far span offsets, `levenshtein` and `ted` on small token and tree files, and
+# a rejection-sampled vector compute through the installed `agree` script, with the printed
+# rows pinned, a too-wide span's exit code and error line, plus `check-metric` on the
+# simulated ranking, vector, boxes and spans inputs. Run from anywhere after
+# `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
+# non-zero on the first command or grep that fails.
 set -euo pipefail
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
@@ -40,6 +41,9 @@ grep -F "2     ner_strict_range      0.4831   0.7000   0.6689      1.0000" spans
 grep -F "3     ner_both_lenient      0.6091   0.6556   0.7189      1.0000" spans.txt
 grep -F "4     ner_both_strict       0.3477   0.5556   0.5500      1.0000" spans.txt
 grep -F "5     count_diff            0.2884   0.4667   0.1844      0.9962" spans.txt
+# a permutation p-value above the 1/(N + 1) floor: 3 of 2,000 permutations reach the statistic
+agree compute --input spans.jsonl --distance count_diff --seed 7 --exact-ks 2000 | tee exact-spans.txt
+grep -Fx "ks         : stat=0.1844 p=0.001999 measure=0.9980" exact-spans.txt
 # far span offsets: 2-token spans 10^10 tokens in are scored in int64, with no token bitmask
 printf '%s\n' \
   '{"item": "i0", "annotator": "a0", "kind": "spans", "label": [[10000000000, 10000000002, "X"]]}' \

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NumericError
 from ..payloads import Box, KeypointObject
 from .multiobject import min_match_batch
 from .vector_text import squares
@@ -31,8 +31,8 @@ def _hull_corners(obj: KeypointObject) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-# finite corners can overflow to an inf difference, which l2 clamps to 1, as the scalar
-# operations do, so numpy's warnings would only be noise
+# finite corners can overflow to an inf difference, which l2 raises as NumericError, so
+# numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def box_batch(
     payloads: Sequence,
@@ -45,13 +45,14 @@ def box_batch(
     """Min-match lift of a box distance for each pair (payloads[ia[t]], payloads[ib[t]]).
 
     mode "l2" scores two boxes min(1, (d0 + d1) / l2_scale), d0 and d1 being the RMSE
-    of the upper-left and of the lower-right corners' coordinate differences. "iou"
-    scores them 1 - IoU, "giou" (1 - GIoU) / 2, and "bbox_iou" is 1 - IoU of the
-    bounding boxes of two keypoint objects' points. Two boxes of no union (both
-    degenerate) are 0 apart when equal and 1 otherwise. Every payload's boxes are
-    packed once into one coordinate array, and each operation is the scalar's, in its
-    order. An overlap mode scales each axis on which a pair of boxes reaches 2**500 by
-    one power of two, which leaves its IoU and GIoU as they are but keeps its areas finite.
+    of the upper-left and of the lower-right corners' coordinate differences, and raises
+    NumericError when a difference or its square overflows. "iou" scores them 1 - IoU,
+    "giou" (1 - GIoU) / 2, and "bbox_iou" is 1 - IoU of the bounding boxes of two
+    keypoint objects' points. Two boxes of no union (both degenerate) are 0 apart when
+    equal and 1 otherwise. Every payload's boxes are packed once into one coordinate
+    array, and each operation is the scalar's, in its order. An overlap mode scales each
+    axis on which a pair of boxes reaches 2**500 by one power of two, which leaves its IoU
+    and GIoU as they are but keeps its areas finite.
     """
     if mode not in ("l2", "iou", "giou", "bbox_iou"):
         raise DataError(f"unknown box distance mode {mode!r}")
@@ -63,7 +64,10 @@ def box_batch(
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
         a, b = boxes[ga], boxes[gb]
         if mode == "l2":
-            sq = squares(a - b)
+            diff = a - b
+            if not np.isfinite(diff).all():  # the overflow squares raises, one step early
+                raise NumericError("a squared difference overflows the float range")
+            sq = squares(diff)
             d0 = np.sqrt((sq[:, 0] + sq[:, 1]) / 2.0)
             d1 = np.sqrt((sq[:, 2] + sq[:, 3]) / 2.0)
             return np.minimum(1.0, (d0 + d1) / l2_scale)

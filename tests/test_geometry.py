@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agreekit.distances.geometry import box_batch, oks_batch
-from agreekit.errors import DataError
+from agreekit.errors import DataError, NumericError
 from agreekit.payloads import Box, BoxSet, KeypointObject, KeypointSet
 from agreekit.registry import make_spec
 
@@ -343,6 +343,15 @@ def test_l2_clamps_at_one():
     assert got == want
     distances = spec.batch(payloads, [0, 0, 0], [1, 2, 3]).tolist()
     assert distances[0] < 1.0 and distances[1:] == [1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("far", [(0, 0, 1e200, 1), (1e308, 0, 1e308, 0)])
+def test_l2_overflow_is_numeric_error_however_far(far):
+    # a difference of 1e200 has an overflowing square; one of 2e308 overflows itself
+    near = (0, 0, 0, 0) if far[0] == 0 else (-1e308, 0, -1e308, 0)
+    with pytest.raises(NumericError, match="a squared difference overflows the float range"):
+        make_spec("box_l2", "boxes").batch([boxes(near), boxes(far)], [0], [1])
 
 
 def kps_with_params(*objects):

@@ -433,6 +433,20 @@ class TestCliCompute:
         assert "a squared difference overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_box_difference_is_numeric_error(self, tmp_path, capsys):
+        # one-point boxes at x = -1e308 and 1e308: the difference itself overflows
+        lines = [
+            json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "boxes",
+                        "label": [[1e308 * (-1) ** j, i, 1e308 * (-1) ** j, i]]})
+            for i in range(3)
+            for j in range(2)
+        ]
+        path = write_lines(tmp_path / "far.jsonl", lines)
+        out = tmp_path / "r.json"
+        assert main(["compute", "--input", path, "--distance", "box_l2", "--out", str(out)]) == 4
+        assert "a squared difference overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_vector_square_is_numeric_error(self, tmp_path, capsys):
         lines = [
             json.dumps({"item": f"i{i}", "annotator": f"a{j}", "kind": "vector",

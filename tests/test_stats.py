@@ -3,11 +3,14 @@ import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from agreekit.dataset import AnnotationRecord, Dataset, validate_dataset
 from agreekit.errors import DataError, NumericError, UsageError
@@ -478,6 +481,46 @@ TIED_KS_VALUES = st.integers(0, 4).map(lambda q: q / 4)
 KS_VALUES = st.one_of(TIED_KS_VALUES, st.floats(0.0, 1.0))
 
 
+def permutation_labels(s: DistanceSamples, n_permutations: int, batch: int = 0):
+    """Each permutation's slot labels, True for observed, with none skipped: its bin counts
+    drawn `batch` permutations at a time (all at once by default), every block of them
+    halved as the stream halves a block that may reach, and each bin's slots labelled by a
+    stable argsort of its keys' random bits, its observed keys first."""
+    m = s.observed.size
+    total = m + s.expected.size
+    bins, halvings = stats._KS_BINS, stats._KS_HALVINGS
+    first = np.arange(bins + 1) * total // bins
+    entropy = [s.seed, 0x4B53]
+    rng = np.random.default_rng(entropy)
+    rows = batch or n_permutations
+    counts = np.concatenate([
+        rng.multivariate_hypergeometric(np.diff(first), m, size=min(rows, n_permutations - done))
+        for done in range(0, n_permutations, rows)
+    ])
+    keys = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(0,)))
+    shift = np.uint64(((bins << halvings) - 1).bit_length() + 1)
+    block = 2**15 // (bins << halvings)
+    for start in range(0, n_permutations, block):
+        fine, edges = counts[start:start + block], first
+        halves = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(1, start)))
+        for _ in range(halvings):
+            mid = (edges[:-1] + edges[1:]) // 2
+            left = halves.hypergeometric(mid - edges[:-1], edges[1:] - mid, fine)
+            fine = np.stack([left, fine - left], axis=2).reshape(len(fine), -1)
+            edges = np.insert(edges, range(1, edges.size), mid)
+        assert np.array_equal(fine.reshape(len(fine), bins, -1).sum(axis=2),
+                              counts[start:start + block])
+        sizes = np.diff(edges)
+        bin_of_slot = np.repeat(np.arange(sizes.size), sizes)
+        for c, bits in zip(fine, keys.random_raw((len(fine), total)) >> shift):
+            observed = np.split(bits[:m], np.cumsum(c)[:-1])
+            expected = np.split(bits[m:], np.cumsum(sizes - c)[:-1])
+            labels = np.concatenate([np.argsort(np.concatenate([o, e]), kind="stable") < o.size
+                                     for o, e in zip(observed, expected)])
+            assert np.array_equal(np.bincount(bin_of_slot[labels], minlength=sizes.size), c)
+            yield labels
+
+
 def permutation_pvalue_batched(
     s: DistanceSamples, stat: float, n_permutations: int, batch: int
 ) -> float:
@@ -486,11 +529,11 @@ def permutation_pvalue_batched(
     pooled = np.sort(np.concatenate([s.observed, s.expected]))
     ends = np.append(pooled[:-1] != pooled[1:], True)
     positions = np.arange(1, pooled.size + 1)
-    rng = np.random.default_rng([s.seed, 0x4B53])
+    labels = permutation_labels(s, n_permutations, batch)
     exceed = done = 0
     while done < n_permutations:
         rows = min(batch, n_permutations - done)
-        is_obs = np.argsort(rng.random((rows, pooled.size)), axis=1) < m
+        is_obs = np.array([next(labels) for _ in range(rows)])
         cum_obs = np.cumsum(is_obs, axis=1)
         diffs = cum_obs / m - (positions - cum_obs) / (pooled.size - m)
         exceed += int(np.sum(diffs[:, ends].max(axis=1) >= stat - 1e-12))
@@ -509,14 +552,10 @@ def ecdf_gap_full_slots(is_obs: np.ndarray, pooled_sorted: np.ndarray) -> float:
 
 
 def permutation_maxima_reference(s: DistanceSamples, n_permutations: int) -> np.ndarray:
-    """Each permutation's gap, labelling slots by a full argsort of its uniform draws."""
-    m = s.observed.size
+    """Each permutation's gap by the full-slot formula, every permutation arranged."""
     pooled = np.sort(np.concatenate([s.observed, s.expected]))
-    rng = np.random.default_rng([s.seed, 0x4B53])
-    return np.array([
-        ecdf_gap_full_slots(np.argsort(rng.random(pooled.size)) < m, pooled)
-        for _ in range(n_permutations)
-    ])
+    return np.array([ecdf_gap_full_slots(labels, pooled)
+                     for labels in permutation_labels(s, n_permutations)])
 
 
 def thresholds_around(maxima: np.ndarray) -> np.ndarray:
@@ -581,11 +620,29 @@ class TestKs:
         exp = rng.integers(0, 40, 11_000) / 40
         s = samples(obs, exp, seed=9)
         result, peak_mb = traced_call(ks_measure, s, n_permutations=1000)
-        # one permutation at a time holds a few arrays of 12,100 values, well under 1 MB;
-        # all 1,000 as one matrix would peak near 400 MB
+        # one block of bin counts and one permutation's keys at a time, well under 1 MB;
+        # all 1,000 arrangements as one matrix would peak near 400 MB
         assert peak_mb < 4
-        # recorded with one 1000-row batch; drawing one row at a time draws the same rows
-        assert result.pvalue == 95 / 1001
+        # recorded here, and equal to permutation_pvalue_batched in 50-row batches
+        assert result.pvalue == 107 / 1001
+
+    def test_strong_statistic_counts_stay_memory_bounded(self):
+        rng = np.random.default_rng(12)
+        s = samples(rng.random(1_100) * 0.6, rng.random(11_000), seed=2)
+        result, peak_mb = traced_call(ks_measure, s, n_permutations=200_000)
+        # 200,000 x 16 counts drawn in one call would take 25.6 MB; no permutation reaches
+        assert peak_mb < 4
+        assert result.pvalue == 1 / 200_001
+
+    def test_bin_counts_do_not_depend_on_the_block(self):
+        # 700 permutations span three blocks of counts; the reference draws them in one call
+        rng = np.random.default_rng(13)
+        s = samples(rng.integers(0, 6, 5) / 6, rng.integers(0, 6, 20) / 6, seed=6)
+        maxima = permutation_maxima_reference(s, 700)
+        thresholds = np.unique(maxima).tolist()
+        expect = [(1 + int(np.sum(maxima >= t - 1e-12))) / 701 for t in thresholds]
+        assert 2**15 // (stats._KS_BINS << stats._KS_HALVINGS) < 700
+        assert _permutation_pvalues([s] * len(thresholds), thresholds, 700) == expect
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -671,16 +728,54 @@ class TestKs:
         for t in thresholds:
             expect = (1 + int(np.sum(maxima >= t - 1e-12))) / 81
             assert _permutation_pvalues([s], [t], 80) == [expect]
-        # both branches ran: some permutations were scored, the others skipped unsorted
+        # both branches ran: some permutations were scored, the others skipped unarranged
         assert 0 < len(scored) < 80 * thresholds.size
 
-    def test_largest_uniform_draw_stays_in_the_last_bucket(self):
-        top = np.nextafter(1.0, 0.0)
-        assert top == 1 - 2**-53
-        assert np.random.default_rng(0).random(10**6).max() <= top
-        m = np.concatenate([np.arange(1, 2_000_001), 2 ** np.arange(63)])
-        assert np.all(np.floor(top * m) < m)
-        assert np.all((top * m).astype(np.intp) < m)
+    def test_ks_measures_rejects_samples_of_other_sizes_or_seeds(self):
+        a = samples(np.arange(5) / 5, np.arange(10) / 10)
+        b = samples(np.arange(8) / 8, np.arange(30) / 30)
+        with pytest.raises(ValueError, match=r"observed size \[5, 8\], expected size \[10, 30\]"):
+            ks_measures([a, b], 200)
+        with pytest.raises(ValueError, match=r"differ in seed \[0, 1\]$"):
+            ks_measures([a, samples(a.observed, a.expected, seed=1)], 0)
+
+    def test_permutations_of_a_billion_distances_are_a_usage_error(self):
+        # numpy draws hypergeometric counts of fewer than 10**9 slots; the check
+        # comes before any work, so views of a billion zeros cost no memory
+        big = SimpleNamespace(observed=np.broadcast_to(0.0, (10**8,)),
+                              expected=np.broadcast_to(0.0, (9 * 10**8,)), seed=0)
+        with pytest.raises(UsageError, match=r"--exact-ks permutes fewer than 10\*\*9 pooled"):
+            ks_measures([big], 10)
+
+    def test_permutation_pvalue_estimates_the_enumerated_one(self):
+        # all C(24, 4) = 10,626 relabellings of a tied sample give the exact permutation p-value
+        obs, exp = [0.0, 0.25, 0.5, 0.75], [0.0] * 3 + [0.25] * 4 + [0.5] * 5 + [0.75, 1.0] * 4
+        s = samples(obs, exp, seed=21)
+        stat = ks_statistic(s.observed, s.expected)
+        pooled = np.sort(np.concatenate([s.observed, s.expected]))
+        run_ends, hits = _run_ends(pooled), 0
+        for subset in itertools.combinations(range(24), 4):
+            hits += _ecdf_gap(np.array(subset), run_ends, 4, 20) >= stat - 1e-12
+        exact = hits / math.comb(24, 4)
+        assert 0.05 < exact < 0.95
+        estimate = ks_measure(s, n_permutations=20_000).pvalue
+        assert abs(estimate - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / 20_000)
+
+    @pytest.mark.parametrize("halvings", [0, 1, 3])
+    def test_arrangements_are_uniform_subsets(self, monkeypatch, halvings):
+        # three bins of three slots: every count and every subset within the bins is drawn,
+        # by the keys alone, after one halving of each bin, or by halvings down to one slot
+        monkeypatch.setattr(stats, "_KS_BINS", 3)
+        monkeypatch.setattr(stats, "_KS_HALVINGS", halvings)
+        scored = []
+        monkeypatch.setattr(stats, "_ecdf_gap",
+                            lambda slots, *a: scored.append(tuple(slots.tolist())) or 0.0)
+        s = samples(np.zeros(3), np.ones(6), seed=17)
+        stats._permutation_pvalues([s], [-1.0], 8_400)  # every bound reaches -1: all scored
+        cells = Counter(scored)
+        assert len(scored) == 8_400 and set(cells) == set(itertools.combinations(range(9), 3))
+        counts = np.array(list(cells.values()))
+        assert chisquare(counts).pvalue > 1e-6
 
     def test_permutation_handles_ties(self):
         rng = np.random.default_rng(8)
