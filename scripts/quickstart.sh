@@ -3,7 +3,8 @@
 # boxes examples, a permutation KS p-value above its floor, `box_giou` on boxes at the
 # float limit, far span offsets, `levenshtein` and `ted` on small token and tree files, and
 # a rejection-sampled vector compute through the installed `agree` script, with the printed
-# rows pinned, a too-wide span's exit code and error line, plus `check-metric` on the
+# rows pinned, the exit code and error line of a too-wide span and of boxes whose corners
+# are out of order, plus `check-metric` on the
 # simulated ranking, vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
@@ -71,6 +72,20 @@ grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes
 grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
 grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
 grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
+# boxes whose corners are out of order on line 3 are a data error (exit 3) at load; the
+# malformed JSON on line 5 comes later in the file, so line 3 is the one reported
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "boxes", "label": [[0, 0, 1, 1]]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "boxes", "label": [[0, 0, 2, 2]]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "boxes", "label": [[2, 0, 1, 1]]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "boxes", "label": [[0, 0, 1, 1]]}' \
+  '{"item": "i2", "annotator": "a0", "kind": "boxes", "label": [[0, 0, 1, 1]]' > unordered.jsonl
+code=0
+agree compute --input unordered.jsonl --distance box_iou 2> unordered.txt || code=$?
+cat unordered.txt
+test "$code" -eq 3
+grep -Fx "error: unordered.jsonl:3: box corners out of order: Box(x0=2.0, y0=0.0, x1=1.0, y1=1.0)" \
+  unordered.txt
 # boxes at the float limit: the overlap kernel scales a pair whose widths, areas or hull
 # would overflow by a power of two, which leaves GIoU as it is
 printf '%s\n' \

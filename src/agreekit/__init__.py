@@ -19,7 +19,7 @@ Typical use:
 agreement_reports(ds, specs, ...) scores several distances as `agree compare`
 does: it plans pairs once, so all share one Do and one De, and takes each
 report's counts from that plan. It checks only that the payloads share one
-kind; validate_dataset(ds.records, ds.meta) lists the violations.
+kind; validate_dataset(ds) lists the violations.
 
 The `agree` console script exposes the same pipeline plus a noise simulator
 and a metric-property checker.

@@ -83,7 +83,7 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     check_measure_args(p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
                        n_permutations=args.exact_ks)
     dataset = _load(args)
-    summary = validate_dataset(dataset.records, dataset.meta)
+    summary = validate_dataset(dataset)
     if summary.violations:
         for v in summary.violations:
             print(f"validation: {v}", file=sys.stderr)
@@ -95,7 +95,7 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     specs = _specs(args, dataset, names)
     return agreement_reports(
         dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
-        de_sample_size=_resolve_de_samples(args.de_samples, len(dataset.records)),
+        de_sample_size=_resolve_de_samples(args.de_samples, len(dataset)),
         n_permutations=args.exact_ks, exclude_same_annotator=args.exclude_same_annotator,
     )
 

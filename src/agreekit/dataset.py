@@ -1,13 +1,17 @@
-"""Annotation records, datasets, and dataset validation."""
+"""Annotation records, datasets with their packed objects, and dataset validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from numbers import Real
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DataError
-from .payloads import LabelPayload, payload_kind
+from .payloads import LabelPayload, payload_kind, payload_to_json
 
 
 @dataclass(frozen=True)
@@ -23,31 +27,237 @@ class AnnotationRecord:
         object.__setattr__(self, "annotator_id", str(self.annotator_id))
 
 
+# parse(ks) -> the payloads of labels ks, in that order; a faulty label raises, the first in
+# file order if several are
+Parse = Callable[[Sequence[int]], list]
+
+
 @dataclass(frozen=True)
+class Boxes:
+    """Every record's boxes, packed record by record: counts[r] rows (x0, y0, x1, y1) of boxes
+    for record r, deduplicated and in BoxSet's order, so every sum over them keeps its order."""
+
+    counts: np.ndarray
+    boxes: np.ndarray
+
+
+@dataclass(frozen=True)
+class Spans:
+    """Every record's spans, packed record by record: counts[r] of them for record r,
+    deduplicated and in SpanSet's order. Offsets are int64, and tags are integer codes
+    that order as the tags do."""
+
+    counts: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    tag: np.ndarray
+
+
+@dataclass(frozen=True)
+class Keypoints:
+    """Every record's keypoint objects, packed record by record in KeypointSet's order: counts[r]
+    objects for record r, each with its point count, the box (x0, y0, x1, y1) of its points and
+    its scale, and every point, object by object, with its constant. A parameter an object
+    lacks is nan."""
+
+    counts: np.ndarray
+    n_points: np.ndarray
+    boxes: np.ndarray
+    scale: np.ndarray
+    points: np.ndarray
+    k: np.ndarray
+
+
+def _checked(labels: Sequence, parse: Parse, rows: Callable, rejected: Callable) -> tuple:
+    """Each label's object count, and rows(labels): the labels' objects as flat arrays.
+
+    rows reads labels in their plain form (lists of the exact arity holding plain int,
+    float and str values) and gives None if a label is in another form; rejected(*arrays)
+    flags each object the payload dataclasses reject. Each label that rows cannot read, or
+    that holds a flagged object, is parsed and replaced by payload_to_json of its payload:
+    parse raises the error of the first faulty label, or gives what the dataclasses make
+    of another form they accept (a bool or a numeric string as a number, a whole-float
+    offset, extra span fields)."""
+    labels, arrays = list(labels), rows(labels)
+    odd = [] if arrays is not None else [
+        k for k, label in enumerate(labels) if rows([label]) is None]
+    for k in odd:  # read as empty, so that rejected sees the other labels' objects
+        labels[k] = []
+    if odd:
+        arrays = rows(labels)
+    counts = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
+    record = np.repeat(np.arange(counts.size), counts)
+    bad = sorted(set(odd).union(record[rejected(*arrays)].tolist()))
+    if bad:
+        for k, payload in zip(bad, parse(bad)):
+            labels[k] = payload_to_json(payload)  # in the plain form, and accepted
+        arrays = rows(labels)
+        if arrays is None:
+            raise TypeError("cannot pack payloads of another kind")
+        counts = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
+    return counts, arrays
+
+
+def _canonical(counts: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objects that remain of each record's counts[r] once they are sorted by keys, the
+    first key first, and only the first of each run of equal objects is kept (as the set
+    kinds' set-and-sort keeps it), in that order; and how many remain of each record."""
+    record = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((*reversed(keys), record))  # stable
+    record = record[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = record[1:] != record[:-1]
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return order[new], np.bincount(record[new], minlength=counts.size)
+
+
+def _plain_objects(labels: Sequence, arity: int) -> Optional[list]:
+    """Every label's objects, if each label is a list of lists of arity values."""
+    if not set(map(type, labels)) <= {list}:
+        return None
+    objects = list(chain.from_iterable(labels))
+    if set(map(type, objects)) <= {list} and set(map(len, objects)) <= {arity}:
+        return objects
+    return None
+
+
+def _box_rows(labels: Sequence) -> Optional[tuple[np.ndarray]]:
+    boxes = _plain_objects(labels, 4)
+    values = list(chain.from_iterable(boxes or ()))
+    if boxes is None or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return (np.array(values, dtype=float).reshape(-1, 4),)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def pack_boxes(labels: Sequence, parse: Parse) -> Boxes:
+    """Boxes of boxes labels, checked as Box and BoxSet check them."""
+    counts, (boxes,) = _checked(labels, parse, _box_rows, lambda b: (
+        ~np.isfinite(b).all(axis=1) | (b[:, 0] > b[:, 2]) | (b[:, 1] > b[:, 3])))
+    keep, counts = _canonical(counts, *boxes.T)
+    return Boxes(counts, boxes[keep])
+
+
+def _span_rows(labels: Sequence) -> Optional[tuple]:
+    spans = _plain_objects(labels, 3)
+    if spans is None:
+        return None
+    start, end, tag = zip(*spans) if spans else ((), (), ())
+    if not (set(map(type, start + end)) <= {int} and set(map(type, tag)) <= {str}):
+        return None
+    try:
+        return np.array(start, dtype=np.int64), np.array(end, dtype=np.int64), tag
+    except OverflowError:  # an offset beyond int64
+        return None
+
+
+def pack_spans(labels: Sequence, parse: Parse) -> Spans:
+    """Spans of spans labels, checked as Span and SpanSet check them."""
+    counts, (start, end, tag) = _checked(labels, parse, _span_rows, lambda s, e, _: (
+        (s < 0) | (s >= e) | (e - s >= 2**31)))
+    codes = {t: i for i, t in enumerate(sorted(set(tag)))}
+    tag = np.fromiter(map(codes.__getitem__, tag), dtype=np.int64, count=len(tag))
+    keep, counts = _canonical(counts, start, end, tag)
+    return Spans(counts, start[keep], end[keep], tag[keep])
+
+
+def pack_keypoints(labels: Sequence, parse: Parse) -> Keypoints:
+    """Keypoints of keypoints labels, each parsed and checked as a KeypointSet."""
+    sets = parse(range(len(labels)))
+    objs = [obj for payload in sets for obj in payload.objects]
+    return Keypoints(
+        counts=np.array([len(payload.objects) for payload in sets], dtype=np.intp),
+        n_points=np.array([len(o.points) for o in objs], dtype=np.intp),
+        boxes=np.array([(min(xs), min(ys), max(xs), max(ys))
+                        for o in objs for xs, ys in [zip(*o.points)]], dtype=float).reshape(-1, 4),
+        scale=np.array([np.nan if o.scale is None else o.scale for o in objs], dtype=float),
+        points=np.array([pt for o in objs for pt in o.points], dtype=float).reshape(-1, 2),
+        k=np.array([k for o in objs for k in o.per_point_constant or (np.nan,) * len(o.points)],
+                   dtype=float),
+    )
+
+
+PACKERS = {"boxes": pack_boxes, "keypoints": pack_keypoints, "spans": pack_spans}
+
+
+def pack_payloads(kind: str, payloads: Sequence[LabelPayload]):
+    """What a kind's kernels read for a list of its payloads: a set kind's objects, packed
+    from payload_to_json as a file's labels are, and the list itself for any other kind."""
+    if kind not in PACKERS:
+        return payloads
+    return PACKERS[kind]([payload_to_json(p) for p in payloads],
+                         lambda ks: [payloads[k] for k in ks])
+
+
+def _codes(ids: Sequence[str]) -> np.ndarray:
+    codes: dict = {}
+    return np.array([codes.setdefault(i, len(codes)) for i in ids], dtype=np.intp)
+
+
 class Dataset:
     """Records in canonical (item, annotator) order plus free-form metadata.
 
-    meta keys used by the shipped distances: "ranges" (per-dimension [lo, hi]
+    meta keys used by the shipped distances: "ranges" (per-dimension [lo, hi] pairs
     for vectors), "universe" (ranking element list), "oks_scale_default",
     "oks_k_default".
+
+    item and annotator hold each record's item and annotator code, numbered in record order
+    (dict codes, as numpy str arrays drop trailing NULs). columns is what the kind's kernels
+    read: a set kind's packed objects (Boxes, Spans or Keypoints), any other kind's payload
+    list. A loaded dataset packs its labels at load and builds payloads and records only
+    when they are asked for; one built from records packs them when first needed.
     """
 
-    records: tuple[AnnotationRecord, ...]
-    meta: Mapping = field(default_factory=dict)
+    def __init__(self, records: Iterable[AnnotationRecord] = (),
+                 meta: Optional[Mapping] = None) -> None:
+        records = tuple(sorted(records, key=lambda r: (r.item_id, r.annotator_id)))
+        self._ids([r.item_id for r in records], [r.annotator_id for r in records], meta)
+        self.records = records
+        self._payloads = [r.payload for r in records]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.records, key=lambda r: (r.item_id, r.annotator_id))
-        )
-        object.__setattr__(self, "records", ordered)
-        object.__setattr__(self, "meta", dict(self.meta))
+    @classmethod
+    def from_columns(cls, kind: str, item_ids: Sequence[str], annotator_ids: Sequence[str],
+                     columns, parse: Optional[Parse] = None,
+                     meta: Optional[Mapping] = None) -> "Dataset":
+        """A dataset of one kind from its records' ids and columns, in canonical order.
+        parse(ks) gives the payloads of records ks; without it, columns are the payloads."""
+        dataset = cls.__new__(cls)
+        dataset._ids(item_ids, annotator_ids, meta)
+        dataset.kind, dataset.columns = kind, columns
+        dataset._parse = parse or (lambda ks: [columns[k] for k in ks])
+        return dataset
 
-    @property
+    def _ids(self, item_ids: Sequence[str], annotator_ids: Sequence[str],
+             meta: Optional[Mapping]) -> None:
+        self.item_ids, self.annotator_ids = tuple(item_ids), tuple(annotator_ids)
+        self.item, self.annotator = _codes(self.item_ids), _codes(self.annotator_ids)
+        self.meta = dict(meta or {})
+
+    def __len__(self) -> int:
+        return self.item.size
+
+    @cached_property
     def kind(self) -> str:
-        return dataset_kind(self.records[:1])  # the first record's; validation checks the rest
+        return dataset_kind(self.records)
+
+    @cached_property
+    def columns(self):
+        return pack_payloads(self.kind, self._payloads)
+
+    @cached_property
+    def _payloads(self) -> list[LabelPayload]:
+        return self._parse(range(len(self)))
+
+    @cached_property
+    def records(self) -> tuple[AnnotationRecord, ...]:
+        return tuple(map(AnnotationRecord, self.item_ids, self.annotator_ids, self._payloads))
 
     def payloads(self) -> list[LabelPayload]:
-        return [r.payload for r in self.records]
+        return list(self._payloads)
 
 
 @dataclass(frozen=True)
@@ -77,9 +287,10 @@ def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
 
 
 def validate_dataset(
-    records: Sequence[AnnotationRecord], meta: Optional[Mapping] = None
+    dataset: Union[Dataset, Iterable[AnnotationRecord]], meta: Optional[Mapping] = None
 ) -> ValidationSummary:
-    """Check dataset-level invariants and return counts plus a sorted violation list.
+    """Check dataset-level invariants of a Dataset, or of records and their meta, and return
+    counts plus a sorted violation list. meta defaults to the dataset's own.
 
     Hard errors (raised): empty input, mixed payload kinds, vector ranges that are
     not a list of [lo, hi] pairs of numbers, a ranking universe that is not a list.
@@ -88,26 +299,21 @@ def validate_dataset(
     vector length mismatches, rankings that are not
     permutations of the universe, items with fewer than two annotations.
     """
-    meta = dict(meta or {})
-    records = list(records)
-    kind = dataset_kind(records)
-    violations: list[str] = []
-
-    seen: set[tuple[str, str]] = set()
-    per_item: dict[str, int] = {}
-    for rec in records:
-        key = (rec.item_id, rec.annotator_id)
-        if key in seen:
-            violations.append(
-                f"duplicate annotation: item {rec.item_id!r} annotator {rec.annotator_id!r}"
-            )
-        seen.add(key)
-        per_item[rec.item_id] = per_item.get(rec.item_id, 0) + 1
-
-    for item_id, n in per_item.items():
-        if n < 2:
-            violations.append(f"item {item_id!r} has {n} annotation(s); it yields no observed pairs")
-
+    if not isinstance(dataset, Dataset):
+        dataset = Dataset(dataset, meta)
+    meta = dict(dataset.meta if meta is None else meta)
+    kind = dataset.kind
+    item, annotator, item_ids = dataset.item, dataset.annotator, dataset.item_ids
+    # the records are sorted by (item, annotator), so duplicates are neighbours
+    duplicate = np.flatnonzero((item[1:] == item[:-1]) & (annotator[1:] == annotator[:-1])) + 1
+    violations = [f"duplicate annotation: item {item_ids[k]!r} annotator "
+                  f"{dataset.annotator_ids[k]!r}" for k in duplicate.tolist()]
+    first = np.flatnonzero(np.diff(item, prepend=-1))  # each item's first record
+    sizes = np.diff(first, append=item.size)
+    violations += [f"item {item_ids[k]!r} has {n} annotation(s); it yields no observed pairs"
+                   for k, n in zip(first[sizes < 2].tolist(), sizes[sizes < 2].tolist())]
+    if kind in ("vector", "ranking"):
+        records = list(zip(item_ids, dataset.annotator_ids, dataset.payloads()))
     if kind == "vector":
         ranges = meta.get("ranges")
         if ranges is not None and not (isinstance(ranges, (list, tuple)) and all(
@@ -115,16 +321,16 @@ def validate_dataset(
             and all(isinstance(x, Real) and not isinstance(x, bool) for x in r) for r in ranges
         )):
             raise DataError(f"ranges must be a list of [lo, hi] pairs of numbers, got {ranges!r}")
-        lengths = {len(r.payload.values) for r in records}
+        lengths = {len(payload.values) for _, _, payload in records}
         if len(lengths) > 1:
             violations.append(f"inconsistent vector lengths: {sorted(lengths)}")
         if ranges is not None:
             nan_ranges: dict[int, tuple] = {}
-            for rec in records:
-                vals = rec.payload.values
+            for item_id, annotator_id, payload in records:
+                vals = payload.values
                 if len(vals) != len(ranges):
                     violations.append(
-                        f"item {rec.item_id!r} annotator {rec.annotator_id!r}: "
+                        f"item {item_id!r} annotator {annotator_id!r}: "
                         f"vector length {len(vals)} != {len(ranges)} configured ranges"
                     )
                     continue
@@ -134,7 +340,7 @@ def validate_dataset(
                         nan_ranges[i] = (lo, hi)
                     elif not (lo <= v <= hi):
                         violations.append(
-                            f"item {rec.item_id!r} annotator {rec.annotator_id!r}: "
+                            f"item {item_id!r} annotator {annotator_id!r}: "
                             f"value {v} outside range [{lo}, {hi}] at dimension {i}"
                         )
             violations += [f"range [{lo}, {hi}] at dimension {i} has a NaN bound"
@@ -143,21 +349,21 @@ def validate_dataset(
     if kind == "ranking":
         universe = meta.get("universe")
         if universe is None:
-            universe = list(records[0].payload.order)
+            universe = list(records[0][2].order)
         elif not isinstance(universe, (list, tuple)):
             raise DataError(f"universe must be a list of elements, got {universe!r}")
         expected = sorted(str(e) for e in universe)
-        for rec in records:
-            if sorted(rec.payload.order) != expected:
+        for item_id, annotator_id, payload in records:
+            if sorted(payload.order) != expected:
                 violations.append(
-                    f"item {rec.item_id!r} annotator {rec.annotator_id!r}: "
+                    f"item {item_id!r} annotator {annotator_id!r}: "
                     f"ranking is not a permutation of the universe"
                 )
 
     return ValidationSummary(
-        items=len(per_item),
-        annotators=len({r.annotator_id for r in records}),
-        annotations=len(records),
+        items=first.size,
+        annotators=int(annotator.max()) + 1,
+        annotations=item.size,
         kind=kind,
         violations=tuple(sorted(violations)),
     )

@@ -11,54 +11,41 @@ adds left to right, so each value has the same bits on every Python version.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Union
 
 import numpy as np
 
+from ..dataset import Boxes, Keypoints
 from ..errors import DataError, NumericError
-from ..payloads import Box, KeypointObject
 from .multiobject import min_match_batch
 from .vector_text import squares
-
-
-def _box_corners(box: Box) -> tuple[float, float, float, float]:
-    return box.x0, box.y0, box.x1, box.y1
-
-
-def _hull_corners(obj: KeypointObject) -> tuple[float, float, float, float]:
-    xs = [p[0] for p in obj.points]
-    ys = [p[1] for p in obj.points]
-    return min(xs), min(ys), max(xs), max(ys)
 
 
 # finite corners can overflow to an inf difference, which l2 raises as NumericError, so
 # numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def box_batch(
-    payloads: Sequence,
+    packed: Union[Boxes, Keypoints],
     ia: np.ndarray,
     ib: np.ndarray,
-    objects: Callable,
     mode: str,
     l2_scale: float = 20.0,
 ) -> np.ndarray:
-    """Min-match lift of a box distance for each pair (payloads[ia[t]], payloads[ib[t]]).
+    """Min-match lift of a box distance for each pair (ia[t], ib[t]) of packed records.
 
     mode "l2" scores two boxes min(1, (d0 + d1) / l2_scale), d0 and d1 being the RMSE
     of the upper-left and of the lower-right corners' coordinate differences, and raises
     NumericError when a difference or its square overflows. "iou" scores them 1 - IoU,
     "giou" (1 - GIoU) / 2, and "bbox_iou" is 1 - IoU of the bounding boxes of two
-    keypoint objects' points. Two boxes of no union (both degenerate) are 0 apart when
-    equal and 1 otherwise. Every payload's boxes are packed once into one coordinate
-    array, and each operation is the scalar's, in its order. An overlap mode scales each
-    axis on which a pair of boxes reaches 2**500 by one power of two, which leaves its IoU
-    and GIoU as they are but keeps its areas finite.
+    keypoint objects' points (packed.boxes of Keypoints). Two boxes of no union (both
+    degenerate) are 0 apart when equal and 1 otherwise. Each operation is the scalar's,
+    in its order. An overlap mode scales each axis on which a pair of boxes reaches
+    2**500 by one power of two, which leaves its IoU and GIoU as they are but keeps its
+    areas finite.
     """
     if mode not in ("l2", "iou", "giou", "bbox_iou"):
         raise DataError(f"unknown box distance mode {mode!r}")
-    corners = _hull_corners if mode == "bbox_iou" else _box_corners
-    sets = [objects(p) for p in payloads]
-    boxes = np.array([corners(obj) for objs in sets for obj in objs], dtype=float).reshape(-1, 4)
+    boxes = packed.boxes
     reach = np.abs(boxes).reshape(-1, 2, 2).max(axis=1)  # each box's largest |x| and |y|
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
@@ -98,39 +85,34 @@ def box_batch(
             d[degenerate] = np.where(equal, 0.0, 1.0)
         return d
 
-    return min_match_batch([len(objs) for objs in sets], ia, ib, inner)
+    return min_match_batch(packed.counts, ia, ib, inner)
 
 
 # 2 s^2 k^2 can overflow, or underflow to 0 and give a nan 0 / 0 for coincident points;
 # DistanceSamples rejects a nan distance, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def oks_batch(
-    payloads: Sequence,
+    packed: Keypoints,
     ia: np.ndarray,
     ib: np.ndarray,
-    objects: Callable,
     scale_default: Optional[float] = None,
     k_default: Optional[float] = None,
 ) -> np.ndarray:
-    """Min-match lift of 1 - OKS for each pair (payloads[ia[t]], payloads[ib[t]]).
+    """Min-match lift of 1 - OKS for each pair (ia[t], ib[t]) of packed records.
 
     OKS is mean exp(-d_i^2 / (2 s^2 k_i^2)). The definition leaves open whose scale s
     and constants k_i apply, so the score is evaluated under each object's parameters
     and averaged, which restores symmetry; objects without their own take scale_default
-    and k_default. Every object's points and denominators 2 s^2 k_i^2 are packed once.
+    and k_default. Every object's denominators 2 s^2 k_i^2 are computed once.
     Each exp is math.exp, and each object pair's terms are added left to right from
     0.0. Differing point counts and missing parameters, or ones so small that 2 s^2 k^2
     underflows, raise DataError at the first scored object pair they affect.
     """
-    sets = [objects(p) for p in payloads]
-    objs: list[KeypointObject] = [obj for objs in sets for obj in objs]
-    n_points = np.array([len(o.points) for o in objs], dtype=np.intp)
+    n_points, points = packed.n_points, packed.points
     first = np.cumsum(n_points) - n_points
-    points = np.array([pt for o in objs for pt in o.points], dtype=float).reshape(-1, 2)
-    # a missing parameter without a default is nan
-    scale = np.array([scale_default if o.scale is None else o.scale for o in objs], dtype=float)
-    ks = np.array([k for o in objs for k in o.per_point_constant or (k_default,) * len(o.points)],
-                  dtype=float)
+    # a missing parameter takes its default, and stays nan without one (defaults are positive)
+    scale = np.where(np.isnan(packed.scale), scale_default or np.nan, packed.scale)
+    ks = np.where(np.isnan(packed.k), k_default or np.nan, packed.k)
     s = np.repeat(scale, n_points)
     denominator = 2.0 * s * s * ks * ks
     # each object's first fault, if any; a denominator under the smallest normal float underflowed
@@ -162,4 +144,4 @@ def oks_batch(
         oks_a, oks_b = total / n
         return 1.0 - (oks_a + oks_b) / 2.0
 
-    return min_match_batch([len(objs) for objs in sets], ia, ib, inner)
+    return min_match_batch(packed.counts, ia, ib, inner)

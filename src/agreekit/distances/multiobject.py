@@ -9,11 +9,11 @@ a metric inner distance, so every lifted registry entry is a dissimilarity.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ..payloads import SpanSet
+from ..dataset import Boxes, Keypoints, Spans
 
 
 def _blocks(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray) -> tuple:
@@ -82,14 +82,14 @@ def min_match_batch(
 
 
 def count_diff_batch(
-    payloads: Sequence, ia: np.ndarray, ib: np.ndarray, objects: Callable, normalize: bool
+    packed: Union[Boxes, Keypoints, Spans], ia: np.ndarray, ib: np.ndarray, normalize: bool
 ) -> np.ndarray:
-    """|#A - #B| of the object sets of each pair (payloads[ia[t]], payloads[ib[t]]).
+    """|#A - #B| of the object sets of each pair (ia[t], ib[t]) of packed records.
 
     normalize divides it by max(#A, #B, 1). Counts are exact small integers, so
     the one division is correctly rounded.
     """
-    counts = np.array([len(objects(p)) for p in payloads], dtype=np.int64)
+    counts = packed.counts.astype(np.int64)
     na, nb = counts[ia], counts[ib]
     diff = np.abs(na - nb)
     if not normalize:
@@ -98,13 +98,13 @@ def count_diff_batch(
 
 
 def ner_batch(
-    payloads: Sequence[SpanSet],
+    packed: Spans,
     ia: np.ndarray,
     ib: np.ndarray,
     range_strict: bool,
     tag_strict: bool,
 ) -> np.ndarray:
-    """Span-set distance of each pair (payloads[ia[t]], payloads[ib[t]]), in [0, 1].
+    """Span-set distance of each pair (ia[t], ib[t]) of packed records, in [0, 1].
 
     D = 1 - 2*S_ab*S_ba / (S_ab + S_ba), the inverted harmonic mean of the two
     directional similarities; both directions zero means distance 1. Both sets
@@ -113,14 +113,10 @@ def ner_batch(
     and of its very range when range_strict (so a span then scores 0 or 1). Each span
     is scored on its row (or column) of the _blocks cells of the min-match lift.
     """
-    spans = [s for p in payloads for s in p.spans]
-    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(
-        [len(p.spans) for p in payloads], ia, ib)
+    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(packed.counts, ia, ib)
     if not full.size:
         return out
-    codes = {}  # integer tag codes, as a numpy str array drops trailing NULs
-    start, end, tag = np.array([[s.start, s.end, codes.setdefault(s.tag, len(codes))]
-                                for s in spans], dtype=np.int64).T
+    start, end, tag = packed.start, packed.end, packed.tag
     usable = tag[ga] == tag[gb] if tag_strict else np.ones(ga.size, dtype=bool)
     if range_strict:
         usable &= (start[ga] == start[gb]) & (end[ga] == end[gb])

@@ -25,139 +25,85 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .dataset import AnnotationRecord, Dataset
+from .dataset import PACKERS, Dataset
 from .errors import DataError
-from .payloads import (
-    Box,
-    BoxSet,
-    KeypointObject,
-    KeypointSet,
-    LabelPayload,
-    NumericVector,
-    Ranking,
-    Span,
-    SpanSet,
-    TokenSequence,
-    tree_from_nested,
-    tree_to_nested,
-)
+from .payloads import parse_payload, payload_to_json
 from .distances.vector_text import TokenEmbeddingTable
-
-
-def parse_payload(kind: str, label: object, sentence_id: Optional[str] = None) -> LabelPayload:
-    try:
-        if kind == "vector":
-            return NumericVector(values=tuple(label))
-        if kind == "tokens":
-            if isinstance(label, dict):
-                return TokenSequence(
-                    tokens=tuple(label["tokens"]),
-                    sentence_id=label.get("sentence_id", sentence_id),
-                )
-            return TokenSequence(tokens=tuple(label), sentence_id=sentence_id)
-        if kind == "boxes":
-            return BoxSet(boxes=tuple(Box(*b) for b in label))
-        if kind == "keypoints":
-            objs = []
-            for obj in label:
-                objs.append(
-                    KeypointObject(
-                        points=tuple((p[0], p[1]) for p in obj["points"]),
-                        scale=obj.get("scale"),
-                        per_point_constant=(
-                            tuple(obj["k"]) if obj.get("k") is not None else None
-                        ),
-                    )
-                )
-            return KeypointSet(objects=tuple(objs))
-        if kind == "spans":
-            return SpanSet(spans=tuple(Span(start=s[0], end=s[1], tag=str(s[2])) for s in label))
-        if kind == "tree":
-            return tree_from_nested(label)
-        if kind == "ranking":
-            return Ranking(order=tuple(label))
-    except DataError:
-        raise
-    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
-        raise DataError(f"malformed {kind} payload: {exc}") from exc
-    raise DataError(f"unknown payload kind {kind!r}")
-
-
-def payload_to_json(payload: LabelPayload) -> object:
-    if isinstance(payload, NumericVector):
-        return list(payload.values)
-    if isinstance(payload, TokenSequence):
-        return list(payload.tokens)
-    if isinstance(payload, BoxSet):
-        return [[b.x0, b.y0, b.x1, b.y1] for b in payload.boxes]
-    if isinstance(payload, KeypointSet):
-        out = []
-        for obj in payload.objects:
-            entry: dict = {"points": [[x, y] for x, y in obj.points]}
-            if obj.scale is not None:
-                entry["scale"] = obj.scale
-            if obj.per_point_constant is not None:
-                entry["k"] = list(obj.per_point_constant)
-            out.append(entry)
-        return out
-    if isinstance(payload, SpanSet):
-        return [[s.start, s.end, s.tag] for s in payload.spans]
-    if isinstance(payload, Ranking):
-        return list(payload.order)
-    return tree_to_nested(payload)
 
 
 def load_dataset(path: str) -> Dataset:
     """Parse and structurally validate a JSONL dataset file.
 
-    Errors carry the 1-based line number. Token sequences get the sentence id
-    "<item>::<annotator>" unless the line provides one, matching the
-    embedding-file convention.
+    Errors carry the 1-based line number of the first faulty line. Token sequences get
+    the sentence id "<item>::<annotator>" unless the line provides one, matching the
+    embedding-file convention. A set kind's labels are checked and packed together once
+    every line is read (dataset.PACKERS); their payloads are built only if asked for.
     """
-    records: list[AnnotationRecord] = []
+    items: list[str] = []
+    annotators: list[str] = []
+    labels: list = []  # payloads, for a kind with no packer
+    linenos: list[int] = []
     meta: dict = {}
     kind: Optional[str] = None
+    fault: Optional[DataError] = None  # the first faulty line's, raised after the labels before it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-                raise DataError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise DataError(f"{path}:{lineno}: nested too deeply") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            if "meta" in obj and "item" not in obj:
-                if not isinstance(obj["meta"], dict):
-                    raise DataError(f"{path}:{lineno}: meta must be a JSON object")
-                meta.update(obj["meta"])
-                continue
-            try:
-                item = str(obj["item"])
-                annotator = str(obj["annotator"])
-                line_kind = str(obj["kind"])
-                label = obj["label"]
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc}") from exc
-            if kind is None:
-                kind = line_kind
-            elif line_kind != kind:
-                raise DataError(
-                    f"{path}:{lineno}: payload kind {line_kind!r} differs from {kind!r}"
-                )
-            try:
-                payload = parse_payload(line_kind, label, sentence_id=f"{item}::{annotator}")
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+                    raise DataError(f"malformed JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise DataError("expected a JSON object")
+                if "meta" in obj and "item" not in obj:
+                    if not isinstance(obj["meta"], dict):
+                        raise DataError("meta must be a JSON object")
+                    meta.update(obj["meta"])
+                    continue
+                try:
+                    item, annotator = str(obj["item"]), str(obj["annotator"])
+                    line_kind, label = str(obj["kind"]), obj["label"]
+                except KeyError as exc:
+                    raise DataError(f"missing field {exc}") from exc
+                if kind is None:
+                    kind = line_kind
+                elif line_kind != kind:
+                    raise DataError(f"payload kind {line_kind!r} differs from {kind!r}")
+                if kind not in PACKERS:
+                    label = parse_payload(kind, label, sentence_id=f"{item}::{annotator}")
             except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            except RecursionError as exc:
-                raise DataError(f"{path}:{lineno}: nested too deeply") from exc
-            records.append(AnnotationRecord(item_id=item, annotator_id=annotator, payload=payload))
-    if not records:
-        raise DataError(f"{path}: empty dataset")
-    return Dataset(records=tuple(records), meta=meta)
+                fault = DataError(f"{path}:{lineno}: {exc}")
+                break
+            except RecursionError:
+                fault = DataError(f"{path}:{lineno}: nested too deeply")
+                break
+            items.append(item)
+            annotators.append(annotator)
+            labels.append(label)
+            linenos.append(lineno)
+    if not labels:
+        raise fault or DataError(f"{path}: empty dataset")
+    order = sorted(range(len(labels)), key=list(zip(items, annotators)).__getitem__)
+    columns, parse = [labels[k] for k in order], None
+    if kind in PACKERS:
+        def parse(ks):
+            """The payloads of records ks (in canonical order), parsed in file order."""
+            payloads = {}
+            for k in sorted(ks, key=order.__getitem__):
+                try:
+                    payloads[k] = parse_payload(kind, labels[order[k]])
+                except DataError as exc:
+                    raise DataError(f"{path}:{linenos[order[k]]}: {exc}") from exc
+            return [payloads[k] for k in ks]
+
+        columns = PACKERS[kind](columns, parse)
+    if fault is not None:
+        raise fault
+    return Dataset.from_columns(kind, [items[k] for k in order], [annotators[k] for k in order],
+                                columns, parse, meta)
 
 
 def dataset_lines(dataset: Dataset):

@@ -228,3 +228,66 @@ def tree_from_nested(node: object) -> OrderedTree:
 
 def tree_to_nested(tree: OrderedTree) -> list:
     return [tree.label, [tree_to_nested(c) for c in tree.children]]
+
+
+def parse_payload(kind: str, label: object, sentence_id: Optional[str] = None) -> LabelPayload:
+    try:
+        if kind == "vector":
+            return NumericVector(values=tuple(label))
+        if kind == "tokens":
+            if isinstance(label, dict):
+                return TokenSequence(
+                    tokens=tuple(label["tokens"]),
+                    sentence_id=label.get("sentence_id", sentence_id),
+                )
+            return TokenSequence(tokens=tuple(label), sentence_id=sentence_id)
+        if kind == "boxes":
+            return BoxSet(boxes=tuple(Box(*b) for b in label))
+        if kind == "keypoints":
+            objs = []
+            for obj in label:
+                objs.append(
+                    KeypointObject(
+                        points=tuple((p[0], p[1]) for p in obj["points"]),
+                        scale=obj.get("scale"),
+                        per_point_constant=(
+                            tuple(obj["k"]) if obj.get("k") is not None else None
+                        ),
+                    )
+                )
+            return KeypointSet(objects=tuple(objs))
+        if kind == "spans":
+            return SpanSet(spans=tuple(Span(start=s[0], end=s[1], tag=str(s[2])) for s in label))
+        if kind == "tree":
+            return tree_from_nested(label)
+        if kind == "ranking":
+            return Ranking(order=tuple(label))
+    except DataError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise DataError(f"malformed {kind} payload: {exc}") from exc
+    raise DataError(f"unknown payload kind {kind!r}")
+
+
+def payload_to_json(payload: LabelPayload) -> object:
+    if isinstance(payload, NumericVector):
+        return list(payload.values)
+    if isinstance(payload, TokenSequence):
+        return list(payload.tokens)
+    if isinstance(payload, BoxSet):
+        return [[b.x0, b.y0, b.x1, b.y1] for b in payload.boxes]
+    if isinstance(payload, KeypointSet):
+        out = []
+        for obj in payload.objects:
+            entry: dict = {"points": [[x, y] for x, y in obj.points]}
+            if obj.scale is not None:
+                entry["scale"] = obj.scale
+            if obj.per_point_constant is not None:
+                entry["k"] = list(obj.per_point_constant)
+            out.append(entry)
+        return out
+    if isinstance(payload, SpanSet):
+        return [[s.start, s.end, s.tag] for s in payload.spans]
+    if isinstance(payload, Ranking):
+        return list(payload.order)
+    return tree_to_nested(payload)

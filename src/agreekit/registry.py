@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .dataset import PACKERS, pack_payloads
 from .distances.geometry import box_batch, oks_batch
 from .distances.multiobject import count_diff_batch, ner_batch
 from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_batch
@@ -26,8 +26,9 @@ from .distances.vector_text import TokenEmbeddingTable, translation_batch, vecto
 from .errors import UsageError
 
 PairFn = Callable[[object, object], float]
-# kernel(payloads, ia, ib) -> distances of the pairs (payloads[ia[t]], payloads[ib[t]])
-BatchFn = Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]
+# kernel(columns, ia, ib) -> distances of the pairs (ia[t], ib[t]) of records, given what
+# Dataset.columns holds for the kind: a set kind's packed objects, another's payloads
+BatchFn = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,12 @@ class DistanceSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
         if self.fn is None:
-            object.__setattr__(self, "fn", lambda a, b: float(self.kernel([a, b], [0], [1])[0]))
+            object.__setattr__(self, "fn", lambda a, b: float(self.batch([a, b], [0], [1])[0]))
 
     def batch(self, payloads: Sequence, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-        """Distances of the pairs (payloads[ia[t]], payloads[ib[t]]), in order, as floats."""
-        return self.kernel(payloads, ia, ib)
+        """Distances of the pairs (payloads[ia[t]], payloads[ib[t]]), in order, as floats. A
+        set kind's payloads are packed first, as a loaded file's labels are."""
+        return self.kernel(pack_payloads(self.payload_kind, payloads), ia, ib)
 
 
 def _bool_param(params: Mapping, key: str, default: bool) -> bool:
@@ -67,23 +69,22 @@ def _positive_finite(key: str, value) -> float:
     return value
 
 
-# Builders, one per distance family: build(mode, params, meta, embeddings, objects) ->
-# the family's batch kernel. `objects` reads the object tuple of a set-valued payload and
-# is None for other kinds.
+# Builders, one per distance family: build(mode, params, meta, embeddings) -> the family's
+# batch kernel.
 
 
-def _vector(mode, params, meta, embeddings, objects):
+def _vector(mode, params, meta, embeddings):
     ranges = None if mode == "binary" else params.get("ranges", meta.get("ranges"))
     if ranges is not None:
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
     return partial(vector_batch, mode=mode, ranges=ranges)
 
 
-def _tokens(mode, params, meta, embeddings, objects):
+def _tokens(mode, params, meta, embeddings):
     return partial(translation_batch, mode=mode, raw=_bool_param(params, "raw", False))
 
 
-def _embedding(mode, params, meta, embeddings, objects):
+def _embedding(mode, params, meta, embeddings):
     table = embeddings
     path = params.get("embeddings")
     if table is None and path is not None:
@@ -100,35 +101,35 @@ def _embedding(mode, params, meta, embeddings, objects):
     return partial(translation_batch, mode=mode, embeddings=table)
 
 
-def _box(mode, params, meta, embeddings, objects):
+def _box(mode, params, meta, embeddings):
     # l2_scale assumes coordinates in the original dataset's units; override per dataset
     l2_scale = _positive_finite("l2_scale", params.get("l2_scale", 20.0))
-    return partial(box_batch, objects=objects, mode=mode, l2_scale=l2_scale)
+    return partial(box_batch, mode=mode, l2_scale=l2_scale)
 
 
-def _keypoints(mode, params, meta, embeddings, objects):
+def _keypoints(mode, params, meta, embeddings):
     defaults = {}
     for key in ("scale_default", "k_default"):
         value = params.get(key, meta.get("oks_" + key))
         defaults[key] = None if value is None else _positive_finite(key, value)
-    return partial(oks_batch, objects=objects, **defaults)
+    return partial(oks_batch, **defaults)
 
 
-def _count(mode, params, meta, embeddings, objects):
+def _count(mode, params, meta, embeddings):
     normalize = _bool_param(params, "normalize", True)
-    return partial(count_diff_batch, objects=objects, normalize=normalize)
+    return partial(count_diff_batch, normalize=normalize)
 
 
-def _ner(mode, params, meta, embeddings, objects):
+def _ner(mode, params, meta, embeddings):
     range_strict, tag_strict = mode
     return partial(ner_batch, range_strict=range_strict, tag_strict=tag_strict)
 
 
-def _tree(mode, params, meta, embeddings, objects):
+def _tree(mode, params, meta, embeddings):
     return partial(tree_batch, cfg=TedConfig(variant=mode))
 
 
-def _ranking(mode, params, meta, embeddings, objects):
+def _ranking(mode, params, meta, embeddings):
     k = params.get("k", 5)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
@@ -145,12 +146,6 @@ class _Entry:
     mode: object
     summary: str
 
-
-_OBJECTS = {
-    "boxes": attrgetter("boxes"),
-    "keypoints": attrgetter("objects"),
-    "spans": attrgetter("spans"),
-}
 
 # Normalized edit distances, set lifts, similarity inversions, rho and the tie-ranked
 # top-k projection break the triangle inequality; tau on permutations and plain TED are
@@ -180,7 +175,7 @@ _ENTRIES = {
                   "min-match lift of 1 - object keypoint similarity"),
     "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _box, "bbox_iou",
                        "min-match lift of 1 - IoU of keypoint hull boxes"),
-    "count_diff": _Entry(tuple(_OBJECTS), ("normalize",), False, 1.0, _count, None,
+    "count_diff": _Entry(tuple(PACKERS), ("normalize",), False, 1.0, _count, None,
                          "absolute object-count difference (normalize=false for the raw count)"),
     "ner_both_lenient": _Entry(("spans",), (), True, 1.0, _ner, (False, False),
                                "token-overlap span similarity, any tag, harmonic-mean combined"),
@@ -258,7 +253,7 @@ def make_spec(
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
     try:
-        kernel = entry.build(entry.mode, params, meta, embeddings, _OBJECTS.get(kind))
+        kernel = entry.build(entry.mode, params, meta, embeddings)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity

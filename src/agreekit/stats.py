@@ -14,14 +14,13 @@ and estimate the chance level. Measures:
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dataset import AnnotationRecord, Dataset, dataset_kind
+from .dataset import AnnotationRecord, Dataset
 from .dataset import validate_dataset  # noqa: F401 perfbench/tracing.py wraps it here by name
 from .errors import DataError, NumericError, UsageError
 from .kde import fit_kde, kde_cdf
@@ -66,12 +65,11 @@ def _record_pairs(dataset: Dataset, ia: np.ndarray, ib: np.ndarray) -> list:
     return [(records[i], records[j]) for i, j in zip(ia.tolist(), ib.tolist())]
 
 
-def _item_ends(records: Sequence[AnnotationRecord]) -> np.ndarray:
-    """end[i]: the index of the first record after record i's item in the item-sorted
-    records. Ids compare with Python !=, as numpy str arrays drop trailing NULs."""
-    n = len(records)
-    stops = [i for i in range(1, n) if records[i].item_id != records[i - 1].item_id] + [n]
-    return np.repeat(np.array(stops, dtype=np.intp), np.diff(stops, prepend=0))
+def _item_ends(item: np.ndarray) -> np.ndarray:
+    """end[i]: the index of the first record after record i's item, given the item codes
+    of item-sorted records (Dataset.item)."""
+    stops = np.append(np.flatnonzero(item[1:] != item[:-1]) + 1, item.size)
+    return np.repeat(stops, np.diff(stops, prepend=0))
 
 
 def _unrank(rank: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,16 +89,14 @@ def _observed_indices(end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def observed_pairs(dataset: Dataset) -> list[tuple[AnnotationRecord, AnnotationRecord]]:
     """All unordered same-item pairs, duplicate annotations included, in canonical order."""
-    return _record_pairs(dataset, *_observed_indices(_item_ends(dataset.records)))
+    return _record_pairs(dataset, *_observed_indices(_item_ends(dataset.item)))
 
 
-def _partners(records: Sequence[AnnotationRecord], exclude: bool) -> tuple[np.ndarray, ...]:
+def _partners(dataset: Dataset, exclude: bool) -> tuple[np.ndarray, ...]:
     """Each record's cross-item partners: the width[i] records from end[i] on, less
     its own annotator's if excluded. Also the annotator codes and the sorted keys
     annotator * n + index, which hold each annotator's records as one ascending run."""
-    n = len(records)
-    end, codes = _item_ends(records), {}
-    annotator = np.array([codes.setdefault(r.annotator_id, len(codes)) for r in records])
+    n, end, annotator = len(dataset), _item_ends(dataset.item), dataset.annotator
     key = np.sort(annotator * n + np.arange(n))
     width = n - end
     if exclude:
@@ -111,7 +107,7 @@ def _partners(records: Sequence[AnnotationRecord], exclude: bool) -> tuple[np.nd
 
 def count_expected_pairs(dataset: Dataset, exclude_same_annotator: bool = False) -> int:
     """Cross-item record pairs (less same-annotator ones if excluded): what De samples."""
-    return int(_partners(dataset.records, exclude_same_annotator)[1].sum())
+    return int(_partners(dataset, exclude_same_annotator)[1].sum())
 
 
 def _expected_indices(
@@ -146,7 +142,10 @@ def _expected_indices(
         kept, row_width = np.empty(0, dtype=np.intp), np.arange(n)
         while (need := want - kept.size) > 0:
             batch = rng.integers(0, total_pairs, size=max(1024, 2 * need))
-            t, at = np.unique(batch, return_index=True)  # each rank drawn, and its first draw
+            order = np.argsort(batch)  # each rank drawn, and its first draw (its least index)
+            t = batch[order]
+            runs = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
+            t, at = t[runs], np.minimum.reduceat(order, runs)
             i, j = _unrank(t, row_width)
             ok = (i >= end[j]) & ~(exclude_same_annotator & (annotator[i] == annotator[j]))
             ok &= np.searchsorted(kept, t) == np.searchsorted(kept, t, "right")  # not kept yet
@@ -172,7 +171,7 @@ def expected_pairs(
     admissible pairs among uniform candidates are kept, in draw order, which
     draws a different sample for the same seed. Memory is O(n + sample_size).
     """
-    partners = _partners(dataset.records, exclude_same_annotator)
+    partners = _partners(dataset, exclude_same_annotator)
     ia, ib = _expected_indices(partners, sample_size, seed, exclude_same_annotator)
     return _record_pairs(dataset, ia, ib)
 
@@ -181,7 +180,7 @@ def _plan_pairs(
     dataset: Dataset, de_sample_size: Optional[int], seed: int, exclude_same_annotator: bool
 ) -> PairPlan:
     """Observed pairs, sampled expected pairs and the counts, from one partner table."""
-    partners = end, width, annotator, _ = _partners(dataset.records, exclude_same_annotator)
+    partners = end, width, annotator, _ = _partners(dataset, exclude_same_annotator)
     observed = _observed_indices(end)
     available = int(width.sum())
     if de_sample_size is None:
@@ -195,9 +194,9 @@ def _plan_pairs(
 
 
 def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -> DistanceSamples:
-    # one batch call for both sides, so a kernel prepares each payload once
+    # one kernel call for both sides, on the dataset's packed objects or payloads
     ia, ib = (np.concatenate(side) for side in zip(plan.observed, plan.expected))
-    distances = spec.batch(dataset.payloads(), ia, ib)
+    distances = spec.kernel(dataset.columns, ia, ib)
     n_observed = plan.observed[0].size
     return DistanceSamples(
         observed=distances[:n_observed],
@@ -232,6 +231,38 @@ def krippendorff_alpha(samples: DistanceSamples) -> float:
     return 1.0 - float(samples.observed.mean()) / mean_e
 
 
+def _count_below(obs: np.ndarray, cdf: Callable[[float], float], p: float, start: int) -> int:
+    """How many of the sorted values obs have cdf(x) < p, for a nondecreasing cdf: the index
+    that bisect_left finds, by interpolation search (Perl, Itai & Avni 1978, CACM 21(7)).
+
+    The bracket [lo, hi) keeps the answer: obs[:lo] are below p and obs[hi:] are not, and
+    each probe moves one end past its value's whole tie run. The first probe is obs[start].
+    With CDF values known at both ends, the next probe is where the line between them
+    reaches p; with one, the probes gallop from the known end in steps that double. A
+    probe is a bisection step instead whenever bisection from a bracket one narrower
+    would overrun 2 ceil(log2 m) + 2 probes in all, so m values never take more."""
+    lo, hi, f_lo, f_hi, reach, i = 0, obs.size, None, None, 1, start
+    budget = 2 * (obs.size - 1).bit_length() + 2  # (m - 1).bit_length() is ceil(log2 m)
+    while lo < hi:
+        x = float(obs[i])
+        f = cdf(x)
+        budget -= 1
+        if f < p:
+            lo, f_lo = int(np.searchsorted(obs, x, "right")), f
+        else:
+            hi, f_hi = int(np.searchsorted(obs, x, "left")), f
+        if budget <= (hi - lo - 1).bit_length():  # bisection of a width w takes w.bit_length()
+            i = (lo + hi) // 2
+        elif f_lo is not None and f_hi is not None:
+            x_lo, x_hi = obs[lo - 1], obs[hi]
+            i = int(np.searchsorted(obs, x_lo + (p - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)))
+        else:
+            i = lo + reach - 1 if f_lo is not None else hi - reach
+            reach *= 2
+        i = min(max(i, lo), hi - 1)
+    return lo
+
+
 def sigma_measure(
     samples: DistanceSamples,
     p: float = 0.05,
@@ -240,12 +271,15 @@ def sigma_measure(
 ) -> float:
     """Fraction of observed distances below the p-tail of the expected KDE.
 
-    The CDF is monotone, so bisection over the sorted observed distances
-    counts them with single-point CDF evaluations, in O(|De|) memory.
+    The CDF is monotone, so a search over the sorted observed distances counts them with
+    a few single-point CDF evaluations, in O(|De|) memory. It starts where the expected
+    sample's own p-quantile falls among them.
     """
     model = fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
     obs = np.sort(samples.observed)
-    return bisect.bisect_left(obs, True, key=lambda x: kde_cdf(model, x) >= p) / obs.size
+    start = int(np.searchsorted(obs, model.support[int(p * (model.support.size - 1))]))
+    count = _count_below(obs, lambda x: kde_cdf(model, x), p, min(start, obs.size - 1))
+    return count / obs.size
 
 
 def _run_ends(pooled_sorted: np.ndarray) -> np.ndarray:
@@ -538,7 +572,7 @@ def agreement_reports(
     Plans pairs once, so all share Do, De and the counts; validates only that the payloads
     share one kind (validate_dataset lists the violations)."""
     check_measure_args(p, de_sample_size, seed, bandwidth, n_permutations)
-    dataset_kind(dataset.records)
+    dataset.kind  # one payload kind, or DataError
     plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
     measured = []
     for spec in specs:

@@ -10,12 +10,13 @@ import zlib
 from collections import Counter
 from functools import partial
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
-from agreekit.dataset import AnnotationRecord, Dataset
+from agreekit.dataset import AnnotationRecord, Dataset, Keypoints, pack_keypoints
 from agreekit.distances.structured import RankingConfig, TedConfig
 from agreekit.distances.vector_text import TokenEmbeddingTable
 from agreekit.errors import DataError
@@ -514,6 +515,12 @@ def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges
             acc += term * term
         return math.sqrt(acc / len(va))
     raise DataError(f"unknown vector distance mode {mode!r}")
+
+
+def keypoint_columns(object_tuples: Sequence[tuple]) -> Keypoints:
+    """The packed Keypoints of object tuples, each in its given order (a KeypointSet sorts)."""
+    return pack_keypoints(object_tuples,
+                          lambda ks: [SimpleNamespace(objects=object_tuples[k]) for k in ks])
 
 
 def count_diff_oracle(a_objs, b_objs, normalize: bool = True) -> float:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from agreekit.dataset import pack_payloads
 from agreekit.distances.geometry import box_batch, oks_batch
 from agreekit.errors import DataError, NumericError
 from agreekit.payloads import Box, BoxSet, KeypointObject, KeypointSet
 from agreekit.registry import make_spec
 
 from conftest import (
+    keypoint_columns,
     lifted_inner,
     make_box,
     multi_object_distance_oracle,
@@ -24,7 +26,11 @@ def kp(points, scale=None, k=None):
 
 def overlap(a, b, mode, **params):
     """The box kernel on one pair of single objects: the lift of one pair is its distance."""
-    return float(box_batch([(a,), (b,)], [0], [1], objects=tuple, mode=mode, **params)[0])
+    if mode == "bbox_iou":
+        packed = keypoint_columns([(a,), (b,)])
+    else:
+        packed = pack_payloads("boxes", [BoxSet(boxes=(a,)), BoxSet(boxes=(b,))])
+    return float(box_batch(packed, [0], [1], mode=mode, **params)[0])
 
 
 def l2(a, b, l2_scale=20.0):
@@ -33,7 +39,7 @@ def l2(a, b, l2_scale=20.0):
 
 def oks(a, b, **defaults):
     """The OKS kernel on one pair of single keypoint objects."""
-    return float(oks_batch([(a,), (b,)], [0], [1], objects=tuple, **defaults)[0])
+    return float(oks_batch(keypoint_columns([(a,), (b,)]), [0], [1], **defaults)[0])
 
 
 def test_iou_distance_overlapping_squares():
@@ -399,7 +405,7 @@ OKS_ERRORS = {
 def test_oks_raises_the_first_scored_pairs_error(case):
     payloads, ia, ib, message = OKS_ERRORS[case]
     with pytest.raises(DataError, match=message) as raised:
-        oks_batch(payloads, np.array(ia), np.array(ib), objects=tuple)
+        oks_batch(keypoint_columns(payloads), np.array(ia), np.array(ib))
     with pytest.raises(DataError) as oracle:
         for i, j in zip(ia, ib):
             multi_object_distance_oracle(payloads[i], payloads[j], oks_oracle)
@@ -408,5 +414,5 @@ def test_oks_raises_the_first_scored_pairs_error(case):
 
 def test_oks_errors_spare_objects_outside_every_scored_pair():
     payloads = [(NO_SCALE, GOOD2), (), (GOOD3,), (NO_K,)]
-    got = oks_batch(payloads, np.array([0, 1, 2, 3]), np.array([1, 0, 2, 1]), objects=tuple)
+    got = oks_batch(keypoint_columns(payloads), np.array([0, 1, 2, 3]), np.array([1, 0, 2, 1]))
     assert got.tolist() == [1.0, 1.0, 0.0, 1.0]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import sys
 import tempfile
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,12 +234,13 @@ class TestCliCompute:
     def test_builds_one_dataset(self, vector_file, monkeypatch, capsys):
         # merging --meta into a second Dataset sorted every record again
         calls = Counter()
-        count_calls(monkeypatch, calls, Dataset, "__post_init__")
+        count_calls(monkeypatch, calls, Dataset, "from_columns")
+        count_calls(monkeypatch, calls, Dataset, "__init__")
         ranges = json.dumps([[0, 1]] * 5)
         assert main(["compute", "--input", vector_file, "--distance", "euclidean",
                      "--meta", f"ranges={ranges}"]) == 0
         capsys.readouterr()
-        assert calls == {"__post_init__": 1}
+        assert calls == {"from_columns": 1}
 
     def test_p_and_de_samples_flow_into_report(self, vector_file, tmp_path):
         out = str(tmp_path / "r.json")
@@ -1069,14 +1072,63 @@ sys.exit(code)
 """
 
 
-def test_tau_compute_leaves_numpy_ma_unimported(tmp_path):
+@pytest.mark.parametrize("task, shape, argv", [
+    pytest.param("ranking", ("30", "3"), ["compute", "--distance", "tau"], id="ranking-tau"),
+    pytest.param("vector", ("30", "3"), ["compute", "--distance", "euclidean"],
+                 id="vector-euclidean"),
+    pytest.param("spans", ("30", "3"), ["compute", "--distance", "ner_both_lenient"],
+                 id="spans-ner"),
+    pytest.param("boxes", ("30", "3"), ["compute", "--distance", "box_iou"], id="boxes-iou"),
+    # 2,002 records: over 2,000,000 candidate pairs, so the rejection sampler runs too
+    pytest.param("boxes", ("1001", "2"), ["compare", "--distances", "box_iou,count_diff",
+                                          "--exact-ks", "50"], id="boxes-compare"),
+])
+def test_reports_leave_numpy_ma_unimported(tmp_path, task, shape, argv):
+    # np.unique, np.quantile, np.percentile and np.isin import numpy.ma on first use, which
+    # costs a cold report ~10 ms
     demo, out = str(tmp_path / "demo.jsonl"), str(tmp_path / "r.json")
-    assert main(["simulate", "--task", "ranking", "--items", "30", "--annotators", "3",
+    items, annotators = shape
+    assert main(["simulate", "--task", task, "--items", items, "--annotators", annotators,
                  "--out", demo]) == 0
-    proc = run_python(AGREE_REPORTING_NUMPY_MA, "compute", "--input", demo, "--distance", "tau",
-                      "--out", out)
+    proc = run_python(AGREE_REPORTING_NUMPY_MA, *argv, "--input", demo, "--out", out)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# what perfbench/tracing.py wraps by name, and what perfbench/run.py's probe calls
+BENCHMARK_HOOKS = {
+    "io": ("load_dataset", "write_report"),
+    "cli": ("validate_dataset", "count_expected_pairs"),
+    "stats": ("validate_dataset", "count_expected_pairs", "observed_pairs", "expected_pairs",
+              "sigma_measure", "ks_measure", "histogram", "diagnostics_flags"),
+    "registry": ("make_spec", "registry_summary"),
+}
+
+
+def test_the_benchmark_hooks_resolve():
+    from agreekit import cli, noise, registry, stats
+
+    modules = {"io": aio, "cli": cli, "stats": stats, "registry": registry}
+    missing = [f"{module}.{name}" for module, names in BENCHMARK_HOOKS.items()
+               for name in names if not callable(getattr(modules[module], name, None))]
+    assert not missing
+    for task in noise.TASKS:
+        gold, meta = noise.random_gold(task, 12, 3)
+        ds = noise.generate_cst_dataset(gold, noise.NoiseSpec(task, 0.25, 3, 3), meta=meta)
+        planned = stats.observed_pairs(ds) + stats.expected_pairs(
+            ds, min(60, stats.count_expected_pairs(ds)), 3)
+        pairs = [(a.payload, b.payload) for a, b in planned]
+        for entry, kinds, _summary, _dissimilarity in registry.registry_summary():
+            if task not in kinds:
+                continue
+            spec = registry.make_spec(entry, task, meta=ds.meta)
+            flat = [payload for pair in pairs for payload in pair]
+            batch = spec.batch(flat, np.arange(0, len(flat), 2), np.arange(1, len(flat), 2)).tolist()
+            assert [spec.fn(a, b) for a, b in pairs] == batch, entry
+            # the tracer swaps fn by dataclasses.replace; the batch path keeps its kernel
+            traced = dataclasses.replace(spec, fn=lambda a, b: -1.0)
+            assert traced.fn(*pairs[0]) == -1.0
+            assert traced.batch(flat, np.array([0]), np.array([1])).tolist() == batch[:1]
 
 
 # runs `agree` argv in a fresh interpreter; with "block" first, every scipy import raises

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agreekit.dataset import pack_payloads
 from agreekit.distances.multiobject import count_diff_batch, min_match_batch, ner_batch
 from agreekit.payloads import Box, BoxSet, KeypointSet, Span, SpanSet, TokenSequence
 from agreekit.registry import make_spec
@@ -43,13 +45,14 @@ def lift(a_objs, b_objs, inner):
 
 def count_diff(a_objs, b_objs, normalize=True):
     """The count kernel on the one pair of object sequences (a_objs, b_objs)."""
-    pair = count_diff_batch([a_objs, b_objs], [0], [1], objects=tuple, normalize=normalize)
+    counts = SimpleNamespace(counts=np.array([len(a_objs), len(b_objs)]))  # all it reads
+    pair = count_diff_batch(counts, [0], [1], normalize=normalize)
     return float(pair[0])
 
 
 def ner_distance(a, b, range_strict, tag_strict):
     """The span kernel on the one pair (a, b)."""
-    return float(ner_batch([a, b], [0], [1], range_strict, tag_strict)[0])
+    return float(ner_batch(pack_payloads("spans", [a, b]), [0], [1], range_strict, tag_strict)[0])
 
 
 def spanset(*triples):

@@ -156,6 +156,17 @@ def test_count_diff_dispatches_on_kind():
     assert kp_spec.fn(KeypointSet(objects=(obj,)), KeypointSet(objects=())) == 1.0
 
 
+@pytest.mark.parametrize("kind, a, b", [
+    ("boxes", SpanSet(spans=(Span(0, 2, "PER"),)), SpanSet(spans=())),
+    ("spans", BoxSet(boxes=(Box(0, 0, 1, 1),)), BoxSet(boxes=())),
+    ("boxes", NumericVector(values=(0.5,)), NumericVector(values=(0.5,))),
+])
+def test_a_set_spec_rejects_payloads_of_another_kind(kind, a, b):
+    # payloads are packed for a set kind's kernel, and another kind's do not pack
+    with pytest.raises(TypeError, match="cannot pack payloads of another kind"):
+        make_spec("count_diff", kind).fn(a, b)
+
+
 def test_euclidean_ranges_from_meta_or_params():
     a = NumericVector(values=(0.0,))
     b = NumericVector(values=(5.0,))

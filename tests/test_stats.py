@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import math
@@ -348,13 +349,13 @@ def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
     records = tuple(AnnotationRecord(item_id=i, annotator_id=a, payload=NumericVector((0.5,)))
                     for i, annotators in items for a in annotators)
     ds = Dataset(records=records)
-    assert_same_plan(plan_or_error(stats._observed_indices, stats._item_ends(ds.records)),
+    assert_same_plan(plan_or_error(stats._observed_indices, stats._item_ends(ds.item)),
                      plan_or_error(observed_indices_oracle, ds))
     available = count_expected_pairs(ds, exclude)
     want = data.draw(st.integers(1, max(1, available)), label="sample size")
     for size in (want, available):
         args = (ds, available, size, seed, exclude)
-        got = plan_or_error(stats._expected_indices, stats._partners(ds.records, exclude), size,
+        got = plan_or_error(stats._expected_indices, stats._partners(ds, exclude), size,
                             seed, exclude)
         assert_same_plan(got, plan_or_error(expected_indices_oracle, *args))
     if available:
@@ -365,7 +366,7 @@ def test_planner_matches_the_triangle_oracle(items, exclude, seed, data):
 def test_rejection_sampling_matches_the_triangle_oracle(large_ds, exclude):
     available = count_expected_pairs(large_ds, exclude)
     args = (large_ds, available, 3_000, 11, exclude)
-    assert_same_plan(stats._expected_indices(stats._partners(large_ds.records, exclude), 3_000, 11,
+    assert_same_plan(stats._expected_indices(stats._partners(large_ds, exclude), 3_000, 11,
                                              exclude),
                      expected_indices_oracle(*args))
 
@@ -383,7 +384,7 @@ SPARSE_DS = Dataset(records=tuple(
 @given(want=st.integers(1, 12_000), seed=st.integers(0, 2**32 - 1), exclude=st.booleans())
 def test_rejection_rounds_match_the_per_draw_oracle(want, seed, exclude):
     args = (SPARSE_DS, count_expected_pairs(SPARSE_DS, exclude), want, seed, exclude)
-    assert_same_plan(stats._expected_indices(stats._partners(SPARSE_DS.records, exclude), want,
+    assert_same_plan(stats._expected_indices(stats._partners(SPARSE_DS, exclude), want,
                                              seed, exclude),
                      expected_indices_oracle(*args))
 
@@ -396,7 +397,7 @@ def test_ranked_draw_memory_is_independent_of_the_pairs_available(exclude, avail
     args = (ds, available, 100, 0, exclude)
     # the partner table is built inside the traced call, as it was when the planner built it
     got, peak_mb = traced_call(
-        lambda: stats._expected_indices(stats._partners(ds.records, exclude), 100, 0, exclude))
+        lambda: stats._expected_indices(stats._partners(ds, exclude), 100, 0, exclude))
     assert peak_mb < 4.0  # listing every pair took 45.8 MB (62.9 MB with exclusion)
     assert_same_plan(got, expected_indices_oracle(*args))
 
@@ -457,6 +458,72 @@ def test_sigma_equals_cdf_matrix_formula(obs, exp, bounds, bandwidth, data):
         st.sampled_from(cdf[cdf > 0].tolist() + [1.0]),
     ))
     assert sigma_measure(s, p, bounds, bandwidth) == float(np.mean(cdf < p))
+
+
+def probe_bound(m: int) -> int:
+    return 2 * math.ceil(math.log2(m)) + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obs=st.one_of(TIED, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300)),
+    exp=st.one_of(TIED, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+                  st.lists(st.just(0.2), min_size=1, max_size=5)),
+    bounds=st.sampled_from([None, (0.0, 1.0), (0.0, 2.5)]),
+    p=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+)
+def test_sigma_search_equals_bisect_left(obs, exp, bounds, p):
+    # drawn ties, constant and one-value samples, and p = 1; the search keeps a bracket on a
+    # monotone predicate, so it must land on bisect_left's index with few CDF probes
+    s = samples(obs, exp)
+    model = fit_kde(s.expected, bounds)
+    probes = []
+
+    def cdf(x):
+        probes.append(x)
+        return kde_cdf(model, x)
+
+    obs_sorted = np.sort(s.observed)
+    want = bisect.bisect_left(obs_sorted, True, key=lambda x: kde_cdf(model, x) >= p)
+    start = int(np.searchsorted(obs_sorted, model.support[int(p * (model.support.size - 1))]))
+    assert stats._count_below(obs_sorted, cdf, p, min(start, obs_sorted.size - 1)) == want
+    assert sigma_measure(s, p, bounds) == want / obs_sorted.size
+    assert len(probes) <= max(probe_bound(obs_sorted.size), 1)
+
+
+class Adversary:
+    """A nondecreasing CDF over the sorted values 0 .. m - 1, decided only as it is probed:
+    each probe keeps the larger side of the answers still open, and its value sits at the
+    far end of that side (0 below p, 1 at or above), which leads interpolation astray."""
+
+    def __init__(self, m: int, p: float, lean: float) -> None:
+        self.lo, self.hi, self.p, self.lean, self.probes = 0, m, p, lean, 0
+
+    def __call__(self, x: float) -> float:
+        self.probes += 1
+        i = int(x)
+        assert self.lo <= i < self.hi, "a probe outside the bracket"
+        if i - self.lo < self.hi - i:
+            self.lo = i + 1
+            return self.p * self.lean * 0.999
+        self.hi = i
+        return 1.0 - (1.0 - self.p) * self.lean
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("lean", [0.0, 0.5, 1.0])
+def test_count_below_probes_stay_logarithmic_for_an_adversary(p, lean):
+    for m in [*range(1, 70), 127, 128, 129, 1000, 4097, 100_000]:
+        for start in sorted({0, m // 3, m - 1}):
+            for spacing in ("even", "exponential"):
+                obs = np.arange(m, dtype=float)
+                if spacing == "exponential":  # values crowd at one end, so lines mislead
+                    obs = np.floor(np.expm1(obs / max(m, 1) * 30.0)) + obs
+                adversary = Adversary(m, p, lean)
+                values = dict(zip(obs.tolist(), range(m)))
+                got = stats._count_below(obs, lambda x: adversary(values[x]), p, start)
+                assert got == adversary.lo == adversary.hi
+                assert adversary.probes <= probe_bound(m) if m > 1 else adversary.probes == 1
 
 
 def test_sigma_memory_is_linear_in_expected_sample():
