@@ -3,9 +3,9 @@
 # boxes examples, a permutation KS p-value above its floor, `box_giou` on boxes at the
 # float limit, far span offsets, `levenshtein` and `ted` on small token and tree files, and
 # a rejection-sampled vector compute through the installed `agree` script, with the printed
-# rows pinned, the exit code and error line of a too-wide span and of boxes whose corners
-# are out of order, plus `check-metric` on the
-# simulated ranking, vector, boxes and spans inputs. Run from anywhere after
+# rows pinned, the exit code and error line of a too-wide span, of boxes whose corners
+# are out of order and of a tree 500 levels deep (490 levels compute), plus `check-metric`
+# on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
 set -euo pipefail
@@ -118,6 +118,25 @@ printf '%s\n' \
   > trees.jsonl
 agree compute --input trees.jsonl --distance ted | tee ted.txt
 grep -Fx "alpha      : 0.5556" ted.txt
+# how deep a tree may nest is a property of the file, not of the caller's stack: line 1 of
+# trees.jsonl 490 levels deep (980 nested arrays) computes, and 500 levels deep is a data
+# error (exit 3)
+nested() {
+  local open="" close="" i
+  for ((i = 0; i < $1; i++)); do open+='["x", ['; close+=']]'; done
+  printf '%s"x"%s' "$open" "$close"
+}
+for levels in 490 500; do
+  { printf '{"item": "i0", "annotator": "a0", "kind": "tree", "label": %s}\n' "$(nested "$levels")"
+    tail -n +2 trees.jsonl; } > "deep$levels.jsonl"
+done
+agree compute --input deep490.jsonl --distance ted | tee deep490.txt
+grep -Fx "alpha      : 0.0080" deep490.txt
+code=0
+agree compute --input deep500.jsonl --distance ted 2> deep500.txt || code=$?
+cat deep500.txt
+test "$code" -eq 3
+grep -Fx "error: deep500.jsonl:1: nested too deeply" deep500.txt
 
 # expected pairs by rejection sampling: 2,200 annotations give 2,418,900 candidates
 agree simulate --task vector --items 1100 --annotators 2 --noise 0.25 --seed 7 --out large.jsonl

@@ -27,7 +27,7 @@ and a metric-property checker.
 
 from .dataset import AnnotationRecord, Dataset, ValidationSummary, validate_dataset
 from .errors import AgreeError, DataError, NumericError, UsageError
-from .kde import KdeModel, fit_kde, kde_cdf, kde_pdf, scott_bandwidth
+from .kde import KdeModel, fit_kde, kde_cdf, scott_bandwidth
 from .noise import NoiseSpec, generate_cst_dataset, perturb, random_gold
 from .payloads import (
     Box,
@@ -49,7 +49,6 @@ from .stats import (
     KsResult,
     agreement_report,
     agreement_reports,
-    build_samples,
     expected_pairs,
     krippendorff_alpha,
     ks_measure,
@@ -87,13 +86,11 @@ __all__ = [
     "ValidationSummary",
     "agreement_report",
     "agreement_reports",
-    "build_samples",
     "check_metric_properties",
     "expected_pairs",
     "fit_kde",
     "generate_cst_dataset",
     "kde_cdf",
-    "kde_pdf",
     "krippendorff_alpha",
     "ks_measure",
     "ks_statistic",

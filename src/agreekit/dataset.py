@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from numbers import Real
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -268,10 +268,6 @@ class ValidationSummary:
     kind: str
     violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
     """The records' one payload kind; DataError if there are none or they mix kinds."""
@@ -286,11 +282,9 @@ def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
     return kind
 
 
-def validate_dataset(
-    dataset: Union[Dataset, Iterable[AnnotationRecord]], meta: Optional[Mapping] = None
-) -> ValidationSummary:
-    """Check dataset-level invariants of a Dataset, or of records and their meta, and return
-    counts plus a sorted violation list. meta defaults to the dataset's own.
+def validate_dataset(dataset: Dataset) -> ValidationSummary:
+    """Check dataset-level invariants of a Dataset under its meta, and return counts plus a
+    sorted violation list.
 
     Hard errors (raised): empty input, mixed payload kinds, vector ranges that are
     not a list of [lo, hi] pairs of numbers, a ranking universe that is not a list.
@@ -299,10 +293,7 @@ def validate_dataset(
     vector length mismatches, rankings that are not
     permutations of the universe, items with fewer than two annotations.
     """
-    if not isinstance(dataset, Dataset):
-        dataset = Dataset(dataset, meta)
-    meta = dict(dataset.meta if meta is None else meta)
-    kind = dataset.kind
+    meta, kind = dataset.meta, dataset.kind
     item, annotator, item_ids = dataset.item, dataset.annotator, dataset.item_ids
     # the records are sorted by (item, annotator), so duplicates are neighbours
     duplicate = np.flatnonzero((item[1:] == item[:-1]) & (annotator[1:] == annotator[:-1])) + 1

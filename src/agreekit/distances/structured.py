@@ -123,12 +123,18 @@ def _inversions(y: np.ndarray) -> np.ndarray:
     inverted with exactly the left values after it."""
     rows, n = y.shape
     width = 1 << (n - 1).bit_length()
-    z = np.full((rows, width), y.max(initial=0), dtype=np.int32)  # equal padding adds no inversion
+    top = int(y.max(initial=0))
+    z = np.full((rows, width), top, dtype=np.int32)  # equal padding adds no inversion
     z[:, :n] = y
     base = z.reshape(rows, -1, min(width, 16))
-    count = np.zeros(rows, dtype=np.int64)
-    for d in range(1, base.shape[2]):
-        count += (base[:, :, :-d] > base[:, :, d:]).sum(axis=(1, 2))
+    # compared one offset at a time, positions first, in the smallest type that holds y (which
+    # is nonnegative); a row of up to 16 is one block, and no pair needs its padding
+    w = min(n, 16)
+    by_position = np.moveaxis(base[:, :, :w], 2, 0).astype(np.min_scalar_type(top), order="C")
+    in_block = np.zeros(base.shape[:2], dtype=np.uint8)  # at most 120 pairs
+    for d in range(1, w):
+        in_block += (by_position[:-d] > by_position[d:]).sum(axis=0, dtype=np.uint8)
+    count = in_block.sum(axis=1, dtype=np.int64)
     half = base.shape[2]
     if half < width:
         base.sort(axis=2)

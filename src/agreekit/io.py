@@ -23,6 +23,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Optional
 
 from .dataset import PACKERS, Dataset
@@ -38,7 +39,28 @@ def load_dataset(path: str) -> Dataset:
     the sentence id "<item>::<annotator>" unless the line provides one, matching the
     embedding-file convention. A set kind's labels are checked and packed together once
     every line is read (dataset.PACKERS); their payloads are built only if asked for.
+
+    The file is read in a new thread. json.loads and the tree parser count nesting against
+    the recursion limit, and a new thread starts at depth 0, so how deep a line may nest
+    does not depend on the caller's stack. What the thread raises is raised here.
     """
+    loaded: list = []
+
+    def run() -> None:
+        try:
+            loaded.append(_load(path))
+        except BaseException as exc:  # raised again in the calling thread
+            loaded.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)  # an interrupt need not wait for it
+    thread.start()
+    thread.join()
+    if isinstance(loaded[0], BaseException):
+        raise loaded[0]
+    return loaded[0]
+
+
+def _load(path: str) -> Dataset:
     items: list[str] = []
     annotators: list[str] = []
     labels: list = []  # payloads, for a kind with no packer

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -153,9 +153,10 @@ class KdeModel:
             object.__setattr__(self, "bounds", (lo, hi))
 
     @cached_property
-    def _bound_mass(self) -> np.ndarray:
+    def _bound_mass(self) -> tuple[float, float]:
         """Unnormalized mixture mass below each bound, computed once per model."""
-        return _mass_below(self, np.array(self.bounds))
+        lo, hi = self.bounds
+        return _mass_below(self, lo), _mass_below(self, hi)
 
 
 def fit_kde(
@@ -168,52 +169,25 @@ def fit_kde(
     return KdeModel(support=arr, bandwidth=bw, bounds=bounds)
 
 
-def _kernel_sums(model: KdeModel, t: np.ndarray, kernel) -> np.ndarray:
-    """Per point of t, one at a time, kernel(z) summed over the support and its reflections."""
+def _mass_below(model: KdeModel, x: float) -> float:
+    """Mixture mass below x, unnormalized: the Gaussian CDFs at x of the support points and
+    their reflections, one concatenated array summed once, over the support size."""
     centers = model.support
     if model.bounds is not None:
         lo, hi = model.bounds
         centers = np.concatenate([centers, 2 * lo - centers, 2 * hi - centers])
-    return np.array([kernel((x - centers) / model.bandwidth).sum() for x in t])
+    # z falls along the sorted support and rises along each reflection
+    runs = ((x - centers) / model.bandwidth).reshape(-1, model.support.size)
+    ndtr = np.concatenate([_ndtr_ascending(runs[0, ::-1])[::-1], *map(_ndtr_ascending, runs[1:])])
+    return float(ndtr.sum()) / model.support.size
 
 
-def _mass_below(model: KdeModel, t: np.ndarray) -> np.ndarray:
-    n = model.support.size
-
-    def ndtr(z: np.ndarray) -> np.ndarray:
-        # z falls along the sorted support and rises along each reflection
-        runs = z.reshape(-1, n)
-        return np.concatenate([_ndtr_ascending(runs[0, ::-1])[::-1], *map(_ndtr_ascending, runs[1:])])
-
-    return _kernel_sums(model, t, ndtr) / n
-
-
-def kde_cdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Mixture CDF at x; nondecreasing, 0 at (or below) any lower bound, 1 at the upper."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def kde_cdf(model: KdeModel, x: float) -> float:
+    """Mixture CDF at the one point x; nondecreasing, 0 at (or below) any lower bound, 1 at
+    the upper."""
     if model.bounds is None:
-        out = _mass_below(model, xs)
-    else:
-        lo, hi = model.bounds
-        clamped = np.clip(xs, lo, hi)
-        ref = model._bound_mass
-        out = (_mass_below(model, clamped) - ref[0]) / (ref[1] - ref[0])
-        out = np.clip(out, 0.0, 1.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
-
-
-def kde_pdf(model: KdeModel, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Mixture density at x, consistent with kde_cdf (zero outside any bounds)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    dens = _kernel_sums(model, xs, lambda z: np.exp(-0.5 * z * z)) / (
-        model.support.size * model.bandwidth * np.sqrt(2 * np.pi)
-    )
-    if model.bounds is not None:
-        lo, hi = model.bounds
-        ref = model._bound_mass
-        dens = np.where((xs >= lo) & (xs <= hi), dens / (ref[1] - ref[0]), 0.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(dens[0])
-    return dens
+        return _mass_below(model, x)
+    lo, hi = model.bounds
+    below_lo, below_hi = model._bound_mass
+    cdf = (_mass_below(model, min(max(x, lo), hi)) - below_lo) / (below_hi - below_lo)
+    return min(max(cdf, 0.0), 1.0)

@@ -66,9 +66,6 @@ class Box:
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise DataError(f"box corners out of order: {self}")
 
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -173,14 +170,6 @@ class OrderedTree:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "children", tuple(self.children))
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
-    def n_leaves(self) -> int:
-        if not self.children:
-            return 1
-        return sum(c.n_leaves() for c in self.children)
 
 
 @dataclass(frozen=True)

@@ -209,14 +209,6 @@ def registry_summary() -> list[tuple[str, tuple[str, ...], str, bool]]:
     return [(name, e.kinds, e.summary, e.dissimilarity) for name, e in sorted(_ENTRIES.items())]
 
 
-def is_dissimilarity(name: str) -> bool:
-    return _lookup(name).dissimilarity
-
-
-def supported_kinds(name: str) -> tuple[str, ...]:
-    return _lookup(name).kinds
-
-
 def accepted_params(name: str) -> tuple[str, ...]:
     return _lookup(name).param_names
 

@@ -183,7 +183,7 @@ def _plan_pairs(
     partners = end, width, annotator, _ = _partners(dataset, exclude_same_annotator)
     observed = _observed_indices(end)
     available = int(width.sum())
-    if de_sample_size is None:
+    if de_sample_size is None:  # De's sampling error stays small next to Do's
         de_sample_size = min(10 * observed[0].size, available)
     expected = _expected_indices(partners, de_sample_size, seed, exclude_same_annotator)
     items = int(np.count_nonzero(end == np.arange(1, end.size + 1)))  # one last record per item
@@ -205,22 +205,6 @@ def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -
         seed=seed,
         pair_counts=(n_observed, plan.counts["expected_pairs_available"]),
     )
-
-
-def build_samples(
-    dataset: Dataset,
-    spec: DistanceSpec,
-    de_sample_size: Optional[int] = None,
-    seed: int = 0,
-    exclude_same_annotator: bool = False,
-) -> DistanceSamples:
-    """Evaluate the distance over observed and sampled expected pairs.
-
-    de_sample_size defaults to min(10 * observed pairs, all available) so the
-    chance estimate's sampling error stays small relative to the observed side.
-    """
-    plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
-    return _evaluate(spec, dataset, plan, seed)
 
 
 def krippendorff_alpha(samples: DistanceSamples) -> float:

@@ -16,10 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
+from agreekit import stats
 from agreekit.dataset import AnnotationRecord, Dataset, Keypoints, pack_keypoints
 from agreekit.distances.structured import RankingConfig, TedConfig
 from agreekit.distances.vector_text import TokenEmbeddingTable
 from agreekit.errors import DataError
+from agreekit.kde import KdeModel
 from agreekit.payloads import (
     Box,
     BoxSet,
@@ -32,8 +34,13 @@ from agreekit.payloads import (
     SpanSet,
     TokenSequence,
 )
+from agreekit.registry import registry_summary
 
 TAGS = ("PER", "ORG", "LOC", "MISC")
+
+# each registry name's payload kinds, and whether it is registered as a dissimilarity
+REGISTRY_KINDS = {name: kinds for name, kinds, _, _ in registry_summary()}
+DISSIMILARITY = {name: flag for name, _, _, flag in registry_summary()}
 
 
 def make_vector(rng: np.random.Generator, dims: int = 5) -> NumericVector:
@@ -140,6 +147,14 @@ def uniform_random_vector_dataset(
                 )
             )
     return Dataset(records=tuple(records), meta={"ranges": [[0.0, 1.0]] * dims})
+
+
+def tree_size(tree: OrderedTree) -> int:
+    return 1 + sum(tree_size(c) for c in tree.children)
+
+
+def n_leaves(tree: OrderedTree) -> int:
+    return sum(n_leaves(c) for c in tree.children) if tree.children else 1
 
 
 def _freeze_tree(t: OrderedTree) -> tuple:
@@ -414,7 +429,7 @@ def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) 
     ted = tree_edit_distance(a, b)
     if cfg.variant == "plain":
         return float(ted)
-    leaves_a, leaves_b = a.n_leaves(), b.n_leaves()
+    leaves_a, leaves_b = n_leaves(a), n_leaves(b)
     if cfg.variant == "norm":
         return ted / (leaves_a + leaves_b)
     # diff: every unit edit changes the leaf count by at most one, so
@@ -598,6 +613,10 @@ def multi_object_distance_oracle(a_objs, b_objs, inner, total=plain_sum) -> floa
     return (d_ab + d_ba) / 2.0
 
 
+def box_area(box: Box) -> float:
+    return (box.x1 - box.x0) * (box.y1 - box.y0)
+
+
 def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
     """One object pair of box_batch: 1 - IoU (mode "iou") or (1 - GIoU) / 2. On each axis
     where a coordinate of the two boxes reaches 2**500, both are first scaled by the power
@@ -614,7 +633,7 @@ def box_overlap_oracle(a: Box, b: Box, mode: str) -> float:
     w = min(a.x1, b.x1) - max(a.x0, b.x0)
     h = min(a.y1, b.y1) - max(a.y0, b.y0)
     inter = w * h if w > 0 and h > 0 else 0.0
-    union = a.area() + b.area() - inter
+    union = box_area(a) + box_area(b) - inter
     if union <= 0:
         # both boxes degenerate: distance 0 when coincident, else 1
         return 0.0 if coincident else 1.0
@@ -798,6 +817,32 @@ def expected_indices_oracle(
                         break
         first, second = np.array(sorted(out), dtype=np.intp).reshape(-1, 2).T
     return first, second
+
+
+def build_samples(dataset: Dataset, spec, de_sample_size: Optional[int] = None, seed: int = 0,
+                  exclude_same_annotator: bool = False) -> stats.DistanceSamples:
+    """The distances of one spec over a dataset's observed and sampled expected pairs, as
+    agreement_reports plans and evaluates them."""
+    plan = stats._plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    return stats._evaluate(spec, dataset, plan, seed)
+
+
+def kde_pdf(model: KdeModel, x: float) -> float:
+    """The density whose integral kde_cdf is, at the one point x: the Gaussian mixture over
+    the support points and their reflections, zero outside any bounds."""
+    centers = model.support
+    if model.bounds is not None:
+        lo, hi = model.bounds
+        if not lo <= x <= hi:
+            return 0.0
+        centers = np.concatenate([centers, 2 * lo - centers, 2 * hi - centers])
+    z = (x - centers) / model.bandwidth
+    n, h = model.support.size, model.bandwidth
+    density = float(np.exp(-0.5 * z * z).sum()) / (n * h * math.sqrt(2 * math.pi))
+    if model.bounds is None:
+        return density
+    below_lo, below_hi = model._bound_mass
+    return density / (below_hi - below_lo)
 
 
 @pytest.fixture

@@ -17,11 +17,11 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from agreekit.io import load_dataset
-from agreekit.kde import fit_kde, kde_cdf, kde_pdf
+from agreekit.kde import fit_kde, kde_cdf
 from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import Ranking, TokenSequence, tree_from_nested
 from agreekit.properties import check_metric_properties
-from agreekit.registry import is_dissimilarity, make_spec, registry_names, supported_kinds
+from agreekit.registry import make_spec, registry_summary
 from agreekit.stats import (
     DistanceSamples,
     agreement_report,
@@ -31,6 +31,7 @@ from agreekit.stats import (
 )
 
 from conftest import (
+    kde_pdf,
     make_payloads,
     tau_distance_oracle,
     ted_oracle,
@@ -274,12 +275,13 @@ def test_criterion_6_oracle_equivalences():
 
 
 def test_criterion_7_metric_property_suites():
-    metric_names = [n for n in registry_names() if not is_dissimilarity(n)]
+    metrics = [(name, kinds) for name, kinds, _, dissimilarity in registry_summary()
+               if not dissimilarity]
     meta_by_name = {"euclidean": {"ranges": [[0.0, 1.0]] * 5}}
     results = []
     ok = True
-    for name in metric_names:
-        for kind in supported_kinds(name):
+    for name, kinds in metrics:
+        for kind in kinds:
             spec = make_spec(name, kind, meta=meta_by_name.get(name, {}))
             report = check_metric_properties(
                 spec, make_payloads(kind, 200), tolerance=1e-9

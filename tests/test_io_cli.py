@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 
 import numpy as np
@@ -1032,6 +1033,58 @@ def test_the_deepest_tree_that_loads_computes(tmp_path, distance):
     assert json.loads(open(out).read())["counts"]["observed_pairs"] == 3
 
 
+# a fresh interpreter that runs `agree` argv and exits with its code
+AGREE = """
+import sys
+from agreekit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def under_frames(depth, fn, *args):
+    """fn(*args), called depth frames further down the stack."""
+    return fn(*args) if depth == 0 else under_frames(depth - 1, fn, *args)
+
+
+@pytest.mark.parametrize("levels, code", [(490, 0), (500, 3)])
+def test_tree_depth_does_not_depend_on_the_callers_stack(tmp_path, capsys, levels, code):
+    # 2 * levels nested arrays on line 1, read 100 frames down in this process and in a
+    # fresh one: the same exit code, output and report, or the same error line
+    deep = '["x", [' * levels + '"x"' + "]]" * levels
+    path = write_lines(tmp_path / "deep.jsonl", [
+        '{"item": "i%d", "annotator": "a%d", "kind": "tree", "label": %s}'
+        % (i, j, deep if (i, j) == (0, 0) else '["x", [["y"]]]')
+        for i in range(2)
+        for j in range(2)
+    ])
+    argv = ["compute", "--input", path, "--distance", "ted", "--out"]
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    assert under_frames(100, main, argv + [str(here)]) == code
+    captured = capsys.readouterr()
+    proc = run_python(AGREE, *argv, str(there))
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+    if code:
+        assert proc.stderr == f"error: {path}:1: nested too deeply\n"
+        assert not here.exists() and not there.exists()
+    else:
+        assert here.read_text() == there.read_text()
+
+
+def test_load_dataset_raises_what_the_reading_thread_raises(tmp_path):
+    # the file is read in a worker thread; its errors reach the caller as they were raised,
+    # and no thread is left behind
+    before = threading.active_count()
+    absent = str(tmp_path / "absent.jsonl")
+    with pytest.raises(FileNotFoundError) as missing:
+        aio.load_dataset(absent)
+    assert missing.value.filename == absent
+    path = write_lines(tmp_path / "t.jsonl", [json.dumps({"item": "i", "annotator": "a"})])
+    with pytest.raises(DataError, match=r":1: missing field"):
+        aio.load_dataset(path)
+    assert threading.active_count() == before
+
+
 def test_de_samples_all_above_two_million_candidates(tmp_path):
     # 2,002 annotations: 2,003,001 candidate pairs, above the 2,000,000 past which a sample is
     # rejection-sampled; "all" takes every admissible pair instead
@@ -1342,7 +1395,7 @@ def test_report_counts_are_the_validation_counts(lines, exclude):
         if code:  # no observed or no cross-item pairs
             assert code == 3 and not os.path.exists(out)
             return
-        summary = validate_dataset(aio.load_dataset(path).records)
+        summary = validate_dataset(aio.load_dataset(path))
         counts = json.loads(open(out).read())["counts"]
         assert (counts["items"], counts["annotators"], counts["annotations"]) == (
             summary.items, summary.annotators, summary.annotations)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from agreekit.errors import DataError
-from agreekit.kde import KdeModel, _ndtr_ascending, fit_kde, kde_cdf, kde_pdf, scott_bandwidth
+from agreekit.kde import KdeModel, _ndtr_ascending, fit_kde, kde_cdf, scott_bandwidth
+
+from conftest import kde_pdf
 
 
 def test_scott_bandwidth():
@@ -24,8 +25,7 @@ def test_cdf_endpoints_and_monotonicity():
     model = fit_kde(rng.uniform(0.0, 1.0, 200), bounds=(0.0, 1.0))
     assert kde_cdf(model, 0.0) == 0.0
     assert kde_cdf(model, 1.0) == pytest.approx(1.0, abs=1e-12)
-    xs = np.linspace(0.0, 1.0, 301)
-    ys = kde_cdf(model, xs)
+    ys = np.array([kde_cdf(model, x) for x in np.linspace(0.0, 1.0, 301)])
     assert np.all(np.diff(ys) >= -1e-12)
     # queries beyond the bounds clamp
     assert kde_cdf(model, -5.0) == 0.0
@@ -55,7 +55,7 @@ def kde_models(draw) -> KdeModel:
 def test_cdf_is_exactly_monotone_and_exact_at_bounds(model, queries):
     # sigma bisects the sorted observed distances, so no tolerance is allowed here
     xs = np.sort(np.concatenate([queries, model.support, [0.0, 1.0]]))
-    assert np.all(np.diff(kde_cdf(model, xs)) >= 0)
+    assert np.all(np.diff([kde_cdf(model, x) for x in xs]) >= 0)
     if model.bounds is not None:
         assert kde_cdf(model, 0.0) == 0.0
         assert kde_cdf(model, 1.0) == 1.0
@@ -104,18 +104,21 @@ def test_pdf_integrates_to_cdf_increments():
     rng = np.random.default_rng(3)
     model = fit_kde(rng.beta(2, 3, 40), bounds=(0.0, 1.0))
     xs = np.linspace(0.0, 1.0, 2001)
-    dens = kde_pdf(model, xs)
+    dens = np.array([kde_pdf(model, x) for x in xs])
     trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     assert trapz(dens, xs) == pytest.approx(1.0, abs=1e-6)
+    increments = np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(xs))
+    cdf = np.array([kde_cdf(model, x) for x in xs[1:]])
+    assert np.abs(increments - cdf).max() <= 1e-6
     assert kde_pdf(model, -0.1) == 0.0
     assert kde_pdf(model, 1.1) == 0.0
 
 
-def test_scalar_and_array_shapes():
-    model = fit_kde(np.array([0.5]), bounds=(0.0, 1.0))
-    assert isinstance(kde_cdf(model, 0.5), float)
-    out = kde_cdf(model, np.array([0.1, 0.9]))
-    assert isinstance(out, np.ndarray) and out.shape == (2,)
+@pytest.mark.parametrize("bounds", [None, (0.0, 1.0)])
+def test_cdf_returns_a_float(bounds):
+    model = fit_kde(np.array([0.5]), bounds=bounds)
+    for x in (0.5, np.float64(0.1), 2, -1.0):
+        assert type(kde_cdf(model, x)) is float
 
 
 def test_tiny_samples_and_bandwidth_floor():
@@ -186,55 +189,27 @@ def package_ndtr(t: np.ndarray) -> np.ndarray:
     return out.reshape(t.shape)
 
 
-def one_matrix_cdf_pdf(model: KdeModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kde_cdf and kde_pdf at xs from one points x centers matrix per kernel."""
+def one_matrix_cdf(model: KdeModel, xs: np.ndarray) -> np.ndarray:
+    """kde_cdf at xs from one points x centers matrix."""
     centers = model.support
     if model.bounds is not None:
         lo, hi = model.bounds
         centers = np.concatenate([centers, 2 * lo - centers, 2 * hi - centers])
 
-    def sums(t, kernel):
-        return kernel((t[:, None] - centers[None, :]) / model.bandwidth).sum(axis=1)
-
     def mass(t):
-        return sums(t, package_ndtr) / model.support.size
+        z = (t[:, None] - centers[None, :]) / model.bandwidth
+        return package_ndtr(z).sum(axis=1) / model.support.size
 
-    n, h = model.support.size, model.bandwidth
-    dens = sums(xs, lambda z: np.exp(-0.5 * z * z)) / (n * h * np.sqrt(2 * np.pi))
     if model.bounds is None:
-        return mass(xs), dens
+        return mass(xs)
     ref = mass(np.array([lo, hi]))
-    cdf = np.clip((mass(np.clip(xs, lo, hi)) - ref[0]) / (ref[1] - ref[0]), 0.0, 1.0)
-    return cdf, np.where((xs >= lo) & (xs <= hi), dens / (ref[1] - ref[0]), 0.0)
+    return np.clip((mass(np.clip(xs, lo, hi)) - ref[0]) / (ref[1] - ref[0]), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("bounds", [None, (0.0, 1.0), (0.0, 2.5)])
-@pytest.mark.parametrize("budget", [1, 7, 1000])
-def test_row_blocks_equal_one_matrix(bounds, budget):
+def test_points_equal_one_matrix(bounds):
     rng = np.random.default_rng(3)
     # rounded values give ties; queries fall inside, outside and on the support
     model = fit_kde(np.round(rng.uniform(0.0, 1.0, 40), 2), bounds=bounds)
     xs = np.concatenate([rng.uniform(-0.5, 3.0, 500), model.support])
-    cdf, pdf = one_matrix_cdf_pdf(model, xs)
-    assert np.array_equal(kde_cdf(model, xs), cdf)
-    assert np.array_equal(kde_pdf(model, xs), pdf)
-    # queries passed in blocks of `budget` points give the same values
-    blocks = [xs[i : i + budget] for i in range(0, xs.size, budget)]
-    assert np.array_equal(np.concatenate([kde_cdf(model, b) for b in blocks]), cdf)
-    assert np.array_equal(np.concatenate([kde_pdf(model, b) for b in blocks]), pdf)
-
-
-def test_array_evaluation_memory_is_bounded():
-    rng = np.random.default_rng(4)
-    model = fit_kde(rng.uniform(0.0, 1.0, 1_000), bounds=(0.0, 1.0))
-    xs = rng.uniform(0.0, 1.0, 10_000)
-    # one 10,000 x 3,000 matrix would take 229 MB
-    for fn in (kde_cdf, kde_pdf):
-        tracemalloc.start()
-        try:
-            out = fn(model, xs)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert out.shape == xs.shape
-        assert peak_mb < 4
+    assert np.array_equal([kde_cdf(model, x) for x in xs], one_matrix_cdf(model, xs))

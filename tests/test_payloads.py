@@ -20,6 +20,8 @@ from agreekit.payloads import (
     tree_to_nested,
 )
 
+from conftest import box_area, n_leaves, tree_size
+
 
 def test_vector_coerces_to_floats():
     v = NumericVector(values=(1, 2.5))
@@ -30,7 +32,7 @@ def test_vector_coerces_to_floats():
 def test_box_orders_corners():
     with pytest.raises(DataError):
         Box(3.0, 0.0, 1.0, 2.0)
-    assert Box(0.0, 0.0, 2.0, 3.0).area() == 6.0
+    assert box_area(Box(0.0, 0.0, 2.0, 3.0)) == 6.0
 
 
 def test_span_bounds():
@@ -85,8 +87,8 @@ def test_tree_nested_round_trip():
     nested = ["S", [["NP", ["a"]], ["VP", [["V", ["b", "c"]]]]]]
     tree = tree_from_nested(nested)
     assert tree.label == "S"
-    assert tree.size() == 7
-    assert tree.n_leaves() == 3
+    assert tree_size(tree) == 7
+    assert n_leaves(tree) == 3
     back = tree_to_nested(tree)
     assert tree_from_nested(back) == tree
 
@@ -120,20 +122,19 @@ def test_validate_counts_and_ok():
             ("i2", "a2"): (0.2,),
         }
     )
-    summary = validate_dataset(recs, {})
+    summary = validate_dataset(Dataset(recs, {}))
     assert summary.items == 2
     assert summary.annotators == 2
     assert summary.annotations == 4
     assert summary.kind == "vector"
-    assert summary.ok
     assert summary.violations == ()
 
 
 def test_validate_flags_duplicates_and_singletons():
     recs = _vec_records({("i1", "a1"): (0.5,), ("i2", "a1"): (0.1,)})
     recs = recs + (AnnotationRecord("i1", "a1", NumericVector(values=(0.7,))),)
-    summary = validate_dataset(recs, {})
-    assert not summary.ok
+    summary = validate_dataset(Dataset(recs, {}))
+    assert summary.violations
     text = " ".join(summary.violations)
     assert "duplicate" in text
     assert "1 annotation" in text
@@ -141,10 +142,10 @@ def test_validate_flags_duplicates_and_singletons():
 
 def test_validate_vector_ranges():
     recs = _vec_records({("i1", "a1"): (1.5,), ("i1", "a2"): (0.5,)})
-    summary = validate_dataset(recs, {"ranges": [[0.0, 1.0]]})
+    summary = validate_dataset(Dataset(recs, {"ranges": [[0.0, 1.0]]}))
     assert any("range" in v for v in summary.violations)
     # without declared ranges the same data passes
-    assert validate_dataset(recs, {}).ok
+    assert validate_dataset(Dataset(recs, {})).violations == ()
 
 
 def test_validate_ranking_universe():
@@ -152,7 +153,7 @@ def test_validate_ranking_universe():
         AnnotationRecord("i1", "a1", Ranking(order=("x", "y"))),
         AnnotationRecord("i1", "a2", Ranking(order=("x", "z"))),
     )
-    summary = validate_dataset(recs, {"universe": ["x", "y"]})
+    summary = validate_dataset(Dataset(recs, {"universe": ["x", "y"]}))
     assert any("universe" in v for v in summary.violations)
 
 
@@ -162,7 +163,7 @@ def test_validate_rejects_mixed_kinds():
         AnnotationRecord("i1", "a2", TokenSequence(tokens=("x",))),
     )
     with pytest.raises(DataError):
-        validate_dataset(recs, {})
+        validate_dataset(Dataset(recs, {}))
 
 
 def test_dataset_sorts_records():

@@ -17,16 +17,9 @@ from agreekit.payloads import (
     SpanSet,
     TokenSequence,
 )
-from agreekit.registry import (
-    accepted_params,
-    is_dissimilarity,
-    make_spec,
-    registry_names,
-    registry_summary,
-    supported_kinds,
-)
+from agreekit.registry import accepted_params, make_spec, registry_names, registry_summary
 
-from conftest import make_payloads, reference_fn
+from conftest import DISSIMILARITY, REGISTRY_KINDS, make_payloads, reference_fn
 from test_registry_goldens import _keypoints_dataset, _tokens_dataset, _tree_dataset
 
 ALL_NAMES = [
@@ -80,13 +73,13 @@ def test_readme_registry_table_matches_registry():
     rows = readme_registry_table()
     assert sorted(rows) == registry_names()
     for name, (kinds, params) in rows.items():
-        assert kinds == supported_kinds(name), name
+        assert kinds == REGISTRY_KINDS[name], name
         assert params == accepted_params(name), name
 
 
 def test_dissimilarity_flags():
     for name in ALL_NAMES:
-        assert is_dissimilarity(name) == (name not in METRIC_NAMES), name
+        assert DISSIMILARITY[name] == (name not in METRIC_NAMES), name
 
 
 def test_registry_summary_rows():
@@ -108,7 +101,7 @@ def test_unknown_name_lists_registry():
 def test_kind_mismatch():
     with pytest.raises(UsageError, match="supports kind"):
         make_spec("tau", "vector")
-    assert supported_kinds("tau") == ("ranking",)
+    assert REGISTRY_KINDS["tau"] == ("ranking",)
 
 
 def test_unknown_parameter():
@@ -205,9 +198,9 @@ def test_oks_defaults_are_read_only_by_oks():
 SET_KINDS = ("boxes", "keypoints", "spans")
 
 
-@pytest.mark.parametrize("name", [n for n in ALL_NAMES if set(supported_kinds(n)) & set(SET_KINDS)])
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if set(REGISTRY_KINDS[n]) & set(SET_KINDS)])
 def test_every_set_valued_entry_is_a_kernel(name):
-    for kind in set(supported_kinds(name)) & set(SET_KINDS):
+    for kind in set(REGISTRY_KINDS[name]) & set(SET_KINDS):
         assert make_spec(name, kind).kernel is not None
 
 
@@ -252,7 +245,7 @@ def test_box_l2_scale_param():
 
 
 SIMULATED_ENTRIES = [
-    (name, kind) for name in registry_names() for kind in supported_kinds(name) if kind in TASKS
+    (name, kind) for name in registry_names() for kind in REGISTRY_KINDS[name] if kind in TASKS
 ]
 
 
@@ -322,7 +315,7 @@ def test_batch_equals_loop_for_every_generated_entry(seed):
         ia = np.concatenate([rng.integers(0, n, 40), np.repeat(last, 4)])
         ib = np.concatenate([rng.integers(0, n, 40), np.tile(last, 4)])
         for name in registry_names():
-            if kind not in supported_kinds(name):
+            if kind not in REGISTRY_KINDS[name]:
                 continue
             variants = [{}] + [{key: value} for key, value in PARAM_VARIANTS.items()
                                if key in accepted_params(name)]

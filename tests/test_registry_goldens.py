@@ -25,7 +25,7 @@ from agreekit.payloads import (
     OrderedTree,
     TokenSequence,
 )
-from agreekit.registry import make_spec, registry_names, registry_summary, supported_kinds
+from agreekit.registry import make_spec, registry_summary
 from agreekit.stats import agreement_report
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "registry_goldens.json"
@@ -148,7 +148,7 @@ def _datasets() -> dict[str, tuple[Dataset, object]]:
 
 
 def _cases() -> list[tuple[str, str, dict]]:
-    defaults = [(name, kind, {}) for name in registry_names() for kind in supported_kinds(name)]
+    defaults = [(name, kind, {}) for name, kinds, _, _ in registry_summary() for kind in kinds]
     return defaults + VARIANTS
 
 

@@ -24,7 +24,6 @@ from agreekit.stats import (
     DistanceSamples,
     agreement_report,
     agreement_reports,
-    build_samples,
     count_expected_pairs,
     diagnostics_flags,
     expected_pairs,
@@ -39,6 +38,7 @@ from agreekit.stats import (
 from agreekit.stats import _ecdf_gap, _permutation_pvalues, _run_ends
 
 from conftest import (
+    build_samples,
     dataset_from_grid,
     expected_indices_oracle,
     observed_indices_oracle,
@@ -451,7 +451,8 @@ TIED = st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]), min_size=1, ma
 )
 def test_sigma_equals_cdf_matrix_formula(obs, exp, bounds, bandwidth, data):
     s = samples(obs, exp)
-    cdf = kde_cdf(fit_kde(s.expected, bounds, bandwidth), s.observed)
+    model = fit_kde(s.expected, bounds, bandwidth)
+    cdf = np.array([kde_cdf(model, x) for x in s.observed])
     # any p in (0, 1], or exactly one of the observed CDF values
     p = data.draw(st.one_of(
         st.floats(0.0, 1.0, exclude_min=True),
@@ -872,11 +873,12 @@ def test_measures_are_unchanged_by_power_of_two_scaling(obs, exp, upper, bandwid
         s = samples(np.array(obs) * c, np.array(exp) * c, seed=seed)
         bounds = None if upper is None else (0.0, upper * c)
         bw = None if bandwidth is None else bandwidth * c
+        model = fit_kde(s.expected, bounds, bw)
         return (
             krippendorff_alpha(s),
             sigma_measure(s, p, bounds, bw),
             # the CDF values sigma counts, so a bandwidth change shows even when no count moves
-            kde_cdf(fit_kde(s.expected, bounds, bw), s.observed).tolist(),
+            [kde_cdf(model, x) for x in s.observed],
             ks_measure(s),
             ks_measure(s, n_permutations=20),
         )
@@ -1018,7 +1020,7 @@ class TestReport:
         ds = Dataset(records=records)
         spec = make_spec("euclidean", "vector", meta={"ranges": [[0.0, 1.0]]})
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            validate_dataset(ds.records)
+            validate_dataset(ds)
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             agreement_reports(ds, [spec])
 

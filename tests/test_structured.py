@@ -11,6 +11,7 @@ from scipy.stats import kendalltau, spearmanr
 from agreekit.distances.structured import (
     RankingConfig,
     TedConfig,
+    _inversions,
     ranking_batch,
     tree_batch,
 )
@@ -117,7 +118,7 @@ def test_tau_basics():
 
 
 def test_tau_matches_pair_counting_oracle(rng):
-    for n in (2, 3, 5, 9, 40):
+    for n in (2, 3, 5, 9, 16, 17, 33, 40):
         for _ in range(10):
             a = [f"e{i}" for i in range(n)]
             b = list(a)
@@ -125,6 +126,20 @@ def test_tau_matches_pair_counting_oracle(rng):
             rng.shuffle(b)
             got = ranking_distance(rank(*a), rank(*b))
             assert got == pytest.approx(tau_distance_oracle(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("top", [0, 255, 256, 65_536])
+def test_inversions_match_pair_counting_in_each_block_dtype(top):
+    # base blocks compare in the smallest unsigned type that holds the largest value:
+    # uint8 up to 255, uint16 from 256, uint32 from 65,536; ties and block edges included
+    rng = np.random.default_rng(top)
+    for n in (1, 2, 15, 16, 17, 33, 40):
+        y = rng.integers(0, top + 1, size=(12, n))
+        y[0, 0] = top
+        y[1] = y[1, 0]  # one row all ties
+        want = [sum(int(r[i] > r[j]) for i in range(n) for j in range(i + 1, n)) for r in y]
+        got = _inversions(y)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_tau_relabeling_invariance(rng):
