@@ -4,8 +4,9 @@
 # float limit, far span offsets, `levenshtein` and `ted` on small token and tree files, and
 # a rejection-sampled vector compute through the installed `agree` script, with the printed
 # rows pinned, the exit code and error line of a too-wide span, of boxes whose corners
-# are out of order and of a tree 500 levels deep (490 levels compute), plus `check-metric`
-# on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
+# are out of order, of a tree 500 levels deep (490 levels compute and pass `check-metric`)
+# and of a byte that is not UTF-8 on line 4, plus `check-metric` on the simulated ranking,
+# vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
 set -euo pipefail
@@ -137,6 +138,23 @@ agree compute --input deep500.jsonl --distance ted 2> deep500.txt || code=$?
 cat deep500.txt
 test "$code" -eq 3
 grep -Fx "error: deep500.jsonl:1: nested too deeply" deep500.txt
+# check-metric skips repeated trees: two equal 490-level trees (lines 1 and 3) compare
+# without recursing through their levels
+{ head -n 1 deep490.jsonl; sed -n 2p trees.jsonl; head -n 1 deep490.jsonl | sed 's/"i0"/"i1"/'
+  tail -n +4 trees.jsonl; } > twodeep.jsonl
+agree check-metric --input twodeep.jsonl --distance ted | tee twodeep.txt
+grep -Fx ok twodeep.txt
+
+# a byte that is not UTF-8 (0xff) on line 4 alone is a data error (exit 3) of line 4
+{ head -n 3 tokens.jsonl
+  printf '{"item": "i1", "annotator": "a1", "kind": "tokens", "label": ["the", "d\xffog"]}\n'
+  tail -n +5 tokens.jsonl; } > latin1.jsonl
+code=0
+agree compute --input latin1.jsonl --distance levenshtein 2> latin1.txt || code=$?
+cat latin1.txt
+test "$code" -eq 3
+grep -F "error: latin1.jsonl:4: not UTF-8: 'utf-8' codec can't decode byte 0xff in position" \
+  latin1.txt
 
 # expected pairs by rejection sampling: 2,200 annotations give 2,418,900 candidates
 agree simulate --task vector --items 1100 --annotators 2 --noise 0.25 --seed 7 --out large.jsonl

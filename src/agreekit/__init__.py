@@ -25,7 +25,7 @@ The `agree` console script exposes the same pipeline plus a noise simulator
 and a metric-property checker.
 """
 
-from .dataset import AnnotationRecord, Dataset, ValidationSummary, validate_dataset
+from .dataset import AnnotationRecord, Dataset, validate_dataset
 from .errors import AgreeError, DataError, NumericError, UsageError
 from .kde import KdeModel, fit_kde, kde_cdf, scott_bandwidth
 from .noise import NoiseSpec, generate_cst_dataset, perturb, random_gold
@@ -83,7 +83,6 @@ __all__ = [
     "SpanSet",
     "TokenSequence",
     "UsageError",
-    "ValidationSummary",
     "agreement_report",
     "agreement_reports",
     "check_metric_properties",

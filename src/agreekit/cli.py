@@ -83,15 +83,13 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     check_measure_args(p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
                        n_permutations=args.exact_ks)
     dataset = _load(args)
-    summary = validate_dataset(dataset)
-    if summary.violations:
-        for v in summary.violations:
+    violations = validate_dataset(dataset)
+    if violations:
+        for v in violations:
             print(f"validation: {v}", file=sys.stderr)
         if not args.allow_violations:
-            raise DataError(
-                f"{len(summary.violations)} validation violation(s); "
-                "use --allow-violations to proceed anyway"
-            )
+            raise DataError(f"{len(violations)} validation violation(s); "
+                            "use --allow-violations to proceed anyway")
     specs = _specs(args, dataset, names)
     return agreement_reports(
         dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,

@@ -27,9 +27,9 @@ class AnnotationRecord:
         object.__setattr__(self, "annotator_id", str(self.annotator_id))
 
 
-# parse(ks) -> the payloads of labels ks, in that order; a faulty label raises, the first in
-# file order if several are
-Parse = Callable[[Sequence[int]], list]
+# parse() -> every record's payload, in record order; a faulty label raises, the first in file
+# order if several are
+Parse = Callable[[], list]
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,18 @@ def _checked(labels: Sequence, parse: Parse, rows: Callable, rejected: Callable)
 
     rows reads labels in their plain form (lists of the exact arity holding plain int,
     float and str values) and gives None if a label is in another form; rejected(*arrays)
-    flags each object the payload dataclasses reject. Each label that rows cannot read, or
-    that holds a flagged object, is parsed and replaced by payload_to_json of its payload:
-    parse raises the error of the first faulty label, or gives what the dataclasses make
-    of another form they accept (a bool or a numeric string as a number, a whole-float
-    offset, extra span fields)."""
-    labels, arrays = list(labels), rows(labels)
-    odd = [] if arrays is not None else [
-        k for k, label in enumerate(labels) if rows([label]) is None]
-    for k in odd:  # read as empty, so that rejected sees the other labels' objects
-        labels[k] = []
-    if odd:
-        arrays = rows(labels)
-    counts = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
-    record = np.repeat(np.arange(counts.size), counts)
-    bad = sorted(set(odd).union(record[rejected(*arrays)].tolist()))
-    if bad:
-        for k, payload in zip(bad, parse(bad)):
-            labels[k] = payload_to_json(payload)  # in the plain form, and accepted
+    flags each object the payload dataclasses reject. If rows cannot read a label, or an
+    object is flagged, every label is replaced by payload_to_json of its payload: parse
+    raises the error of the first faulty label, or gives what the dataclasses make of
+    another form they accept (a bool or a numeric string as a number, a whole-float offset,
+    extra span fields)."""
+    arrays = rows(labels)
+    if arrays is None or rejected(*arrays).any():
+        labels = [payload_to_json(payload) for payload in parse()]  # plain, and accepted
         arrays = rows(labels)
         if arrays is None:
             raise TypeError("cannot pack payloads of another kind")
-        counts = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
-    return counts, arrays
+    return np.fromiter(map(len, labels), dtype=np.intp, count=len(labels)), arrays
 
 
 def _canonical(counts: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +156,7 @@ def pack_spans(labels: Sequence, parse: Parse) -> Spans:
 
 def pack_keypoints(labels: Sequence, parse: Parse) -> Keypoints:
     """Keypoints of keypoints labels, each parsed and checked as a KeypointSet."""
-    sets = parse(range(len(labels)))
+    sets = parse()
     objs = [obj for payload in sets for obj in payload.objects]
     return Keypoints(
         counts=np.array([len(payload.objects) for payload in sets], dtype=np.intp),
@@ -189,8 +178,7 @@ def pack_payloads(kind: str, payloads: Sequence[LabelPayload]):
     from payload_to_json as a file's labels are, and the list itself for any other kind."""
     if kind not in PACKERS:
         return payloads
-    return PACKERS[kind]([payload_to_json(p) for p in payloads],
-                         lambda ks: [payloads[k] for k in ks])
+    return PACKERS[kind]([payload_to_json(p) for p in payloads], lambda: list(payloads))
 
 
 def _codes(ids: Sequence[str]) -> np.ndarray:
@@ -221,14 +209,11 @@ class Dataset:
 
     @classmethod
     def from_columns(cls, kind: str, item_ids: Sequence[str], annotator_ids: Sequence[str],
-                     columns, parse: Optional[Parse] = None,
-                     meta: Optional[Mapping] = None) -> "Dataset":
-        """A dataset of one kind from its records' ids and columns, in canonical order.
-        parse(ks) gives the payloads of records ks; without it, columns are the payloads."""
+                     columns, parse: Parse, meta: Optional[Mapping] = None) -> "Dataset":
+        """A dataset of one kind from its records' ids, columns and parse, in canonical order."""
         dataset = cls.__new__(cls)
         dataset._ids(item_ids, annotator_ids, meta)
-        dataset.kind, dataset.columns = kind, columns
-        dataset._parse = parse or (lambda ks: [columns[k] for k in ks])
+        dataset.kind, dataset.columns, dataset._parse = kind, columns, parse
         return dataset
 
     def _ids(self, item_ids: Sequence[str], annotator_ids: Sequence[str],
@@ -250,7 +235,7 @@ class Dataset:
 
     @cached_property
     def _payloads(self) -> list[LabelPayload]:
-        return self._parse(range(len(self)))
+        return self._parse()
 
     @cached_property
     def records(self) -> tuple[AnnotationRecord, ...]:
@@ -258,15 +243,6 @@ class Dataset:
 
     def payloads(self) -> list[LabelPayload]:
         return list(self._payloads)
-
-
-@dataclass(frozen=True)
-class ValidationSummary:
-    items: int
-    annotators: int
-    annotations: int
-    kind: str
-    violations: tuple[str, ...]
 
 
 def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
@@ -282,9 +258,9 @@ def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
     return kind
 
 
-def validate_dataset(dataset: Dataset) -> ValidationSummary:
-    """Check dataset-level invariants of a Dataset under its meta, and return counts plus a
-    sorted violation list.
+def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
+    """Check dataset-level invariants of a Dataset under its meta, and return the sorted
+    violations.
 
     Hard errors (raised): empty input, mixed payload kinds, vector ranges that are
     not a list of [lo, hi] pairs of numbers, a ranking universe that is not a list.
@@ -351,10 +327,4 @@ def validate_dataset(dataset: Dataset) -> ValidationSummary:
                     f"ranking is not a permutation of the universe"
                 )
 
-    return ValidationSummary(
-        items=first.size,
-        annotators=int(annotator.max()) + 1,
-        annotations=item.size,
-        kind=kind,
-        violations=tuple(sorted(violations)),
-    )
+    return tuple(sorted(violations))

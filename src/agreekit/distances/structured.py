@@ -2,36 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import DataError
 from ..payloads import OrderedTree, Ranking
-
-
-@dataclass(frozen=True)
-class TedConfig:
-    """Insertion, deletion, and relabel all cost 1; only the variant is configurable."""
-
-    variant: str = "plain"
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("plain", "norm", "diff"):
-            raise DataError(f"unknown tree distance variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class RankingConfig:
-    mode: str = "tau"
-    k: int = 5
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("tau", "rho", "tau_at_k"):
-            raise DataError(f"unknown ranking distance mode {self.mode!r}")
-        if self.k < 1:
-            raise DataError("k must be at least 1")
 
 
 def _postorder(tree: OrderedTree) -> tuple[list[str], list[int], list[int], int]:
@@ -101,16 +77,19 @@ def _tree_distance(a, b, variant: str) -> float:
 
 
 def tree_batch(
-    payloads: Sequence[OrderedTree], ia: np.ndarray, ib: np.ndarray, cfg: TedConfig = TedConfig()
+    payloads: Sequence[OrderedTree], ia: np.ndarray, ib: np.ndarray, variant: str
 ) -> np.ndarray:
-    """The variant's tree edit distance of each pair (payloads[ia[t]], payloads[ib[t]]).
+    """The unit-cost tree edit distance of each pair (payloads[ia[t]], payloads[ib[t]]) in
+    the variant "plain", "norm" or "diff" (see _tree_distance).
 
     Every tree in a pair is walked once into its postorder labels, leftmost
     leaves, keyroots and leaf count; the dynamic program runs per pair.
     """
+    if variant not in ("plain", "norm", "diff"):
+        raise DataError(f"unknown tree distance variant {variant!r}")
     ia, ib = np.asarray(ia).tolist(), np.asarray(ib).tolist()
     prepared = {k: _postorder(payloads[k]) for k in set(ia) | set(ib)}
-    dists = [_tree_distance(prepared[i], prepared[j], cfg.variant) for i, j in zip(ia, ib)]
+    dists = [_tree_distance(prepared[i], prepared[j], variant) for i, j in zip(ia, ib)]
     return np.array(dists, dtype=float)
 
 
@@ -149,7 +128,7 @@ def _inversions(y: np.ndarray) -> np.ndarray:
 
 
 def _ranking_rows(
-    ranks: np.ndarray, ia: np.ndarray, ib: np.ndarray, cfg: RankingConfig
+    ranks: np.ndarray, ia: np.ndarray, ib: np.ndarray, mode: str, k: int
 ) -> np.ndarray:
     """Distances of the ranking pairs (ia[t], ib[t]), rows of one universe's rank matrix.
 
@@ -158,7 +137,7 @@ def _ranking_rows(
     if n < 2:
         return np.zeros(ia.size)
     order = np.argsort(ranks, axis=1)  # order[r, p]: the element ranking r puts at p
-    if cfg.mode == "rho":
+    if mode == "rho":
         y = ranks[ib[:, None], order[ia]]
         # rank x sits 2x - (n - 1) half-steps from the mean, so four times the
         # covariance and the variance are integers, and their sums are exact
@@ -167,7 +146,7 @@ def _ranking_rows(
         var = int((centred * centred).sum()) / 4
         return (1.0 - cov / var) / 2.0
 
-    k = min(cfg.k, n) if cfg.mode == "tau_at_k" else n
+    k = min(k, n) if mode == "tau_at_k" else n
     top_a = order[ia, :k]
     # b's ranks of a's top k in a's order, every rank from k on tied at k
     first = np.minimum(ranks[ib[:, None], top_a], k)
@@ -203,13 +182,15 @@ def ranking_batch(
     payloads: Sequence[Ranking],
     ia: np.ndarray,
     ib: np.ndarray,
-    cfg: RankingConfig = RankingConfig(),
+    mode: str,
+    k: int = 5,
 ) -> np.ndarray:
     """Rank disagreement (1 - correlation) / 2 of each pair (payloads[ia[t]], payloads[ib[t]]).
 
     Every mode compares rank vectors over the union of both top-k prefixes, with
     everything outside a list's top k tied at rank k + 1; tau and rho take k = n,
-    the whole universe. A union of fewer than two elements scores 0. tau and
+    the whole universe (k, which registry.make_spec checks is at least 1, is
+    tau_at_k's alone). A union of fewer than two elements scores 0. tau and
     tau_at_k use tau-b, and identical rankings score exactly 0; rho is the Pearson
     correlation of the rank vectors. Rankings over different universes raise
     DataError.
@@ -217,6 +198,8 @@ def ranking_batch(
     Each payload's rank vector over its sorted universe is built once; pairs
     gather them, with one vectorized pass per universe.
     """
+    if mode not in ("tau", "rho", "tau_at_k"):
+        raise DataError(f"unknown ranking distance mode {mode!r}")
     universes: dict[tuple[str, ...], int] = {}
     rank_rows, codes = [], []
     for p in payloads:
@@ -234,5 +217,5 @@ def ranking_batch(
         local[members] = np.arange(members.size)
         pairs = np.flatnonzero(code[ia] == u)
         ranks = np.array([rank_rows[r] for r in members], dtype=np.intp)
-        out[pairs] = _ranking_rows(ranks, local[ia[pairs]], local[ib[pairs]], cfg)
+        out[pairs] = _ranking_rows(ranks, local[ia[pairs]], local[ib[pairs]], mode, k)
     return out

@@ -37,8 +37,9 @@ def load_dataset(path: str) -> Dataset:
 
     Errors carry the 1-based line number of the first faulty line. Token sequences get
     the sentence id "<item>::<annotator>" unless the line provides one, matching the
-    embedding-file convention. A set kind's labels are checked and packed together once
-    every line is read (dataset.PACKERS); their payloads are built only if asked for.
+    embedding-file convention. Every label is parsed after the read, in file order. A set
+    kind's labels are checked and packed together instead (dataset.PACKERS), and parsed
+    only if one is not in the plain form or is rejected, or if payloads are asked for.
 
     The file is read in a new thread. json.loads and the tree parser count nesting against
     the recursion limit, and a new thread starts at depth 0, so how deep a line may nest
@@ -63,17 +64,18 @@ def load_dataset(path: str) -> Dataset:
 def _load(path: str) -> Dataset:
     items: list[str] = []
     annotators: list[str] = []
-    labels: list = []  # payloads, for a kind with no packer
+    labels: list = []
     linenos: list[int] = []
     meta: dict = {}
     kind: Optional[str] = None
     fault: Optional[DataError] = None  # the first faulty line's, raised after the labels before it
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                _check_utf8(line)
                 try:
                     obj = json.loads(line)
                 except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
@@ -94,8 +96,6 @@ def _load(path: str) -> Dataset:
                     kind = line_kind
                 elif line_kind != kind:
                     raise DataError(f"payload kind {line_kind!r} differs from {kind!r}")
-                if kind not in PACKERS:
-                    label = parse_payload(kind, label, sentence_id=f"{item}::{annotator}")
             except DataError as exc:
                 fault = DataError(f"{path}:{lineno}: {exc}")
                 break
@@ -109,23 +109,37 @@ def _load(path: str) -> Dataset:
     if not labels:
         raise fault or DataError(f"{path}: empty dataset")
     order = sorted(range(len(labels)), key=list(zip(items, annotators)).__getitem__)
-    columns, parse = [labels[k] for k in order], None
-    if kind in PACKERS:
-        def parse(ks):
-            """The payloads of records ks (in canonical order), parsed in file order."""
-            payloads = {}
-            for k in sorted(ks, key=order.__getitem__):
-                try:
-                    payloads[k] = parse_payload(kind, labels[order[k]])
-                except DataError as exc:
-                    raise DataError(f"{path}:{linenos[order[k]]}: {exc}") from exc
-            return [payloads[k] for k in ks]
 
-        columns = PACKERS[kind](columns, parse)
+    def parse() -> list:
+        """Every record's payload, in canonical order, parsed in file order."""
+        payloads = []
+        for item, annotator, label, lineno in zip(items, annotators, labels, linenos):
+            try:
+                payloads.append(parse_payload(kind, label, sentence_id=f"{item}::{annotator}"))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            except RecursionError:
+                raise DataError(f"{path}:{lineno}: nested too deeply") from None
+        return [payloads[k] for k in order]
+
+    if kind in PACKERS:
+        columns = PACKERS[kind]([labels[k] for k in order], parse)
+    else:
+        columns = parse()
+        parse = columns.copy  # the payloads, parsed once
     if fault is not None:
         raise fault
     return Dataset.from_columns(kind, [items[k] for k in order], [annotators[k] for k in order],
                                 columns, parse, meta)
+
+
+def _check_utf8(line: str) -> None:
+    """DataError if line held bytes that are not UTF-8 (errors="surrogateescape" kept them)."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8: {exc}") from None
 
 
 def dataset_lines(dataset: Dataset):
@@ -152,16 +166,19 @@ def write_dataset(path: str, dataset: Dataset) -> None:
 def load_embeddings(path: str) -> TokenEmbeddingTable:
     """JSONL embedding file: {"sentence_id": str, "vectors": [[...], ...]} per line."""
     table: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                _check_utf8(line)
                 obj = json.loads(line)
                 table[str(obj["sentence_id"])] = obj["vectors"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed embedding line: {exc}") from exc
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             except RecursionError as exc:
                 raise DataError(f"{path}:{lineno}: nested too deeply") from exc
     if not table:

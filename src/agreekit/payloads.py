@@ -143,9 +143,6 @@ class Span:
             raise DataError(f"span [{self.start}, {self.end}) must end below 2**63 "
                             "and be under 2**31 tokens wide")
 
-    def tokens(self) -> range:
-        return range(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class SpanSet:
@@ -170,6 +167,18 @@ class OrderedTree:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "children", tuple(self.children))
+
+    def __eq__(self, other: object) -> bool:
+        """The dataclass's == (labels and children, in order), by an explicit stack."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
 
 @dataclass(frozen=True)

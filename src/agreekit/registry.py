@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import PACKERS, pack_payloads
 from .distances.geometry import box_batch, oks_batch
 from .distances.multiobject import count_diff_batch, ner_batch
-from .distances.structured import RankingConfig, TedConfig, ranking_batch, tree_batch
+from .distances.structured import ranking_batch, tree_batch
 from .distances.vector_text import TokenEmbeddingTable, translation_batch, vector_batch
 from .errors import UsageError
 
@@ -126,14 +126,14 @@ def _ner(mode, params, meta, embeddings):
 
 
 def _tree(mode, params, meta, embeddings):
-    return partial(tree_batch, cfg=TedConfig(variant=mode))
+    return partial(tree_batch, variant=mode)
 
 
 def _ranking(mode, params, meta, embeddings):
     k = params.get("k", 5)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    return partial(ranking_batch, cfg=RankingConfig(mode=mode, k=k))
+    return partial(ranking_batch, mode=mode, k=k)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ class DistanceSamples:
     expected: np.ndarray
     distance_name: str
     seed: int
-    # (number of observed pairs, number of cross-item pairs available)
-    pair_counts: tuple[int, int]
 
     def __post_init__(self) -> None:
         for name in ("observed", "expected"):
@@ -198,13 +196,8 @@ def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -
     ia, ib = (np.concatenate(side) for side in zip(plan.observed, plan.expected))
     distances = spec.kernel(dataset.columns, ia, ib)
     n_observed = plan.observed[0].size
-    return DistanceSamples(
-        observed=distances[:n_observed],
-        expected=distances[n_observed:],
-        distance_name=spec.name,
-        seed=seed,
-        pair_counts=(n_observed, plan.counts["expected_pairs_available"]),
-    )
+    return DistanceSamples(observed=distances[:n_observed], expected=distances[n_observed:],
+                           distance_name=spec.name, seed=seed)
 
 
 def krippendorff_alpha(samples: DistanceSamples) -> float:

@@ -18,7 +18,6 @@ import pytest
 
 from agreekit import stats
 from agreekit.dataset import AnnotationRecord, Dataset, Keypoints, pack_keypoints
-from agreekit.distances.structured import RankingConfig, TedConfig
 from agreekit.distances.vector_text import TokenEmbeddingTable
 from agreekit.errors import DataError
 from agreekit.kde import KdeModel
@@ -424,13 +423,13 @@ def tree_edit_distance(a: OrderedTree, b: OrderedTree) -> int:
     return td[na - 1][nb - 1]
 
 
-def tree_distance(a: OrderedTree, b: OrderedTree, cfg: TedConfig = TedConfig()) -> float:
+def tree_distance(a: OrderedTree, b: OrderedTree, variant: str = "plain") -> float:
     """tree_batch for one pair, walking both trees by recursion."""
     ted = tree_edit_distance(a, b)
-    if cfg.variant == "plain":
+    if variant == "plain":
         return float(ted)
     leaves_a, leaves_b = n_leaves(a), n_leaves(b)
-    if cfg.variant == "norm":
+    if variant == "norm":
         return ted / (leaves_a + leaves_b)
     # diff: every unit edit changes the leaf count by at most one, so
     # |leaves_a - leaves_b| <= ted and the clamp below is a pure safeguard
@@ -482,7 +481,7 @@ def _tau_b(va: list[int], vb: list[int]) -> float:
     return min(1.0, max(-1.0, tau))
 
 
-def ranking_distance_oracle(a: Ranking, b: Ranking, cfg: RankingConfig = RankingConfig()) -> float:
+def ranking_distance_oracle(a: Ranking, b: Ranking, mode: str = "tau", k: int = 5) -> float:
     """ranking_batch for one pair: rank vectors over the union of both top-k prefixes.
 
     Builds each pair's vectors with dicts and scores them with a bisect-based
@@ -491,7 +490,7 @@ def ranking_distance_oracle(a: Ranking, b: Ranking, cfg: RankingConfig = Ranking
     """
     if sorted(a.order) != sorted(b.order):
         raise DataError("rankings are over different element universes")
-    k = cfg.k if cfg.mode == "tau_at_k" else len(a.order)
+    k = k if mode == "tau_at_k" else len(a.order)
     top = sorted(set(a.order[:k]) | set(b.order[:k]))
     if len(top) < 2:
         return 0.0
@@ -499,7 +498,7 @@ def ranking_distance_oracle(a: Ranking, b: Ranking, cfg: RankingConfig = Ranking
     pos_b = {e: i for i, e in enumerate(b.order[:k])}
     va = [pos_a.get(e, k) for e in top]
     vb = [pos_b.get(e, k) for e in top]
-    if cfg.mode != "rho":
+    if mode != "rho":
         return (1.0 - _tau_b(va, vb)) / 2.0
     mean = (len(va) - 1) / 2.0
     cov = sum((x - mean) * (y - mean) for x, y in zip(va, vb))
@@ -535,7 +534,7 @@ def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges
 def keypoint_columns(object_tuples: Sequence[tuple]) -> Keypoints:
     """The packed Keypoints of object tuples, each in its given order (a KeypointSet sorts)."""
     return pack_keypoints(object_tuples,
-                          lambda ks: [SimpleNamespace(objects=object_tuples[k]) for k in ks])
+                          lambda: [SimpleNamespace(objects=objects) for objects in object_tuples])
 
 
 def count_diff_oracle(a_objs, b_objs, normalize: bool = True) -> float:
@@ -546,14 +545,19 @@ def count_diff_oracle(a_objs, b_objs, normalize: bool = True) -> float:
     return diff / max(len(a_objs), len(b_objs), 1)
 
 
+def span_tokens(span: Span) -> range:
+    """The token positions a span covers."""
+    return range(span.start, span.end)
+
+
 def _covered_fraction(span, others, tag_strict: bool) -> float:
     """Fraction of span's tokens covered by the union of matching spans in `others`."""
-    tokens = set(span.tokens())
+    tokens = set(span_tokens(span))
     covered: set[int] = set()
     for other in others:
         if tag_strict and other.tag != span.tag:
             continue
-        covered.update(t for t in other.tokens() if t in tokens)
+        covered.update(t for t in span_tokens(other) if t in tokens)
     return len(covered) / len(tokens)
 
 
@@ -734,7 +738,7 @@ def reference_fn(spec, meta: dict, embeddings=None):
         ranges = None if name == "binary" else params.get("ranges", meta.get("ranges"))
         return partial(vector_distance_oracle, mode=name, ranges=ranges)
     if name in ("tau", "rho", "tau_at_k"):
-        return partial(ranking_distance_oracle, cfg=RankingConfig(name, params.get("k", 5)))
+        return partial(ranking_distance_oracle, mode=name, k=params.get("k", 5))
     if name in NER_ENTRIES:
         range_strict, tag_strict = NER_ENTRIES[name]
         return partial(ner_distance_oracle, range_strict=range_strict, tag_strict=tag_strict)
@@ -746,7 +750,7 @@ def reference_fn(spec, meta: dict, embeddings=None):
     if spec.payload_kind == "tokens":
         return partial(translation_distance, mode=name, raw=params.get("raw", False))
     assert spec.payload_kind == "tree", name
-    return partial(tree_distance, cfg=TedConfig(variant={"ted": "plain"}.get(name, name[4:])))
+    return partial(tree_distance, variant={"ted": "plain"}.get(name, name[4:]))
 
 
 def _codes(values: list[str]) -> np.ndarray:

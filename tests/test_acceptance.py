@@ -47,13 +47,7 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
 def _samples(observed, expected) -> DistanceSamples:
     o = np.asarray(observed, dtype=float)
     e = np.asarray(expected, dtype=float)
-    return DistanceSamples(
-        observed=o,
-        expected=e,
-        distance_name="synthetic",
-        seed=0,
-        pair_counts=(o.size, e.size),
-    )
+    return DistanceSamples(observed=o, expected=e, distance_name="synthetic", seed=0)
 
 
 def _normal_grid(mean: float, sd: float, n: int) -> np.ndarray:

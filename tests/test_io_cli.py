@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import agreekit
 from agreekit import io as aio
 from agreekit.cli import main
-from agreekit.dataset import AnnotationRecord, Dataset, validate_dataset
+from agreekit.dataset import AnnotationRecord, Dataset
 from agreekit.errors import DataError
 
 from conftest import NER_ENTRIES, PAYLOAD_MAKERS, make_payloads, uniform_random_vector_dataset
@@ -1085,6 +1085,51 @@ def test_load_dataset_raises_what_the_reading_thread_raises(tmp_path):
     assert threading.active_count() == before
 
 
+def test_check_metric_compares_trees_of_any_depth(tmp_path, capsys):
+    # check-metric skips repeated payloads; the dataclass == recursed through each of the 490
+    # levels of two equal trees that compute scores, and ended in a RecursionError traceback
+    deep = '["x", [' * 490 + '"x"' + "]]" * 490
+    path = write_lines(tmp_path / "deep.jsonl", [
+        '{"item": "i%d", "annotator": "a%d", "kind": "tree", "label": %s}'
+        % (i, j, deep if j == 0 else '["x", [["y"]]]')
+        for i in range(2)
+        for j in range(2)
+    ])
+    argv = ["check-metric", "--input", path, "--distance", "ted"]
+    assert under_frames(100, main, argv) == 0
+    captured = capsys.readouterr()
+    proc = run_python(AGREE, *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert captured.out == proc.stdout
+    assert proc.stdout.startswith("payloads=2, ") and proc.stdout.endswith("\nok\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("flag", ["--input", "--embeddings"])
+def test_bytes_that_are_not_utf8_are_a_fault_of_their_line(tmp_path, capsys, flag, end):
+    # the byte 0xff on line 4 alone: text decoding read ahead and raised before line 1 was
+    # read, a traceback; it is line 4's fault, unless an earlier line is faulty
+    data, emb = token_files(tmp_path)
+    path = data if flag == "--input" else emb
+    argv = ["compute", "--input", data, "--distance", "embedding_f1", "--embeddings", emb]
+
+    def run(lines):
+        with open(path, "wb") as f:
+            f.write(end.encode().join(lines) + end.encode())
+        return main(argv), capsys.readouterr().err
+
+    lines = open(path, "rb").read().splitlines()
+    assert run(lines) == (0, "")
+    lines[3] = lines[3].replace(b'y"', b'\xffy"')
+    with pytest.raises(UnicodeDecodeError) as bad:
+        lines[3].decode("utf-8")
+    assert run(lines) == (3, f"error: {path}:4: not UTF-8: {bad.value}\n")
+    lines[1] = lines[1][:-1]  # a malformed line 2 comes first
+    code, err = run(lines)
+    malformed = "malformed JSON" if flag == "--input" else "malformed embedding line"
+    assert code == 3 and err.startswith(f"error: {path}:2: {malformed}") and err.count("\n") == 1
+
+
 def test_de_samples_all_above_two_million_candidates(tmp_path):
     # 2,002 annotations: 2,003,001 candidate pairs, above the 2,000,000 past which a sample is
     # rejection-sampled; "all" takes every admissible pair instead
@@ -1395,10 +1440,11 @@ def test_report_counts_are_the_validation_counts(lines, exclude):
         if code:  # no observed or no cross-item pairs
             assert code == 3 and not os.path.exists(out)
             return
-        summary = validate_dataset(aio.load_dataset(path))
+        records = [json.loads(text) for text in lines[1:]]  # line 1 is the meta line
         counts = json.loads(open(out).read())["counts"]
         assert (counts["items"], counts["annotators"], counts["annotations"]) == (
-            summary.items, summary.annotators, summary.annotations)
+            len({r["item"] for r in records}), len({r["annotator"] for r in records}),
+            len(records))
 
 
 class TestCliHist:

@@ -1,5 +1,6 @@
-"""Set-kind labels are checked and packed at load: the packed objects must equal those of the
-payload dataclasses, and a faulty file must fail as the line-by-line parse fails it."""
+"""Every label is parsed at load, after the read, and set-kind labels are checked and packed: the
+packed objects must equal those of the payload dataclasses, and a faulty file of any kind must
+fail as the line-by-line parse fails it."""
 
 import json
 import math
@@ -100,8 +101,41 @@ def span_labels(draw):
     return draw(st.permutations(spans))
 
 
-LABELS = {"boxes": box_labels(), "spans": span_labels()}
-FAULTS = {"boxes": BOX_FAULTS, "spans": SPAN_FAULTS}
+VECTOR_FAULTS = [[], [float("nan")], [float("inf")], ["a"], [None], [[1]], [10**400],
+                 {"x": 1}, 7, None]
+RANKING_FAULTS = [[], ["a", "a"], [1, "1"], [None, "None"], 7, 1.5, None]
+TOKEN_FAULTS = [7, 1.5, True, None, {"tokens": 5}, {"tokens": None}, {"sentence_id": "s"}]
+TREE_FAULTS = [[], ["x", "y"], ["x", [], 3], ["x", [7]], ["x", [["y", "z"]]], {"x": []}, 7, True,
+               None]
+
+LABELS = {
+    "boxes": box_labels(),
+    "spans": span_labels(),
+    # each in the forms the dataclasses accept: numbers as numeric strings and bools, elements
+    # and tokens of any type, tokens as a string or a dict, tree labels as numbers
+    "vector": st.lists(NUMBERS.flatmap(lambda v: st.sampled_from(forms(v))), min_size=1,
+                       max_size=4),
+    "ranking": st.lists(st.sampled_from(["a", "b", "", "a\x00", 1, 2.5, None]), min_size=1,
+                        max_size=5, unique_by=str),
+    "tokens": st.one_of(
+        st.lists(st.sampled_from(["a", "b", "", 1, 2.5, None, [1]]), max_size=4),
+        st.text(max_size=3),
+        st.fixed_dictionaries({"tokens": st.lists(st.sampled_from(["a", "b"]), max_size=3)},
+                              optional={"sentence_id": st.sampled_from(["s", 5, None])})),
+    "tree": st.recursive(
+        st.sampled_from(["x", "y", ["x"], [5]]),
+        lambda children: st.tuples(st.sampled_from(["x", "y", 3]),
+                                   st.lists(children, max_size=3)).map(list),
+        max_leaves=8),
+}
+FAULTS = {"boxes": BOX_FAULTS, "spans": SPAN_FAULTS, "vector": VECTOR_FAULTS,
+          "ranking": RANKING_FAULTS, "tokens": TOKEN_FAULTS, "tree": TREE_FAULTS}
+PACKED = sorted(PACKERS.keys() & LABELS.keys())  # the set kinds with a label strategy
+
+
+def other_kind(kind):
+    """A kind whose line is a fault in a file of kind."""
+    return "tree" if kind == "vector" else "vector"
 
 
 def packed_from_payloads(kind, payloads):
@@ -125,13 +159,13 @@ def assert_same_packed(got, want):
         assert a.tobytes() == b.astype(a.dtype).tobytes(), name  # bits: -0.0 is not 0.0
 
 
-@pytest.mark.parametrize("kind", sorted(LABELS))
+@pytest.mark.parametrize("kind", PACKED)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_packing_labels_equals_packing_their_payloads(kind, data):
     labels = data.draw(st.lists(LABELS[kind], min_size=1, max_size=8))
     payloads = [parse_payload(kind, label) for label in labels]
-    got = PACKERS[kind](labels, lambda ks: [parse_payload(kind, labels[k]) for k in ks])
+    got = PACKERS[kind](labels, lambda: [parse_payload(kind, label) for label in labels])
     assert_same_packed(got, packed_from_payloads(kind, payloads))
     assert_same_packed(pack_payloads(kind, payloads), got)
 
@@ -164,15 +198,15 @@ def faulty_files(draw, kind):
     JSON and a line of another kind."""
     labels = draw(st.lists(LABELS[kind], min_size=1, max_size=8))
     lines = [line(k, kind, label) for k, label in enumerate(labels)]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(lines)))
-        fault = draw(st.sampled_from(["payload", "payload", "json", "kind"]))
+        fault = draw(st.sampled_from(["payload", "payload", "payload", "json", "kind"]))
         if fault == "payload":
             lines.insert(at, line(at, kind, draw(st.sampled_from(FAULTS[kind]))))
         elif fault == "json":
             lines.insert(at, line(at, kind, [])[:-1])
         else:
-            lines.insert(at, line(at, "vector", [0.5]))
+            lines.insert(at, line(at, other_kind(kind), [0.5]))
     return lines
 
 
@@ -189,16 +223,24 @@ def test_a_faulty_file_fails_at_its_first_faulty_line(kind, data, tmp_path_facto
     assert str(raised.value) == want
 
 
-@pytest.mark.parametrize("kind, fault, message", [
-    pytest.param("boxes", [[2, 0, 1, 1]],
+@pytest.mark.parametrize("kind, good, fault, message", [
+    pytest.param("boxes", [[0, 0, 1, 1]], [[2, 0, 1, 1]],
                  "box corners out of order: Box(x0=2.0, y0=0.0, x1=1.0, y1=1.0)", id="boxes"),
-    pytest.param("spans", [[0, 2**31, "X"]], "span [0, 2147483648) must end below 2**63 and "
-                 "be under 2**31 tokens wide", id="spans"),
+    pytest.param("spans", [[0, 1, "X"]], [[0, 2**31, "X"]], "span [0, 2147483648) must end "
+                 "below 2**63 and be under 2**31 tokens wide", id="spans"),
+    pytest.param("vector", [0.5], [], "vector payload must have at least one dimension",
+                 id="vector"),
+    pytest.param("ranking", ["a", "b"], ["a", "a"], "ranking contains a repeated element",
+                 id="ranking"),
+    pytest.param("tokens", ["a"], 7, "malformed tokens payload: 'int' object is not iterable",
+                 id="tokens"),
+    pytest.param("tree", ["x", ["y"]], ["x", "y"], "malformed tree node: ['x', 'y']", id="tree"),
 ])
-def test_a_payload_fault_is_not_masked_by_a_later_line_fault(tmp_path, kind, fault, message):
-    good = [[0, 0, 1, 1]] if kind == "boxes" else [[0, 1, "X"]]
+def test_a_payload_fault_is_not_masked_by_a_later_line_fault(tmp_path, kind, good, fault,
+                                                             message):
     lines = [line(k, kind, good) for k in range(7)]
     lines[2] = line(2, kind, fault)
+    lines[3] = line(3, kind, fault)  # its record (item i0) sorts before line 3's (item i2)
     lines[6] = lines[6][:-1]  # malformed JSON on line 7
     path = tmp_path / "two.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -206,14 +248,15 @@ def test_a_payload_fault_is_not_masked_by_a_later_line_fault(tmp_path, kind, fau
         aio.load_dataset(str(path))
     assert str(raised.value) == f"{path}:3: {message}"
     # and a line fault before the payload fault is the one reported
-    lines[1] = line(1, "vector", [0.5])
+    lines[1] = line(1, other_kind(kind), [0.5])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError) as raised:
         aio.load_dataset(str(path))
-    assert str(raised.value) == f"{path}:2: payload kind 'vector' differs from {kind!r}"
+    assert str(raised.value) == (
+        f"{path}:2: payload kind {other_kind(kind)!r} differs from {kind!r}")
 
 
-@pytest.mark.parametrize("kind", sorted(LABELS))
+@pytest.mark.parametrize("kind", PACKED)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_a_loaded_set_kind_builds_its_payloads_only_when_asked(kind, data, tmp_path_factory):

@@ -20,7 +20,9 @@ from agreekit.payloads import (
     tree_to_nested,
 )
 
-from conftest import box_area, n_leaves, tree_size
+from agreekit.stats import _plan_pairs
+
+from conftest import box_area, n_leaves, span_tokens, tree_size
 
 
 def test_vector_coerces_to_floats():
@@ -40,7 +42,7 @@ def test_span_bounds():
         Span(start=4, end=4, tag="PER")
     with pytest.raises(DataError):
         Span(start=-1, end=2, tag="PER")
-    assert tuple(Span(start=1, end=4, tag="PER").tokens()) == (1, 2, 3)
+    assert tuple(span_tokens(Span(start=1, end=4, tag="PER"))) == (1, 2, 3)
 
 
 def test_span_offsets_are_whole_numbers():
@@ -100,6 +102,25 @@ def test_tree_from_nested_rejects_junk():
         tree_from_nested(42)
 
 
+def test_tree_equality_is_structural_at_any_depth():
+    def chain(levels, leaf="x", leaf_children=()):
+        tree = OrderedTree(label=leaf, children=leaf_children)
+        for _ in range(levels):
+            tree = OrderedTree(label="n", children=(tree,))
+        return tree
+
+    deep = chain(5000)
+    assert deep == chain(5000) and not deep != chain(5000)
+    for other in (chain(4999), chain(5001), chain(5000, "y"),
+                  chain(5000, leaf_children=(OrderedTree("z"),))):
+        assert deep != other and other != deep
+    small = tree_from_nested(["a", ["b", ["c", ["d"]]]])
+    assert small == tree_from_nested(["a", ["b", ["c", ["d"]]]])
+    assert small != tree_from_nested(["a", [["c", ["d"]], "b"]])  # children are ordered
+    assert hash(small) == hash(tree_from_nested(["a", ["b", ["c", ["d"]]]]))
+    assert small != "a" and small != ["a", ["b", ["c", ["d"]]]]
+
+
 def test_payload_kind_names():
     assert payload_kind(NumericVector(values=(1.0,))) == "vector"
     assert payload_kind(TokenSequence(tokens=("x",))) == "tokens"
@@ -122,30 +143,32 @@ def test_validate_counts_and_ok():
             ("i2", "a2"): (0.2,),
         }
     )
-    summary = validate_dataset(Dataset(recs, {}))
-    assert summary.items == 2
-    assert summary.annotators == 2
-    assert summary.annotations == 4
-    assert summary.kind == "vector"
-    assert summary.violations == ()
+    dataset = Dataset(recs, {})
+    assert validate_dataset(dataset) == ()
+    # the counts a report carries are the pair plan's
+    counts = _plan_pairs(dataset, None, 0, False).counts
+    assert counts["items"] == 2
+    assert counts["annotators"] == 2
+    assert counts["annotations"] == 4
+    assert dataset.kind == "vector"
 
 
 def test_validate_flags_duplicates_and_singletons():
     recs = _vec_records({("i1", "a1"): (0.5,), ("i2", "a1"): (0.1,)})
     recs = recs + (AnnotationRecord("i1", "a1", NumericVector(values=(0.7,))),)
-    summary = validate_dataset(Dataset(recs, {}))
-    assert summary.violations
-    text = " ".join(summary.violations)
+    violations = validate_dataset(Dataset(recs, {}))
+    assert violations
+    text = " ".join(violations)
     assert "duplicate" in text
     assert "1 annotation" in text
 
 
 def test_validate_vector_ranges():
     recs = _vec_records({("i1", "a1"): (1.5,), ("i1", "a2"): (0.5,)})
-    summary = validate_dataset(Dataset(recs, {"ranges": [[0.0, 1.0]]}))
-    assert any("range" in v for v in summary.violations)
+    violations = validate_dataset(Dataset(recs, {"ranges": [[0.0, 1.0]]}))
+    assert any("range" in v for v in violations)
     # without declared ranges the same data passes
-    assert validate_dataset(Dataset(recs, {})).violations == ()
+    assert validate_dataset(Dataset(recs, {})) == ()
 
 
 def test_validate_ranking_universe():
@@ -153,8 +176,8 @@ def test_validate_ranking_universe():
         AnnotationRecord("i1", "a1", Ranking(order=("x", "y"))),
         AnnotationRecord("i1", "a2", Ranking(order=("x", "z"))),
     )
-    summary = validate_dataset(Dataset(recs, {"universe": ["x", "y"]}))
-    assert any("universe" in v for v in summary.violations)
+    violations = validate_dataset(Dataset(recs, {"universe": ["x", "y"]}))
+    assert any("universe" in v for v in violations)
 
 
 def test_validate_rejects_mixed_kinds():

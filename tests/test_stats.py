@@ -52,7 +52,6 @@ def samples(observed, expected, seed=0):
         expected=np.asarray(expected, dtype=float),
         distance_name="test",
         seed=seed,
-        pair_counts=(len(observed), len(expected)),
     )
 
 
@@ -204,9 +203,9 @@ class TestPairs:
         ds = uniform_random_vector_dataset(12, 3, 2, seed=3)
         spec = make_spec("euclidean", "vector", meta=ds.meta)
         s = build_samples(ds, spec, seed=0)
-        n_obs = s.pair_counts[0]
+        n_obs = s.observed.size
         assert n_obs == 12 * 3
-        assert s.expected.size == min(10 * n_obs, s.pair_counts[1])
+        assert s.expected.size == min(10 * n_obs, count_expected_pairs(ds))
         assert s.distance_name == "euclidean"
 
 

@@ -8,14 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau, spearmanr
 
-from agreekit.distances.structured import (
-    RankingConfig,
-    TedConfig,
-    _inversions,
-    ranking_batch,
-    tree_batch,
-)
-from agreekit.errors import DataError
+from agreekit.distances.structured import _inversions, ranking_batch, tree_batch
+from agreekit.errors import DataError, UsageError
+from agreekit.registry import make_spec
 from agreekit.payloads import OrderedTree, Ranking, tree_from_nested
 
 from conftest import make_tree, ranking_distance_oracle, tau_distance_oracle, ted_oracle
@@ -29,14 +24,14 @@ def rank(*order):
     return Ranking(order=tuple(order))
 
 
-def tree_distance(a, b, cfg=TedConfig()):
+def tree_distance(a, b, variant="plain"):
     """The tree kernel on the one pair (a, b)."""
-    return float(tree_batch([a, b], [0], [1], cfg)[0])
+    return float(tree_batch([a, b], [0], [1], variant)[0])
 
 
-def ranking_distance(a, b, cfg=RankingConfig()):
+def ranking_distance(a, b, mode="tau", k=5):
     """The ranking kernel on the one pair (a, b)."""
-    return float(ranking_batch([a, b], [0], [1], cfg)[0])
+    return float(ranking_batch([a, b], [0], [1], mode, k)[0])
 
 
 def test_ted_identity_and_relabel():
@@ -78,15 +73,15 @@ def test_ted_variants():
     a = tree(["a", ["b", "c"]])
     relabeled = tree(["x", ["b", "c"]])
     grown = tree(["a", ["b", "c", "d"]])
-    assert tree_distance(a, relabeled, TedConfig(variant="plain")) == 1.0
+    assert tree_distance(a, relabeled, "plain") == 1.0
     # norm divides by the total leaf count of both trees
-    assert tree_distance(a, relabeled, TedConfig(variant="norm")) == pytest.approx(1 / 4)
-    assert tree_distance(a, grown, TedConfig(variant="norm")) == pytest.approx(1 / 5)
+    assert tree_distance(a, relabeled, "norm") == pytest.approx(1 / 4)
+    assert tree_distance(a, grown, "norm") == pytest.approx(1 / 5)
     # diff subtracts the leaf-count difference from the edit count
-    assert tree_distance(a, grown, TedConfig(variant="diff")) == 0.0
-    assert tree_distance(a, relabeled, TedConfig(variant="diff")) == 1.0
-    with pytest.raises(DataError):
-        TedConfig(variant="fancy")
+    assert tree_distance(a, grown, "diff") == 0.0
+    assert tree_distance(a, relabeled, "diff") == 1.0
+    with pytest.raises(DataError, match="unknown tree distance variant 'fancy'"):
+        tree_distance(a, a, "fancy")
 
 
 def test_tree_kernel_walks_trees_deeper_than_the_recursion_limit():
@@ -96,16 +91,16 @@ def test_tree_kernel_walks_trees_deeper_than_the_recursion_limit():
     assert sys.getrecursionlimit() < 1201
     # keep the root and one node, relabeled to y, and delete the other 1,199
     trees, ia, ib = [chain, tree(["x", ["y"]])], [0, 1], [1, 0]
-    assert tree_batch(trees, ia, ib).tolist() == [1200.0, 1200.0]
-    assert tree_batch(trees, ia, ib, TedConfig(variant="norm")).tolist() == [600.0, 600.0]
-    assert tree_batch(trees, ia, ib, TedConfig(variant="diff")).tolist() == [1200.0, 1200.0]
+    assert tree_batch(trees, ia, ib, "plain").tolist() == [1200.0, 1200.0]
+    assert tree_batch(trees, ia, ib, "norm").tolist() == [600.0, 600.0]
+    assert tree_batch(trees, ia, ib, "diff").tolist() == [1200.0, 1200.0]
 
 
 def test_ted_norm_can_exceed_one():
     # all-relabel chains have few leaves, so the normalized form is unbounded
     a = tree(["a", [["a", ["a"]]]])
     b = tree(["b", [["b", ["b"]]]])
-    assert tree_distance(a, b, TedConfig(variant="norm")) == pytest.approx(3 / 2)
+    assert tree_distance(a, b, "norm") == pytest.approx(3 / 2)
 
 
 def test_tau_basics():
@@ -153,7 +148,6 @@ def test_tau_relabeling_invariance(rng):
 
 
 def test_rho_matches_scipy(rng):
-    cfg = RankingConfig(mode="rho")
     for n in (2, 4, 7, 25):
         for _ in range(10):
             a = [f"e{i}" for i in range(n)]
@@ -164,28 +158,26 @@ def test_rho_matches_scipy(rng):
             pos_b = {e: i for i, e in enumerate(b)}
             universe = sorted(a)
             rho = spearmanr([pos_a[e] for e in universe], [pos_b[e] for e in universe]).statistic
-            got = ranking_distance(rank(*a), rank(*b), cfg)
+            got = ranking_distance(rank(*a), rank(*b), "rho")
             assert got == pytest.approx((1.0 - rho) / 2.0, abs=1e-10)
 
 
 def test_rho_reversal():
     a = rank("x", "y", "z")
-    assert ranking_distance(a, rank("z", "y", "x"), RankingConfig(mode="rho")) == 1.0
+    assert ranking_distance(a, rank("z", "y", "x"), "rho") == 1.0
 
 
 def test_tau_at_k_disjoint_prefixes():
     a = rank(*[f"e{i}" for i in range(10)])
     b = rank(*[f"e{i}" for i in reversed(range(10))])
-    cfg = RankingConfig(mode="tau_at_k", k=3)
     # 9 discordant cross pairs, 3-way ties on both sides: tau-b = -0.75
-    assert ranking_distance(a, b, cfg) == pytest.approx(0.875, abs=1e-12)
+    assert ranking_distance(a, b, "tau_at_k", 3) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_tau_at_k_ignores_the_tail():
     a = rank("e0", "e1", "e2", "e3", "e4", "e5")
     b = rank("e0", "e1", "e2", "e5", "e4", "e3")
-    cfg = RankingConfig(mode="tau_at_k", k=3)
-    assert ranking_distance(a, b, cfg) == 0.0
+    assert ranking_distance(a, b, "tau_at_k", 3) == 0.0
     assert ranking_distance(a, b) > 0.0
 
 
@@ -194,7 +186,7 @@ def test_tau_at_k_with_large_k_equals_tau(rng):
     b = list(a)
     rng.shuffle(b)
     full = ranking_distance(rank(*a), rank(*b))
-    at_k = ranking_distance(rank(*a), rank(*b), RankingConfig(mode="tau_at_k", k=6))
+    at_k = ranking_distance(rank(*a), rank(*b), "tau_at_k", 6)
     assert at_k == pytest.approx(full, abs=1e-12)
 
 
@@ -202,14 +194,14 @@ def test_ranking_universe_mismatch():
     with pytest.raises(DataError):
         ranking_distance(rank("a", "b"), rank("a", "c"))
     with pytest.raises(DataError):
-        ranking_distance(rank("a", "b"), rank("a", "c"), RankingConfig(mode="tau_at_k", k=1))
+        ranking_distance(rank("a", "b"), rank("a", "c"), "tau_at_k", 1)
 
 
 def test_ranking_config_validation():
-    with pytest.raises(DataError):
-        RankingConfig(mode="borda")
-    with pytest.raises(DataError):
-        RankingConfig(mode="tau_at_k", k=0)
+    with pytest.raises(DataError, match="unknown ranking distance mode 'borda'"):
+        ranking_distance(rank("a", "b"), rank("b", "a"), "borda")
+    with pytest.raises(UsageError, match="k must be an integer of at least 1, got 0"):
+        make_spec("tau_at_k", "ranking", {"k": 0})
 
 
 def reference_rank_vectors(a, b, k):
@@ -240,11 +232,10 @@ def test_ranking_distance_equals_scipy_reference(orders):
     n = len(a)
     # the pairs (a, b), (b, a), (a, a), one kernel call per configuration
     payloads, ia, ib = [rank(*a), rank(*b)], np.array([0, 1, 0]), np.array([1, 0, 0])
-    tau = ranking_batch(payloads, ia, ib, RankingConfig(mode="tau"))
-    rho_d = ranking_batch(payloads, ia, ib, RankingConfig(mode="rho"))
+    tau = ranking_batch(payloads, ia, ib, "tau")
+    rho_d = ranking_batch(payloads, ia, ib, "rho")
     # every k < n ties the tails, so tau-b runs on tied rank vectors
-    at_k = [ranking_batch(payloads, ia, ib, RankingConfig(mode="tau_at_k", k=k))
-            for k in range(1, n + 1)]
+    at_k = [ranking_batch(payloads, ia, ib, "tau_at_k", k) for k in range(1, n + 1)]
     for t, (x, y) in enumerate(((a, b), (b, a), (a, a))):
         va, vb = reference_rank_vectors(x, y, n)
         assert tau[t] == scipy_tau_distance(va, vb)
@@ -277,19 +268,20 @@ def ranking_batches(draw):
 def test_ranking_batch_equals_loop(batch, k):
     payloads, pairs = batch
     ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", k)):
-        loop = np.array([ranking_distance_oracle(payloads[i], payloads[j], cfg) for i, j in pairs])
-        assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop), cfg
+    for mode in ("tau", "rho", "tau_at_k"):
+        loop = np.array([ranking_distance_oracle(payloads[i], payloads[j], mode, k)
+                         for i, j in pairs])
+        assert np.array_equal(ranking_batch(payloads, ia, ib, mode, k), loop), mode
 
 
 def test_ranking_batch_scores_each_universe_and_rejects_pairs_across_them():
     payloads = [rank("a", "b", "c"), rank("x", "y"), rank("c", "b", "a"), rank("y", "x")]
     ia, ib = np.array([0, 1, 2, 3]), np.array([2, 3, 2, 1])
-    for cfg in (RankingConfig("tau"), RankingConfig("rho"), RankingConfig("tau_at_k", 1)):
-        loop = [ranking_distance_oracle(payloads[i], payloads[j], cfg) for i, j in zip(ia, ib)]
-        assert np.array_equal(ranking_batch(payloads, ia, ib, cfg), loop)
+    for mode in ("tau", "rho", "tau_at_k"):
+        loop = [ranking_distance_oracle(payloads[i], payloads[j], mode, 1) for i, j in zip(ia, ib)]
+        assert np.array_equal(ranking_batch(payloads, ia, ib, mode, 1), loop)
         with pytest.raises(DataError) as scalar:
-            ranking_distance_oracle(payloads[0], payloads[1], cfg)
+            ranking_distance_oracle(payloads[0], payloads[1], mode, 1)
         with pytest.raises(DataError) as batched:
-            ranking_batch(payloads, np.array([0, 0]), np.array([2, 1]), cfg)
+            ranking_batch(payloads, np.array([0, 0]), np.array([2, 1]), mode, 1)
         assert str(batched.value) == str(scalar.value)
