@@ -23,84 +23,37 @@ kind; validate_dataset(ds) lists the violations.
 
 The `agree` console script exposes the same pipeline plus a noise simulator
 and a metric-property checker.
+
+`import agreekit` loads no submodule. Each public name below is defined in
+the module `_PUBLIC` lists it under (`agreekit.stats.agreement_report`, and so
+on), which is imported the first time the name is asked for (PEP 562).
 """
 
-from .dataset import AnnotationRecord, Dataset, validate_dataset
-from .errors import AgreeError, DataError, NumericError, UsageError
-from .kde import KdeModel, fit_kde, kde_cdf, scott_bandwidth
-from .noise import NoiseSpec, generate_cst_dataset, perturb, random_gold
-from .payloads import (
-    Box,
-    BoxSet,
-    KeypointObject,
-    KeypointSet,
-    NumericVector,
-    OrderedTree,
-    Ranking,
-    Span,
-    SpanSet,
-    TokenSequence,
-)
-from .properties import PropertyReport, check_metric_properties
-from .registry import DistanceSpec, make_spec, registry_names, registry_summary
-from .stats import (
-    AgreementReport,
-    DistanceSamples,
-    KsResult,
-    agreement_report,
-    agreement_reports,
-    expected_pairs,
-    krippendorff_alpha,
-    ks_measure,
-    ks_statistic,
-    observed_pairs,
-    sigma_measure,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreeError",
-    "AgreementReport",
-    "AnnotationRecord",
-    "Box",
-    "BoxSet",
-    "DataError",
-    "Dataset",
-    "DistanceSamples",
-    "DistanceSpec",
-    "KdeModel",
-    "KeypointObject",
-    "KeypointSet",
-    "KsResult",
-    "NoiseSpec",
-    "NumericError",
-    "NumericVector",
-    "OrderedTree",
-    "PropertyReport",
-    "Ranking",
-    "Span",
-    "SpanSet",
-    "TokenSequence",
-    "UsageError",
-    "agreement_report",
-    "agreement_reports",
-    "check_metric_properties",
-    "expected_pairs",
-    "fit_kde",
-    "generate_cst_dataset",
-    "kde_cdf",
-    "krippendorff_alpha",
-    "ks_measure",
-    "ks_statistic",
-    "make_spec",
-    "observed_pairs",
-    "perturb",
-    "random_gold",
-    "registry_names",
-    "registry_summary",
-    "scott_bandwidth",
-    "sigma_measure",
-    "validate_dataset",
-    "__version__",
-]
+_PUBLIC = {
+    "dataset": ("AnnotationRecord", "Dataset", "validate_dataset"),
+    "errors": ("AgreeError", "DataError", "NumericError", "UsageError"),
+    "kde": ("KdeModel", "fit_kde", "kde_cdf", "scott_bandwidth"),
+    "noise": ("NoiseSpec", "generate_cst_dataset", "perturb", "random_gold"),
+    "payloads": ("Box", "BoxSet", "KeypointObject", "KeypointSet", "NumericVector",
+                 "OrderedTree", "Ranking", "Span", "SpanSet", "TokenSequence"),
+    "properties": ("PropertyReport", "check_metric_properties"),
+    "registry": ("DistanceSpec", "make_spec", "registry_names", "registry_summary"),
+    "stats": ("AgreementReport", "DistanceSamples", "KsResult", "agreement_report",
+              "agreement_reports", "expected_pairs", "krippendorff_alpha", "ks_measure",
+              "ks_statistic", "observed_pairs", "sigma_measure"),
+}
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _PUBLIC or name == "distances":  # agreekit.<module> after a bare import
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

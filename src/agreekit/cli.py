@@ -23,8 +23,7 @@ from . import io as aio
 from . import registry
 from .dataset import Dataset, validate_dataset
 from .errors import AgreeError, DataError, UsageError
-from .noise import TASKS, NoiseSpec, generate_cst_dataset, random_gold
-from .properties import check_metric_properties
+from .payloads import TASKS
 from .stats import agreement_reports, check_measure_args
 from .stats import count_expected_pairs  # noqa: F401 perfbench/tracing.py wraps it here by name
 
@@ -163,6 +162,8 @@ def cmd_hist(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .noise import NoiseSpec, generate_cst_dataset, random_gold  # only simulate runs it
+
     if not 0.0 <= args.noise <= 1.0:
         raise UsageError("--noise must lie in [0, 1]")
     if args.items < 1 or args.annotators < 2:
@@ -183,6 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_metric(args: argparse.Namespace) -> int:
+    from .properties import check_metric_properties  # only check-metric runs it
+
     if args.sample_size < 1:
         raise UsageError("--sample-size must be >= 1")
     dataset = _load(args)

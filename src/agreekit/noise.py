@@ -25,10 +25,9 @@ from .payloads import (
     Ranking,
     Span,
     SpanSet,
+    TASKS,
     payload_kind,
 )
-
-TASKS = ("ranking", "vector", "spans", "boxes")
 
 DEFAULT_TAGS = ("PER", "ORG", "LOC", "MISC")
 DEFAULT_SENTENCE_LENGTH = 30

@@ -15,6 +15,8 @@ from typing import Optional, Union
 from .errors import DataError
 
 KINDS = ("vector", "tokens", "boxes", "keypoints", "spans", "tree", "ranking")
+# the kinds `agree simulate --task` generates (noise.random_gold)
+TASKS = ("ranking", "vector", "spans", "boxes")
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,15 @@ class OrderedTree:
                 return False
             stack.extend(zip(a.children, b.children))
         return True
+
+    def __hash__(self) -> int:
+        """Agrees with ==: hashes the preorder (label, child count) pairs, by an explicit stack."""
+        pairs, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            pairs.append((node.label, len(node.children)))
+            stack.extend(reversed(node.children))
+        return hash(tuple(pairs))
 
 
 @dataclass(frozen=True)

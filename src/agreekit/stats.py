@@ -49,15 +49,6 @@ class DistanceSamples:
                 raise DataError(f"{name} distances contain negative values")
 
 
-@dataclass(frozen=True)
-class PairPlan:
-    """Observed and sampled expected pairs as (ia, ib) index arrays into dataset.records."""
-
-    observed: tuple[np.ndarray, np.ndarray]
-    expected: tuple[np.ndarray, np.ndarray]
-    counts: dict  # a report's counts: items, annotators, annotations and pairs
-
-
 def _record_pairs(dataset: Dataset, ia: np.ndarray, ib: np.ndarray) -> list:
     records = dataset.records
     return [(records[i], records[j]) for i, j in zip(ia.tolist(), ib.tolist())]
@@ -176,8 +167,9 @@ def expected_pairs(
 
 def _plan_pairs(
     dataset: Dataset, de_sample_size: Optional[int], seed: int, exclude_same_annotator: bool
-) -> PairPlan:
-    """Observed pairs, sampled expected pairs and the counts, from one partner table."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
+    """(observed, expected, counts) from one partner table: each side's (ia, ib) index arrays
+    into dataset.records, and a report's counts (items, annotators, annotations and pairs)."""
     partners = end, width, annotator, _ = _partners(dataset, exclude_same_annotator)
     observed = _observed_indices(end)
     available = int(width.sum())
@@ -188,14 +180,15 @@ def _plan_pairs(
     counts = {"items": items, "annotators": int(annotator.max()) + 1,
               "annotations": end.size, "observed_pairs": observed[0].size,
               "expected_pairs_available": available, "expected_pairs_used": expected[0].size}
-    return PairPlan(observed=observed, expected=expected, counts=counts)
+    return observed, expected, counts
 
 
-def _evaluate(spec: DistanceSpec, dataset: Dataset, plan: PairPlan, seed: int) -> DistanceSamples:
+def _evaluate(spec: DistanceSpec, dataset: Dataset, observed: tuple, expected: tuple,
+              seed: int) -> DistanceSamples:
     # one kernel call for both sides, on the dataset's packed objects or payloads
-    ia, ib = (np.concatenate(side) for side in zip(plan.observed, plan.expected))
+    ia, ib = (np.concatenate(side) for side in zip(observed, expected))
     distances = spec.kernel(dataset.columns, ia, ib)
-    n_observed = plan.observed[0].size
+    n_observed = observed[0].size
     return DistanceSamples(observed=distances[:n_observed], expected=distances[n_observed:],
                            distance_name=spec.name, seed=seed)
 
@@ -550,10 +543,10 @@ def agreement_reports(
     share one kind (validate_dataset lists the violations)."""
     check_measure_args(p, de_sample_size, seed, bandwidth, n_permutations)
     dataset.kind  # one payload kind, or DataError
-    plan = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    observed, expected, counts = _plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
     measured = []
     for spec in specs:
-        samples = _evaluate(spec, dataset, plan, seed)
+        samples = _evaluate(spec, dataset, observed, expected, seed)
         bounds = (0.0, spec.upper_bound) if spec.upper_bound is not None else None
         alpha = krippendorff_alpha(samples)
         sigma = sigma_measure(samples, p=p, bounds=bounds, bandwidth=bandwidth)
@@ -581,7 +574,7 @@ def agreement_reports(
             expected_hist=tuple(tuple(row) for row in exp_hist),
             distance_name=spec.name,
             distance_params=dict(spec.params),
-            counts=dict(plan.counts),
+            counts=dict(counts),
             seed=seed,
         ))
     return reports

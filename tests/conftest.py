@@ -827,8 +827,8 @@ def build_samples(dataset: Dataset, spec, de_sample_size: Optional[int] = None, 
                   exclude_same_annotator: bool = False) -> stats.DistanceSamples:
     """The distances of one spec over a dataset's observed and sampled expected pairs, as
     agreement_reports plans and evaluates them."""
-    plan = stats._plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
-    return stats._evaluate(spec, dataset, plan, seed)
+    observed, expected, _ = stats._plan_pairs(dataset, de_sample_size, seed, exclude_same_annotator)
+    return stats._evaluate(spec, dataset, observed, expected, seed)
 
 
 def kde_pdf(model: KdeModel, x: float) -> float:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -1191,6 +1192,80 @@ def test_reports_leave_numpy_ma_unimported(tmp_path, task, shape, argv):
     proc = run_python(AGREE_REPORTING_NUMPY_MA, *argv, "--input", demo, "--out", out)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# a bare `import agreekit`, then `agree` argv; prints the agreekit modules loaded after each
+AGREE_LISTING_MODULES = """
+import json, sys
+import agreekit
+bare = sorted(m for m in sys.modules if m.startswith("agreekit."))
+from agreekit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([bare, sorted(m for m in sys.modules if m.startswith("agreekit."))]))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--distance", "tau"],
+    ["compare", "--distances", "tau,rho", "--exact-ks", "20"],
+    ["hist", "--distance", "rho"],
+], ids=lambda argv: argv[0])
+def test_reports_leave_the_simulator_and_the_checker_unimported(tmp_path, argv):
+    demo = str(tmp_path / "demo.jsonl")
+    assert main(["simulate", "--task", "ranking", "--items", "20", "--out", demo]) == 0
+    proc = run_python(AGREE_LISTING_MODULES, *argv, "--input", demo, "--out",
+                      str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    bare, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert bare == []
+    assert "agreekit.stats" in loaded
+    assert "agreekit.noise" not in loaded and "agreekit.properties" not in loaded
+
+
+# today's public root names, by the module that defines each
+ROOT_API = {
+    "dataset": ("AnnotationRecord", "Dataset", "validate_dataset"),
+    "errors": ("AgreeError", "DataError", "NumericError", "UsageError"),
+    "kde": ("KdeModel", "fit_kde", "kde_cdf", "scott_bandwidth"),
+    "noise": ("NoiseSpec", "generate_cst_dataset", "perturb", "random_gold"),
+    "payloads": ("Box", "BoxSet", "KeypointObject", "KeypointSet", "NumericVector",
+                 "OrderedTree", "Ranking", "Span", "SpanSet", "TokenSequence"),
+    "properties": ("PropertyReport", "check_metric_properties"),
+    "registry": ("DistanceSpec", "make_spec", "registry_names", "registry_summary"),
+    "stats": ("AgreementReport", "DistanceSamples", "KsResult", "agreement_report",
+              "agreement_reports", "expected_pairs", "krippendorff_alpha", "ks_measure",
+              "ks_statistic", "observed_pairs", "sigma_measure"),
+}
+
+
+def test_the_root_names_are_the_defining_modules_objects():
+    names = sorted([name for names in ROOT_API.values() for name in names] + ["__version__"])
+    assert len(names) == 43
+    assert sorted(agreekit.__all__) == names
+    star: dict = {}
+    exec("from agreekit import *", star)
+    for module, defined in ROOT_API.items():
+        for name in defined:
+            obj = getattr(importlib.import_module(f"agreekit.{module}"), name)
+            assert getattr(agreekit, name) is obj and star[name] is obj, name
+    assert star["__version__"] == agreekit.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        agreekit.no_such_name
+    # each module that `import agreekit` alone made reachable as agreekit.<module> still is
+    modules = [*ROOT_API, "distances"]
+    proc = run_python("import sys, agreekit; print(all(getattr(agreekit, m) is "
+                      "sys.modules['agreekit.' + m] for m in sys.argv[1:]))", *modules)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True"
+
+
+def test_simulate_rejects_a_task_it_cannot_generate(capsys):
+    assert main(["simulate", "--task", "tree"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --task: invalid choice: 'tree'" in err
+    # some Python versions quote the choices, others do not
+    assert re.search(r"choose from '?ranking'?, '?vector'?, '?spans'?, '?boxes'?\)", err), err
 
 
 # what perfbench/tracing.py wraps by name, and what perfbench/run.py's probe calls

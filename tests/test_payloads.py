@@ -121,6 +121,23 @@ def test_tree_equality_is_structural_at_any_depth():
     assert small != "a" and small != ["a", ["b", ["c", ["d"]]]]
 
 
+def test_tree_hash_agrees_with_equality_at_any_depth():
+    def chain(levels, leaf="x"):
+        tree = OrderedTree(label=leaf)
+        for _ in range(levels):
+            tree = OrderedTree(label="n", children=(tree,))
+        return tree
+
+    deep = chain(3000)  # the dataclass's recursive hash raised RecursionError here
+    assert hash(deep) == hash(chain(3000))
+    assert len({deep, chain(3000)}) == 1
+    assert len({deep, chain(2999), chain(3000, "y")}) == 3
+    # the same labels in another shape: a child count tells them apart
+    flat = tree_from_nested(["a", ["b", "c"]])
+    nested = tree_from_nested(["a", [["b", ["c"]]]])
+    assert flat != nested and len({flat, nested, tree_from_nested(["a", ["b", "c"]])}) == 2
+
+
 def test_payload_kind_names():
     assert payload_kind(NumericVector(values=(1.0,))) == "vector"
     assert payload_kind(TokenSequence(tokens=("x",))) == "tokens"
@@ -146,7 +163,7 @@ def test_validate_counts_and_ok():
     dataset = Dataset(recs, {})
     assert validate_dataset(dataset) == ()
     # the counts a report carries are the pair plan's
-    counts = _plan_pairs(dataset, None, 0, False).counts
+    _, _, counts = _plan_pairs(dataset, None, 0, False)
     assert counts["items"] == 2
     assert counts["annotators"] == 2
     assert counts["annotations"] == 4
