@@ -4,9 +4,10 @@
 # float limit, far span offsets, `levenshtein` and `ted` on small token and tree files, and
 # a rejection-sampled vector compute through the installed `agree` script, with the printed
 # rows pinned, the exit code and error line of a too-wide span, of boxes whose corners
-# are out of order, of a tree 500 levels deep (490 levels compute and pass `check-metric`)
-# and of a byte that is not UTF-8 on line 4, plus `check-metric` on the simulated ranking,
-# vector, boxes and spans inputs. Run from anywhere after
+# are out of order, of a tree 500 levels deep (490 levels compute and pass `check-metric`),
+# of a byte that is not UTF-8 on line 4, of expected `euclidean` distances above their upper
+# bound and of a NaN `check-metric --tolerance`, plus `check-metric` on the simulated
+# ranking, vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
 set -euo pipefail
@@ -28,7 +29,7 @@ agree compute --input demo.jsonl --distance tau --seed 7 --exclude-same-annotato
   | tee exclude.txt
 grep -F "alpha      : 0.7441" exclude.txt
 grep -F "pairs      : observed=90 expected_used=900 expected_available=2610" exclude.txt
-# every cross-item pair: --de-samples all asks for n(n - 1)/2 and the plan takes all there are
+# every cross-item pair: --de-samples all takes all the plan has, whatever their number
 agree compute --input demo.jsonl --distance tau --seed 7 --de-samples all | tee all.txt
 grep -F "alpha      : 0.7432" all.txt
 grep -F "pairs      : observed=90 expected_used=3915 expected_available=3915" all.txt
@@ -163,7 +164,29 @@ agree compute --input large.jsonl --distance euclidean --seed 7 --exclude-same-a
 grep -F "alpha      : 0.3564" large.txt
 grep -F "pairs      : observed=1100 expected_used=11000 expected_available=1208900" large.txt
 
-# metric axioms of kernel-backed entries on simulated payloads
+# expected distances above the distance's upper bound are a data error (exit 3) that names
+# them: --param ranges=[[0,1]] scales vectors valued up to 5.2, which validation (reading only
+# the meta ranges) passes
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "vector", "label": [0.0]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "vector", "label": [0.2]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "vector", "label": [5.0]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "vector", "label": [5.2]}' > far-vector.jsonl
+code=0
+agree compute --input far-vector.jsonl --distance euclidean --param 'ranges=[[0,1]]' \
+  2> far-vector.txt || code=$?
+cat far-vector.txt
+test "$code" -eq 3
+grep -Fx "error: expected euclidean distances exceed the distance's upper bound 1.0: the largest is 5.2" \
+  far-vector.txt
+
+# metric axioms of kernel-backed entries on simulated payloads; a NaN tolerance is a usage
+# error (exit 2), checked before the input is read
+code=0
+agree check-metric --input demo.jsonl --distance tau --tolerance nan 2> nan-tolerance.txt || code=$?
+cat nan-tolerance.txt
+test "$code" -eq 2
+grep -Fx "error: --tolerance must be finite and nonnegative" nan-tolerance.txt
 agree simulate --task vector --items 30 --annotators 3 --noise 0.25 --seed 7 --out vector.jsonl
 agree check-metric --input demo.jsonl --distance tau | tee tau-metric.txt
 grep -Fx ok tau-metric.txt

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -50,37 +51,37 @@ def _load(args: argparse.Namespace) -> Dataset:
     return dataset
 
 
-def _resolve_de_samples(value: Optional[str], n_records: int) -> Optional[int]:
+def _resolve_de_samples(value: Optional[str]) -> Optional[int]:
     if value is None:
         return None
-    if value == "all":
-        # no plan has more than the n(n - 1)/2 pairs of n records; with none, it raises
-        return max(n_records * (n_records - 1) // 2, 1)
+    if value == "all":  # a size at or above the available pairs takes them all
+        return sys.maxsize
     try:
         return int(value)
     except ValueError as exc:
         raise UsageError(f"--de-samples expects an integer or 'all', got {value!r}") from exc
 
 
-def _specs(args: argparse.Namespace, dataset: Dataset, names: Sequence[str]) -> list:
-    """One spec per name. Each takes the --param keys it accepts; a key that no
-    named distance accepts goes to all, so make_spec rejects it."""
+def _specs(args: argparse.Namespace, dataset: Dataset, accepted: list) -> list:
+    """One spec per (name, registry.accepted_params(name)) of accepted. Each takes the --param
+    keys it accepts; a key that no named distance accepts goes to all, so make_spec rejects it."""
     params = _parse_kv(args.param, "--param")
     table = aio.load_embeddings(args.embeddings) if args.embeddings else None
-    accepted = {name: registry.accepted_params(name) for name in names}
-    unclaimed = set(params).difference(*accepted.values())
+    unclaimed = set(params).difference(*(keys for _, keys in accepted))
     specs = []
-    for name in names:
-        own = {k: v for k, v in params.items() if k in accepted[name] or k in unclaimed}
+    for name, keys in accepted:
+        own = {k: v for k, v in params.items() if k in keys or k in unclaimed}
         specs.append(registry.make_spec(name, dataset.kind, own, dataset.meta, table))
     return specs
 
 
 def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
-    """compute, compare and hist: check the flags, load and validate the
+    """compute, compare and hist: check the flags and names, load and validate the
     dataset, build the specs, and report every distance on one pair plan."""
-    check_measure_args(p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
-                       n_permutations=args.exact_ks)
+    de_sample_size = _resolve_de_samples(args.de_samples)
+    check_measure_args(p=args.p, de_sample_size=de_sample_size, seed=args.seed,
+                       bandwidth=args.kde_bandwidth, n_permutations=args.exact_ks)
+    accepted = [(name, registry.accepted_params(name)) for name in names]  # or UsageError
     dataset = _load(args)
     violations = validate_dataset(dataset)
     if violations:
@@ -89,10 +90,10 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
         if not args.allow_violations:
             raise DataError(f"{len(violations)} validation violation(s); "
                             "use --allow-violations to proceed anyway")
-    specs = _specs(args, dataset, names)
+    specs = _specs(args, dataset, accepted)
     return agreement_reports(
         dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
-        de_sample_size=_resolve_de_samples(args.de_samples, len(dataset)),
+        de_sample_size=de_sample_size,
         n_permutations=args.exact_ks, exclude_same_annotator=args.exclude_same_annotator,
     )
 
@@ -188,8 +189,11 @@ def cmd_check_metric(args: argparse.Namespace) -> int:
 
     if args.sample_size < 1:
         raise UsageError("--sample-size must be >= 1")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise UsageError("--tolerance must be finite and nonnegative")
+    accepted = [(args.distance, registry.accepted_params(args.distance))]  # or UsageError
     dataset = _load(args)
-    (spec,) = _specs(args, dataset, [args.distance])
+    (spec,) = _specs(args, dataset, accepted)
     seen: list = []
     for payload in dataset.payloads():
         if payload not in seen:

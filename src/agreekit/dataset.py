@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from numbers import Real
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class AnnotationRecord:
 Parse = Callable[[], list]
 
 
-@dataclass(frozen=True)
-class Boxes:
+class Boxes(NamedTuple):
     """Every record's boxes, packed record by record: counts[r] rows (x0, y0, x1, y1) of boxes
     for record r, deduplicated and in BoxSet's order, so every sum over them keeps its order."""
 
@@ -41,8 +40,7 @@ class Boxes:
     boxes: np.ndarray
 
 
-@dataclass(frozen=True)
-class Spans:
+class Spans(NamedTuple):
     """Every record's spans, packed record by record: counts[r] of them for record r,
     deduplicated and in SpanSet's order. Offsets are int64, and tags are integer codes
     that order as the tags do."""
@@ -53,8 +51,7 @@ class Spans:
     tag: np.ndarray
 
 
-@dataclass(frozen=True)
-class Keypoints:
+class Keypoints(NamedTuple):
     """Every record's keypoint objects, packed record by record in KeypointSet's order: counts[r]
     objects for record r, each with its point count, the box (x0, y0, x1, y1) of its points and
     its scale, and every point, object by object, with its constant. A parameter an object

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from .registry import DistanceSpec
 _MAX_STORED = 10_000
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     n_payloads: int
     tolerance: float
     nonnegativity: tuple[tuple[int, int], ...]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -136,8 +136,7 @@ def _ranking(mode, params, meta, embeddings):
     return partial(ranking_batch, mode=mode, k=k)
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     kinds: tuple[str, ...]
     param_names: tuple[str, ...]
     dissimilarity: bool

@@ -15,8 +15,7 @@ and estimate the chance level. Measures:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,18 +28,18 @@ from .registry import DistanceSpec
 HISTOGRAM_BINS = 50
 
 
-@dataclass(frozen=True)
 class DistanceSamples:
+    """One distance's observed and expected distances, checked, as read-only float arrays."""
+
     observed: np.ndarray
     expected: np.ndarray
-    distance_name: str
-    seed: int
 
-    def __post_init__(self) -> None:
-        for name in ("observed", "expected"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
+    def __init__(self, observed, expected, distance_name: str, seed: int) -> None:
+        self.distance_name, self.seed = distance_name, seed
+        for name, values in (("observed", observed), ("expected", expected)):
+            arr = np.asarray(values, dtype=float).ravel()
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
             if arr.size == 0:
                 raise DataError(f"{name} distances are empty")
             if not np.isfinite(arr).all():
@@ -243,8 +242,12 @@ def sigma_measure(
 
     The CDF is monotone, so a search over the sorted observed distances counts them with
     a few single-point CDF evaluations, in O(|De|) memory. It starts where the expected
-    sample's own p-quantile falls among them.
+    sample's own p-quantile falls among them. Expected distances above the upper bound raise
+    DataError; observed ones there count as not below the tail.
     """
+    if bounds is not None and samples.expected.max() > bounds[1]:
+        raise DataError(f"expected {samples.distance_name} distances exceed the distance's upper "
+                        f"bound {bounds[1]!r}: the largest is {float(samples.expected.max())!r}")
     model = fit_kde(samples.expected, bounds=bounds, bandwidth=bandwidth)
     obs = np.sort(samples.observed)
     start = int(np.searchsorted(obs, model.support[int(p * (model.support.size - 1))]))
@@ -283,8 +286,7 @@ def ks_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
     return _ecdf_gap(np.flatnonzero(order < m), _run_ends(pooled[order]), m, pooled.size - m)
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     statistic: float
     pvalue: float
     measure: float
@@ -454,8 +456,7 @@ def diagnostics_flags(
     return flags
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     alpha: float
     sigma: float
     ks_statistic: float

@@ -320,6 +320,18 @@ class TestCliCompute:
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "zero"]) == 2
         assert main(["compute", "--input", vector_file, "--distance", "binary", "--de-samples", "0"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["compute", "--distance", "binary", "--de-samples", "0"], "--de-samples"),
+        (["compute", "--distance", "binary", "--de-samples", "zero"], "--de-samples"),
+        (["hist", "--distance", "nosuch"], "unknown distance 'nosuch'"),
+        (["compare", "--distances", "binary,nosuch"], "unknown distance 'nosuch'"),
+        (["check-metric", "--distance", "nosuch"], "unknown distance 'nosuch'"),
+    ], ids=["de-samples-0", "de-samples-word", "hist", "compare", "check-metric"])
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, flag):
+        # the input does not exist, which would be exit 3 if it were read first
+        assert main([*argv, "--input", str(tmp_path / "missing.jsonl")]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, vector_file, capsys):
         assert main(["compute", "--input", vector_file]) == 2
         capsys.readouterr()
@@ -1344,6 +1356,24 @@ def test_agree_runs_without_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_only_the_dataclasses_whose_methods_are_used():
+    # a dataclass costs an exec per generated method at import; the records stay dataclasses
+    # only where ==, hash, frozenness or dataclasses.replace is used
+    proc = run_python("""
+import dataclasses, json, sys, agreekit.cli
+print(json.dumps(sorted(name for module, mod in list(sys.modules.items())
+                        if module.startswith("agreekit.")
+                        for name, obj in vars(mod).items()
+                        if isinstance(obj, type) and obj.__module__ == module
+                        and dataclasses.is_dataclass(obj))))
+""")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == sorted([
+        "AnnotationRecord", "Box", "BoxSet", "DistanceSpec", "KdeModel", "KeypointObject",
+        "KeypointSet", "NumericVector", "OrderedTree", "Ranking", "Span", "SpanSet",
+        "TokenSequence"])
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     proc = run_python("import sys, agreekit.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -1365,6 +1395,21 @@ class TestCliValidation:
         assert "validation:" in err and "--allow-violations" in err
         assert main(["compute", "--input", path, "--distance", "binary", "--allow-violations"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--param", "ranges=[[0,1]]"],
+        ["--meta", "ranges=[[0,1]]", "--allow-violations"],
+    ], ids=["param-ranges", "allowed-violations"])
+    def test_expected_distances_above_the_upper_bound_name_it(self, tmp_path, capsys, flags):
+        # item i1 lies far outside the range [0, 1], so its cross-item distances exceed 1
+        lines = [json.dumps({"item": item, "annotator": a, "kind": "vector", "label": [v]})
+                 for item, a, v in [("i0", "a0", 0.0), ("i0", "a1", 0.2),
+                                    ("i1", "a0", 5.0), ("i1", "a1", 5.2)]]
+        path = write_lines(tmp_path / "far.jsonl", lines)
+        assert main(["compute", "--input", path, "--distance", "euclidean", *flags]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: expected euclidean distances exceed the distance's upper bound 1.0: "
+            "the largest is 5.2")
 
     def test_duplicate_records_count_each_cross_item_pair_once(self, tmp_path, capsys):
         # 3 items x 2 annotators plus a second record for (i1, a)
@@ -1596,10 +1641,15 @@ class TestCliCheckMetric:
         assert "--sample-size" in captured.err and "ok" not in captured.out
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
-    def test_negative_tolerance_fails_with_data_error(self, vector_file, capsys, tolerance):
-        argv = ["check-metric", "--input", vector_file, "--distance", "euclidean", "--tolerance", tolerance]
-        assert main(argv) == 3
-        assert "ok" not in capsys.readouterr().out
+    def test_bad_tolerance_is_usage_error_before_the_input_is_read(self, vector_file, tmp_path,
+                                                                   capsys, tolerance):
+        # a missing input file would be exit 3; the flag is checked first
+        for path in (vector_file, str(tmp_path / "missing.jsonl")):
+            argv = ["check-metric", "--input", path, "--distance", "euclidean",
+                    "--tolerance", tolerance]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "--tolerance" in captured.err and "ok" not in captured.out
 
 
 class TestCliEmbeddings:

@@ -153,7 +153,7 @@ def packed_from_payloads(kind, payloads):
 
 def assert_same_packed(got, want):
     assert type(got) is type(want)
-    for name in want.__dataclass_fields__:
+    for name in want._fields:
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.shape == b.shape, name
         assert a.tobytes() == b.astype(a.dtype).tobytes(), name  # bits: -0.0 is not 0.0

@@ -96,6 +96,14 @@ def test_normalized_levenshtein_fails_triangle_only():
     assert spec.dissimilarity  # which is why the registry flags it
 
 
+@pytest.mark.parametrize("tolerance", [-1e-9, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tolerance):
+    # NaN would fail every comparison and so pass every check
+    with pytest.raises(DataError, match="tolerance must be finite and nonnegative"):
+        check_metric_properties(make_spec("binary", "vector"), make_payloads("vector", 3),
+                                tolerance=tolerance)
+
+
 def test_tolerance_absorbs_tiny_noise():
     # one-way 1e-13 bump: invisible at the default tolerance, fatal at 1e-15
     wobble = lambda a, b: abs(a.values[0] - b.values[0]) + (
