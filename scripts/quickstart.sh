@@ -5,9 +5,10 @@
 # a rejection-sampled vector compute through the installed `agree` script, with the printed
 # rows pinned, the exit code and error line of a too-wide span, of boxes whose corners
 # are out of order, of a tree 500 levels deep (490 levels compute and pass `check-metric`),
-# of a byte that is not UTF-8 on line 4, of expected `euclidean` distances above their upper
-# bound and of a NaN `check-metric --tolerance`, plus `check-metric` on the simulated
-# ranking, vector, boxes and spans inputs. Run from anywhere after
+# of a byte that is not UTF-8 on line 4, of a ranking that repeats an element, of a vector
+# holding 1e999, of a malformed `--param` with a missing input, of expected `euclidean`
+# distances above their upper bound and of a NaN `check-metric --tolerance`, plus
+# `check-metric` on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
 set -euo pipefail
@@ -156,6 +157,37 @@ cat latin1.txt
 test "$code" -eq 3
 grep -F "error: latin1.jsonl:4: not UTF-8: 'utf-8' codec can't decode byte 0xff in position" \
   latin1.txt
+
+# vector and ranking labels are checked at load as packed arrays: a ranking that repeats an
+# element (line 3) and a vector holding 1e999 (line 2, which JSON reads as inf) are data errors
+# (exit 3) of their lines
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "ranking", "label": ["a", "b", "c"]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "ranking", "label": ["b", "a", "c"]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "ranking", "label": ["c", "a", "c"]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "ranking", "label": ["a", "c", "b"]}' > repeated.jsonl
+code=0
+agree compute --input repeated.jsonl --distance tau 2> repeated.txt || code=$?
+cat repeated.txt
+test "$code" -eq 3
+grep -Fx "error: repeated.jsonl:3: ranking contains a repeated element" repeated.txt
+printf '%s\n' \
+  '{"item": "i0", "annotator": "a0", "kind": "vector", "label": [0.5, 0.1]}' \
+  '{"item": "i0", "annotator": "a1", "kind": "vector", "label": [0.5, 1e999]}' \
+  '{"item": "i1", "annotator": "a0", "kind": "vector", "label": [0.2, 0.1]}' \
+  '{"item": "i1", "annotator": "a1", "kind": "vector", "label": [0.2, 0.3]}' > infinite.jsonl
+code=0
+agree compute --input infinite.jsonl --distance binary 2> infinite.txt || code=$?
+cat infinite.txt
+test "$code" -eq 3
+grep -Fx "error: infinite.jsonl:2: vector values must be finite" infinite.txt
+# a malformed --param is a usage error (exit 2) before the input is read: nope.jsonl does not
+# exist, which would be exit 3
+code=0
+agree compute --input nope.jsonl --distance tau --param k 2> param.txt || code=$?
+cat param.txt
+test "$code" -eq 2
+grep -Fx "error: --param expects key=value, got 'k'" param.txt
 
 # expected pairs by rejection sampling: 2,200 annotations give 2,418,900 candidates
 agree simulate --task vector --items 1100 --annotators 2 --noise 0.25 --seed 7 --out large.jsonl

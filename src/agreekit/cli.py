@@ -44,11 +44,14 @@ def _parse_kv(pairs: Optional[Sequence[str]], flag: str) -> dict:
     return out
 
 
-def _load(args: argparse.Namespace) -> Dataset:
+def _load(args: argparse.Namespace) -> tuple[Dataset, dict]:
+    """The dataset with --meta merged into its meta, and the --param pairs. Both flags are
+    parsed before the input is read, so a malformed pair is a usage error whatever the input."""
+    meta, params = _parse_kv(args.meta, "--meta"), _parse_kv(args.param, "--param")
     dataset = aio.load_dataset(args.input)
     # the dataset's meta is its own dict: merging into it keeps the records' one sort
-    dataset.meta.update(_parse_kv(args.meta, "--meta"))
-    return dataset
+    dataset.meta.update(meta)
+    return dataset, params
 
 
 def _resolve_de_samples(value: Optional[str]) -> Optional[int]:
@@ -62,10 +65,9 @@ def _resolve_de_samples(value: Optional[str]) -> Optional[int]:
         raise UsageError(f"--de-samples expects an integer or 'all', got {value!r}") from exc
 
 
-def _specs(args: argparse.Namespace, dataset: Dataset, accepted: list) -> list:
+def _specs(args: argparse.Namespace, dataset: Dataset, accepted: list, params: dict) -> list:
     """One spec per (name, registry.accepted_params(name)) of accepted. Each takes the --param
     keys it accepts; a key that no named distance accepts goes to all, so make_spec rejects it."""
-    params = _parse_kv(args.param, "--param")
     table = aio.load_embeddings(args.embeddings) if args.embeddings else None
     unclaimed = set(params).difference(*(keys for _, keys in accepted))
     specs = []
@@ -82,7 +84,7 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
     check_measure_args(p=args.p, de_sample_size=de_sample_size, seed=args.seed,
                        bandwidth=args.kde_bandwidth, n_permutations=args.exact_ks)
     accepted = [(name, registry.accepted_params(name)) for name in names]  # or UsageError
-    dataset = _load(args)
+    dataset, params = _load(args)
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:
@@ -90,7 +92,7 @@ def _reports(args: argparse.Namespace, names: Sequence[str]) -> list:
         if not args.allow_violations:
             raise DataError(f"{len(violations)} validation violation(s); "
                             "use --allow-violations to proceed anyway")
-    specs = _specs(args, dataset, accepted)
+    specs = _specs(args, dataset, accepted, params)
     return agreement_reports(
         dataset, specs, p=args.p, seed=args.seed, bandwidth=args.kde_bandwidth,
         de_sample_size=de_sample_size,
@@ -192,8 +194,8 @@ def cmd_check_metric(args: argparse.Namespace) -> int:
     if not 0.0 <= args.tolerance < math.inf:
         raise UsageError("--tolerance must be finite and nonnegative")
     accepted = [(args.distance, registry.accepted_params(args.distance))]  # or UsageError
-    dataset = _load(args)
-    (spec,) = _specs(args, dataset, accepted)
+    dataset, params = _load(args)
+    (spec,) = _specs(args, dataset, accepted, params)
     seen: list = []
     for payload in dataset.payloads():
         if payload not in seen:

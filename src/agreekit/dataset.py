@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -30,6 +31,24 @@ class AnnotationRecord:
 # parse() -> every record's payload, in record order; a faulty label raises, the first in file
 # order if several are
 Parse = Callable[[], list]
+
+
+class Vectors(NamedTuple):
+    """Every record's vector, packed record by record: counts[r] values for record r."""
+
+    counts: np.ndarray
+    values: np.ndarray
+
+
+class Rankings(NamedTuple):
+    """Every record's ranking, packed record by record: counts[r] element codes for record r,
+    best first. A code indexes names, the distinct elements in sorted order, so codes order as
+    the elements do; universe[r] numbers record r's set of elements, equal sets alike."""
+
+    counts: np.ndarray
+    elements: np.ndarray
+    universe: np.ndarray
+    names: list
 
 
 class Boxes(NamedTuple):
@@ -66,22 +85,26 @@ class Keypoints(NamedTuple):
 
 
 def _checked(labels: Sequence, parse: Parse, rows: Callable, rejected: Callable) -> tuple:
-    """Each label's object count, and rows(labels): the labels' objects as flat arrays.
+    """rows(labels): each label's object count, and the labels' objects as flat arrays.
 
-    rows reads labels in their plain form (lists of the exact arity holding plain int,
-    float and str values) and gives None if a label is in another form; rejected(*arrays)
-    flags each object the payload dataclasses reject. If rows cannot read a label, or an
-    object is flagged, every label is replaced by payload_to_json of its payload: parse
-    raises the error of the first faulty label, or gives what the dataclasses make of
-    another form they accept (a bool or a numeric string as a number, a whole-float offset,
-    extra span fields)."""
-    arrays = rows(labels)
-    if arrays is None or rejected(*arrays).any():
+    rows reads labels in their plain form (lists, of the exact arity for the set kinds,
+    holding plain int, float and str values) and gives None if a label is in another form;
+    rejected(*rows(labels)) tells whether the payload dataclasses reject any label. If rows
+    cannot read a label, or one is rejected, every label is replaced by payload_to_json of its
+    payload: parse raises the error of the first faulty label, or gives what the dataclasses
+    make of another form they accept (a bool or a numeric string as a number, a whole-float
+    offset, extra span fields, a ranking element that is not a str)."""
+    packed = rows(labels)
+    if packed is None or rejected(*packed):
         labels = [payload_to_json(payload) for payload in parse()]  # plain, and accepted
-        arrays = rows(labels)
-        if arrays is None:
+        packed = rows(labels)
+        if packed is None:
             raise TypeError("cannot pack payloads of another kind")
-    return np.fromiter(map(len, labels), dtype=np.intp, count=len(labels)), arrays
+    return packed
+
+
+def _counts(labels: Sequence) -> np.ndarray:
+    return np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
 
 
 def _canonical(counts: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,21 +132,26 @@ def _plain_objects(labels: Sequence, arity: int) -> Optional[list]:
     return None
 
 
-def _box_rows(labels: Sequence) -> Optional[tuple[np.ndarray]]:
-    boxes = _plain_objects(labels, 4)
-    values = list(chain.from_iterable(boxes or ()))
-    if boxes is None or not set(map(type, values)) <= {int, float}:
+def _floats(values: list) -> Optional[np.ndarray]:
+    """values as a float array, if each is a plain int or float within the float range."""
+    if not set(map(type, values)) <= {int, float}:
         return None
     try:
-        return (np.array(values, dtype=float).reshape(-1, 4),)
+        return np.array(values, dtype=float)
     except OverflowError:  # an int beyond the float range
         return None
 
 
+def _box_rows(labels: Sequence) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    boxes = _plain_objects(labels, 4)
+    values = None if boxes is None else _floats(list(chain.from_iterable(boxes)))
+    return None if values is None else (_counts(labels), values.reshape(-1, 4))
+
+
 def pack_boxes(labels: Sequence, parse: Parse) -> Boxes:
     """Boxes of boxes labels, checked as Box and BoxSet check them."""
-    counts, (boxes,) = _checked(labels, parse, _box_rows, lambda b: (
-        ~np.isfinite(b).all(axis=1) | (b[:, 0] > b[:, 2]) | (b[:, 1] > b[:, 3])))
+    counts, boxes = _checked(labels, parse, _box_rows, lambda _, b: (
+        ~np.isfinite(b).all(axis=1) | (b[:, 0] > b[:, 2]) | (b[:, 1] > b[:, 3])).any())
     keep, counts = _canonical(counts, *boxes.T)
     return Boxes(counts, boxes[keep])
 
@@ -136,15 +164,16 @@ def _span_rows(labels: Sequence) -> Optional[tuple]:
     if not (set(map(type, start + end)) <= {int} and set(map(type, tag)) <= {str}):
         return None
     try:
-        return np.array(start, dtype=np.int64), np.array(end, dtype=np.int64), tag
+        return (_counts(labels), np.array(start, dtype=np.int64), np.array(end, dtype=np.int64),
+                tag)
     except OverflowError:  # an offset beyond int64
         return None
 
 
 def pack_spans(labels: Sequence, parse: Parse) -> Spans:
     """Spans of spans labels, checked as Span and SpanSet check them."""
-    counts, (start, end, tag) = _checked(labels, parse, _span_rows, lambda s, e, _: (
-        (s < 0) | (s >= e) | (e - s >= 2**31)))
+    counts, start, end, tag = _checked(labels, parse, _span_rows, lambda _, s, e, __: (
+        (s < 0) | (s >= e) | (e - s >= 2**31)).any())
     codes = {t: i for i, t in enumerate(sorted(set(tag)))}
     tag = np.fromiter(map(codes.__getitem__, tag), dtype=np.int64, count=len(tag))
     keep, counts = _canonical(counts, start, end, tag)
@@ -167,11 +196,65 @@ def pack_keypoints(labels: Sequence, parse: Parse) -> Keypoints:
     )
 
 
-PACKERS = {"boxes": pack_boxes, "keypoints": pack_keypoints, "spans": pack_spans}
+def _vector_rows(labels: Sequence) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    plain = set(map(type, labels)) <= {list}
+    values = _floats(list(chain.from_iterable(labels))) if plain else None
+    return None if values is None else (_counts(labels), values)
+
+
+def pack_vectors(labels: Sequence, parse: Parse) -> Vectors:
+    """Vectors of vector labels, checked as NumericVector checks them."""
+    return Vectors(*_checked(labels, parse, _vector_rows, lambda counts, values: (
+        (counts == 0).any() or not np.isfinite(values).all())))
+
+
+def _ranking_rows(labels: Sequence) -> Optional[tuple]:
+    if not set(map(type, labels)) <= {list}:
+        return None
+    try:
+        names = sorted(set().union(*labels))
+    except TypeError:  # an element that is unhashable, or elements that do not compare
+        return None
+    if not set(map(type, names)) <= {str}:  # no JSON value of another type equals a str
+        return None
+    counts, codes = _counts(labels), dict(zip(names, range(len(names))))
+    elements = np.fromiter(map(codes.__getitem__, chain.from_iterable(labels)), dtype=np.intp,
+                           count=int(counts.sum()))
+    universe, faulty = _sets(counts, elements)
+    return counts, elements, universe, names, faulty
+
+
+def _sets(counts: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per record, a number for its set of elements, equal sets alike; and whether a record is
+    empty or repeats an element, as Ranking rejects. The records of each length are sorted,
+    and their rows compared, together."""
+    universe = np.empty(counts.size, dtype=np.intp)
+    starts, numbered, faulty = np.cumsum(counts) - counts, 0, bool((counts == 0).any())
+    for n in (np.flatnonzero(np.bincount(counts, minlength=1)[1:]) + 1).tolist():
+        records = np.flatnonzero(counts == n)
+        rows = np.sort(elements[starts[records, None] + np.arange(n)], axis=1)
+        faulty = faulty or bool((rows[:, 1:] == rows[:, :-1]).any())
+        order = np.lexsort(rows.T[::-1])  # the rows in order, the first column first
+        rows = rows[order]
+        new = np.ones(records.size, dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        universe[records[order]] = numbered + np.cumsum(new) - 1
+        numbered += int(new.sum())
+    return universe, faulty
+
+
+def pack_rankings(labels: Sequence, parse: Parse) -> Rankings:
+    """Rankings of ranking labels, checked as Ranking checks them."""
+    *packed, _ = _checked(labels, parse, _ranking_rows, lambda *rows: rows[-1])  # faulty
+    return Rankings(*packed)
+
+
+PACKERS = {"boxes": pack_boxes, "keypoints": pack_keypoints, "ranking": pack_rankings,
+           "spans": pack_spans, "vector": pack_vectors}
 
 
 def pack_payloads(kind: str, payloads: Sequence[LabelPayload]):
-    """What a kind's kernels read for a list of its payloads: a set kind's objects, packed
+    """What a kind's kernels read for a list of its payloads: a packed kind's labels, packed
     from payload_to_json as a file's labels are, and the list itself for any other kind."""
     if kind not in PACKERS:
         return payloads
@@ -192,9 +275,10 @@ class Dataset:
 
     item and annotator hold each record's item and annotator code, numbered in record order
     (dict codes, as numpy str arrays drop trailing NULs). columns is what the kind's kernels
-    read: a set kind's packed objects (Boxes, Spans or Keypoints), any other kind's payload
-    list. A loaded dataset packs its labels at load and builds payloads and records only
-    when they are asked for; one built from records packs them when first needed.
+    read: a packed kind's labels (Vectors, Rankings, Boxes, Spans or Keypoints; see PACKERS),
+    any other kind's payload list. A loaded dataset packs its labels at load and builds
+    payloads and records only when they are asked for; one built from records packs them
+    when first needed.
     """
 
     def __init__(self, records: Iterable[AnnotationRecord] = (),
@@ -265,6 +349,10 @@ def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
     outside configured ranges, configured ranges with a NaN bound (once each),
     vector length mismatches, rankings that are not
     permutations of the universe, items with fewer than two annotations.
+
+    It reads the ids and dataset.columns, whole arrays at a time, so a loaded dataset's
+    payloads are not built. A ranking's universe is meta's, or else the first record's
+    elements.
     """
     meta, kind = dataset.meta, dataset.kind
     item, annotator, item_ids = dataset.item, dataset.annotator, dataset.item_ids
@@ -276,8 +364,6 @@ def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
     sizes = np.diff(first, append=item.size)
     violations += [f"item {item_ids[k]!r} has {n} annotation(s); it yields no observed pairs"
                    for k, n in zip(first[sizes < 2].tolist(), sizes[sizes < 2].tolist())]
-    if kind in ("vector", "ranking"):
-        records = list(zip(item_ids, dataset.annotator_ids, dataset.payloads()))
     if kind == "vector":
         ranges = meta.get("ranges")
         if ranges is not None and not (isinstance(ranges, (list, tuple)) and all(
@@ -285,43 +371,65 @@ def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
             and all(isinstance(x, Real) and not isinstance(x, bool) for x in r) for r in ranges
         )):
             raise DataError(f"ranges must be a list of [lo, hi] pairs of numbers, got {ranges!r}")
-        lengths = {len(payload.values) for _, _, payload in records}
-        if len(lengths) > 1:
-            violations.append(f"inconsistent vector lengths: {sorted(lengths)}")
-        if ranges is not None:
-            nan_ranges: dict[int, tuple] = {}
-            for item_id, annotator_id, payload in records:
-                vals = payload.values
-                if len(vals) != len(ranges):
-                    violations.append(
-                        f"item {item_id!r} annotator {annotator_id!r}: "
-                        f"vector length {len(vals)} != {len(ranges)} configured ranges"
-                    )
-                    continue
-                for i, (v, (lo, hi)) in enumerate(zip(vals, ranges)):
-                    if lo != lo or hi != hi:
-                        # no value lies in a range with a NaN bound: name the range, once
-                        nan_ranges[i] = (lo, hi)
-                    elif not (lo <= v <= hi):
-                        violations.append(
-                            f"item {item_id!r} annotator {annotator_id!r}: "
-                            f"value {v} outside range [{lo}, {hi}] at dimension {i}"
-                        )
-            violations += [f"range [{lo}, {hi}] at dimension {i} has a NaN bound"
-                           for i, (lo, hi) in nan_ranges.items()]
-
+        violations += _vector_violations(dataset, ranges)
     if kind == "ranking":
         universe = meta.get("universe")
-        if universe is None:
-            universe = list(records[0][2].order)
-        elif not isinstance(universe, (list, tuple)):
+        if universe is not None and not isinstance(universe, (list, tuple)):
             raise DataError(f"universe must be a list of elements, got {universe!r}")
-        expected = sorted(str(e) for e in universe)
-        for item_id, annotator_id, payload in records:
-            if sorted(payload.order) != expected:
-                violations.append(
-                    f"item {item_id!r} annotator {annotator_id!r}: "
-                    f"ranking is not a permutation of the universe"
-                )
-
+        violations += _ranking_violations(dataset, universe)
     return tuple(sorted(violations))
+
+
+def _vector_violations(dataset: Dataset, ranges) -> list[str]:
+    """Vector lengths that differ, and each value outside its dimension's range; a range
+    with a NaN bound holds no value, so it is named once instead."""
+    counts, values = dataset.columns
+    lengths = np.flatnonzero(np.bincount(counts))
+    violations = [f"inconsistent vector lengths: {lengths.tolist()}"] if lengths.size > 1 else []
+    if ranges is None:
+        return violations
+    fits, item_ids, annotator_ids = counts == len(ranges), dataset.item_ids, dataset.annotator_ids
+    violations += [f"item {item_ids[r]!r} annotator {annotator_ids[r]!r}: vector length "
+                   f"{counts[r]} != {len(ranges)} configured ranges"
+                   for r in np.flatnonzero(~fits).tolist()]
+    records = np.flatnonzero(fits)
+    values = values[np.repeat(fits, counts)].reshape(records.size, len(ranges))
+    for i, (lo, hi) in enumerate(ranges):
+        if lo != lo or hi != hi:
+            if records.size:
+                violations.append(f"range [{lo}, {hi}] at dimension {i} has a NaN bound")
+            continue
+        column = values[:, i]
+        out = np.flatnonzero((column < _float_above(lo)) | (column > -_float_above(-hi)))
+        violations += [f"item {item_ids[r]!r} annotator {annotator_ids[r]!r}: value {v} outside "
+                       f"range [{lo}, {hi}] at dimension {i}"
+                       for r, v in zip(records[out].tolist(), column[out].tolist())]
+    return violations
+
+
+def _ranking_violations(dataset: Dataset, universe) -> list[str]:
+    """Each ranking that is not a permutation of the universe, or else of the first record's
+    elements."""
+    counts, elements, _, names = dataset.columns
+    inside = np.zeros(len(names), dtype=bool)  # per element code, whether it is in the universe
+    if universe is None:
+        size, members = counts[0], elements[: counts[0]]
+    else:
+        codes = dict(zip(names, range(len(names))))
+        size, members = len(universe), [codes[e] for e in map(str, universe) if e in codes]
+    inside[members] = True
+    # a record's elements are distinct, so it is a permutation of a universe of its size
+    # exactly when every element is in it (a repeat in the universe makes that impossible)
+    within = np.logical_and.reduceat(inside[elements], np.cumsum(counts) - counts)
+    return [f"item {dataset.item_ids[r]!r} annotator {dataset.annotator_ids[r]!r}: ranking is "
+            "not a permutation of the universe"
+            for r in np.flatnonzero((counts != size) | ~within).tolist()]
+
+
+def _float_above(x: Real) -> float:
+    """The least float at or above x, so that x <= v exactly when it is <= v for a float v."""
+    try:
+        f = float(x)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if x > 0 else -math.inf
+    return math.nextafter(f, math.inf) if f < x else f

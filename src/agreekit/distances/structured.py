@@ -6,8 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..dataset import Rankings
 from ..errors import DataError
-from ..payloads import OrderedTree, Ranking
+from ..payloads import OrderedTree
 
 
 def _postorder(tree: OrderedTree) -> tuple[list[str], list[int], list[int], int]:
@@ -133,10 +134,11 @@ def _ranking_rows(
     """Distances of the ranking pairs (ia[t], ib[t]), rows of one universe's rank matrix.
 
     ranks[r, c] is ranking r's position of universe element c."""
-    n = ranks.shape[1]
+    rows, n = ranks.shape
     if n < 2:
         return np.zeros(ia.size)
-    order = np.argsort(ranks, axis=1)  # order[r, p]: the element ranking r puts at p
+    order = np.empty_like(ranks)  # order[r, p]: the element ranking r puts at p
+    order[np.arange(rows)[:, None], ranks] = np.arange(n)
     if mode == "rho":
         y = ranks[ib[:, None], order[ia]]
         # rank x sits 2x - (n - 1) half-steps from the mean, so four times the
@@ -157,10 +159,10 @@ def _ranking_rows(
         # prefixes are padded past every rank and count in no pair
         rest = np.sort(np.where(in_a, k + 1, np.arange(k)), axis=1)
         y = np.concatenate([first, rest], axis=1)
-        only_b = k - in_a.sum(axis=1)
-    else:
-        y, only_b = first, np.zeros(ia.size, dtype=np.intp)
-    only_a = (first == k).sum(axis=1)
+        only_a, only_b = (first == k).sum(axis=1), k - in_a.sum(axis=1)
+    else:  # every rank is below k = n
+        y = first
+        only_a = only_b = np.zeros(ia.size, dtype=np.intp)
 
     # tau-b by Knight's (1966) counts; no element is outside both prefixes, so
     # no pair is tied in both
@@ -179,13 +181,13 @@ def _ranking_rows(
 
 
 def ranking_batch(
-    payloads: Sequence[Ranking],
+    rankings: Rankings,
     ia: np.ndarray,
     ib: np.ndarray,
     mode: str,
     k: int = 5,
 ) -> np.ndarray:
-    """Rank disagreement (1 - correlation) / 2 of each pair (payloads[ia[t]], payloads[ib[t]]).
+    """Rank disagreement (1 - correlation) / 2 of each pair of packed records (ia[t], ib[t]).
 
     Every mode compares rank vectors over the union of both top-k prefixes, with
     everything outside a list's top k tied at rank k + 1; tau and rho take k = n,
@@ -195,27 +197,24 @@ def ranking_batch(
     correlation of the rank vectors. Rankings over different universes raise
     DataError.
 
-    Each payload's rank vector over its sorted universe is built once; pairs
-    gather them, with one vectorized pass per universe.
+    rankings is a dataset's packed Rankings (dataset.pack_payloads("ranking", payloads)
+    packs a payload list). The records of each universe read their element codes as one
+    matrix, and one argsort of it gives each record's rank of every universe element, as
+    the codes order as the elements do; pairs gather them, one vectorized pass per universe.
     """
     if mode not in ("tau", "rho", "tau_at_k"):
         raise DataError(f"unknown ranking distance mode {mode!r}")
-    universes: dict[tuple[str, ...], int] = {}
-    rank_rows, codes = [], []
-    for p in payloads:
-        rank = sorted(range(len(p.order)), key=p.order.__getitem__)
-        codes.append(universes.setdefault(tuple(map(p.order.__getitem__, rank)), len(universes)))
-        rank_rows.append(rank)
-    code = np.array(codes, dtype=np.intp)
+    counts, elements, code, _ = rankings
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
     if (code[ia] != code[ib]).any():
         raise DataError("rankings are over different element universes")
+    starts = np.cumsum(counts) - counts
     out = np.empty(ia.size)
-    for u in set(code[ia].tolist()):  # np.unique would import numpy.ma
+    for u in np.flatnonzero(np.bincount(code[ia])).tolist():  # np.unique would import numpy.ma
         members = np.flatnonzero(code == u)
         local = np.empty(code.size, dtype=np.intp)
         local[members] = np.arange(members.size)
         pairs = np.flatnonzero(code[ia] == u)
-        ranks = np.array([rank_rows[r] for r in members], dtype=np.intp)
+        ranks = np.argsort(elements[starts[members, None] + np.arange(counts[members[0]])], axis=1)
         out[pairs] = _ranking_rows(ranks, local[ia[pairs]], local[ib[pairs]], mode, k)
     return out

@@ -14,8 +14,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..dataset import Vectors
 from ..errors import DataError, NumericError
-from ..payloads import NumericVector, TokenSequence
+from ..payloads import TokenSequence
 
 Ranges = Sequence[tuple[float, float]]
 
@@ -37,26 +38,27 @@ def squares(x: np.ndarray) -> np.ndarray:
 # DistanceSamples rejects an inf distance, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
 def vector_batch(
-    payloads: Sequence[NumericVector],
+    vectors: Vectors,
     ia: np.ndarray,
     ib: np.ndarray,
     mode: str,
     ranges: Optional[Ranges] = None,
 ) -> np.ndarray:
-    """The mode's distance of each pair (payloads[ia[t]], payloads[ib[t]]), in [0, 1].
+    """The mode's distance of each pair of packed records (ia[t], ib[t]), in [0, 1].
 
     binary: the fraction of unequal elements. euclidean: the RMSE of the
     differences, each divided by its dimension's range width hi - lo (the raw
     score orientation elsewhere is 1 - RMSE).
 
-    The vectors are stacked into one zero-padded matrix. Euclidean squares its
-    terms with `squares` and sums them one dimension at a time, left to right; a
-    term that overflows to inf makes the distance inf. A length mismatch, an
-    unknown mode and missing, miscounted, zero-width or non-finite ranges raise
-    DataError at the first pair they affect.
+    vectors is a dataset's packed Vectors (dataset.pack_payloads("vector", payloads)
+    packs a payload list); its values fill one zero-padded matrix, a row per record.
+    Euclidean squares its terms with `squares` and sums them one dimension at a time,
+    left to right; a term that overflows to inf makes the distance inf. A length
+    mismatch, an unknown mode and missing, miscounted, zero-width or non-finite ranges
+    raise DataError at the first pair they affect.
     """
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
-    lengths = np.array([len(p.values) for p in payloads], dtype=np.intp)
+    lengths = vectors.counts
     widths = np.array([float(hi) - float(lo) for lo, hi in ranges or ()])
     # an infinite width would drop its dimension, (x - y) / inf being 0; NaN poisons the sum
     bad_widths = ~((widths > 0) & (widths < np.inf))
@@ -78,9 +80,8 @@ def vector_batch(
         lo, hi = ranges[int(np.argmax(bad_widths))]
         kind = "zero-width" if float(hi) - float(lo) <= 0 else "non-finite"
         raise DataError(f"{kind} range [{lo}, {hi}]")
-    values = np.zeros((len(payloads), lengths.max(initial=0)))
-    for row, p in enumerate(payloads):
-        values[row, : len(p.values)] = p.values
+    values = np.zeros((lengths.size, lengths.max(initial=0)))
+    values[np.arange(values.shape[1]) < lengths[:, None]] = vectors.values
     a, b = values[ia], values[ib]
     if mode == "binary":
         return (a != b).sum(axis=1) / lengths[ia]

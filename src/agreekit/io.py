@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import threading
+from json.decoder import WHITESPACE
 from typing import Optional
 
 from .dataset import PACKERS, Dataset
@@ -37,11 +38,12 @@ def load_dataset(path: str) -> Dataset:
 
     Errors carry the 1-based line number of the first faulty line. Token sequences get
     the sentence id "<item>::<annotator>" unless the line provides one, matching the
-    embedding-file convention. Every label is parsed after the read, in file order. A set
-    kind's labels are checked and packed together instead (dataset.PACKERS), and parsed
-    only if one is not in the plain form or is rejected, or if payloads are asked for.
+    embedding-file convention. Every label is parsed after the read, in file order. The
+    labels of a vector, ranking or set kind are checked and packed together instead
+    (dataset.PACKERS), and parsed only if one is not in the plain form or is rejected, or
+    if payloads are asked for.
 
-    The file is read in a new thread. json.loads and the tree parser count nesting against
+    The file is read in a new thread. The JSON reader and the tree parser count nesting against
     the recursion limit, and a new thread starts at depth 0, so how deep a line may nest
     does not depend on the caller's stack. What the thread raises is raised here.
     """
@@ -77,7 +79,7 @@ def _load(path: str) -> Dataset:
             try:
                 _check_utf8(line)
                 try:
-                    obj = json.loads(line)
+                    obj = _decode(line)
                 except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
                     raise DataError(f"malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
@@ -133,6 +135,24 @@ def _load(path: str) -> Dataset:
                                 columns, parse, meta)
 
 
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode(line: str) -> object:
+    """json.loads(line), in one scan of the line: the same value, or the same error."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        obj, end = _scan(line, WHITESPACE.match(line).end())
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    if end != len(line):
+        end = WHITESPACE.match(line, end).end()
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
 def _check_utf8(line: str) -> None:
     """DataError if line held bytes that are not UTF-8 (errors="surrogateescape" kept them)."""
     if not line.isascii():
@@ -173,7 +193,7 @@ def load_embeddings(path: str) -> TokenEmbeddingTable:
                 continue
             try:
                 _check_utf8(line)
-                obj = json.loads(line)
+                obj = _decode(line)
                 table[str(obj["sentence_id"])] = obj["vectors"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed embedding line: {exc}") from exc

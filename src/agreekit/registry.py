@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dataset import PACKERS, pack_payloads
+from .dataset import pack_payloads
 from .distances.geometry import box_batch, oks_batch
 from .distances.multiobject import count_diff_batch, ner_batch
 from .distances.structured import ranking_batch, tree_batch
@@ -27,7 +27,7 @@ from .errors import UsageError
 
 PairFn = Callable[[object, object], float]
 # kernel(columns, ia, ib) -> distances of the pairs (ia[t], ib[t]) of records, given what
-# Dataset.columns holds for the kind: a set kind's packed objects, another's payloads
+# Dataset.columns holds for the kind: a packed kind's labels, another's payloads
 BatchFn = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -51,7 +51,7 @@ class DistanceSpec:
 
     def batch(self, payloads: Sequence, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Distances of the pairs (payloads[ia[t]], payloads[ib[t]]), in order, as floats. A
-        set kind's payloads are packed first, as a loaded file's labels are."""
+        packed kind's payloads are packed first, as a loaded file's labels are."""
         return self.kernel(pack_payloads(self.payload_kind, payloads), ia, ib)
 
 
@@ -174,7 +174,7 @@ _ENTRIES = {
                   "min-match lift of 1 - object keypoint similarity"),
     "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _box, "bbox_iou",
                        "min-match lift of 1 - IoU of keypoint hull boxes"),
-    "count_diff": _Entry(tuple(PACKERS), ("normalize",), False, 1.0, _count, None,
+    "count_diff": _Entry(("boxes", "keypoints", "spans"), ("normalize",), False, 1.0, _count, None,
                          "absolute object-count difference (normalize=false for the raw count)"),
     "ner_both_lenient": _Entry(("spans",), (), True, 1.0, _ner, (False, False),
                                "token-overlap span similarity, any tag, harmonic-mean combined"),

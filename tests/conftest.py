@@ -531,6 +531,40 @@ def vector_distance_oracle(a: NumericVector, b: NumericVector, mode: str, ranges
     raise DataError(f"unknown vector distance mode {mode!r}")
 
 
+def vector_ranking_violations_oracle(dataset: Dataset) -> list[str]:
+    """validate_dataset's vector and ranking violations, one payload and one value at a time,
+    compared with Python's exact number comparisons."""
+    meta, violations = dataset.meta, []
+    records = list(zip(dataset.item_ids, dataset.annotator_ids, dataset.payloads()))
+    if dataset.kind == "vector":
+        ranges = meta.get("ranges")
+        lengths = {len(payload.values) for _, _, payload in records}
+        if len(lengths) > 1:
+            violations.append(f"inconsistent vector lengths: {sorted(lengths)}")
+        nan_ranges: dict[int, tuple] = {}
+        for item_id, annotator_id, payload in records if ranges is not None else ():
+            if len(payload.values) != len(ranges):
+                violations.append(f"item {item_id!r} annotator {annotator_id!r}: vector length "
+                                  f"{len(payload.values)} != {len(ranges)} configured ranges")
+                continue
+            for i, (v, (lo, hi)) in enumerate(zip(payload.values, ranges)):
+                if lo != lo or hi != hi:
+                    nan_ranges[i] = (lo, hi)
+                elif not lo <= v <= hi:
+                    violations.append(f"item {item_id!r} annotator {annotator_id!r}: value {v} "
+                                      f"outside range [{lo}, {hi}] at dimension {i}")
+        violations += [f"range [{lo}, {hi}] at dimension {i} has a NaN bound"
+                       for i, (lo, hi) in nan_ranges.items()]
+    if dataset.kind == "ranking":
+        universe = meta.get("universe", records[0][2].order)
+        expected = sorted(str(e) for e in universe)
+        violations += [f"item {item_id!r} annotator {annotator_id!r}: ranking is not a "
+                       "permutation of the universe"
+                       for item_id, annotator_id, payload in records
+                       if sorted(payload.order) != expected]
+    return violations
+
+
 def keypoint_columns(object_tuples: Sequence[tuple]) -> Keypoints:
     """The packed Keypoints of object tuples, each in its given order (a KeypointSet sorts)."""
     return pack_keypoints(object_tuples,

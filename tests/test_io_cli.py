@@ -116,6 +116,30 @@ class TestDatasetIo:
         with pytest.raises(DataError, match=r":2: malformed JSON"):
             aio.load_dataset(path)
 
+    @pytest.mark.parametrize("line", [
+        "\ufeff{}", "{} x", "{}   x", "{} \t\r\n x", '{"a": [1,', "", "x", "[NaN, Infinity, -Infinity]",
+        "1" * 5000, '"\\ud800"', "{}\u00a0", " \t{} ", '{"a": 1} ', "[1e999, -0.0, 5e-324]",
+    ], ids=["bom", "extra", "extra-after-spaces", "extra-after-json-whitespace", "unterminated",
+            "empty", "no-value", "constants", "5000-digits", "lone-surrogate", "trailing-nbsp",
+            "surrounding-whitespace", "trailing-space", "floats"])
+    def test_the_line_decoder_gives_what_json_loads_gives(self, line):
+        try:
+            want = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+            with pytest.raises(type(exc)) as raised:
+                aio._decode(line)
+            assert str(raised.value) == str(exc)
+        else:
+            assert repr(aio._decode(line)) == repr(want)  # nan != nan; -0.0 == 0.0
+
+    def test_extra_data_after_a_record_names_its_line(self, tmp_path, capsys):
+        good = json.dumps({"item": "i", "annotator": "a", "kind": "vector", "label": [1.0]})
+        path = write_lines(tmp_path / "t.jsonl", [good, good.replace('"a"', '"b"') + "   x"])
+        assert main(["compute", "--input", path, "--distance", "binary"]) == 3
+        at = len(good) + 3  # the x, after the whitespace
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: malformed JSON: Extra data: line 1 column {at + 1} (char {at})\n")
+
     def test_missing_field_names_line(self, tmp_path):
         path = write_lines(tmp_path / "t.jsonl", [json.dumps({"item": "i", "annotator": "a"})])
         with pytest.raises(DataError, match=r":1: missing field"):
@@ -326,7 +350,14 @@ class TestCliCompute:
         (["hist", "--distance", "nosuch"], "unknown distance 'nosuch'"),
         (["compare", "--distances", "binary,nosuch"], "unknown distance 'nosuch'"),
         (["check-metric", "--distance", "nosuch"], "unknown distance 'nosuch'"),
-    ], ids=["de-samples-0", "de-samples-word", "hist", "compare", "check-metric"])
+        (["compute", "--distance", "tau", "--param", "k"], "--param expects key=value, got 'k'"),
+        (["compute", "--distance", "binary", "--meta", "k"], "--meta expects key=value, got 'k'"),
+        (["check-metric", "--distance", "tau", "--param", "k"],
+         "--param expects key=value, got 'k'"),
+        (["check-metric", "--distance", "binary", "--meta", "k"],
+         "--meta expects key=value, got 'k'"),
+    ], ids=["de-samples-0", "de-samples-word", "hist", "compare", "check-metric",
+            "compute-param", "compute-meta", "check-metric-param", "check-metric-meta"])
     def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, flag):
         # the input does not exist, which would be exit 3 if it were read first
         assert main([*argv, "--input", str(tmp_path / "missing.jsonl")]) == 2

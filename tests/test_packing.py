@@ -1,9 +1,10 @@
-"""Every label is parsed at load, after the read, and set-kind labels are checked and packed: the
-packed objects must equal those of the payload dataclasses, and a faulty file of any kind must
-fail as the line-by-line parse fails it."""
+"""Every label is parsed at load, after the read, and vector, ranking and set-kind labels are
+checked and packed: the packed labels must equal those of the payload dataclasses, and a faulty
+file of any kind must fail as the line-by-line parse fails it."""
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agreekit import io as aio
-from agreekit.dataset import PACKERS, Boxes, Spans, pack_payloads
+from agreekit.dataset import (PACKERS, Boxes, Dataset, Rankings, Spans, Vectors, pack_payloads,
+                              validate_dataset)
+from agreekit.distances.structured import ranking_batch
+from agreekit.distances.vector_text import vector_batch
 from agreekit.errors import DataError
+from agreekit.noise import NoiseSpec, generate_cst_dataset, random_gold
 from agreekit.payloads import parse_payload
+from agreekit.registry import make_spec
+from agreekit.stats import agreement_reports
+
+from conftest import (ranking_distance_oracle, vector_distance_oracle,
+                      vector_ranking_violations_oracle)
 
 NUMBERS = st.one_of(
     st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.5, 1e308, 5e-324]),
@@ -130,7 +140,23 @@ LABELS = {
 }
 FAULTS = {"boxes": BOX_FAULTS, "spans": SPAN_FAULTS, "vector": VECTOR_FAULTS,
           "ranking": RANKING_FAULTS, "tokens": TOKEN_FAULTS, "tree": TREE_FAULTS}
-PACKED = sorted(PACKERS.keys() & LABELS.keys())  # the set kinds with a label strategy
+PACKED = sorted(PACKERS.keys() & LABELS.keys())  # the packed kinds with a label strategy
+ELEMENTS = ["a", "b", "c", "", "a\x00"]
+# labels in the plain form, the one a packer reads without parsing them (the set kinds' label
+# strategies draw it often enough), of several lengths and universes
+PLAIN = {
+    "vector": st.lists(st.one_of(NUMBERS, st.sampled_from([2.0**53, 2**53 + 1, 10**300])),
+                       min_size=1, max_size=4),
+    "ranking": st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=5, unique=True),
+}
+
+
+def label_lists(kind, min_size=1):
+    """Lists of a kind's labels, all plain or in any form the dataclasses accept."""
+    lists = st.lists(LABELS[kind], min_size=min_size, max_size=8)
+    if kind in PLAIN:
+        lists = st.one_of(st.lists(PLAIN[kind], min_size=min_size, max_size=8), lists)
+    return lists
 
 
 def other_kind(kind):
@@ -139,7 +165,17 @@ def other_kind(kind):
 
 
 def packed_from_payloads(kind, payloads):
-    """The packed objects, read off the payload dataclasses one object at a time."""
+    """The packed labels, read off the payload dataclasses one value at a time."""
+    if kind == "vector":
+        return Vectors(np.array([len(p.values) for p in payloads]),
+                       np.array([v for p in payloads for v in p.values], dtype=float))
+    if kind == "ranking":
+        names = sorted({e for p in payloads for e in p.order})
+        universes = {}
+        return Rankings(np.array([len(p.order) for p in payloads]),
+                        np.array([names.index(e) for p in payloads for e in p.order]),
+                        np.array([universes.setdefault(frozenset(p.order), len(universes))
+                                  for p in payloads]), names)
     counts = np.array([len(p.boxes if kind == "boxes" else p.spans) for p in payloads])
     if kind == "boxes":
         rows = [[b.x0, b.y0, b.x1, b.y1] for p in payloads for b in p.boxes]
@@ -151,23 +187,78 @@ def packed_from_payloads(kind, payloads):
                  np.array([names.index(s.tag) for s in spans], dtype=np.int64))
 
 
+def first_seen(codes):
+    """codes renumbered in the order they first appear."""
+    seen = {}
+    return np.array([seen.setdefault(c, len(seen)) for c in codes.tolist()], dtype=np.intp)
+
+
 def assert_same_packed(got, want):
     assert type(got) is type(want)
     for name in want._fields:
-        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, list):  # names, compared as str (numpy would drop trailing NULs)
+            assert a == b, name
+            continue
+        if name == "universe":  # any numbering of the sets, as long as equal sets share it
+            a, b = first_seen(a), first_seen(b)
+        a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape, name
         assert a.tobytes() == b.astype(a.dtype).tobytes(), name  # bits: -0.0 is not 0.0
+
+
+def first_fault(kind, labels):
+    """The error of the first label that does not parse, if one does not."""
+    for label in labels:
+        try:
+            parse_payload(kind, label)
+        except DataError as exc:
+            return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("kind", PACKED)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_packing_labels_equals_packing_their_payloads(kind, data):
-    labels = data.draw(st.lists(LABELS[kind], min_size=1, max_size=8))
+    labels = data.draw(label_lists(kind))
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        at = data.draw(st.integers(0, len(labels)))
+        labels.insert(at, data.draw(st.sampled_from(FAULTS[kind])))
+    parse = lambda: [parse_payload(kind, label) for label in labels]  # noqa: E731
+    fault = first_fault(kind, labels)
+    if fault is not None:
+        with pytest.raises(DataError) as raised:
+            PACKERS[kind](labels, parse)
+        assert str(raised.value) == fault
+        return
+    got = PACKERS[kind](labels, parse)
+    assert_same_packed(got, packed_from_payloads(kind, parse()))
+    assert_same_packed(pack_payloads(kind, parse()), got)
+
+
+@pytest.mark.parametrize("kind", ["vector", "ranking"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_labels_of_other_lengths_fail_at_the_first_pair_they_affect(kind, data):
+    labels = data.draw(label_lists(kind))
     payloads = [parse_payload(kind, label) for label in labels]
-    got = PACKERS[kind](labels, lambda: [parse_payload(kind, label) for label in labels])
-    assert_same_packed(got, packed_from_payloads(kind, payloads))
-    assert_same_packed(pack_payloads(kind, payloads), got)
+    packed = PACKERS[kind](labels, payloads.copy)
+    pairs = data.draw(st.lists(st.tuples(*[st.integers(0, len(labels) - 1)] * 2), max_size=12))
+    ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if kind == "vector":
+        kernel, oracle = partial(vector_batch, mode="binary"), partial(vector_distance_oracle,
+                                                                          mode="binary")
+    else:
+        kernel, oracle = partial(ranking_batch, mode="tau"), ranking_distance_oracle
+    try:
+        want = [oracle(payloads[i], payloads[j]) for i, j in pairs]
+    except DataError as exc:  # "vector length mismatch: n != m", or rankings over two universes
+        with pytest.raises(DataError) as raised:
+            kernel(packed, ia, ib)
+        assert str(raised.value) == str(exc)
+    else:
+        assert np.array_equal(kernel(packed, ia, ib), want)
 
 
 def line(k, kind, label):
@@ -260,7 +351,7 @@ def test_a_payload_fault_is_not_masked_by_a_later_line_fault(tmp_path, kind, goo
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_a_loaded_set_kind_builds_its_payloads_only_when_asked(kind, data, tmp_path_factory):
-    labels = data.draw(st.lists(LABELS[kind], min_size=1, max_size=8))
+    labels = data.draw(label_lists(kind))
     path = tmp_path_factory.mktemp("lazy") / f"{kind}.jsonl"
     path.write_text("\n".join(line(k, kind, label) for k, label in enumerate(labels)) + "\n",
                     encoding="utf-8")
@@ -271,3 +362,63 @@ def test_a_loaded_set_kind_builds_its_payloads_only_when_asked(kind, data, tmp_p
     assert [(r.item_id, r.annotator_id) for r in dataset.records] == [
         (f"i{k % 3}", f"a{k}") for k in order]
     assert_same_packed(dataset.columns, pack_payloads(kind, dataset.payloads()))
+
+
+BOUNDS = [0, 1, -1.5, 0.5, 2.0**53, 2**53 + 1, -(2**53 + 1), 10**400, -(10**400), 1e308, math.nan,
+          math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("kind", ["vector", "ranking"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validation_reads_the_packed_labels_as_the_payload_loop_does(kind, data,
+                                                                     tmp_path_factory):
+    labels = data.draw(label_lists(kind, min_size=6))  # every item has two annotations
+    if kind == "vector":  # mostly n values in n ranges, near the bounds
+        n = data.draw(st.integers(1, 3))
+        values = st.lists(st.sampled_from(BOUNDS[:7] + [1e308]), min_size=n, max_size=n)
+        labels = data.draw(st.one_of(st.lists(values, min_size=6, max_size=8), st.just(labels)))
+        pairs = st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2)
+        ranges = st.one_of(st.lists(pairs, min_size=n, max_size=n), st.lists(pairs, max_size=4))
+        meta = data.draw(st.one_of(st.just({}), st.fixed_dictionaries({"ranges": ranges})))
+    else:
+        universe = st.lists(st.sampled_from(ELEMENTS + [1, 2.5, None]), max_size=6)
+        meta = data.draw(st.one_of(st.just({}), st.fixed_dictionaries({"universe": universe})))
+    path = tmp_path_factory.mktemp("valid") / f"{kind}.jsonl"
+    lines = [json.dumps({"meta": meta})] + [line(k, kind, label) for k, label in enumerate(labels)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dataset = aio.load_dataset(str(path))
+    violations = validate_dataset(dataset)
+    assert "_payloads" not in vars(dataset)
+    assert violations == tuple(sorted(vector_ranking_violations_oracle(dataset)))
+
+
+def test_validation_compares_values_with_integer_bounds_exactly(tmp_path):
+    # no float lies strictly between 2.0**53 and 2**53 + 1, so a float bound would take them equal
+    ranges = [[2**53 + 1, 10**400], [-(10**400), -(2**53 + 1)], [-(2**53 + 1), 2**53 + 1]]
+    labels = [[2.0**53, -(2.0**53), 2.0**53], [2.0**53 + 2, -(2.0**53) - 2, -(2.0**53)]]
+    path = tmp_path / "bounds.jsonl"
+    path.write_text("\n".join([json.dumps({"meta": {"ranges": ranges}})] + [
+        line(k, "vector", labels[k % 2]) for k in range(6)]) + "\n", encoding="utf-8")
+    dataset = aio.load_dataset(str(path))
+    violations = validate_dataset(dataset)
+    assert len(violations) == 6  # the first label's first two values, in items i0, i1 and i2
+    assert violations == tuple(sorted(vector_ranking_violations_oracle(dataset)))
+
+
+@pytest.mark.parametrize("task, names", [("vector", ["binary", "euclidean"]),
+                                         ("ranking", ["tau", "rho", "tau_at_k"])])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_loaded_vector_or_ranking_file_is_reported_without_payloads(tmp_path, task, names,
+                                                                       seed):
+    gold, meta = random_gold(task, 25, seed)
+    spec = NoiseSpec(task=task, level=0.25, n_annotators=3, seed=seed)
+    built = generate_cst_dataset(gold, spec, meta=meta)
+    aio.write_dataset(str(tmp_path / "d.jsonl"), built)
+    loaded = aio.load_dataset(str(tmp_path / "d.jsonl"))
+    specs = [make_spec(name, task, meta=loaded.meta) for name in names]
+    assert validate_dataset(loaded) == validate_dataset(built) == ()
+    reports = agreement_reports(loaded, specs, seed=seed)
+    assert "_payloads" not in vars(loaded) and "records" not in vars(loaded)
+    want = agreement_reports(Dataset(built.records, built.meta), specs, seed=seed)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in want]

@@ -23,9 +23,11 @@ from conftest import lifted_inner, make_payloads
 
 
 def fake_spec(fn, kind="vector", name="fake"):
-    """A spec whose kernel scores each pair with fn."""
+    """A spec whose kernel scores each pair of vectors with fn."""
 
-    def kernel(payloads, ia, ib):
+    def kernel(vectors, ia, ib):
+        rows = np.split(vectors.values, np.cumsum(vectors.counts)[:-1])
+        payloads = [NumericVector(values=tuple(row)) for row in rows]
         return np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)], dtype=float)
 
     return DistanceSpec(name=name, payload_kind=kind, params={}, kernel=kernel)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau, spearmanr
 
+from agreekit.dataset import pack_payloads
 from agreekit.distances.structured import _inversions, ranking_batch, tree_batch
 from agreekit.errors import DataError, UsageError
 from agreekit.registry import make_spec
@@ -31,7 +32,7 @@ def tree_distance(a, b, variant="plain"):
 
 def ranking_distance(a, b, mode="tau", k=5):
     """The ranking kernel on the one pair (a, b)."""
-    return float(ranking_batch([a, b], [0], [1], mode, k)[0])
+    return float(ranking_batch(pack_payloads("ranking", [a, b]), [0], [1], mode, k)[0])
 
 
 def test_ted_identity_and_relabel():
@@ -231,11 +232,12 @@ def test_ranking_distance_equals_scipy_reference(orders):
     a, b = orders
     n = len(a)
     # the pairs (a, b), (b, a), (a, a), one kernel call per configuration
-    payloads, ia, ib = [rank(*a), rank(*b)], np.array([0, 1, 0]), np.array([1, 0, 0])
-    tau = ranking_batch(payloads, ia, ib, "tau")
-    rho_d = ranking_batch(payloads, ia, ib, "rho")
+    packed = pack_payloads("ranking", [rank(*a), rank(*b)])
+    ia, ib = np.array([0, 1, 0]), np.array([1, 0, 0])
+    tau = ranking_batch(packed, ia, ib, "tau")
+    rho_d = ranking_batch(packed, ia, ib, "rho")
     # every k < n ties the tails, so tau-b runs on tied rank vectors
-    at_k = [ranking_batch(payloads, ia, ib, "tau_at_k", k) for k in range(1, n + 1)]
+    at_k = [ranking_batch(packed, ia, ib, "tau_at_k", k) for k in range(1, n + 1)]
     for t, (x, y) in enumerate(((a, b), (b, a), (a, a))):
         va, vb = reference_rank_vectors(x, y, n)
         assert tau[t] == scipy_tau_distance(va, vb)
@@ -271,7 +273,8 @@ def test_ranking_batch_equals_loop(batch, k):
     for mode in ("tau", "rho", "tau_at_k"):
         loop = np.array([ranking_distance_oracle(payloads[i], payloads[j], mode, k)
                          for i, j in pairs])
-        assert np.array_equal(ranking_batch(payloads, ia, ib, mode, k), loop), mode
+        packed = pack_payloads("ranking", payloads)
+        assert np.array_equal(ranking_batch(packed, ia, ib, mode, k), loop), mode
 
 
 def test_ranking_batch_scores_each_universe_and_rejects_pairs_across_them():
@@ -279,9 +282,10 @@ def test_ranking_batch_scores_each_universe_and_rejects_pairs_across_them():
     ia, ib = np.array([0, 1, 2, 3]), np.array([2, 3, 2, 1])
     for mode in ("tau", "rho", "tau_at_k"):
         loop = [ranking_distance_oracle(payloads[i], payloads[j], mode, 1) for i, j in zip(ia, ib)]
-        assert np.array_equal(ranking_batch(payloads, ia, ib, mode, 1), loop)
+        packed = pack_payloads("ranking", payloads)
+        assert np.array_equal(ranking_batch(packed, ia, ib, mode, 1), loop)
         with pytest.raises(DataError) as scalar:
             ranking_distance_oracle(payloads[0], payloads[1], mode, 1)
         with pytest.raises(DataError) as batched:
-            ranking_batch(payloads, np.array([0, 0]), np.array([2, 1]), mode, 1)
+            ranking_batch(packed, np.array([0, 0]), np.array([2, 1]), mode, 1)
         assert str(batched.value) == str(scalar.value)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agreekit.dataset import pack_payloads
 from agreekit.distances.vector_text import TokenEmbeddingTable, translation_batch, vector_batch
 from agreekit.errors import DataError
 from agreekit.payloads import NumericVector, TokenSequence
@@ -22,7 +23,7 @@ def vec(*values):
 
 def vector_distance(a, b, mode, ranges=None):
     """The vector kernel on the one pair (a, b)."""
-    return float(vector_batch([a, b], [0], [1], mode, ranges)[0])
+    return float(vector_batch(pack_payloads("vector", [a, b]), [0], [1], mode, ranges)[0])
 
 
 def toks(*tokens, sid=None):
@@ -242,7 +243,7 @@ def test_vector_batch_raises_what_the_loop_raises(payloads, mode, ranges):
     with pytest.raises(DataError) as loop:
         [vector_distance_oracle(payloads[i], payloads[j], mode, ranges) for i, j in zip(ia, ib)]
     with pytest.raises(DataError) as batched:
-        vector_batch(payloads, ia, ib, mode, ranges)
+        vector_batch(pack_payloads("vector", payloads), ia, ib, mode, ranges)
     assert str(batched.value) == str(loop.value)
 
 
@@ -250,4 +251,4 @@ def test_vector_batch_pads_vectors_of_other_lengths():
     payloads = [vec(0.1, 0.2, 0.7), vec(0.3), vec(0.1, 0.5, 0.7), vec(0.3)]
     ia, ib = np.array([0, 1, 2]), np.array([2, 3, 0])
     loop = [vector_distance_oracle(payloads[i], payloads[j], "binary") for i, j in zip(ia, ib)]
-    assert np.array_equal(vector_batch(payloads, ia, ib, "binary"), loop)
+    assert np.array_equal(vector_batch(pack_payloads("vector", payloads), ia, ib, "binary"), loop)
