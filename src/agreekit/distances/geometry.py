@@ -41,31 +41,31 @@ def box_batch(
     degenerate) are 0 apart when equal and 1 otherwise. Each operation is the scalar's,
     in its order. An overlap mode scales each axis on which a pair of boxes reaches
     2**500 by one power of two, which leaves its IoU and GIoU as they are but keeps its
-    areas finite.
+    areas finite. Each object's corners are gathered once per lift block and broadcast.
     """
     if mode not in ("l2", "iou", "giou", "bbox_iou"):
         raise DataError(f"unknown box distance mode {mode!r}")
-    boxes = packed.boxes
-    reach = np.abs(boxes).reshape(-1, 2, 2).max(axis=1)  # each box's largest |x| and |y|
+    corners = np.ascontiguousarray(packed.boxes.T)  # the rows x0, y0, x1 and y1
+    reach = np.maximum(np.abs(corners[:2]), np.abs(corners[2:]))  # each box's largest |x|, |y|
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-        a, b = boxes[ga], boxes[gb]
+        a, b = corners[:, ga], corners[:, gb]
         if mode == "l2":
             diff = a - b
             if not np.isfinite(diff).all():  # the overflow squares raises, one step early
                 raise NumericError("a squared difference overflows the float range")
             sq = squares(diff)
-            d0 = np.sqrt((sq[:, 0] + sq[:, 1]) / 2.0)
-            d1 = np.sqrt((sq[:, 2] + sq[:, 3]) / 2.0)
+            d0 = np.sqrt((sq[0] + sq[1]) / 2.0)
+            d1 = np.sqrt((sq[2] + sq[3]) / 2.0)
             return np.minimum(1.0, (d0 + d1) / l2_scale)
         # IoU and GIoU are unchanged by scaling either axis, and a power of two scales
         # exactly: an axis on which a pair reaches 2**500 is brought just below it, where no
         # area or hull overflows, and the other axis keeps its small widths
         if (reach >= 2.0**500).any():
-            peak = np.maximum(reach[ga], reach[gb])
-            shift = np.tile(np.where(peak >= 2.0**500, 500 - np.frexp(peak)[1], 0), 2)
+            peak = np.maximum(reach[:, ga], reach[:, gb])
+            shift = np.tile(np.where(peak >= 2.0**500, 500 - np.frexp(peak)[1], 0), (2, 1, 1, 1))
             a, b = np.ldexp(a, shift), np.ldexp(b, shift)
-        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.T, b.T
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a, b
         w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
         h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
         inter = np.where((w > 0) & (h > 0), w * h, 0.0)
@@ -81,8 +81,8 @@ def box_batch(
         else:
             d = 1.0 - iou
         if degenerate.any():
-            equal = (boxes[ga[degenerate]] == boxes[gb[degenerate]]).all(axis=1)
-            d[degenerate] = np.where(equal, 0.0, 1.0)
+            equal = (corners[:, ga] == corners[:, gb]).all(axis=0)
+            d[degenerate] = np.where(equal, 0.0, 1.0)[degenerate]
         return d
 
     return min_match_batch(packed.counts, ia, ib, inner)
@@ -106,7 +106,8 @@ def oks_batch(
     and k_default. Every object's denominators 2 s^2 k_i^2 are computed once.
     Each exp is math.exp, and each object pair's terms are added left to right from
     0.0. Differing point counts and missing parameters, or ones so small that 2 s^2 k^2
-    underflows, raise DataError at the first scored object pair they affect.
+    underflows, raise DataError at the first object pair they affect, in pair order and
+    row-major within a pair.
     """
     n_points, points = packed.n_points, packed.points
     first = np.cumsum(n_points) - n_points
@@ -121,10 +122,15 @@ def oks_batch(
                       ["keypoint object has no scale and no default was configured",
                        "keypoint object has no per-point constants and no default was configured",
                        "keypoint scale and constants are so small that 2 s^2 k^2 underflows"], "")
+    has_fault = fault != ""
+
+    def faulty(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        return (n_points[ga] != n_points[gb]) | has_fault[ga] | has_fault[gb]
 
     def inner(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-        n = n_points[ga]
-        bad = (n != n_points[gb]) | (fault[ga] != "") | (fault[gb] != "")
+        shape = np.broadcast_shapes(ga.shape, gb.shape)
+        ga, gb = np.broadcast_to(ga, shape).ravel(), np.broadcast_to(gb, shape).ravel()
+        n, bad = n_points[ga], faulty(ga, gb)
         if bad.any():
             a, b = ga[np.argmax(bad)], gb[np.argmax(bad)]
             if n_points[a] != n_points[b]:
@@ -142,6 +148,13 @@ def oks_batch(
             total[:, live] += np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size
                                           ).reshape(x.shape)
         oks_a, oks_b = total / n
-        return 1.0 - (oks_a + oks_b) / 2.0
+        return (1.0 - (oks_a + oks_b) / 2.0).reshape(shape)
 
-    return min_match_batch(packed.counts, ia, ib, inner)
+    # the lift scores a shape at a time, so the first pair in input order with a faulty object
+    # pair (its lift of 1 - faulty is below 1) is scored alone first, to raise its error
+    counts, ia, ib = packed.counts, np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    clean = min_match_batch(counts, ia, ib, lambda a, b: 1.0 - faulty(a, b))
+    bad = np.flatnonzero((clean < 1.0) & (counts[ia] > 0))
+    if bad.size:
+        min_match_batch(counts, ia[bad[:1]], ib[bad[:1]], inner)
+    return min_match_batch(counts, ia, ib, inner)

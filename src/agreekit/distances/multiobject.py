@@ -16,16 +16,15 @@ import numpy as np
 from ..dataset import Boxes, Keypoints, Spans
 
 
-def _blocks(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray) -> tuple:
-    """The object-pair cells of each pair (ia[t], ib[t]) of object sets, as flat arrays.
+def _by_shape(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray, score: Callable) -> tuple:
+    """Both directions of each pair (ia[t], ib[t]) of object sets, scored a shape at a time.
 
-    Objects are numbered payload by payload, counts[p] of them for payload p. Returns
-    (out, full, na, nb, ga, gb, rows, by_col, cols): out is every pair's value under the
-    empty-set rule (0 when both sets are empty, 1 when one is), full the pairs whose sets
-    are both non-empty, and na, nb their sizes. Each full pair's |A|x|B| block is laid out
-    row-major: cell k pairs object ga[k] of A with object gb[k] of B, and each row starts
-    at an entry of rows. by_col takes the cells column-major, each column starting at an
-    entry of cols.
+    Objects are numbered payload by payload, counts[p] of them for payload p. The pairs of two
+    non-empty sets, full, are sorted stably by (|A|, |B|); each (p, q) is one block of G pairs
+    whose object numbers A (p, 1, G) and B (1, q, G) broadcast to its object pairs, pairs last.
+    score(A, B) gives a value per object of A (p, G) and of B (q, G). Returns (out, full, s_ab,
+    s_ba): out holds the empty-set rule (0 if both sets are empty, 1 if one is), and s_ab and
+    s_ba each full pair's mean value in each direction, added in object order.
     """
     counts = np.asarray(counts, dtype=np.intp)
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
@@ -33,18 +32,16 @@ def _blocks(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray) -> tuple:
     na, nb = counts[ia], counts[ib]
     out = np.where((na == 0) & (nb == 0), 0.0, 1.0)
     full = np.flatnonzero((na > 0) & (nb > 0))
+    full = full[np.lexsort((nb[full], na[full]))]
     na, nb = na[full], nb[full]
-    size = na * nb
-    start = np.cumsum(size) - size
-    pair = np.repeat(np.arange(full.size), size)
-    cell = np.arange(pair.size) - start[pair]
-    row, col = np.divmod(cell, nb[pair])
-    ga, gb = first[ia[full]][pair] + row, first[ib[full]][pair] + col
-    rows = np.flatnonzero(col == 0)
-    # the same cells column-major: cell number k holds (row k % |A|, column k // |A|)
-    col, row = np.divmod(cell, na[pair])
-    by_col = start[pair] + row * nb[pair] + col
-    return out, full, na, nb, ga, gb, rows, by_col, np.flatnonzero(row == 0)
+    bounds = np.flatnonzero(np.diff(na, prepend=0, append=0) | np.diff(nb, prepend=0, append=0))
+    fa, fb, ab, ba = first[ia[full]], first[ib[full]], [np.empty(0)], [np.empty(0)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):  # one block at a time
+        s_a, s_b = score(fa[lo:hi] + np.arange(na[lo]).reshape(-1, 1, 1),
+                         fb[lo:hi] + np.arange(nb[lo]).reshape(1, -1, 1))
+        ab.append(s_a.T.ravel())
+        ba.append(s_b.T.ravel())
+    return out, full, _mean_in_order(np.concatenate(ab), na), _mean_in_order(np.concatenate(ba), nb)
 
 
 def _mean_in_order(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -65,19 +62,18 @@ def min_match_batch(
 ) -> np.ndarray:
     """Symmetrized mean-of-minima lift of `inner` to each pair (ia[t], ib[t]) of object sets.
 
-    Objects are numbered payload by payload, counts[p] of them for payload p, and
-    inner(ga, gb) scores the objects ga[e] and gb[e] elementwise; it must be bounded
-    by 1 and bitwise symmetric. Both sets empty is perfect agreement (0); exactly one
-    empty is maximal disagreement about existence (1). Otherwise each object pair of
-    the _blocks layout is scored once; its rows give the A -> B minima and its columns
-    the B -> A minima, both by np.minimum.reduceat.
+    inner(A, B) takes the object numbers of a _by_shape group and returns their (p, q, G)
+    distances; it must be bounded by 1 and bitwise symmetric. Both sets empty is perfect
+    agreement (0); exactly one empty is maximal disagreement about existence (1).
+    Otherwise each object pair is scored once: the block's minima over B (min(axis=1)) are
+    the A -> B minima, and its minima over A (min(axis=0)) the B -> A minima.
     """
-    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(counts, ia, ib)
-    if full.size:
-        d = inner(ga, gb)
-        d_ab = _mean_in_order(np.minimum.reduceat(d, rows), na)
-        d_ba = _mean_in_order(np.minimum.reduceat(d[by_col], cols), nb)
-        out[full] = (d_ab + d_ba) / 2.0
+    def minima(a: np.ndarray, b: np.ndarray) -> tuple:
+        d = inner(a, b)
+        return d.min(axis=1), d.min(axis=0)
+
+    out, full, d_ab, d_ba = _by_shape(counts, ia, ib, minima)
+    out[full] = (d_ab + d_ba) / 2.0
     return out
 
 
@@ -98,11 +94,7 @@ def count_diff_batch(
 
 
 def ner_batch(
-    packed: Spans,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    range_strict: bool,
-    tag_strict: bool,
+    packed: Spans, ia: np.ndarray, ib: np.ndarray, range_strict: bool, tag_strict: bool
 ) -> np.ndarray:
     """Span-set distance of each pair (ia[t], ib[t]) of packed records, in [0, 1].
 
@@ -110,30 +102,35 @@ def ner_batch(
     directional similarities; both directions zero means distance 1. Both sets
     empty is 0; exactly one empty is 1. S_ab is the mean over a's spans of the share
     of each span's tokens covered by b's usable spans: those of its tag when tag_strict,
-    and of its very range when range_strict (so a span then scores 0 or 1). Each span
-    is scored on its row (or column) of the _blocks cells of the min-match lift.
+    and of its very range when range_strict (so a span then scores 0 or 1). Spans are
+    scored on the min-match lift's _by_shape blocks.
     """
-    out, full, na, nb, ga, gb, rows, by_col, cols = _blocks(packed.counts, ia, ib)
-    if not full.size:
-        return out
     start, end, tag = packed.start, packed.end, packed.tag
-    usable = tag[ga] == tag[gb] if tag_strict else np.ones(ga.size, dtype=bool)
-    if range_strict:
-        usable &= (start[ga] == start[gb]) & (end[ga] == end[gb])
-    # one run of cells per span, the rows and then the columns, clips each other span to its
-    # own offsets as [lo, hi), empty when unusable. The others come sorted by start, so a running
-    # max of hi sweeps their union; the runs are shifted end to end, so they never mix in it.
-    own, other = np.concatenate((ga, gb[by_col])), np.concatenate((gb, ga[by_col]))
-    usable, runs = np.concatenate((usable, usable[by_col])), np.concatenate((rows, ga.size + cols))
-    first, width = start[own], (end - start)[own]
-    lo = np.clip(start[other] - first, 0, width)
-    hi = np.where(usable, np.clip(end[other] - first, lo, width), lo)
-    run_width = width[runs]
-    shift = np.repeat(np.cumsum(run_width) - run_width, np.diff(runs, append=own.size))
-    reach = np.maximum.accumulate(hi + shift)
-    gain = reach - np.maximum(lo + shift, np.concatenate(([0], reach[:-1])))
-    score = np.add.reduceat(gain, runs) / run_width
-    s_ab, s_ba = _mean_in_order(score[:rows.size], na), _mean_in_order(score[rows.size:], nb)
+
+    def coverage(first: np.ndarray, last: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 usable: np.ndarray) -> np.ndarray:
+        # each own span [first, last) (n, 1, G) clips every other span (1, m, G) to its offsets
+        # as [lo, hi), empty when unusable. The others come sorted by start, so a running max
+        # of hi sweeps their union: each adds the tokens it covers past those before it
+        width = last - first
+        lo = np.minimum(np.maximum(starts - first, 0), width)
+        hi = np.where(usable, np.minimum(np.maximum(ends - first, lo), width), lo)
+        reach, covered = hi[:, 0], hi[:, 0] - lo[:, 0]
+        for j in range(1, hi.shape[1]):
+            past, reach = reach, np.maximum(reach, hi[:, j])
+            covered += reach - np.maximum(past, lo[:, j])
+        return covered / width[:, 0]
+
+    def score(a: np.ndarray, b: np.ndarray) -> tuple:
+        sa, ea, sb, eb = start[a], end[a], start[b], end[b]
+        usable = tag[a] == tag[b] if tag_strict else np.ones((1, 1, 1), dtype=bool)
+        if range_strict:
+            usable = usable & (sa == sb) & (ea == eb)
+        # B's spans against A's: the same block with its first two axes swapped
+        swapped = (np.swapaxes(x, 0, 1) for x in (sb, eb, sa, ea, usable))
+        return coverage(sa, ea, sb, eb, usable), coverage(*swapped)
+
+    out, full, s_ab, s_ba = _by_shape(packed.counts, ia, ib, score)
     total = s_ab + s_ba
     out[full] = 1.0 - np.divide(2.0 * s_ab * s_ba, total, out=np.zeros_like(total), where=total > 0)
     return out

@@ -641,7 +641,9 @@ def multi_object_distance_oracle(a_objs, b_objs, inner, total=plain_sum) -> floa
     """The min-match lift with each direction scored on its own: inner(a, b) for
     A -> B and inner(b, a) for B -> A, so it does not rely on inner's symmetry.
 
-    total adds up one direction's minima in object order; min_match_batch adds left to right."""
+    total adds up one direction's minima in object order. min_match_batch takes a pair's
+    minima from the (p, q, G) block of its shape group and adds them left to right, as
+    plain_sum does."""
     if not a_objs and not b_objs:
         return 0.0
     if not a_objs or not b_objs:

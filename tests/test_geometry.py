@@ -398,6 +398,9 @@ OKS_ERRORS = {
     "a_before_b_underflow": ([(TINY,), (NO_SCALE,)], [0], [1], "underflows"),
     "a_missing_before_b_underflow": ([(NO_K,), (TINY,)], [0], [1], "constants"),
     "first_pair_underflow": ([(GOOD3,), (TINY,), (GOOD2,)], [0, 0], [1, 2], "underflows"),
+    # both pairs are faulty; the (2, 1) one comes first, though the lift scores (1, 1) first
+    "first_pair_of_a_later_shape": ([(GOOD3, NO_SCALE), (GOOD3,), (GOOD2,)], [0, 1], [1, 2],
+                                    "no scale"),
 }
 
 

@@ -818,6 +818,36 @@ def test_ten_thousand_items_compute_under_two_gigabytes(tmp_path):
     assert (counts["observed_pairs"], counts["expected_pairs_used"]) == (30_000, 300_000)
 
 
+# runs `agree` argv and prints the child's own peak resident set (VmHWM, KB); its ru_maxrss
+# would start at the parent's peak, which Linux carries across execve
+PEAK_AGREE = """
+import sys
+from agreekit.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
+@pytest.mark.parametrize("task, distance", [("spans", "ner_both_lenient"), ("boxes", "box_iou")])
+def test_ten_thousand_item_set_lifts_peak_under_256_megabytes(tmp_path, task, distance):
+    # the set kernels score one shape group of pairs at a time, not every object pair at once.
+    # 10,000 x 3: ten copies of a simulated 1,000 x 3 set, each under its own item names
+    small, out = str(tmp_path / "small.jsonl"), str(tmp_path / "r.json")
+    assert main(["simulate", "--task", task, "--items", "1000", "--annotators", "3", "--out", small]) == 0
+    meta, *lines = open(small).read().splitlines()
+    records = [json.loads(line) for line in lines]
+    data = write_lines(tmp_path / "data.jsonl", [meta] + [
+        json.dumps(dict(record, item=f"{record['item']}-{copy}"))
+        for copy in range(10) for record in records])
+    proc = run_python(PEAK_AGREE, "compute", "--input", data, "--distance", distance, "--out", out)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout.splitlines()[-1]) / 1024 < 256
+    assert json.loads(open(out).read())["counts"]["expected_pairs_used"] == 300_000
+
+
 @pytest.mark.parametrize("distance, alpha", [("ner_both_lenient", 0.75), ("ner_strict_tag", 0.75),
                                              ("ner_strict_range", 0.5), ("ner_both_strict", 0.5)])
 def test_far_span_offsets_compute_under_one_gigabyte(tmp_path, distance, alpha):

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from agreekit.dataset import pack_payloads
 from agreekit.distances.multiobject import count_diff_batch, min_match_batch, ner_batch
-from agreekit.payloads import Box, BoxSet, KeypointSet, Span, SpanSet, TokenSequence
+from agreekit.errors import DataError, NumericError
+from agreekit.payloads import (
+    Box, BoxSet, KeypointObject, KeypointSet, Span, SpanSet, TokenSequence,
+)
 from agreekit.registry import make_spec
 
 from conftest import (
@@ -35,12 +38,20 @@ def iou(a, b):
 
 def lift(a_objs, b_objs, inner):
     """min_match_batch on the one pair (a_objs, b_objs), scoring object pairs with inner."""
-    objs = [*a_objs, *b_objs]
+    return float(lift_batch([a_objs, b_objs], [0], [1], inner)[0])
 
-    def elementwise(ga, gb):
-        return np.array([inner(objs[i], objs[j]) for i, j in zip(ga, gb)], dtype=float)
 
-    return float(min_match_batch([len(a_objs), len(b_objs)], [0], [1], elementwise)[0])
+def lift_batch(sets, ia, ib, inner):
+    """min_match_batch on the pairs (sets[ia[t]], sets[ib[t]]), scoring object pairs with inner
+    one by one over each broadcast block."""
+    objs = [obj for objects in sets for obj in objects]
+
+    def broadcast(ga, gb):
+        ga, gb = np.broadcast_arrays(ga, gb)
+        cells = [inner(objs[i], objs[j]) for i, j in zip(ga.ravel().tolist(), gb.ravel().tolist())]
+        return np.array(cells, dtype=float).reshape(ga.shape)
+
+    return min_match_batch([len(objects) for objects in sets], ia, ib, broadcast)
 
 
 def count_diff(a_objs, b_objs, normalize=True):
@@ -85,6 +96,25 @@ def test_lift_scores_each_object_pair_once(n_a, n_b):
     a, b = list(range(n_a)), list(range(10, 10 + n_b))
     lift(a, b, inner)
     assert sorted(calls) == list(itertools.product(a, b))
+
+
+def test_lift_scores_each_object_pair_of_a_mixed_batch_once():
+    # sets of 0-4 objects, each object a distinct (set, position); pairs of several shapes,
+    # in an order that no shape grouping keeps, a pair repeated and a set paired with itself
+    sets = [[(s, k) for k in range(n)] for s, n in enumerate([2, 1, 0, 3, 1, 4, 2, 0])]
+    ia = [3, 0, 5, 1, 2, 6, 0, 4, 3, 7, 5, 1]
+    ib = [1, 6, 4, 3, 0, 0, 6, 5, 3, 2, 7, 4]
+    calls = []
+
+    def inner(a, b):
+        calls.append((a, b))
+        return abs(10 * (a[0] - b[0]) + a[1] - b[1]) / 100
+
+    got = lift_batch(sets, ia, ib, inner)
+    want = [pair for i, j in zip(ia, ib) for pair in itertools.product(sets[i], sets[j])]
+    assert sorted(calls) == sorted(want)
+    assert got.tolist() == [multi_object_distance_oracle(sets[i], sets[j], inner)
+                            for i, j in zip(ia, ib)]
 
 
 def test_lift_identity_and_symmetry_randomized(rng):
@@ -386,3 +416,61 @@ def test_set_lifts_and_bleu_give_the_pinned_bits(name):
         assert pairwise == got != compensated
     else:
         assert len({tuple(got), tuple(pairwise), tuple(compensated)}) == 3
+
+
+# box corners that coincide (degenerate and equal boxes) and, in one example of two, reach
+# past 2**500, where box_l2 overflows and the overlap modes scale an axis
+NEAR, FAR = [0.0, 1.0, 2.5, 4.0, 9.0], [2.0**500, 3.0 * 2.0**600, -(2.0**520)]
+
+
+@st.composite
+def mixed_batches(draw, kind):
+    """2-8 payloads of kind, of 0-6 objects each, and 1-24 pairs of them in drawn order, so
+    the pairs mix shapes (|A|, |B|) in no order. Keypoint objects share one point count and
+    have a scale, except in one example of two, where OKS meets its faults."""
+    if kind == "boxes":
+        corners = st.lists(st.sampled_from(NEAR + FAR * draw(st.booleans())), min_size=2,
+                           max_size=2).map(sorted)
+        obj = st.builds(lambda x, y: Box(x[0], y[0], x[1], y[1]), corners, corners)
+        make = lambda objs: BoxSet(boxes=tuple(objs))
+    elif kind == "keypoints":
+        faults = draw(st.booleans())
+        n_points = st.integers(1, 2) if faults else st.just(draw(st.integers(1, 3)))
+        point = st.tuples(st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.sampled_from([0.0, 3.0, 5.0]))
+        scale = st.sampled_from([1.0, 4.0, 30.0]) | (st.none() if faults else st.nothing())
+        obj = n_points.flatmap(lambda n: st.builds(
+            KeypointObject, st.lists(point, min_size=n, max_size=n), scale,
+            st.none() | st.lists(st.sampled_from([0.3, 1.0]), min_size=n, max_size=n).map(tuple)))
+        make = lambda objs: KeypointSet(objects=tuple(objs))
+    else:
+        ranges = st.integers(0, 12).flatmap(
+            lambda s: st.tuples(st.just(s), st.integers(s + 1, s + 6)))
+        obj = st.builds(lambda r, tag: Span(*r, tag), ranges, st.sampled_from(("PER", "ORG")))
+        make = lambda objs: SpanSet(spans=tuple(objs))
+    sets = draw(st.lists(st.lists(obj, max_size=6), min_size=2, max_size=8))
+    index = st.integers(0, len(sets) - 1)
+    ia, ib = zip(*draw(st.lists(st.tuples(index, index), min_size=1, max_size=24)))
+    return [make(objs) for objs in sets], np.array(ia), np.array(ib)
+
+
+def outcome(distances):
+    """float.hex of each distance distances() gives, or the type and message of its error."""
+    try:
+        return [float.hex(float(d)) for d in distances()]
+    except (DataError, NumericError) as error:
+        return type(error).__name__, str(error)
+
+
+MIXED_ENTRIES = {"boxes": ["box_giou", "box_iou", "box_l2"], "keypoints": ["bbox_iou", "oks"],
+                 "spans": sorted(NER_ENTRIES)}
+
+
+@pytest.mark.parametrize("kind", sorted(MIXED_ENTRIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mixed_shape_batches_equal_their_one_pair_calls(kind, data):
+    payloads, ia, ib = data.draw(mixed_batches(kind))
+    for name in MIXED_ENTRIES[kind]:
+        spec = make_spec(name, kind, params={"k_default": 0.5} if name == "oks" else None)
+        one_by_one = outcome(lambda: [spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
+        assert outcome(lambda: spec.batch(payloads, ia, ib)) == one_by_one, name
