@@ -14,17 +14,19 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ..dataset import Boxes, Keypoints, Spans
+from .vector_text import fold
 
 
-def _by_shape(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray, score: Callable) -> tuple:
-    """Both directions of each pair (ia[t], ib[t]) of object sets, scored a shape at a time.
+def _by_shape(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray, score: Callable,
+              combine: Callable) -> np.ndarray:
+    """The distance of each pair (ia[t], ib[t]) of object sets, scored a shape at a time.
 
-    Objects are numbered payload by payload, counts[p] of them for payload p. The pairs of two
-    non-empty sets, full, are sorted stably by (|A|, |B|); each (p, q) is one block of G pairs
-    whose object numbers A (p, 1, G) and B (1, q, G) broadcast to its object pairs, pairs last.
-    score(A, B) gives a value per object of A (p, G) and of B (q, G). Returns (out, full, s_ab,
-    s_ba): out holds the empty-set rule (0 if both sets are empty, 1 if one is), and s_ab and
-    s_ba each full pair's mean value in each direction, added in object order.
+    Objects are numbered payload by payload, counts[p] of them for payload p. Both sets empty
+    is 0, exactly one empty 1. The other pairs are sorted stably by the shape key
+    |A| * (max count + 1) + |B|; each shape (p, q) is one block of G pairs whose object numbers
+    A (p, 1, G) and B (1, q, G) broadcast to its object pairs, pairs last. score(A, B) gives a
+    value per object of A (p, G) and of B (q, G); each direction's values are folded in object
+    order into its means, and combine(mean A -> B, mean B -> A) is each pair's distance.
     """
     counts = np.asarray(counts, dtype=np.intp)
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
@@ -32,29 +34,17 @@ def _by_shape(counts: Sequence[int], ia: np.ndarray, ib: np.ndarray, score: Call
     na, nb = counts[ia], counts[ib]
     out = np.where((na == 0) & (nb == 0), 0.0, 1.0)
     full = np.flatnonzero((na > 0) & (nb > 0))
-    full = full[np.lexsort((nb[full], na[full]))]
-    na, nb = na[full], nb[full]
-    bounds = np.flatnonzero(np.diff(na, prepend=0, append=0) | np.diff(nb, prepend=0, append=0))
-    fa, fb, ab, ba = first[ia[full]], first[ib[full]], [np.empty(0)], [np.empty(0)]
+    key = na[full] * (counts.max(initial=0) + 1) + nb[full]
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+    full, key = full[order], key[order]
+    bounds = np.flatnonzero(np.diff(key, prepend=0, append=0))
     for lo, hi in zip(bounds[:-1], bounds[1:]):  # one block at a time
-        s_a, s_b = score(fa[lo:hi] + np.arange(na[lo]).reshape(-1, 1, 1),
-                         fb[lo:hi] + np.arange(nb[lo]).reshape(1, -1, 1))
-        ab.append(s_a.T.ravel())
-        ba.append(s_b.T.ravel())
-    return out, full, _mean_in_order(np.concatenate(ab), na), _mean_in_order(np.concatenate(ba), nb)
-
-
-def _mean_in_order(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The mean of each run of sizes[k] consecutive values, each run added left to right.
-
-    Step j adds the j-th value of every run that has one, so each run is summed in object
-    order from 0.0, as a plain Python loop sums it, on every Python version.
-    """
-    first, total = np.cumsum(sizes) - sizes, np.zeros(sizes.size)
-    for j in range(int(sizes.max(initial=0))):
-        live = np.flatnonzero(sizes > j)
-        total[live] += values[first[live] + j]
-    return total / sizes
+        pairs = full[lo:hi]
+        p, q = na[pairs[0]], nb[pairs[0]]
+        s_a, s_b = score(first[ia[pairs]] + np.arange(p).reshape(-1, 1, 1),
+                         first[ib[pairs]] + np.arange(q).reshape(1, -1, 1))
+        out[pairs] = combine(fold(s_a, pairs.size) / p, fold(s_b, pairs.size) / q)
+    return out
 
 
 def min_match_batch(
@@ -72,9 +62,7 @@ def min_match_batch(
         d = inner(a, b)
         return d.min(axis=1), d.min(axis=0)
 
-    out, full, d_ab, d_ba = _by_shape(counts, ia, ib, minima)
-    out[full] = (d_ab + d_ba) / 2.0
-    return out
+    return _by_shape(counts, ia, ib, minima, lambda d_ab, d_ba: (d_ab + d_ba) / 2.0)
 
 
 def count_diff_batch(
@@ -130,7 +118,8 @@ def ner_batch(
         swapped = (np.swapaxes(x, 0, 1) for x in (sb, eb, sa, ea, usable))
         return coverage(sa, ea, sb, eb, usable), coverage(*swapped)
 
-    out, full, s_ab, s_ba = _by_shape(packed.counts, ia, ib, score)
-    total = s_ab + s_ba
-    out[full] = 1.0 - np.divide(2.0 * s_ab * s_ba, total, out=np.zeros_like(total), where=total > 0)
-    return out
+    def harmonic(s_ab: np.ndarray, s_ba: np.ndarray) -> np.ndarray:
+        total = s_ab + s_ba
+        return 1.0 - np.divide(2.0 * s_ab * s_ba, total, out=np.zeros_like(total), where=total > 0)
+
+    return _by_shape(packed.counts, ia, ib, score, harmonic)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,17 @@ def squares(x: np.ndarray) -> np.ndarray:
     return values
 
 
+def fold(rows: Iterable[np.ndarray], shape) -> np.ndarray:
+    """rows added left to right to a 0.0 array of the given shape: unlike numpy's pairwise
+    sum or 3.12's compensated `sum`, the same bits everywhere. The set-lift means and
+    euclidean's terms go through it; oks_batch's masked per-point loop and _bleu's scalar
+    loop add left to right from 0.0 in the same way."""
+    total = np.zeros(shape)
+    for row in rows:
+        total += row
+    return total
+
+
 # a difference or its quotient by a width can overflow to inf, and the distance with it;
 # DistanceSamples rejects an inf distance, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -52,8 +63,8 @@ def vector_batch(
 
     vectors is a dataset's packed Vectors (dataset.pack_payloads("vector", payloads)
     packs a payload list); its values fill one zero-padded matrix, a row per record.
-    Euclidean squares its terms with `squares` and sums them one dimension at a time,
-    left to right; a term that overflows to inf makes the distance inf. A length
+    Euclidean squares its terms with `squares` and folds them one dimension at a time
+    (`fold`); a term that overflows to inf makes the distance inf. A length
     mismatch, an unknown mode and missing, miscounted, zero-width or non-finite ranges
     raise DataError at the first pair they affect.
     """
@@ -86,10 +97,7 @@ def vector_batch(
     if mode == "binary":
         return (a != b).sum(axis=1) / lengths[ia]
     terms = (a[:, : widths.size] - b[:, : widths.size]) / widths
-    acc = np.zeros(ia.size)
-    for column in squares(terms).T:
-        acc += column
-    return np.sqrt(acc / widths.size)
+    return np.sqrt(fold(squares(terms).T, ia.size) / widths.size)
 
 
 def _bitmasks(seq: TokenSequence) -> tuple[tuple[str, ...], dict[str, int]]:
@@ -138,15 +146,17 @@ def _ngram_counts(seq: TokenSequence) -> tuple[int, list[Counter]]:
     ]
 
 
-def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
-    return sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+def _clipped(a: Counter, b: Counter) -> int:
+    """Sum of min(c_a, c_b) over the n-grams of a and b, the same whichever comes first."""
+    return sum(min(c, b[g]) for g, c in a.items())
 
 
 _BLEU_SMOOTHING_K = 5.0
 
 
-def _bleu(hyp, ref) -> float:
-    """Sentence BLEU of two _ngram_counts, with brevity penalty and length-decaying smoothing.
+def _bleu(hyp_len: int, ref_len: int, clipped: list[int]) -> float:
+    """Sentence BLEU of a hypothesis of hyp_len tokens against a reference of ref_len, whose
+    1- to 4-gram counts clip to clipped, with brevity penalty and length-decaying smoothing.
 
     Zero-count n-gram precisions of order i are replaced by
     (ln(hyp_len) / (k * 2^invcnt)) / denominator with k = _BLEU_SMOOTHING_K,
@@ -156,17 +166,15 @@ def _bleu(hyp, ref) -> float:
     shorter than 4 tokens so identical short sentences still score 1. The weighted
     log precisions are added left to right, from 0.0.
     """
-    (hyp_len, hyp_counts), (ref_len, ref_counts) = hyp, ref
     max_order = min(4, hyp_len)
     weight = 1.0 / max_order
-    numerators = [_clipped(h, r) for h, r in zip(hyp_counts[:max_order], ref_counts)]
-    denominators = [max(1, sum(h.values())) for h in hyp_counts[:max_order]]
-    if numerators[0] == 0:
+    if clipped[0] == 0:
         return 0.0
 
     # every precision is positive: an order past the first exists only when hyp_len > 1
     log_score, invcnt = 0.0, 1
-    for num, den in zip(numerators, denominators):
+    for order, num in enumerate(clipped[:max_order]):
+        den = hyp_len - order  # the hypothesis's n-grams of this order
         if num == 0 and hyp_len > 1:
             p = (math.log(hyp_len) / (_BLEU_SMOOTHING_K * 2**invcnt)) / den
             invcnt += 1
@@ -177,16 +185,17 @@ def _bleu(hyp, ref) -> float:
     return bp * math.exp(log_score)
 
 
-def _gleu(hyp, ref) -> float:
-    """Sentence GLEU of two _ngram_counts: pooled 1..4-gram matches / max(hyp n-grams,
-    ref n-grams). Equals min(precision, recall) over the pooled counts and is symmetric.
-    """
-    (_, hyp_counts), (_, ref_counts) = hyp, ref
-    tp = sum(_clipped(h, r) for h, r in zip(hyp_counts, ref_counts))
-    denom = max(sum(sum(c.values()) for c in counts) for counts in (hyp_counts, ref_counts))
-    if denom == 0:
-        return 0.0
-    return tp / denom
+def _bleu_distance(a, b) -> float:
+    """1 - the mean BLEU of two _ngram_counts both ways, from one count of the clipped n-grams."""
+    clipped = [_clipped(x, y) for x, y in zip(a[1], b[1])]
+    return 1.0 - (_bleu(a[0], b[0], clipped) + _bleu(b[0], a[0], clipped)) / 2.0
+
+
+def _gleu_distance(a, b) -> float:
+    """1 - sentence GLEU of two _ngram_counts: pooled 1..4-gram matches / max(a's n-grams,
+    b's n-grams), min(precision, recall) of the pooled counts, the same both ways."""
+    tp = sum(_clipped(x, y) for x, y in zip(a[1], b[1]))
+    return 1.0 - tp / max(sum(sum(c.values()) for c in counts) for _, counts in (a, b))
 
 
 class TokenEmbeddingTable:
@@ -279,8 +288,7 @@ def translation_batch(
     if mode == "levenshtein":
         prepare, score = _bitmasks, partial(_edit_distance, raw=raw)
     elif mode in ("bleu", "gleu"):
-        sentence = _bleu if mode == "bleu" else _gleu
-        prepare, score = _ngram_counts, lambda a, b: 1.0 - (sentence(a, b) + sentence(b, a)) / 2.0
+        prepare, score = _ngram_counts, _bleu_distance if mode == "bleu" else _gleu_distance
     elif mode == "embedding_f1":
         prepare, score = partial(_embedded, table=embeddings), _embedding_f1
     else:

@@ -386,6 +386,8 @@ TINY = kp([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)], scale=1e-170, k=(1.0, 1.0, 1.0))
 # payloads (object tuples), pairs (ia, ib) and the message of the first error the lift meets
 OKS_ERRORS = {
     "point_counts": ([(GOOD3,), (GOOD2,)], [0], [1], "point counts, got 3 and 2"),
+    # the mismatch is between the second object of A and B's one, in a (2, 1) block
+    "point_counts_within_a_set": ([(GOOD3, GOOD2), (GOOD3,)], [0], [1], "got 2 and 3"),
     "no_scale": ([(GOOD3,), (NO_SCALE,)], [0], [1], "no scale"),
     "no_constants": ([(GOOD3,), (NO_K,)], [0], [1], "no per-point constants"),
     "first_pair_counts": ([(GOOD3,), (NO_SCALE,), (GOOD2,)], [0, 0], [2, 1], "point counts"),

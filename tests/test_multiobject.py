@@ -28,6 +28,7 @@ from conftest import (
     multi_object_distance_oracle,
     ner_distance_oracle,
     plain_sum,
+    reference_fn,
     sentence_bleu,
 )
 
@@ -425,7 +426,7 @@ NEAR, FAR = [0.0, 1.0, 2.5, 4.0, 9.0], [2.0**500, 3.0 * 2.0**600, -(2.0**520)]
 
 @st.composite
 def mixed_batches(draw, kind):
-    """2-8 payloads of kind, of 0-6 objects each, and 1-24 pairs of them in drawn order, so
+    """2-8 payloads of kind, of 0-8 objects each, and 1-24 pairs of them in drawn order, so
     the pairs mix shapes (|A|, |B|) in no order. Keypoint objects share one point count and
     have a scale, except in one example of two, where OKS meets its faults."""
     if kind == "boxes":
@@ -447,7 +448,7 @@ def mixed_batches(draw, kind):
             lambda s: st.tuples(st.just(s), st.integers(s + 1, s + 6)))
         obj = st.builds(lambda r, tag: Span(*r, tag), ranges, st.sampled_from(("PER", "ORG")))
         make = lambda objs: SpanSet(spans=tuple(objs))
-    sets = draw(st.lists(st.lists(obj, max_size=6), min_size=2, max_size=8))
+    sets = draw(st.lists(st.lists(obj, max_size=8), min_size=2, max_size=8))
     index = st.integers(0, len(sets) - 1)
     ia, ib = zip(*draw(st.lists(st.tuples(index, index), min_size=1, max_size=24)))
     return [make(objs) for objs in sets], np.array(ia), np.array(ib)
@@ -469,8 +470,15 @@ MIXED_ENTRIES = {"boxes": ["box_giou", "box_iou", "box_l2"], "keypoints": ["bbox
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_mixed_shape_batches_equal_their_one_pair_calls(kind, data):
+    """Each batch distance, or error, is its one-pair call's, and each distance or data error
+    is also the oracle's, whose sums do not go through the kernels' engine."""
     payloads, ia, ib = data.draw(mixed_batches(kind))
     for name in MIXED_ENTRIES[kind]:
         spec = make_spec(name, kind, params={"k_default": 0.5} if name == "oks" else None)
         one_by_one = outcome(lambda: [spec.fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
-        assert outcome(lambda: spec.batch(payloads, ia, ib)) == one_by_one, name
+        batch = outcome(lambda: spec.batch(payloads, ia, ib))
+        assert batch == one_by_one, name
+        if batch[0] != "NumericError":  # box_l2's oracle clamps an overflowed square to 1
+            oracle = reference_fn(spec, {})
+            assert batch == outcome(lambda: [oracle(payloads[i], payloads[j])
+                                             for i, j in zip(ia, ib)]), name

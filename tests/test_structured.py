@@ -49,6 +49,20 @@ def test_ted_classic_rotation_case():
     assert tree_distance(t1, t2) == 2
 
 
+def deep_chain(depth, leaf="x"):
+    """A root over depth - 1 single-child nodes down to leaf, built bottom-up."""
+    node = OrderedTree(leaf)
+    for _ in range(depth - 1):
+        node = OrderedTree("x", (node,))
+    return node
+
+
+@pytest.mark.parametrize("variant, unequal", [("plain", 1.0), ("norm", 0.5), ("diff", 1.0)])
+def test_ted_pins_equal_and_one_leaf_apart_chains(variant, unequal):
+    chains = [deep_chain(40), deep_chain(40), deep_chain(40, leaf="y")]
+    assert tree_batch(chains, [0, 0, 1], [1, 2, 2], variant).tolist() == [0.0, unequal, unequal]
+
+
 def test_ted_chain_vs_star():
     chain = tree(["a", [["b", [["c", ["d"]]]]]])
     star = tree(["a", ["b", "c", "d"]])

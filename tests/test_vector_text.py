@@ -144,6 +144,24 @@ def test_gleu_distance_frozen_arithmetic():
     assert translation_distance(a, a, "gleu") == 0.0
 
 
+# one to three tokens reweigh BLEU's orders; two words give repeated n-grams, whose clipped
+# counts the kernel counts once per pair
+short_or_repeating = (st.lists(st.sampled_from("ab"), min_size=1, max_size=3)
+                      | st.lists(st.sampled_from("ab"), min_size=4, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences=st.lists(short_or_repeating, min_size=2, max_size=6), data=st.data())
+def test_bleu_and_gleu_equal_the_sentence_oracle(sequences, data):
+    payloads = [toks(*tokens) for tokens in sequences]
+    index = st.integers(0, len(payloads) - 1)
+    ia, ib = zip(*data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=12)))
+    for mode in ("bleu", "gleu"):
+        got = translation_batch(payloads, np.array(ia), np.array(ib), mode).tolist()
+        want = [translation_oracle(payloads[i], payloads[j], mode) for i, j in zip(ia, ib)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), mode
+
+
 def test_bleu_gleu_reject_empty_sequences():
     for mode in ("bleu", "gleu"):
         with pytest.raises(DataError):
