@@ -6,8 +6,9 @@
 # rows pinned, the exit code and error line of a too-wide span, of boxes whose corners
 # are out of order, of a tree 500 levels deep (490 levels compute and pass `check-metric`),
 # of a byte that is not UTF-8 on line 4, of a ranking that repeats an element, of a vector
-# holding 1e999, of a malformed `--param` with a missing input, of expected `euclidean`
-# distances above their upper bound and of a NaN `check-metric --tolerance`, plus
+# holding 1e999, of a malformed `--param` with a missing input, of `box_l2` with
+# `l2_scale=true`, of expected `euclidean` distances above their upper bound and of a NaN
+# `check-metric --tolerance`, plus
 # `check-metric` on the simulated ranking, vector, boxes and spans inputs. Run from anywhere after
 # `pip install -e .`; it works in a fresh temporary directory, removed on exit, and exits
 # non-zero on the first command or grep that fails.
@@ -75,6 +76,13 @@ grep -F "1     box_l2                0.6461   0.9667   0.9656      1.0000" boxes
 grep -F "2     box_iou               0.4970   0.8556   0.8233      1.0000" boxes.txt
 grep -F "3     box_giou              0.5711   0.8000   0.8189      1.0000" boxes.txt
 grep -F "4     count_diff            0.5530   0.6222   0.3800      1.0000" boxes.txt
+# a number parameter must be a real number, not a bool: l2_scale=true is a usage error (exit 2),
+# not a scale of 1.0
+code=0
+agree compute --input boxes.jsonl --distance box_l2 --param l2_scale=true 2> l2-scale.txt || code=$?
+cat l2-scale.txt
+test "$code" -eq 2
+grep -Fx "error: cannot configure distance 'box_l2': l2_scale must be a number, got True" l2-scale.txt
 # boxes whose corners are out of order on line 3 are a data error (exit 3) at load; the
 # malformed JSON on line 5 comes later in the file, so line 3 is the one reported
 printf '%s\n' \

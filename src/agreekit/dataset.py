@@ -339,6 +339,11 @@ def dataset_kind(records: Sequence[AnnotationRecord]) -> str:
     return kind
 
 
+def is_number(x) -> bool:
+    """A real number that is not a bool: the rule for a range bound and a numeric parameter."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
     """Check dataset-level invariants of a Dataset under its meta, and return the sorted
     violations.
@@ -368,7 +373,7 @@ def validate_dataset(dataset: Dataset) -> tuple[str, ...]:
         ranges = meta.get("ranges")
         if ranges is not None and not (isinstance(ranges, (list, tuple)) and all(
             isinstance(r, (list, tuple)) and len(r) == 2
-            and all(isinstance(x, Real) and not isinstance(x, bool) for x in r) for r in ranges
+            and all(is_number(x) for x in r) for r in ranges
         )):
             raise DataError(f"ranges must be a list of [lo, hi] pairs of numbers, got {ranges!r}")
         violations += _vector_violations(dataset, ranges)

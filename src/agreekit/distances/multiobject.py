@@ -66,7 +66,7 @@ def min_match_batch(
 
 
 def count_diff_batch(
-    packed: Union[Boxes, Keypoints, Spans], ia: np.ndarray, ib: np.ndarray, normalize: bool
+    packed: Union[Boxes, Keypoints, Spans], ia: np.ndarray, ib: np.ndarray, normalize: bool = True
 ) -> np.ndarray:
     """|#A - #B| of the object sets of each pair (ia[t], ib[t]) of packed records.
 

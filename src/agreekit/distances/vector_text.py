@@ -148,7 +148,7 @@ def _ngram_counts(seq: TokenSequence) -> tuple[int, list[Counter]]:
 
 def _clipped(a: Counter, b: Counter) -> int:
     """Sum of min(c_a, c_b) over the n-grams of a and b, the same whichever comes first."""
-    return sum(min(c, b[g]) for g, c in a.items())
+    return sum(min(c, b.get(g, 0)) for g, c in a.items())
 
 
 _BLEU_SMOOTHING_K = 5.0
@@ -193,9 +193,11 @@ def _bleu_distance(a, b) -> float:
 
 def _gleu_distance(a, b) -> float:
     """1 - sentence GLEU of two _ngram_counts: pooled 1..4-gram matches / max(a's n-grams,
-    b's n-grams), min(precision, recall) of the pooled counts, the same both ways."""
+    b's n-grams), min(precision, recall) of the pooled counts, the same both ways. L tokens
+    hold max(0, L - n + 1) n-grams of each order n, so the longer sequence has more."""
     tp = sum(_clipped(x, y) for x, y in zip(a[1], b[1]))
-    return 1.0 - tp / max(sum(sum(c.values()) for c in counts) for _, counts in (a, b))
+    longer = max(a[0], b[0])
+    return 1.0 - tp / sum(max(0, longer - order) for order in range(4))
 
 
 class TokenEmbeddingTable:

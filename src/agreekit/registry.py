@@ -18,12 +18,13 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dataset import pack_payloads
+from .dataset import is_number, pack_payloads
 from .distances.geometry import box_batch, oks_batch
 from .distances.multiobject import count_diff_batch, ner_batch
 from .distances.structured import ranking_batch, tree_batch
 from .distances.vector_text import TokenEmbeddingTable, translation_batch, vector_batch
 from .errors import UsageError
+from .io import load_embeddings
 
 PairFn = Callable[[object, object], float]
 # kernel(columns, ia, ib) -> distances of the pairs (ia[t], ib[t]) of records, given what
@@ -55,85 +56,55 @@ class DistanceSpec:
         return self.kernel(pack_payloads(self.payload_kind, payloads), ia, ib)
 
 
-def _bool_param(params: Mapping, key: str, default: bool) -> bool:
-    val = params.get(key, default)
-    if not isinstance(val, bool):
-        raise UsageError(f"parameter {key!r} must be true or false, got {val!r}")
-    return val
+def _number(key: str, value, positive: bool = False) -> float:
+    """value as a float if it is a number (dataset.is_number); if asked, positive and finite."""
+    number = float(value)  # raises for None, a list or 10**400, but reads True and "2"
+    if not is_number(value):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    if positive and not 0 < number < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {number!r}")
+    return number
 
 
-def _positive_finite(key: str, value) -> float:
-    value = float(value)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{key} must be positive and finite, got {value!r}")
+def _ranges(key: str, value) -> tuple:
+    bound = partial(_number, "a ranges bound")
+    return tuple((bound(lo), bound(hi)) for lo, hi in value)
+
+
+def _bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise UsageError(f"parameter {key!r} must be true or false, got {value!r}")
     return value
 
 
-# Builders, one per distance family: build(mode, params, meta, embeddings) -> the family's
-# batch kernel.
+def _at_least_one(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+    return value
 
 
-def _vector(mode, params, meta, embeddings):
-    ranges = None if mode == "binary" else params.get("ranges", meta.get("ranges"))
-    if ranges is not None:
-        ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-    return partial(vector_batch, mode=mode, ranges=ranges)
+# Every parameter but embeddings. name: (check(name, value) -> the kernel's argument, the meta
+# key read when params lacks the name, whether None means unset). l2_scale assumes coordinates
+# in the original dataset's units; override it per dataset.
+_PARAMS = {
+    "ranges": (_ranges, "ranges", True),
+    "raw": (_bool, None, False),
+    "normalize": (_bool, None, False),
+    "l2_scale": (partial(_number, positive=True), None, False),
+    "k": (_at_least_one, None, False),
+    "scale_default": (partial(_number, positive=True), "oks_scale_default", True),
+    "k_default": (partial(_number, positive=True), "oks_k_default", True),
+}
 
 
-def _tokens(mode, params, meta, embeddings):
-    return partial(translation_batch, mode=mode, raw=_bool_param(params, "raw", False))
-
-
-def _embedding(mode, params, meta, embeddings):
-    table = embeddings
-    path = params.get("embeddings")
+def _embedding_table(path, table) -> TokenEmbeddingTable:
+    """embedding_f1's table: the one passed in, else the one read from path."""
     if table is None and path is not None:
-        from .io import load_embeddings
-
         table = load_embeddings(str(path))
     if table is None:
-        raise UsageError(
-            "embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or "
-            "--param embeddings=<file.jsonl>"
-        )
-    if not isinstance(table, TokenEmbeddingTable):
-        table = TokenEmbeddingTable(table)
-    return partial(translation_batch, mode=mode, embeddings=table)
-
-
-def _box(mode, params, meta, embeddings):
-    # l2_scale assumes coordinates in the original dataset's units; override per dataset
-    l2_scale = _positive_finite("l2_scale", params.get("l2_scale", 20.0))
-    return partial(box_batch, mode=mode, l2_scale=l2_scale)
-
-
-def _keypoints(mode, params, meta, embeddings):
-    defaults = {}
-    for key in ("scale_default", "k_default"):
-        value = params.get(key, meta.get("oks_" + key))
-        defaults[key] = None if value is None else _positive_finite(key, value)
-    return partial(oks_batch, **defaults)
-
-
-def _count(mode, params, meta, embeddings):
-    normalize = _bool_param(params, "normalize", True)
-    return partial(count_diff_batch, normalize=normalize)
-
-
-def _ner(mode, params, meta, embeddings):
-    range_strict, tag_strict = mode
-    return partial(ner_batch, range_strict=range_strict, tag_strict=tag_strict)
-
-
-def _tree(mode, params, meta, embeddings):
-    return partial(tree_batch, variant=mode)
-
-
-def _ranking(mode, params, meta, embeddings):
-    k = params.get("k", 5)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    return partial(ranking_batch, mode=mode, k=k)
+        raise UsageError("embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or "
+                         "--param embeddings=<file.jsonl>")
+    return table if isinstance(table, TokenEmbeddingTable) else TokenEmbeddingTable(table)
 
 
 class _Entry(NamedTuple):
@@ -141,8 +112,8 @@ class _Entry(NamedTuple):
     param_names: tuple[str, ...]
     dissimilarity: bool
     upper_bound: Optional[float]
-    build: Callable
-    mode: object
+    kernel: BatchFn
+    fixed: Mapping  # the kernel arguments that select the entry's mode
     summary: str
 
 
@@ -150,51 +121,57 @@ class _Entry(NamedTuple):
 # top-k projection break the triangle inequality; tau on permutations and plain TED are
 # metrics. ted_norm can exceed 1 (leaf counts grow slower than node counts) and ted_diff
 # can be zero for different trees.
-# name: _Entry(kinds, param_names, dissimilarity, upper_bound, build, mode, summary)
+# name: _Entry(kinds, param_names, dissimilarity, upper_bound, kernel, fixed, summary)
 _ENTRIES = {
-    "binary": _Entry(("vector",), (), False, 1.0, _vector, "binary",
+    "binary": _Entry(("vector",), (), False, 1.0, vector_batch, {"mode": "binary"},
                      "fraction of unequal vector elements"),
-    "euclidean": _Entry(("vector",), ("ranges",), False, 1.0, _vector, "euclidean",
+    "euclidean": _Entry(("vector",), ("ranges",), False, 1.0, vector_batch, {"mode": "euclidean"},
                         "RMSE of range-normalized vector elements"),
-    "levenshtein": _Entry(("tokens",), ("raw",), True, 1.0, _tokens, "levenshtein",
+    "levenshtein": _Entry(("tokens",), ("raw",), True, 1.0, translation_batch,
+                          {"mode": "levenshtein"},
                           "token edit distance / max length (raw=true to skip normalization)"),
-    "bleu": _Entry(("tokens",), (), True, 1.0, _tokens, "bleu",
+    "bleu": _Entry(("tokens",), (), True, 1.0, translation_batch, {"mode": "bleu"},
                    "1 - symmetrized sentence BLEU"),
-    "gleu": _Entry(("tokens",), (), True, 1.0, _tokens, "gleu",
+    "gleu": _Entry(("tokens",), (), True, 1.0, translation_batch, {"mode": "gleu"},
                    "1 - symmetrized sentence GLEU"),
-    "embedding_f1": _Entry(("tokens",), ("embeddings",), True, 1.0, _embedding, "embedding_f1",
-                           "1 - greedy max-cosine token-matching F1"),
-    "box_l2": _Entry(("boxes",), ("l2_scale",), True, 1.0, _box, "l2",
+    "embedding_f1": _Entry(("tokens",), ("embeddings",), True, 1.0, translation_batch,
+                           {"mode": "embedding_f1"}, "1 - greedy max-cosine token-matching F1"),
+    "box_l2": _Entry(("boxes",), ("l2_scale",), True, 1.0, box_batch, {"mode": "l2"},
                      "min-match lift of scaled corner RMSE"),
-    "box_iou": _Entry(("boxes",), (), True, 1.0, _box, "iou",
+    "box_iou": _Entry(("boxes",), (), True, 1.0, box_batch, {"mode": "iou"},
                       "min-match lift of 1 - IoU"),
-    "box_giou": _Entry(("boxes",), (), True, 1.0, _box, "giou",
+    "box_giou": _Entry(("boxes",), (), True, 1.0, box_batch, {"mode": "giou"},
                        "min-match lift of (1 - GIoU) / 2"),
-    "oks": _Entry(("keypoints",), ("scale_default", "k_default"), True, 1.0, _keypoints, "oks",
+    "oks": _Entry(("keypoints",), ("scale_default", "k_default"), True, 1.0, oks_batch, {},
                   "min-match lift of 1 - object keypoint similarity"),
-    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, _box, "bbox_iou",
+    "bbox_iou": _Entry(("keypoints",), (), True, 1.0, box_batch, {"mode": "bbox_iou"},
                        "min-match lift of 1 - IoU of keypoint hull boxes"),
-    "count_diff": _Entry(("boxes", "keypoints", "spans"), ("normalize",), False, 1.0, _count, None,
+    "count_diff": _Entry(("boxes", "keypoints", "spans"), ("normalize",), False, 1.0,
+                         count_diff_batch, {},
                          "absolute object-count difference (normalize=false for the raw count)"),
-    "ner_both_lenient": _Entry(("spans",), (), True, 1.0, _ner, (False, False),
+    "ner_both_lenient": _Entry(("spans",), (), True, 1.0, ner_batch,
+                               {"range_strict": False, "tag_strict": False},
                                "token-overlap span similarity, any tag, harmonic-mean combined"),
-    "ner_strict_tag": _Entry(("spans",), (), True, 1.0, _ner, (False, True),
+    "ner_strict_tag": _Entry(("spans",), (), True, 1.0, ner_batch,
+                             {"range_strict": False, "tag_strict": True},
                              "token-overlap span similarity requiring tag equality"),
-    "ner_strict_range": _Entry(("spans",), (), True, 1.0, _ner, (True, False),
+    "ner_strict_range": _Entry(("spans",), (), True, 1.0, ner_batch,
+                               {"range_strict": True, "tag_strict": False},
                                "exact-range span matching, any tag"),
-    "ner_both_strict": _Entry(("spans",), (), True, 1.0, _ner, (True, True),
+    "ner_both_strict": _Entry(("spans",), (), True, 1.0, ner_batch,
+                              {"range_strict": True, "tag_strict": True},
                               "exact-range span matching requiring tag equality"),
-    "ted": _Entry(("tree",), (), False, None, _tree, "plain",
+    "ted": _Entry(("tree",), (), False, None, tree_batch, {"variant": "plain"},
                   "tree edit distance, unit costs"),
-    "ted_norm": _Entry(("tree",), (), True, None, _tree, "norm",
+    "ted_norm": _Entry(("tree",), (), True, None, tree_batch, {"variant": "norm"},
                        "tree edit distance / total leaf count"),
-    "ted_diff": _Entry(("tree",), (), True, None, _tree, "diff",
+    "ted_diff": _Entry(("tree",), (), True, None, tree_batch, {"variant": "diff"},
                        "tree edit distance minus the leaf-count difference"),
-    "tau": _Entry(("ranking",), (), False, 1.0, _ranking, "tau",
+    "tau": _Entry(("ranking",), (), False, 1.0, ranking_batch, {"mode": "tau"},
                   "(1 - Kendall tau) / 2"),
-    "rho": _Entry(("ranking",), (), True, 1.0, _ranking, "rho",
+    "rho": _Entry(("ranking",), (), True, 1.0, ranking_batch, {"mode": "rho"},
                   "(1 - Spearman rho) / 2"),
-    "tau_at_k": _Entry(("ranking",), ("k",), True, 1.0, _ranking, "tau_at_k",
+    "tau_at_k": _Entry(("ranking",), ("k",), True, 1.0, ranking_batch, {"mode": "tau_at_k"},
                        "(1 - tau) / 2 over the union of both top-k prefixes"),
 }
 
@@ -215,9 +192,7 @@ def accepted_params(name: str) -> tuple[str, ...]:
 def _lookup(name: str) -> _Entry:
     entry = _ENTRIES.get(name)
     if entry is None:
-        raise UsageError(
-            f"unknown distance {name!r}; available: {', '.join(registry_names())}"
-        )
+        raise UsageError(f"unknown distance {name!r}; available: {', '.join(registry_names())}")
     return entry
 
 
@@ -230,21 +205,25 @@ def make_spec(
 ) -> DistanceSpec:
     """Resolve a registry name for a payload kind into a configured DistanceSpec."""
     entry = _lookup(name)
-    params = dict(params or {})
-    meta = dict(meta or {})
+    params, meta = dict(params or {}), meta or {}
     if kind not in entry.kinds:
-        raise UsageError(
-            f"distance {name!r} supports kind(s) {', '.join(entry.kinds)}, "
-            f"not {kind!r}"
-        )
+        raise UsageError(f"distance {name!r} supports kind(s) {', '.join(entry.kinds)}, "
+                         f"not {kind!r}")
     unknown = set(params) - set(entry.param_names)
     if unknown:
         raise UsageError(
             f"unknown parameter(s) for {name!r}: {', '.join(sorted(unknown))}"
             + (f"; accepted: {', '.join(entry.param_names)}" if entry.param_names else "")
         )
+    kwargs = dict(entry.fixed)  # a parameter in neither params nor meta takes the kernel's default
     try:
-        kernel = entry.build(entry.mode, params, meta, embeddings)
+        for key in entry.param_names:
+            if key == "embeddings":  # a table passed in wins over the path
+                kwargs[key] = _embedding_table(params.get(key), embeddings)
+            elif key in params or _PARAMS[key][1] in meta:
+                check, fallback, optional = _PARAMS[key]
+                value = params[key] if key in params else meta[fallback]
+                kwargs[key] = None if optional and value is None else check(key, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"cannot configure distance {name!r}: {exc}") from exc
     upper_bound, dissimilarity = entry.upper_bound, entry.dissimilarity
@@ -255,7 +234,7 @@ def make_spec(
         name=name,
         payload_kind=kind,
         params=params,
-        kernel=kernel,
+        kernel=partial(entry.kernel, **kwargs),
         dissimilarity=dissimilarity,
         upper_bound=upper_bound,
     )

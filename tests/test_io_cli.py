@@ -753,6 +753,40 @@ class TestCliIntegersTooLargeForAFloat:
         assert not out.exists()
 
 
+class TestCliNumericParametersMustBeNumbers:
+    # JSON true and "1" are not numbers, though float() reads them as 1.0
+    @pytest.mark.parametrize("kind, distance, flag, value, message", [
+        ("boxes", "box_l2", "--param", "l2_scale=true", "l2_scale must be a number, got True"),
+        ("boxes", "box_l2", "--param", 'l2_scale="20"', "l2_scale must be a number, got '20'"),
+        ("keypoints", "oks", "--param", "scale_default=true",
+         "scale_default must be a number, got True"),
+        ("keypoints", "oks", "--param", 'k_default="1"', "k_default must be a number, got '1'"),
+        ("keypoints", "oks", "--meta", "oks_scale_default=true",
+         "scale_default must be a number, got True"),
+        ("keypoints", "oks", "--meta", 'oks_k_default="1"', "k_default must be a number, got '1'"),
+        ("vector", "euclidean", "--param", "ranges=[[false, true], [0, 1]]",
+         "a ranges bound must be a number, got False"),
+        ("vector", "euclidean", "--param", 'ranges=[["0", "1"], [0, 1]]',
+         "a ranges bound must be a number, got '0'"),
+    ], ids=["param_l2_scale_bool", "param_l2_scale_string", "param_scale_default_bool",
+            "param_k_default_string", "meta_oks_scale_default_bool", "meta_oks_k_default_string",
+            "param_ranges_bool", "param_ranges_string"])
+    def test_a_bool_or_string_is_usage_error(self, tmp_path, capsys, kind, distance, flag, value,
+                                             message):
+        path, out = raw_label_file(tmp_path, kind, json.dumps(GOOD_LABELS[kind])), tmp_path / "r.json"
+        argv = ["compute", "--input", path, "--distance", distance, flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: cannot configure distance '{distance}': {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ['[["0", "1"], [0, 1]]', "[[false, true], [0, 1]]"])
+    def test_meta_ranges_of_bools_or_strings_stay_a_data_error(self, tmp_path, capsys, value):
+        path = raw_label_file(tmp_path, "vector", json.dumps(GOOD_LABELS["vector"]))
+        argv = ["compute", "--input", path, "--distance", "euclidean", "--meta", f"ranges={value}"]
+        assert main(argv) == 3
+        assert "ranges must be a list of [lo, hi] pairs of numbers" in capsys.readouterr().err
+
+
 class TestCliMeasureFlags:
     @pytest.mark.parametrize("command", ["compute", "compare", "hist"])
     @pytest.mark.parametrize("flag, value", [

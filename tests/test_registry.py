@@ -13,6 +13,7 @@ from agreekit.payloads import (
     KeypointObject,
     KeypointSet,
     NumericVector,
+    Ranking,
     Span,
     SpanSet,
     TokenSequence,
@@ -324,3 +325,236 @@ def test_batch_equals_loop_for_every_generated_entry(seed):
                 fn = reference_fn(spec, meta, table)
                 loop = np.array([fn(payloads[i], payloads[j]) for i, j in zip(ia, ib)])
                 assert np.array_equal(spec.batch(payloads, ia, ib), loop), (name, params)
+
+
+# Every parameter an entry accepts, tried with values of each type through --param and through
+# the meta key it falls back to (a key it does not read pins that meta is ignored). Each row
+# pins make_spec's exception, or the spec's distance on the entry's fixed pair (float.hex) and
+# upper bound, or the pair's exception. A ranges value also goes in as a bound, [[0, value]].
+HUGE = 10**400
+PIN_VALUES = {"none": None, "bool": True, "string": "2", "list": [2], "nan": float("nan"),
+              "inf": float("inf"), "zero": 0, "minus_one": -1, "huge": HUGE}
+
+
+def _point(x: float) -> KeypointSet:
+    return KeypointSet(objects=(KeypointObject(points=((x, 0.0),)),))
+
+
+PIN_ENTRIES = {  # (name, kind, parameter): (the meta key read, other meta, the fixed pair)
+    ("euclidean", "vector", "ranges"): (
+        "ranges", {}, (NumericVector(values=(0.0,)), NumericVector(values=(1.0,)))),
+    ("levenshtein", "tokens", "raw"): (
+        "raw", {}, (TokenSequence(tokens=("x", "y", "z")), TokenSequence(tokens=("x", "q", "z")))),
+    ("embedding_f1", "tokens", "embeddings"): (
+        "embeddings", {}, (TokenSequence(tokens=("w",), sentence_id="s"),) * 2),
+    ("box_l2", "boxes", "l2_scale"): (
+        "l2_scale", {}, (BoxSet(boxes=(Box(0, 0, 2, 2),)), BoxSet(boxes=(Box(3, 4, 5, 6),)))),
+    ("oks", "keypoints", "scale_default"): (
+        "oks_scale_default", {"oks_k_default": 1.0}, (_point(0.0), _point(1.0))),
+    ("oks", "keypoints", "k_default"): (
+        "oks_k_default", {"oks_scale_default": 1.0}, (_point(0.0), _point(1.0))),
+    ("count_diff", "boxes", "normalize"): (
+        "normalize", {}, (BoxSet(boxes=tuple(Box(x, x, x + 1, x + 1) for x in (0, 2, 5))),
+                          BoxSet(boxes=(Box(0, 0, 1, 1),)))),
+    ("tau_at_k", "ranking", "k"): (
+        "k", {}, (Ranking(order=tuple("abcdef")), Ranking(order=tuple("abcfed")))),
+}
+PIN_BOUNDS = {f"bound_{vid}": [[0, v]] for vid, v in PIN_VALUES.items()}
+PIN_CASES = [
+    (entry, vid, value, route)
+    for entry in PIN_ENTRIES
+    for vid, value in {**PIN_VALUES, **(PIN_BOUNDS if entry[2] == "ranges" else {})}.items()
+    for route in ("params", "meta")
+]
+
+
+def param_outcome(entry, value, route) -> str:
+    name, kind, param = entry
+    meta_key, meta, pair = PIN_ENTRIES[entry]
+    params, meta = ({param: value}, meta) if route == "params" else ({}, {**meta, meta_key: value})
+    stage = "spec"
+    try:
+        spec = make_spec(name, kind, params=params, meta=meta)
+        stage = "pair"
+        outcome = f"{spec.fn(*pair).hex()} upper_bound={spec.upper_bound}"
+    except Exception as exc:
+        outcome = f"{stage} {type(exc).__name__}: {exc}"
+    return outcome.replace(str(HUGE), "HUGE")
+
+
+PARAM_PINS = {
+    ('euclidean', 'ranges', 'none', 'params'): 'pair DataError: euclidean vector distance requires per-dimension ranges',
+    ('euclidean', 'ranges', 'none', 'meta'): 'pair DataError: euclidean vector distance requires per-dimension ranges',
+    ('euclidean', 'ranges', 'bool', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'bool' object is not iterable",
+    ('euclidean', 'ranges', 'bool', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'bool' object is not iterable",
+    ('euclidean', 'ranges', 'string', 'params'): "spec UsageError: cannot configure distance 'euclidean': not enough values to unpack (expected 2, got 1)",
+    ('euclidean', 'ranges', 'string', 'meta'): "spec UsageError: cannot configure distance 'euclidean': not enough values to unpack (expected 2, got 1)",
+    ('euclidean', 'ranges', 'list', 'params'): "spec UsageError: cannot configure distance 'euclidean': cannot unpack non-iterable int object",
+    ('euclidean', 'ranges', 'list', 'meta'): "spec UsageError: cannot configure distance 'euclidean': cannot unpack non-iterable int object",
+    ('euclidean', 'ranges', 'nan', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'float' object is not iterable",
+    ('euclidean', 'ranges', 'nan', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'float' object is not iterable",
+    ('euclidean', 'ranges', 'inf', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'float' object is not iterable",
+    ('euclidean', 'ranges', 'inf', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'float' object is not iterable",
+    ('euclidean', 'ranges', 'zero', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'zero', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'minus_one', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'minus_one', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'huge', 'params'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'huge', 'meta'): "spec UsageError: cannot configure distance 'euclidean': 'int' object is not iterable",
+    ('euclidean', 'ranges', 'bound_none', 'params'): "spec UsageError: cannot configure distance 'euclidean': float() argument must be a string or a real number, not 'NoneType'",
+    ('euclidean', 'ranges', 'bound_none', 'meta'): "spec UsageError: cannot configure distance 'euclidean': float() argument must be a string or a real number, not 'NoneType'",
+    ('euclidean', 'ranges', 'bound_bool', 'params'): "spec UsageError: cannot configure distance 'euclidean': a ranges bound must be a number, got True",
+    ('euclidean', 'ranges', 'bound_bool', 'meta'): "spec UsageError: cannot configure distance 'euclidean': a ranges bound must be a number, got True",
+    ('euclidean', 'ranges', 'bound_string', 'params'): "spec UsageError: cannot configure distance 'euclidean': a ranges bound must be a number, got '2'",
+    ('euclidean', 'ranges', 'bound_string', 'meta'): "spec UsageError: cannot configure distance 'euclidean': a ranges bound must be a number, got '2'",
+    ('euclidean', 'ranges', 'bound_list', 'params'): "spec UsageError: cannot configure distance 'euclidean': float() argument must be a string or a real number, not 'list'",
+    ('euclidean', 'ranges', 'bound_list', 'meta'): "spec UsageError: cannot configure distance 'euclidean': float() argument must be a string or a real number, not 'list'",
+    ('euclidean', 'ranges', 'bound_nan', 'params'): 'pair DataError: non-finite range [0.0, nan]',
+    ('euclidean', 'ranges', 'bound_nan', 'meta'): 'pair DataError: non-finite range [0.0, nan]',
+    ('euclidean', 'ranges', 'bound_inf', 'params'): 'pair DataError: non-finite range [0.0, inf]',
+    ('euclidean', 'ranges', 'bound_inf', 'meta'): 'pair DataError: non-finite range [0.0, inf]',
+    ('euclidean', 'ranges', 'bound_zero', 'params'): 'pair DataError: zero-width range [0.0, 0.0]',
+    ('euclidean', 'ranges', 'bound_zero', 'meta'): 'pair DataError: zero-width range [0.0, 0.0]',
+    ('euclidean', 'ranges', 'bound_minus_one', 'params'): 'pair DataError: zero-width range [0.0, -1.0]',
+    ('euclidean', 'ranges', 'bound_minus_one', 'meta'): 'pair DataError: zero-width range [0.0, -1.0]',
+    ('euclidean', 'ranges', 'bound_huge', 'params'): "spec UsageError: cannot configure distance 'euclidean': int too large to convert to float",
+    ('euclidean', 'ranges', 'bound_huge', 'meta'): "spec UsageError: cannot configure distance 'euclidean': int too large to convert to float",
+    ('levenshtein', 'raw', 'none', 'params'): "spec UsageError: parameter 'raw' must be true or false, got None",
+    ('levenshtein', 'raw', 'none', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'bool', 'params'): '0x1.0000000000000p+0 upper_bound=None',
+    ('levenshtein', 'raw', 'bool', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'string', 'params'): "spec UsageError: parameter 'raw' must be true or false, got '2'",
+    ('levenshtein', 'raw', 'string', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'list', 'params'): "spec UsageError: parameter 'raw' must be true or false, got [2]",
+    ('levenshtein', 'raw', 'list', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'nan', 'params'): "spec UsageError: parameter 'raw' must be true or false, got nan",
+    ('levenshtein', 'raw', 'nan', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'inf', 'params'): "spec UsageError: parameter 'raw' must be true or false, got inf",
+    ('levenshtein', 'raw', 'inf', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'zero', 'params'): "spec UsageError: parameter 'raw' must be true or false, got 0",
+    ('levenshtein', 'raw', 'zero', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'minus_one', 'params'): "spec UsageError: parameter 'raw' must be true or false, got -1",
+    ('levenshtein', 'raw', 'minus_one', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('levenshtein', 'raw', 'huge', 'params'): "spec UsageError: parameter 'raw' must be true or false, got HUGE",
+    ('levenshtein', 'raw', 'huge', 'meta'): '0x1.5555555555555p-2 upper_bound=1.0',
+    ('embedding_f1', 'embeddings', 'none', 'params'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'none', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'bool', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: 'True'",
+    ('embedding_f1', 'embeddings', 'bool', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'string', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: '2'",
+    ('embedding_f1', 'embeddings', 'string', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'list', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: '[2]'",
+    ('embedding_f1', 'embeddings', 'list', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'nan', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: 'nan'",
+    ('embedding_f1', 'embeddings', 'nan', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'inf', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: 'inf'",
+    ('embedding_f1', 'embeddings', 'inf', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'zero', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: '0'",
+    ('embedding_f1', 'embeddings', 'zero', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'minus_one', 'params'): "spec FileNotFoundError: [Errno 2] No such file or directory: '-1'",
+    ('embedding_f1', 'embeddings', 'minus_one', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('embedding_f1', 'embeddings', 'huge', 'params'): "spec OSError: [Errno 36] File name too long: 'HUGE'",
+    ('embedding_f1', 'embeddings', 'huge', 'meta'): 'spec UsageError: embedding_f1 requires token embeddings: pass a TokenEmbeddingTable or --param embeddings=<file.jsonl>',
+    ('box_l2', 'l2_scale', 'none', 'params'): "spec UsageError: cannot configure distance 'box_l2': float() argument must be a string or a real number, not 'NoneType'",
+    ('box_l2', 'l2_scale', 'none', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'bool', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be a number, got True",
+    ('box_l2', 'l2_scale', 'bool', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'string', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be a number, got '2'",
+    ('box_l2', 'l2_scale', 'string', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'list', 'params'): "spec UsageError: cannot configure distance 'box_l2': float() argument must be a string or a real number, not 'list'",
+    ('box_l2', 'l2_scale', 'list', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'nan', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be positive and finite, got nan",
+    ('box_l2', 'l2_scale', 'nan', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'inf', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be positive and finite, got inf",
+    ('box_l2', 'l2_scale', 'inf', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'zero', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be positive and finite, got 0.0",
+    ('box_l2', 'l2_scale', 'zero', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'minus_one', 'params'): "spec UsageError: cannot configure distance 'box_l2': l2_scale must be positive and finite, got -1.0",
+    ('box_l2', 'l2_scale', 'minus_one', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('box_l2', 'l2_scale', 'huge', 'params'): "spec UsageError: cannot configure distance 'box_l2': int too large to convert to float",
+    ('box_l2', 'l2_scale', 'huge', 'meta'): '0x1.6a09e667f3bcdp-2 upper_bound=1.0',
+    ('oks', 'scale_default', 'none', 'params'): 'pair DataError: keypoint object has no scale and no default was configured',
+    ('oks', 'scale_default', 'none', 'meta'): 'pair DataError: keypoint object has no scale and no default was configured',
+    ('oks', 'scale_default', 'bool', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be a number, got True",
+    ('oks', 'scale_default', 'bool', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be a number, got True",
+    ('oks', 'scale_default', 'string', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be a number, got '2'",
+    ('oks', 'scale_default', 'string', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be a number, got '2'",
+    ('oks', 'scale_default', 'list', 'params'): "spec UsageError: cannot configure distance 'oks': float() argument must be a string or a real number, not 'list'",
+    ('oks', 'scale_default', 'list', 'meta'): "spec UsageError: cannot configure distance 'oks': float() argument must be a string or a real number, not 'list'",
+    ('oks', 'scale_default', 'nan', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got nan",
+    ('oks', 'scale_default', 'nan', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got nan",
+    ('oks', 'scale_default', 'inf', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got inf",
+    ('oks', 'scale_default', 'inf', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got inf",
+    ('oks', 'scale_default', 'zero', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got 0.0",
+    ('oks', 'scale_default', 'zero', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got 0.0",
+    ('oks', 'scale_default', 'minus_one', 'params'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got -1.0",
+    ('oks', 'scale_default', 'minus_one', 'meta'): "spec UsageError: cannot configure distance 'oks': scale_default must be positive and finite, got -1.0",
+    ('oks', 'scale_default', 'huge', 'params'): "spec UsageError: cannot configure distance 'oks': int too large to convert to float",
+    ('oks', 'scale_default', 'huge', 'meta'): "spec UsageError: cannot configure distance 'oks': int too large to convert to float",
+    ('oks', 'k_default', 'none', 'params'): 'pair DataError: keypoint object has no per-point constants and no default was configured',
+    ('oks', 'k_default', 'none', 'meta'): 'pair DataError: keypoint object has no per-point constants and no default was configured',
+    ('oks', 'k_default', 'bool', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be a number, got True",
+    ('oks', 'k_default', 'bool', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be a number, got True",
+    ('oks', 'k_default', 'string', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be a number, got '2'",
+    ('oks', 'k_default', 'string', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be a number, got '2'",
+    ('oks', 'k_default', 'list', 'params'): "spec UsageError: cannot configure distance 'oks': float() argument must be a string or a real number, not 'list'",
+    ('oks', 'k_default', 'list', 'meta'): "spec UsageError: cannot configure distance 'oks': float() argument must be a string or a real number, not 'list'",
+    ('oks', 'k_default', 'nan', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got nan",
+    ('oks', 'k_default', 'nan', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got nan",
+    ('oks', 'k_default', 'inf', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got inf",
+    ('oks', 'k_default', 'inf', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got inf",
+    ('oks', 'k_default', 'zero', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got 0.0",
+    ('oks', 'k_default', 'zero', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got 0.0",
+    ('oks', 'k_default', 'minus_one', 'params'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got -1.0",
+    ('oks', 'k_default', 'minus_one', 'meta'): "spec UsageError: cannot configure distance 'oks': k_default must be positive and finite, got -1.0",
+    ('oks', 'k_default', 'huge', 'params'): "spec UsageError: cannot configure distance 'oks': int too large to convert to float",
+    ('oks', 'k_default', 'huge', 'meta'): "spec UsageError: cannot configure distance 'oks': int too large to convert to float",
+    ('count_diff', 'normalize', 'none', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got None",
+    ('count_diff', 'normalize', 'none', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'bool', 'params'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'bool', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'string', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got '2'",
+    ('count_diff', 'normalize', 'string', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'list', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got [2]",
+    ('count_diff', 'normalize', 'list', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'nan', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got nan",
+    ('count_diff', 'normalize', 'nan', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'inf', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got inf",
+    ('count_diff', 'normalize', 'inf', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'zero', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got 0",
+    ('count_diff', 'normalize', 'zero', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'minus_one', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got -1",
+    ('count_diff', 'normalize', 'minus_one', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('count_diff', 'normalize', 'huge', 'params'): "spec UsageError: parameter 'normalize' must be true or false, got HUGE",
+    ('count_diff', 'normalize', 'huge', 'meta'): '0x1.5555555555555p-1 upper_bound=1.0',
+    ('tau_at_k', 'k', 'none', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got None",
+    ('tau_at_k', 'k', 'none', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'bool', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got True",
+    ('tau_at_k', 'k', 'bool', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'string', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got '2'",
+    ('tau_at_k', 'k', 'string', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'list', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got [2]",
+    ('tau_at_k', 'k', 'list', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'nan', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got nan",
+    ('tau_at_k', 'k', 'nan', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'inf', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got inf",
+    ('tau_at_k', 'k', 'inf', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'zero', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got 0",
+    ('tau_at_k', 'k', 'zero', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'minus_one', 'params'): "spec UsageError: cannot configure distance 'tau_at_k': k must be an integer of at least 1, got -1",
+    ('tau_at_k', 'k', 'minus_one', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'huge', 'params'): '0x1.999999999999ap-3 upper_bound=1.0',
+    ('tau_at_k', 'k', 'huge', 'meta'): '0x1.999999999999ap-3 upper_bound=1.0',
+}
+
+
+@pytest.mark.parametrize("entry, vid, value, route", PIN_CASES,
+                         ids=[f"{e[0]}-{e[2]}-{vid}-{route}" for e, vid, _, route in PIN_CASES])
+def test_parameter_checks_are_pinned(tmp_path, monkeypatch, entry, vid, value, route):
+    monkeypatch.chdir(tmp_path)  # an embeddings value is read as a path, and no file is there
+    assert param_outcome(entry, value, route) == PARAM_PINS[entry[0], entry[2], vid, route]
+
+
+def test_parameter_pins_cover_every_accepted_parameter():
+    accepted = {(name, p) for name in registry_names() for p in accepted_params(name)}
+    assert {(name, param) for name, _, param in PIN_ENTRIES} == accepted
